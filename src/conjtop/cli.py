@@ -76,7 +76,8 @@ class Report:
 
     def note(self, text: str):
         # prose only; numeric content must go through item()
-        assert not any(c.isdigit() for c in text), "numbers must go through item()"
+        if any(c.isdigit() for c in text):
+            raise ValueError(f"numbers must go through item(), not note(): {text!r}")
         self.lines.append(text)
 
     def render(self, machine_only: bool = False) -> str:

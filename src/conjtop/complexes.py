@@ -39,7 +39,9 @@ class SimplicialComplex:
         "_by_dim",
         "_index",
         "_boundary_cache",
+        "_columns_cache",
         "_cofaces_cache",
+        "_red_cache",
         "_hom_cache",
         "_coh_cache",
     )
@@ -67,7 +69,9 @@ class SimplicialComplex:
             s: i for k in range(dim + 1) for i, s in enumerate(self._by_dim[k])
         }
         self._boundary_cache = {}
+        self._columns_cache = {}
         self._cofaces_cache = {}
+        self._red_cache = {}
         self._hom_cache = {}
         self._coh_cache = {}
 
@@ -117,18 +121,20 @@ class SimplicialComplex:
 
     def boundary_matrix(self, k: int) -> Gf2Matrix:
         """GF(2) boundary from k-chains to (k-1)-chains."""
-        if k in self._boundary_cache:
-            return self._boundary_cache[k]
-        rows_n = self.n_simplices(k - 1)
-        cols_n = self.n_simplices(k)
-        rows = [0] * rows_n
-        if k >= 1:
-            for j, s in enumerate(self.simplices(k)):
-                for f in combinations(s, k):
-                    rows[self._index[f]] |= 1 << j
-        M = Gf2Matrix(rows_n, cols_n, rows)
-        self._boundary_cache[k] = M
-        return M
+        if k not in self._boundary_cache:
+            cols = Gf2Matrix(self.n_simplices(k), self.n_simplices(k - 1), self.boundary_columns(k))
+            self._boundary_cache[k] = cols.transpose()
+        return self._boundary_cache[k]
+
+    def boundary_columns(self, k: int):
+        """Boundary of each k-simplex as a bit vector over the (k-1)-simplices."""
+        if k not in self._columns_cache:
+            index = self._index
+            self._columns_cache[k] = tuple(
+                sum(1 << index[f] for f in combinations(s, k)) if k else 0
+                for s in self.simplices(k)
+            )
+        return self._columns_cache[k]
 
     def cofaces(self, k: int):
         """Map from each k-simplex index to indices of its (k+1)-cofaces."""

@@ -2,9 +2,11 @@
 
 A row is a Python integer used as a bit vector (bit ``j`` is column ``j``),
 so a row update is one word-level XOR no matter how wide the matrix is.
-Vectors use the same encoding.  Pivoting is deterministic: the first
-nonzero entry in row-major scan order wins, which keeps every echelon
-basis reproducible across runs.
+Vectors use the same encoding.  Two eliminations share it: :func:`rref`
+for small dense systems (solving, inverting), pivoting on columns left to
+right, and :func:`reduce_columns`, the sparse lowest-bit column reduction
+behind homology.  Both are deterministic and pick the same pivots for the
+same span, which keeps every echelon basis reproducible across runs.
 """
 
 from __future__ import annotations
@@ -90,8 +92,19 @@ class Gf2Matrix:
     def to_lists(self):
         return [list(bits_of(r, self.ncols)) for r in self.rows]
 
+    def columns(self) -> list:
+        """All columns as bit-packed vectors, scattered from the rows' set bits."""
+        cols = [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+        return cols
+
     def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.ncols, self.nrows, (self.column(j) for j in range(self.ncols)))
+        return Gf2Matrix(self.ncols, self.nrows, self.columns())
 
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector, both bit-packed."""
@@ -157,7 +170,7 @@ def rref(rows, ncols):
     """
     work = list(rows)
     m = len(work)
-    out_rows, pivots = [], []
+    pivots = []
     r = 0
     for c in range(ncols):
         bit = 1 << c
@@ -172,7 +185,6 @@ def rref(rows, ncols):
         for i in range(m):
             if i != r and (work[i] & bit):
                 work[i] ^= work[r]
-        out_rows.append(work[r])
         pivots.append(c)
         r += 1
         if r == m:
@@ -181,11 +193,49 @@ def rref(rows, ncols):
     return work[:r], pivots
 
 
-def reduce_against(v: int, basis_rows, pivots) -> int:
-    """Reduce a bit vector against echelon rows with known pivots."""
-    for row, p in zip(basis_rows, pivots):
-        if (v >> p) & 1:
-            v ^= row
+def reduce_columns(cols, clear=()):
+    """Lowest-bit column reduction of bit-packed columns.
+
+    Columns are taken last to first; while a column's lowest set bit is
+    the pivot of an earlier reduced column, that column is added.  Returns
+    ``(pivots, kernel)``: ``pivots`` maps each pivot to its reduced column,
+    its keys being the pivots :func:`rref` picks for the column space;
+    ``kernel`` maps each column reduced to zero to the additions that did
+    it, a kernel vector whose lowest set bit is that column.  Indices in
+    ``clear`` are skipped: columns known to reduce to zero, such as the
+    pivots of the next boundary map up (the clearing of Chen and Kerber).
+    """
+    reduced = {}
+    kernel = {}
+    for j in range(len(cols) - 1, -1, -1):
+        if j in clear:
+            continue
+        c = cols[j]
+        v = 1 << j
+        while c:
+            low = (c & -c).bit_length() - 1
+            hit = reduced.get(low)
+            if hit is None:
+                reduced[low] = (c, v)
+                break
+            c ^= hit[0]
+            v ^= hit[1]
+        else:
+            kernel[j] = v
+    return {p: cv[0] for p, cv in reduced.items()}, kernel
+
+
+def reduce_by_pivots(v: int, pivots, mask: int) -> int:
+    """Representative of v modulo the span of a lowest-bit pivot map.
+
+    ``mask`` has the bits of the pivots.  Each step clears the lowest pivot
+    bit of v and touches only higher bits, so the result is the unique
+    vector of the coset that vanishes on every pivot.
+    """
+    m = v & mask
+    while m:
+        v ^= pivots[(m & -m).bit_length() - 1]
+        m = v & mask
     return v
 
 
@@ -197,10 +247,14 @@ def gf2_rank(M: Gf2Matrix) -> int:
 
 def gf2_kernel_basis(M: Gf2Matrix):
     """Echelon basis of {x : Mx = 0}, as bit-packed vectors."""
-    rows, pivots = rref(M.rows, M.ncols)
+    return _echelon_kernel(*rref(M.rows, M.ncols), M.ncols)
+
+
+def _echelon_kernel(rows, pivots, n):
+    """Kernel basis over the first n columns of an RREF, one vector per free column."""
     pivot_set = set(pivots)
     basis = []
-    for free in range(M.ncols):
+    for free in range(n):
         if free in pivot_set:
             continue
         x = 1 << free
@@ -221,44 +275,14 @@ def gf2_solve(M: Gf2Matrix, b: int):
     if b >> M.nrows:
         raise InputError("right-hand side longer than the number of rows")
     n = M.ncols
-    aug_bit = 1 << n
-    work = [M.rows[i] | (aug_bit if (b >> i) & 1 else 0) for i in range(M.nrows)]
-    rows, pivots = [], []
-    r = 0
-    for c in range(n):
-        bit = 1 << c
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] & bit):
-                work[i] ^= work[r]
-        rows.append(work[r])
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(work)):
-        if work[i] & aug_bit:
-            return None
+    rows, pivots = rref((r | ((b >> i) & 1) << n for i, r in enumerate(M.rows)), n + 1)
+    if pivots and pivots[-1] == n:
+        return None
     x = 0
-    for row, p in zip(work[:r], pivots):
-        if row & aug_bit:
+    for row, p in zip(rows, pivots):
+        if (row >> n) & 1:
             x |= 1 << p
-    kernel = []
-    pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        k = 1 << free
-        for row, p in zip(work[:r], pivots):
-            if (row >> free) & 1:
-                k |= 1 << p
-        kernel.append(k)
-    return x, kernel
+    return x, _echelon_kernel(rows, pivots, n)
 
 
 def gf2_invert(M: Gf2Matrix) -> Gf2Matrix:
@@ -266,21 +290,8 @@ def gf2_invert(M: Gf2Matrix) -> Gf2Matrix:
     if M.nrows != M.ncols:
         raise InputError("only square matrices can be inverted")
     n = M.nrows
-    work = [M.rows[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
-    for c in range(n):
-        bit = 1 << c
-        pivot = None
-        for i in range(r, n):
-            if work[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            raise InputError("matrix is singular over GF(2)")
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(n):
-            if i != r and (work[i] & bit):
-                work[i] ^= work[r]
-        r += 1
+    rows, pivots = rref((r | (1 << (n + i)) for i, r in enumerate(M.rows)), 2 * n)
+    if pivots and pivots[-1] >= n:
+        raise InputError("matrix is singular over GF(2)")
     mask = (1 << n) - 1
-    return Gf2Matrix(n, n, ((row >> n) & mask for row in work))
+    return Gf2Matrix(n, n, ((row >> n) & mask for row in rows))

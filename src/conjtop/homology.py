@@ -6,16 +6,23 @@ write down.  The abstract path supports homology, induced maps and forms
 only; geometric operations (quotients, covers, fixed sets) require an
 actual complex.
 
-Homology bases are echelon-canonical: boundary images are put in reduced
-row echelon form, cycles are reduced against them and echelonized in turn,
-so basis cycles and all coordinates are reproducible.
+Homology bases are echelon-canonical, so cycles and coordinates are
+reproducible.  Every path (absolute, relative, orbit, cohomology) feeds
+boundary columns to one lowest-bit column reduction, ``reduce_columns``.
+The boundary into dimension k yields a pivot map of the boundaries B whose
+pivots are those a row echelon form of B picks; each class of Z/B has one
+representative vanishing on them.  The boundary out of dimension k yields
+cycles with distinct lowest bits; those whose lowest bit is not a pivot of
+B are such representatives, one per class of a basis, and their reduced
+row echelon form is the canonical basis.  A chain is reduced against the
+pivot map, lowest pivot first, to find its representative.
 """
 
 from __future__ import annotations
 
 from .complexes import SimplicialComplex, SimplicialMap, fundamental_class
 from .errors import InputError
-from .gf2 import Gf2Matrix, dot, gf2_invert, gf2_kernel_basis, reduce_against, rref
+from .gf2 import Gf2Matrix, dot, gf2_invert, reduce_by_pivots, reduce_columns, rref
 
 
 class ChainComplexData:
@@ -38,6 +45,7 @@ class ChainComplexData:
         "pairing",
         "fixed_class",
         "fixed_betti_total",
+        "_red_cache",
         "_hom_cache",
     )
 
@@ -83,6 +91,7 @@ class ChainComplexData:
                 if involution[k - 1] * boundaries[k - 1] != boundaries[k - 1] * involution[k]:
                     raise InputError(f"involution does not commute with boundary {k}")
         self.involution = involution
+        self._red_cache = {}
         self._hom_cache = {}
         self.pairing = pairing
         self.fixed_class = fixed_class
@@ -117,6 +126,10 @@ class ChainComplexData:
         cols = self.ranks[k] if 0 <= k <= self.dimension else 0
         return Gf2Matrix.zeros(rows, cols)
 
+    def boundary_columns(self, k):
+        """Columns of the boundary out of dimension k, as bit vectors."""
+        return self.boundary_matrix(k).columns()
+
     def n_simplices(self, k):
         return self.ranks[k] if 0 <= k <= self.dimension else 0
 
@@ -138,29 +151,29 @@ class HomologyBasis:
 
     ``cycles`` are bit-packed chains over the complex's k-simplices (or
     over the restricted simplices when ``chart`` is set by a relative
-    computation).
+    computation).  The boundaries are kept as a lowest-bit pivot map.
     """
 
-    __slots__ = ("dimension", "n_chains", "betti", "cycles", "chart", "_b_rows", "_b_pivots",
+    __slots__ = ("dimension", "n_chains", "betti", "cycles", "chart", "_b_pivots", "_b_mask",
                  "_h_pivots")
 
-    def __init__(self, dimension, n_chains, cycles, b_rows, b_pivots, h_pivots, chart=None):
+    def __init__(self, dimension, n_chains, cycles, b_pivots, b_mask, h_pivots, chart=None):
         self.dimension = dimension
         self.n_chains = n_chains
         self.cycles = tuple(cycles)
         self.betti = len(self.cycles)
         self.chart = chart
-        self._b_rows = tuple(b_rows)
-        self._b_pivots = tuple(b_pivots)
+        self._b_pivots = b_pivots
+        self._b_mask = b_mask
         self._h_pivots = tuple(h_pivots)
 
     def coordinates_of(self, chain: int) -> int:
         """Coordinates of a cycle's class in this basis (bit-packed)."""
         if chain >> self.n_chains:
             raise InputError("chain has more coordinates than there are simplices")
-        v = reduce_against(chain, self._b_rows, self._b_pivots)
+        v = reduce_by_pivots(chain, self._b_pivots, self._b_mask)
         coords = 0
-        for i, (row, p) in enumerate(zip(self.cycles_reduced(), self._h_pivots)):
+        for i, (row, p) in enumerate(zip(self.cycles, self._h_pivots)):
             if (v >> p) & 1:
                 coords |= 1 << i
                 v ^= row
@@ -168,35 +181,64 @@ class HomologyBasis:
             raise InputError("chain is not a cycle (its class has no coordinates)")
         return coords
 
-    def cycles_reduced(self):
-        # canonical cycles are already reduced modulo boundaries and in RREF
-        return self.cycles
-
-    def class_of(self, chain: int):
-        return self.coordinates_of(chain)
-
     def __repr__(self):
         return f"HomologyBasis(dim={self.dimension}, betti={self.betti})"
 
 
-def _quotient_basis(dimension, n_chains, cycle_matrix, image_matrix, chart=None):
-    """Echelon-canonical basis of ker/im from two matrices.
+def _quotient_basis(dimension, n_chains, boundaries, cycles, chart=None):
+    """Echelon-canonical basis of Z/B from two column reductions.
 
-    ``cycle_matrix``: matrix whose kernel is the cycle space (boundary out
-    of dimension k); ``image_matrix``: matrix whose column space is the
-    boundary subspace (boundary into dimension k).
+    ``boundaries`` reduces the boundary into dimension k (its pivot map
+    spans B); ``cycles`` reduces the boundary out of it (its kernel vectors
+    span Z with B).  Callers reduce the boundaries first, so that the cycle
+    reduction can clear their pivots.
     """
-    z_basis = gf2_kernel_basis(cycle_matrix)
-    # columns of image_matrix span the boundary subspace
-    cols = [image_matrix.column(j) for j in range(image_matrix.ncols)]
-    b_rows, b_pivots = rref(cols, n_chains)
-    reduced = []
-    for z in z_basis:
-        r = reduce_against(z, b_rows, b_pivots)
-        if r:
-            reduced.append(r)
-    h_rows, h_pivots = rref(reduced, n_chains)
-    return HomologyBasis(dimension, n_chains, h_rows, b_rows, b_pivots, h_pivots, chart=chart)
+    b_pivots = boundaries[0]
+    # Kernel vectors use only their own and pivot-keeping columns, and a pivot of B, the
+    # lowest bit of a cycle, has a zero column: those off B's pivots vanish on them.
+    reps = [z for j, z in cycles[1].items() if j not in b_pivots]
+    h_rows, h_pivots = rref(reps, n_chains)
+    mask = sum(1 << p for p in b_pivots)
+    return HomologyBasis(dimension, n_chains, h_rows, b_pivots, mask, h_pivots, chart=chart)
+
+
+def _reduction(space, k, co=False):
+    """Cached reduction of the boundary columns out of dimension k, or with
+    ``co`` of the coboundary out of degree k (the rows of the boundary into
+    k + 1).  The pivots of a cached reduction of the map into k are cleared.
+    """
+    cache = space._red_cache
+    if (co, k) not in cache:
+        cols = space.boundary_matrix(k + 1).rows if co else space.boundary_columns(k)
+        image = cache.get((co, k - 1 if co else k + 1))
+        cache[co, k] = reduce_columns(cols, image[0] if image else ())
+    return cache[co, k]
+
+
+def restricted_basis(k, cols_k, cols_k1, keep_km1, keep_k, keep_kp1, chart=None):
+    """Basis of H_k of the quotient complex spanned by the kept cells.
+
+    ``cols_k``, ``cols_k1``: boundary columns out of dimensions k and k + 1;
+    ``keep_*``: increasing lists of the kept cells in dimensions k - 1, k
+    and k + 1, which are renumbered in that order.
+    """
+    boundaries = reduce_columns(_restrict_columns(cols_k1, keep_kp1, keep_k))
+    cycles = reduce_columns(_restrict_columns(cols_k, keep_k, keep_km1), boundaries[0])
+    return _quotient_basis(k, len(keep_k), boundaries, cycles, chart=chart)
+
+
+def _restrict_columns(cols, keep_cols, keep_rows):
+    """The kept columns, each restricted to the kept rows renumbered in order."""
+    pos = {i: 1 << r for r, i in enumerate(keep_rows)}
+    out = []
+    for j in keep_cols:
+        c, r = cols[j], 0
+        while c:
+            bit = c & -c
+            r |= pos.get(bit.bit_length() - 1, 0)
+            c ^= bit
+        out.append(r)
+    return out
 
 
 def homology(space, k: int, rel=None) -> HomologyBasis:
@@ -210,25 +252,15 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
     if isinstance(space, ChainComplexData):
         if rel is not None:
             raise InputError("relative homology is unavailable for abstract chain data")
-        cache = space._hom_cache
-        if k in cache:
-            return cache[k]
-        basis = _quotient_basis(
-            k, space.n_simplices(k), space.boundary_matrix(k), space.boundary_matrix(k + 1)
-        )
-        cache[k] = basis
-        return basis
-    if not isinstance(space, SimplicialComplex):
+    elif not isinstance(space, SimplicialComplex):
         raise InputError(f"unsupported space type {type(space).__name__}")
     if rel is None:
         cache = space._hom_cache
-        if k in cache:
-            return cache[k]
-        basis = _quotient_basis(
-            k, space.n_simplices(k), space.boundary_matrix(k), space.boundary_matrix(k + 1)
-        )
-        cache[k] = basis
-        return basis
+        if k not in cache:
+            cache[k] = _quotient_basis(
+                k, space.n_simplices(k), _reduction(space, k + 1), _reduction(space, k)
+            )
+        return cache[k]
 
     if isinstance(rel, SimplicialComplex):
         if not space.contains_subcomplex(rel):
@@ -240,34 +272,14 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
         if set(sub.all_simplices()) != rel_simplices:
             raise InputError("rel simplices are not closed under faces")
 
-    def restrict(kk):
-        keep = [
-            j for j, s in enumerate(space.simplices(kk)) if s not in rel_simplices
-        ]
-        return keep
-
-    keep_k = restrict(k)
-    keep_km1 = restrict(k - 1)
-    keep_kp1 = restrict(k + 1)
-    pos_km1 = {j: i for i, j in enumerate(keep_km1)}
-    pos_k = {j: i for i, j in enumerate(keep_k)}
-
-    def restricted_boundary(kk, keep_rows, keep_cols, pos_rows):
-        M = space.boundary_matrix(kk)
-        rows = [0] * len(keep_rows)
-        for new_j, j in enumerate(keep_cols):
-            col = M.column(j)
-            while col:
-                i = (col & -col).bit_length() - 1
-                col &= col - 1
-                if i in pos_rows:
-                    rows[pos_rows[i]] |= 1 << new_j
-        return Gf2Matrix(len(keep_rows), len(keep_cols), rows)
-
-    bd_k = restricted_boundary(k, keep_km1, keep_k, pos_km1)
-    bd_k1 = restricted_boundary(k + 1, keep_k, keep_kp1, pos_k)
-    chart = tuple(keep_k)
-    return _quotient_basis(k, len(keep_k), bd_k, bd_k1, chart=chart)
+    keep_km1, keep_k, keep_kp1 = (
+        [j for j, s in enumerate(space.simplices(kk)) if s not in rel_simplices]
+        for kk in (k - 1, k, k + 1)
+    )
+    return restricted_basis(
+        k, space.boundary_columns(k), space.boundary_columns(k + 1),
+        keep_km1, keep_k, keep_kp1, chart=tuple(keep_k),
+    )
 
 
 def betti_numbers(space):
@@ -279,11 +291,6 @@ def total_betti(space) -> int:
     return sum(betti_numbers(space))
 
 
-def coboundary_matrix(space, k: int) -> Gf2Matrix:
-    """Coboundary from k-cochains to (k+1)-cochains (transposed boundary)."""
-    return space.boundary_matrix(k + 1).transpose()
-
-
 def cohomology(space, k: int) -> HomologyBasis:
     """Canonical mod-2 cohomology basis in dimension k."""
     if isinstance(space, SimplicialComplex):
@@ -291,7 +298,7 @@ def cohomology(space, k: int) -> HomologyBasis:
         if k in cache:
             return cache[k]
     basis = _quotient_basis(
-        k, space.n_simplices(k), coboundary_matrix(space, k), coboundary_matrix(space, k - 1)
+        k, space.n_simplices(k), _reduction(space, k - 1, co=True), _reduction(space, k, co=True)
     )
     if isinstance(space, SimplicialComplex):
         space._coh_cache[k] = basis
@@ -299,7 +306,9 @@ def cohomology(space, k: int) -> HomologyBasis:
 
 
 def is_cocycle(space, k: int, cochain: int) -> bool:
-    return coboundary_matrix(space, k).mul_vec(cochain) == 0
+    """True when the coboundary, the sum of the boundary rows at the cochain's bits, is 0."""
+    row = Gf2Matrix(1, space.n_simplices(k), (cochain,)) * space.boundary_matrix(k + 1)
+    return row.rows[0] == 0
 
 
 def chain_map_image(f: SimplicialMap, k: int, chain: int) -> int:

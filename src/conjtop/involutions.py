@@ -20,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     check_involution,
+    orbit_chain_boundaries,
     pseudomanifold_check,
     regularity_offender,
 )
@@ -34,6 +35,7 @@ from .homology import (
     induced_map,
     intersection_form_matrix,
     poincare_dual_cocycle,
+    restricted_basis,
     total_betti,
 )
 
@@ -406,55 +408,16 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
     img_rows, _ = rref(images, amb.betti)
     kernel_dim = fix_h2.betti - len(img_rows)
 
-    table = {k: _orbit_relative_betti(K, tau, k) for k in (4, 3, 2)}
+    boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
+    ranks = [boundaries[0].nrows] + [b.ncols for b in boundaries]
+    cols = [(0,) * ranks[0]] + [b.columns() for b in boundaries] + [()]
+    keep = [[j for j in range(r) if not (f >> j) & 1] for r, f in zip(ranks, fixed_flags)] + [[]]
+    table = {
+        k: restricted_basis(k, cols[k], cols[k + 1], keep[k - 1], keep[k], keep[k + 1]).betti
+        for k in (4, 3, 2)
+    }
     asserted = _smith_verdict(kernel_dim, h1_trivial, table)
     return SmithReport(kernel_dim, h1_trivial, asserted, table)
-
-
-def _orbit_relative_betti(K, tau, k) -> int:
-    """Betti number of (quotient, fixed set) from the orbit chain complex."""
-    from .complexes import orbit_chain_boundaries
-    from .homology import _quotient_basis
-
-    boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
-    n = K.dimension
-    ranks = [boundaries[0].nrows] + [b.ncols for b in boundaries]
-
-    def matrix(kk):
-        if 1 <= kk <= n:
-            return boundaries[kk - 1]
-        if kk == 0:
-            return Gf2Matrix.zeros(0, ranks[0])
-        if kk == n + 1:
-            return Gf2Matrix.zeros(ranks[n], 0)
-        return Gf2Matrix.zeros(0, 0)
-
-    def keep(kk):
-        if not 0 <= kk <= n:
-            return []
-        return [j for j in range(ranks[kk]) if not (fixed_flags[kk] >> j) & 1]
-
-    keep_k = keep(k)
-    keep_km1 = keep(k - 1)
-    keep_kp1 = keep(k + 1)
-    pos_km1 = {j: i for i, j in enumerate(keep_km1)}
-    pos_k = {j: i for i, j in enumerate(keep_k)}
-
-    def restricted(kk, keep_rows, keep_cols, pos_rows):
-        M = matrix(kk)
-        rows = [0] * len(keep_rows)
-        for new_j, j in enumerate(keep_cols):
-            col = M.column(j)
-            while col:
-                i = (col & -col).bit_length() - 1
-                col &= col - 1
-                if i in pos_rows:
-                    rows[pos_rows[i]] |= 1 << new_j
-        return Gf2Matrix(len(keep_rows), len(keep_cols), rows)
-
-    bd_k = restricted(k, keep_km1, keep_k, pos_km1)
-    bd_k1 = restricted(k + 1, keep_k, keep_kp1, pos_k)
-    return _quotient_basis(k, len(keep_k), bd_k, bd_k1).betti
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide
+from .complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, closure
 from .coverings import double_cover_unbranched, stiefel_whitney_cocycle
 from .errors import InputError
 from .gf2 import Gf2Matrix
@@ -231,7 +231,14 @@ def torus_free_shift():
 
 
 def coned_grid_klein(n=4):
-    """Klein bottle: x wraps straight, y wraps with the flip x -> -x."""
+    """Klein bottle: x wraps straight, y wraps with the flip x -> -x.
+
+    Its free involution, the half-turn (i, j) -> (i + n/2, j), needs an even
+    n: a shift by c respects the flip gluing only when 2c = 0 mod n.
+    """
+    if n % 2:
+        raise InputError(f"the Klein bottle grid needs an even side for its half-turn, got {n}")
+    half = n // 2
 
     def wrap(i, j):
         i, j = i % (2 * n), j  # allow one wrap in y before normalizing
@@ -248,9 +255,9 @@ def coned_grid_klein(n=4):
     images = [0] * K.vertex_count
     for i in range(n):
         for j in range(n):
-            images[wrap(i, j)] = wrap(i + 2, j)
+            images[wrap(i, j)] = wrap(i + half, j)
     for (i, j), c in center_of.items():
-        images[c] = center_of[((i + 2) % n, j)]
+        images[c] = center_of[((i + half) % n, j)]
     shift = SimplicialMap(K, K, images)
     return K, marks, shift
 
@@ -275,13 +282,15 @@ def double_along_boundary(H: SimplicialComplex, boundary_vertices):
     """Double of a surface with boundary; the mirror swap is the involution.
 
     Interior vertices are duplicated with an offset, boundary vertices are
-    shared.  Refuses when an interior simplex has every vertex on the
-    boundary (the mirror image would collide; subdivide first).
+    shared.  Refuses when a simplex spanned by boundary vertices is not on
+    the boundary, the codimension-one faces with exactly one coface (the
+    mirror image would collide; subdivide first).
     """
     bset = set(boundary_vertices)
-    boundary_simplices = {s for s in H.all_simplices() if set(s) <= bset}
+    n = H.dimension
+    rim = closure(f for f, c in zip(H.simplices(n - 1), H.cofaces(n - 1)) if len(c) == 1)
     for s in H.simplices_within(bset):
-        if tuple(s) not in boundary_simplices:
+        if s not in rim:
             raise InputError(f"interior simplex {s} lies on the boundary; subdivide")
     nv = H.vertex_count
 

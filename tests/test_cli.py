@@ -1,4 +1,6 @@
-from conjtop.cli import main
+import pytest
+
+from conjtop.cli import Report, main
 
 
 def run_cli(argv, capsys):
@@ -224,3 +226,11 @@ def test_missing_model_file(capsys):
 def test_unknown_command_rejected(capsys):
     code, out = run_cli(["frobnicate", "x"], capsys)
     assert code == 2
+
+
+def test_report_note_refuses_numbers():
+    report = Report("homology")
+    report.note("prose only")
+    with pytest.raises(ValueError):
+        report.note("genus 2")
+    assert report.lines == ["prose only"]

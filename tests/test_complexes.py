@@ -6,6 +6,7 @@ from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivide,
+    check_involution,
     fundamental_class,
     identity_map,
     orbit_chain_boundaries,
@@ -16,6 +17,8 @@ from conjtop.complexes import (
 from conjtop.errors import InputError
 from conjtop.homology import betti_numbers
 from conjtop.models import (
+    coned_grid_klein,
+    double_along_boundary,
     hexagon_circle,
     product_complex,
     rp2_6vertex,
@@ -156,3 +159,23 @@ def test_components():
     K = SimplicialComplex.from_simplices(5, [(0, 1), (1, 2), (3, 4)])
     comps = K.components()
     assert sorted(len(c) for c in comps) == [2, 3]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_coned_klein_half_turn_is_free(n):
+    K, _, shift = coned_grid_klein(n)
+    check_involution(K, shift)
+    assert pseudomanifold_check(K) == 2
+    assert all(shift(v) != v for v in range(K.vertex_count))
+    assert betti_numbers(K) == (1, 2, 1)
+
+
+def test_coned_klein_refuses_odd_side():
+    with pytest.raises(InputError):
+        coned_grid_klein(5)
+
+
+def test_double_refuses_diagonal_between_boundary_vertices():
+    square = SimplicialComplex.from_simplices(4, [(0, 1, 2), (0, 2, 3)])
+    with pytest.raises(InputError):
+        double_along_boundary(square, (0, 1, 2, 3))

@@ -16,7 +16,6 @@ from conjtop.homology import (
     homology,
     induced_map,
     intersection_form_matrix,
-    coboundary_matrix,
 )
 from conjtop.intmat import IntMatrix
 from conjtop.models import (
@@ -139,7 +138,7 @@ def test_cup_against_coboundary_is_zero():
     K = torus7()
     dd = duality_data(K, 1)
     r = random.Random(3)
-    cb = coboundary_matrix(K, 0)
+    cb = K.boundary_matrix(1).transpose()
     for _ in range(20):
         u = r.getrandbits(K.n_simplices(0))
         co = cb.mul_vec(u)
