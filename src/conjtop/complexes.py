@@ -228,9 +228,6 @@ class SimplicialMap:
         """Image vertex set of a simplex, sorted (may have lower dimension)."""
         return tuple(sorted(set(self.images[v] for v in s)))
 
-    def is_degenerate_on(self, s) -> bool:
-        return len(set(self.images[v] for v in s)) < len(s)
-
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
         if inner.target is not self.source and inner.target != self.source:

@@ -75,13 +75,6 @@ class SemiOrientation:
         self.carrier = carrier
         self.signs = signs
 
-    def flipped(self) -> "SemiOrientation":
-        # canonicalization makes the flip the identity; kept for clarity
-        return SemiOrientation(self.carrier, tuple(-s for s in self.signs))
-
-    def representative(self):
-        return self.signs
-
     def __eq__(self, other):
         return (
             isinstance(other, SemiOrientation)

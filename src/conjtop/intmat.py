@@ -2,6 +2,15 @@
 
 Everything runs on Python integers, so entry blow-up during elimination
 is harmless.  No floating point enters at any stage.
+
+Smith normal form pivots on the smallest nonzero |entry| of the remaining
+block, ties by row-major position, so (D, U, V) are deterministic.  The
+search takes each row's minimum with builtins and stops at the first row
+whose minimum is 1, so a pivot costs one builtin pass per remaining row at
+worst.  Column additions touch only rows with a nonzero source entry.
+Every call audits U and V exactly with ``det``: fraction-free Bareiss
+elimination, O(n^3) big-integer steps at worst, done a row at a time and
+skipping a row only where its update is the identity.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(e) for e in r) for r in rows)
+        rows = tuple(tuple(map(int, r)) for r in rows)
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise InputError("ragged rows in integer matrix")
@@ -114,11 +123,16 @@ def det(M: IntMatrix) -> int:
                     break
             else:
                 return 0
+        p = a[k][k]
+        rest = a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            ai = a[i]
+            f = ai[k]
+            # with f == 0 the update is x -> x * p // prev: the identity iff
+            # p == prev; columns up to k are never read again
+            if f or p != prev:
+                ai[k + 1:] = [(x * p - f * y) // prev for x, y in zip(ai[k + 1:], rest)]
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
@@ -139,9 +153,7 @@ def smith_normal_form(M: IntMatrix):
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
@@ -150,23 +162,27 @@ def smith_normal_form(M: IntMatrix):
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        for row in a + v:
+            if row[src]:
+                row[dst] += c * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
-        best = None
+        # a row's smallest |e| is taken at C speed; no entry beats a 1
+        best, pi = 0, None
         for i in range(t, m):
-            for j in range(t, n):
-                e = a[i][j]
-                if e != 0 and (best is None or abs(e) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+            e = min(map(abs, filter(None, a[i][t:])), default=0)
+            if e and (not best or e < best):
+                best, pi = e, i
+                if e == 1:
+                    break
+        if not best:
+            return None
+        row = a[pi]
+        return pi, next(j for j in range(t, n) if abs(row[j]) == best)
 
     r = min(m, n)
     for t in range(r):

@@ -159,26 +159,18 @@ def brown(q: QForm4) -> int:
     if n > BROWN_MAX_DIM:
         raise InputError(f"Gauss sum limited to dimension {BROWN_MAX_DIM}")
     # Gray-code walk keeps each step to one quadratic-law update
+    rows, values = q.gram.rows, q.values
+    counts = [1, 0, 0, 0]  # classes per value of q; x = 0 has q = 0
     val = 0
     acc = 0
-    re, im = 1, 0  # x = 0 contributes i^0
-    prev = 0
     for g in range(1, 1 << n):
-        code = g ^ (g >> 1)
-        bit = code ^ prev
-        i = bit.bit_length() - 1
-        # q(acc ^ bit) = q(acc) + q(e_i) + 2 pairing(acc, e_i)
-        val = (val + q.values[i] + 2 * q.pairing(acc, bit)) % 4
-        acc ^= bit
-        prev = code
-        if val == 0:
-            re += 1
-        elif val == 1:
-            im += 1
-        elif val == 2:
-            re -= 1
-        else:
-            im -= 1
+        i = (g & -g).bit_length() - 1  # the bit where codes g - 1 and g differ
+        # q(acc + e_i) = q(acc) + q(e_i) + 2 pairing(acc, e_i); the Gram
+        # matrix is symmetric, so the pairing with e_i is row i against acc
+        val = (val + values[i] + 2 * ((rows[i] & acc).bit_count() & 1)) & 3
+        acc ^= 1 << i
+        counts[val] += 1
+    re, im = counts[0] - counts[2], counts[1] - counts[3]
     norm = re * re + im * im
     if norm == 0:
         raise InputError(

@@ -1,10 +1,12 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conjtop.intmat
 from conjtop.errors import InputError
 from conjtop.intmat import (
     IntMatrix,
@@ -36,16 +38,143 @@ def minors_gcd_invariant_factors(M):
     return tuple(factors)
 
 
-def int_matrices(max_dim=4, bound=6):
+def leibniz_det(rows):
+    """Independent determinant oracle: the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions & 1 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class ReferenceSNF:
+    """The former Smith normal form: full rescans for every pivot.
+
+    Pivot rule: smallest absolute value over the whole remaining block,
+    ties by row-major position.  Column additions touch every row.  The
+    fast implementation must reproduce (D, U, V) exactly.
+    """
+
+    def __init__(self, M):
+        m, n = M.nrows, M.ncols
+        a = [list(r) for r in M.rows]
+        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+        def swap_rows(i, j):
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+        def swap_cols(i, j):
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+        def add_row(src, dst, c):
+            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+        def add_col(src, dst, c):
+            for row in a:
+                row[dst] += c * row[src]
+            for row in v:
+                row[dst] += c * row[src]
+
+        def find_pivot(t):
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    e = a[i][j]
+                    if e != 0 and (best is None or abs(e) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            return best
+
+        r = min(m, n)
+        for t in range(r):
+            while True:
+                pos = find_pivot(t)
+                if pos is None:
+                    break
+                swap_rows(t, pos[0])
+                swap_cols(t, pos[1])
+                dirty = False
+                for i in range(t + 1, m):
+                    if a[i][t] != 0:
+                        add_row(t, i, -(a[i][t] // a[t][t]))
+                        if a[i][t] != 0:
+                            dirty = True
+                for j in range(t + 1, n):
+                    if a[t][j] != 0:
+                        add_col(t, j, -(a[t][j] // a[t][t]))
+                        if a[t][j] != 0:
+                            dirty = True
+                if not dirty:
+                    break
+
+        def fix_pair(t, s):
+            add_col(s, t, 1)
+            while a[s][t] != 0:
+                add_row(s, t, -(a[t][t] // a[s][t]))
+                swap_rows(t, s)
+            if a[t][s] != 0:
+                add_col(t, s, -(a[t][s] // a[t][t]))
+
+        for t in range(r):
+            for s in range(t + 1, r):
+                dt, ds = a[t][t], a[s][s]
+                if dt == 0 and ds != 0:
+                    swap_rows(t, s)
+                    swap_cols(t, s)
+                elif dt != 0 and ds % dt != 0:
+                    fix_pair(t, s)
+
+        for i in range(r):
+            if a[i][i] < 0:
+                a[i] = [-x for x in a[i]]
+                u[i] = [-x for x in u[i]]
+
+        self.D, self.U, self.V = IntMatrix(a), IntMatrix(u), IntMatrix(v)
+
+
+def int_matrices(max_dim=4, bound=6, entries=None):
+    entries = st.integers(-bound, bound) if entries is None else entries
     return st.integers(1, max_dim).flatmap(
         lambda m: st.integers(1, max_dim).flatmap(
             lambda n: st.lists(
-                st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                st.lists(entries, min_size=n, max_size=n),
                 min_size=m,
                 max_size=m,
             )
         )
     )
+
+
+def square_matrices(max_dim, entries):
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+# zeros are drawn often so zero pivots, skipped rows and sign flips all occur
+SPARSE_ENTRIES = st.one_of(st.just(0), st.integers(-4, 4))
+
+
+def seeded_sparse_rows(seed, m=40, n=30, density=0.12):
+    """A seeded sparse matrix with some rows repeated as sums of others."""
+    rng = random.Random(seed)
+    rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+    for _ in range(m // 8):
+        i, j, k = rng.sample(range(m), 3)
+        rows[i] = [x + 2 * y for x, y in zip(rows[j], rows[k])]
+    return rows
 
 
 def test_snf_diag_2_3():
@@ -127,6 +256,48 @@ def test_int_kernel(rows):
     M = IntMatrix(rows)
     for k in int_kernel_basis(M):
         assert M.mul_vec(k) == (0,) * M.nrows
+
+
+@given(square_matrices(5, SPARSE_ENTRIES))
+@example([[-1, 0], [0, 1]])  # first pivot -1 = -prev: the zero row must be rescaled
+@example([[0, 2, 0], [1, 0, 0], [0, 0, 3]])  # zero pivot: swap
+@example([[2, 0, 1], [0, -1, 0], [1, 0, 1]])  # second pivot -2 = -prev
+@settings(max_examples=300, deadline=None)
+def test_det_against_leibniz(rows):
+    assert det(IntMatrix(rows)) == leibniz_det(rows)
+
+
+def assert_same_snf(rows):
+    M = IntMatrix(rows)
+    D, U, V = smith_normal_form(M)
+    ref = ReferenceSNF(M)
+    assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
+
+
+@given(int_matrices(max_dim=8, entries=SPARSE_ENTRIES))
+@settings(max_examples=200, deadline=None)
+def test_snf_matches_reference(rows):
+    assert_same_snf(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_snf_matches_reference_sparse_40x30(seed):
+    assert_same_snf(seeded_sparse_rows(seed))
+
+
+def test_unimodularity_audit_runs_on_every_call(monkeypatch):
+    seen = []
+
+    def counting_det(M):
+        seen.append((M.nrows, M.ncols))
+        return det(M)
+
+    monkeypatch.setattr(conjtop.intmat, "det", counting_det)
+    smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
+    assert seen == [(2, 2), (3, 3)]
+    monkeypatch.setattr(conjtop.intmat, "det", lambda M: 2)
+    with pytest.raises(AssertionError, match="unimodularity"):
+        invariant_factors(IntMatrix([[1]]))
 
 
 def test_det_examples():

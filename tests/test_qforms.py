@@ -206,6 +206,29 @@ def test_brown_additive_random_sums():
         done += 1
 
 
+EIGHTH_DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+@given(st.integers(1, 8), st.integers(0, 2**20))
+@settings(max_examples=150, deadline=None)
+def test_brown_against_direct_gauss_sum(n, seed):
+    """Sum i^q(x) over every class in index order, with no Gray-code walk."""
+    r = random.Random(seed)
+    gram = random_symmetric(r, n)
+    q = QForm4(gram, [2 * r.randint(0, 1) + gram[i, i] for i in range(n)])
+    counts = [0, 0, 0, 0]
+    for x in range(1 << n):
+        counts[evaluate_q4(q, x)] += 1
+    re, im = counts[0] - counts[2], counts[1] - counts[3]
+    if re == im == 0:
+        with pytest.raises(InputError, match="vanishes"):
+            brown(q)
+        return
+    (k,) = [k for k, (dr, di) in enumerate(EIGHTH_DIRECTIONS)
+            if dr * im == di * re and dr * re + di * im > 0]
+    assert brown(q) == k
+
+
 def test_brown_rejects_vanishing_gauss_sum():
     zero = Gf2Matrix.zeros(1, 1)
     with pytest.raises(InputError, match="vanishes"):
