@@ -474,7 +474,7 @@ def main(argv=None) -> int:
     except ModelIntegrityError as e:
         sys.stdout.write(f"model integrity violation: {e}\n")
         return 1
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
         sys.stdout.write(f"input error: {e}\n")
         return 2
     sys.stdout.write(report.render(machine_only=args.machine))

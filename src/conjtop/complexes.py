@@ -178,9 +178,7 @@ class SimplicialComplex:
             if ra != rb:
                 parent[ra] = rb
         groups = {}
-        used = set()
         for (v,) in self.simplices(0):
-            used.add(v)
             groups.setdefault(find(v), set()).add(v)
         return [frozenset(g) for _, g in sorted((min(g), g) for g in groups.values())]
 
@@ -202,7 +200,7 @@ class SimplicialComplex:
 class SimplicialMap:
     """Vertex map between complexes sending simplices to simplices."""
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_fixed")
 
     def __init__(self, source: SimplicialComplex, target: SimplicialComplex, images):
         images = tuple(int(v) for v in images)
@@ -220,6 +218,7 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.images = images
+        self._fixed = None
 
     def __call__(self, v: int) -> int:
         return self.images[v]
@@ -278,6 +277,19 @@ def is_regular(K: SimplicialComplex, tau: SimplicialMap) -> bool:
     return regularity_offender(K, tau) is None
 
 
+def check_regular_involution(K: SimplicialComplex, tau: SimplicialMap):
+    """Refuse a map that is not a regular involution of K.
+
+    The regularity scan runs once per map: a map that carries a cached
+    fixed set (see ``involutions.fixed_subcomplex``) has already passed it.
+    """
+    check_involution(K, tau)
+    if tau._fixed is None:
+        bad = regularity_offender(K, tau)
+        if bad is not None:
+            raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
+
+
 def quotient_by_involution(K: SimplicialComplex, tau: SimplicialMap):
     """Orbit complex of a regular involution, with the projection map.
 
@@ -287,10 +299,7 @@ def quotient_by_involution(K: SimplicialComplex, tau: SimplicialMap):
     to the same orbit image (the classical failure that one or two
     barycentric subdivisions repair; see :func:`regularize`).
     """
-    check_involution(K, tau)
-    bad = regularity_offender(K, tau)
-    if bad is not None:
-        raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
+    check_regular_involution(K, tau)
 
     reps = sorted({min(v, tau(v)) for v in range(K.vertex_count)})
     rep_rank = {v: i for i, v in enumerate(reps)}
@@ -328,11 +337,7 @@ def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):
     bases and, per dimension, a bit mask of the orbit classes lying in the
     fixed subcomplex.
     """
-    check_involution(K, tau)
-    bad = regularity_offender(K, tau)
-    if bad is not None:
-        raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
-    from .gf2 import Gf2Matrix
+    check_regular_involution(K, tau)
 
     reps = []
     orbit_index = []

@@ -470,7 +470,6 @@ def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
     pseudomanifold_check(K)
     if len(K.components()) != 1:
         raise InputError("dividing test needs a connected surface")
-    check_involution(K, tau)
     data = fixed_subcomplex(K, tau)
     F = data.subcomplex
     if F.dimension >= 0 and any(c.dimension != 1 for c in data.components):
@@ -540,9 +539,8 @@ def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
     verdict = dividing_test(K, tau)
     if not verdict.dividing:
         raise InputError("complex semi-orientation needs a dividing involution")
-    data = fixed_subcomplex(K, tau)
-    F = data.subcomplex
-    fixed_edges = tuple(F.simplices(1))
+    F = fixed_subcomplex(K, tau).subcomplex
+    fixed_edges = F.simplices(1)
     if not fixed_edges:
         raise InputError("fixed curve has no edges")
 
@@ -555,7 +553,7 @@ def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
     tops = K.simplices(2)
     edge_cofaces = {}
     for face, a, b in _top_adjacency(K):
-        if face in set(fixed_edges):
+        if F.has_simplex(face):
             edge_cofaces[face] = (a, b)
 
     directions = {}
@@ -570,10 +568,8 @@ def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
             )
         directions[e] = d0
 
-    carrier = SimplicialComplex(K.vertex_count, F.all_simplices())
-    carrier_edges = carrier.simplices(1)
-    edge_signs = [1 if directions[e] == e else -1 for e in carrier_edges]
-    return SemiOrientation(carrier, edge_signs)
+    edge_signs = [1 if directions[e] == e else -1 for e in fixed_edges]
+    return SemiOrientation(F, edge_signs)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ class ChainComplexData:
         "fixed_betti_total",
         "_red_cache",
         "_hom_cache",
+        "_coh_cache",
     )
 
     def __init__(
@@ -93,6 +94,7 @@ class ChainComplexData:
         self.involution = involution
         self._red_cache = {}
         self._hom_cache = {}
+        self._coh_cache = {}
         self.pairing = pairing
         self.fixed_class = fixed_class
         self.fixed_betti_total = fixed_betti_total
@@ -293,16 +295,13 @@ def total_betti(space) -> int:
 
 def cohomology(space, k: int) -> HomologyBasis:
     """Canonical mod-2 cohomology basis in dimension k."""
-    if isinstance(space, SimplicialComplex):
-        cache = space._coh_cache
-        if k in cache:
-            return cache[k]
-    basis = _quotient_basis(
-        k, space.n_simplices(k), _reduction(space, k - 1, co=True), _reduction(space, k, co=True)
-    )
-    if isinstance(space, SimplicialComplex):
-        space._coh_cache[k] = basis
-    return basis
+    cache = space._coh_cache
+    if k not in cache:
+        cache[k] = _quotient_basis(
+            k, space.n_simplices(k),
+            _reduction(space, k - 1, co=True), _reduction(space, k, co=True),
+        )
+    return cache[k]
 
 
 def is_cocycle(space, k: int, cochain: int) -> bool:

@@ -20,9 +20,9 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     check_involution,
+    check_regular_involution,
     orbit_chain_boundaries,
     pseudomanifold_check,
-    regularity_offender,
 )
 from .errors import InputError, ModelIntegrityError
 from .gf2 import Gf2Matrix, bits_of, gf2_invert, gf2_solve, rref
@@ -97,7 +97,6 @@ def characteristic_class(B: BilinearFormGF2) -> int:
 @dataclass(frozen=True)
 class FixedComponent:
     dimension: int
-    subcomplex: SimplicialComplex
     cycle: int | None  # fundamental cycle in the ambient middle chain group
 
 
@@ -165,42 +164,45 @@ def fixed_subcomplex(K: SimplicialComplex, tau: SimplicialMap,
     Components of middle dimension contribute their fundamental cycles to
     the reported class; components of other dimensions are listed but not
     summed.  Requires a regular involution.
+
+    The fixed set is computed once per map and shared by every later call
+    and every analysis that needs it, which is safe because complexes and
+    maps are immutable.  ``mid_class`` is not cached: it follows
+    ``basis_cycles`` on each call.
     """
-    check_involution(K, tau)
-    bad = regularity_offender(K, tau)
-    if bad is not None:
-        raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
-    fixed_vertices = {v for v in range(K.vertex_count) if tau(v) == v}
-    fixed_simplices = [s for s in K.all_simplices() if all(v in fixed_vertices for v in s)]
-    F = SimplicialComplex(K.vertex_count, fixed_simplices)
-
-    components = []
-    mid = K.dimension // 2 if K.dimension % 2 == 0 else None
-    mid_cycle = 0
-    for comp_vertices in F.components():
-        comp_simplices = [s for s in fixed_simplices if set(s) <= comp_vertices]
-        C = SimplicialComplex(K.vertex_count, comp_simplices)
-        cdim = C.dimension
-        cycle = None
-        if mid is not None and cdim == mid:
-            # reindex onto a dense vertex set for the pseudomanifold check
-            verts = sorted(comp_vertices)
-            lookup = {v: i for i, v in enumerate(verts)}
-            dense = SimplicialComplex(
-                len(verts), [tuple(lookup[v] for v in s) for s in comp_simplices]
-            )
-            pseudomanifold_check(dense)
-            cycle = 0
-            for s in C.simplices(cdim):
-                cycle |= 1 << K.index_of(s)
-            mid_cycle ^= cycle
-        components.append(FixedComponent(cdim, C, cycle))
-
+    check_regular_involution(K, tau)
+    if tau._fixed is None:
+        tau._fixed = _fixed_set(K, tau)
+    F, components, mid, mid_cycle = tau._fixed
     mid_class = None
     if mid is not None:
-        basis = _Basis(homology(K, mid), basis_cycles)
-        mid_class = basis.coords(mid_cycle)
-    return FixedSetData(F, tuple(components), mid, mid_cycle, mid_class)
+        mid_class = _Basis(homology(K, mid), basis_cycles).coords(mid_cycle)
+    return FixedSetData(F, components, mid, mid_cycle, mid_class)
+
+
+def _fixed_set(K: SimplicialComplex, tau: SimplicialMap):
+    """(F, components, mid, mid_cycle) in one pass over the fixed simplices."""
+    F = SimplicialComplex(
+        K.vertex_count, [s for s in K.all_simplices() if all(tau(v) == v for v in s)]
+    )
+    comps = F.components()
+    comp_of = {v: i for i, vs in enumerate(comps) for v in vs}
+    groups = [[] for _ in comps]
+    for s in F.all_simplices():
+        groups[comp_of[s[0]]].append(s)
+
+    mid = K.dimension // 2 if K.dimension % 2 == 0 else None
+    components = []
+    mid_cycle = 0
+    for group in groups:
+        cdim = len(group[-1]) - 1
+        cycle = None
+        if cdim == mid:
+            pseudomanifold_check(SimplicialComplex(K.vertex_count, group))
+            cycle = sum(1 << K.index_of(s) for s in group if len(s) == cdim + 1)
+            mid_cycle ^= cycle
+        components.append(FixedComponent(cdim, cycle))
+    return F, tuple(components), mid, mid_cycle
 
 
 def involution_form(space, tau: SimplicialMap | None = None,
@@ -344,8 +346,7 @@ def harnack_audit(space, tau=None) -> HarnackReport:
             raise InputError("chain data does not carry fixed-set Betti numbers")
         fix_total = space.fixed_betti_total
     else:
-        data = fixed_subcomplex(space, tau)
-        fix_total = total_betti(data.subcomplex) if data.subcomplex.dimension >= 0 else 0
+        fix_total = total_betti(fixed_subcomplex(space, tau).subcomplex)
     space_total = total_betti(space)
     if fix_total > space_total:
         raise ModelIntegrityError(
@@ -388,23 +389,15 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
     if K.dimension != 4:
         raise InputError(f"expected a 4-dimensional complex, got dimension {K.dimension}")
     h1_trivial = homology(K, 1).betti == 0
-    data = fixed_subcomplex(K, tau)
-    F = data.subcomplex
-
+    F = fixed_subcomplex(K, tau).subcomplex
     fix_h2 = homology(F, 2)
     amb = homology(K, 2)
-    kernel_dim = 0
     # reindex fixed 2-cycles into the ambient chain group
-    fix_simplices = F.simplices(2)
-    images = []
-    for z in fix_h2.cycles:
-        chain = 0
-        zz = z
-        while zz:
-            j = (zz & -zz).bit_length() - 1
-            zz &= zz - 1
-            chain |= 1 << K.index_of(fix_simplices[j])
-        images.append(amb.coordinates_of(chain))
+    ambient_bit = [1 << K.index_of(s) for s in F.simplices(2)]
+    images = [
+        amb.coordinates_of(sum(b for j, b in enumerate(ambient_bit) if (z >> j) & 1))
+        for z in fix_h2.cycles
+    ]
     img_rows, _ = rref(images, amb.betti)
     kernel_dim = fix_h2.betti - len(img_rows)
 

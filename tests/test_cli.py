@@ -1,6 +1,13 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjtop.cli import Report, main
+from conjtop.errors import InputError
+from conjtop.modelfile import format_model, parse_model
 
 
 def run_cli(argv, capsys):
@@ -223,6 +230,15 @@ def test_missing_model_file(capsys):
     assert code == 2
 
 
+def test_unreadable_model_file(tmp_path, capsys):
+    code, out = run_cli(["homology", "torus7", "--model", str(tmp_path)], capsys)
+    assert code == 2 and out.startswith("input error:")
+    binary = tmp_path / "binary.cjt"
+    binary.write_bytes(b"\xff\xfe[complex")
+    code, out = run_cli(["homology", "torus7", "--model", str(binary)], capsys)
+    assert code == 2 and out.startswith("input error:")
+
+
 def test_unknown_command_rejected(capsys):
     code, out = run_cli(["frobnicate", "x"], capsys)
     assert code == 2
@@ -234,3 +250,101 @@ def test_report_note_refuses_numbers():
     with pytest.raises(ValueError):
         report.note("genus 2")
     assert report.lines == ["prose only"]
+
+
+# --- fuzzing: mutated model files and arguments ----------------------------------
+
+FUZZ_COMMANDS = (
+    "homology torus7",
+    "homology t4_chain",
+    "fixed-set quadric",
+    "conj-form quadric",
+    "classify quadric --h (1,1)",
+    "divide torus_reflection",
+    "orient torus_reflection",
+    "cover rp2_6vertex --cocycle w1_cocycle",
+    "orient-cover klein_bottle --curve w1dual",
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3",
+    "congruence --chi 8 --type I_abs --h1-trivial",
+    "lattice-audit quadric_lattice",
+    "qform rp2_loops",
+)
+TEXT_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "replace", "drop_line", "dup_line")),
+        st.integers(0, 10**6),
+        st.sampled_from(tuple("0179 -:,([]x#\n")),
+    ),
+    max_size=3,
+)
+ARG_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("drop", "insert", "replace")),
+        st.integers(0, 10),
+        st.sampled_from(("", "x", "-1", "7", "(1,1)", "(1)", "--h", "--chi", "--type",
+                         "--cut", "--curve", "torus7", "quadric", "0 1", "col0,col9")),
+    ),
+    max_size=2,
+)
+
+
+def _mutate_text(text, edits):
+    for kind, pos, char in edits:
+        lines = text.split("\n")
+        i = pos % (len(text) + 1)
+        j = pos % len(lines)
+        if kind == "delete":
+            text = text[:i] + text[i + 1:]
+        elif kind == "insert":
+            text = text[:i] + char + text[i:]
+        elif kind == "replace":
+            text = text[:i] + char + text[i + 1:]
+        elif kind == "drop_line":
+            text = "\n".join(lines[:j] + lines[j + 1:])
+        else:
+            text = "\n".join(lines[:j + 1] + lines[j:])
+    return text
+
+
+def _mutate_args(args, edits):
+    args = list(args)
+    for kind, pos, token in edits:
+        i = pos % (len(args) + 1)
+        if kind == "insert":
+            args.insert(i, token)
+        elif i < len(args):
+            if kind == "drop":
+                del args[i]
+            else:
+                args[i] = token
+    return args
+
+
+@pytest.fixture(scope="module")
+def library_text(library):
+    return format_model(library)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    text_edits=TEXT_EDITS,
+    arg_edits=ARG_EDITS,
+)
+def test_mutated_inputs_never_raise(library_text, tmp_path_factory, command, text_edits,
+                                    arg_edits):
+    text = _mutate_text(library_text, text_edits)
+    path = tmp_path_factory.getbasetemp() / "fuzz.cjt"
+    path.write_text(text, encoding="utf-8")
+    argv = _mutate_args(command.split(), arg_edits) + ["--model", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert out.getvalue().count("\n") <= 1, out.getvalue()
+    try:
+        parse_model(text)
+    except InputError:
+        # a malformed model file never succeeds; "--h" before the command asks for help
+        assert code == 2 or out.getvalue().startswith("usage:"), argv

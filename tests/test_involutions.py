@@ -149,6 +149,51 @@ def test_irregular_involution_rejected(library):
         fixed_subcomplex(tri, swap)
 
 
+def test_fixed_set_is_computed_once_per_map(library, monkeypatch):
+    from conjtop import complexes, involutions
+    from conjtop.complexes import SimplicialMap
+    from conjtop.coverings import curve_complex_semiorientation, dividing_test
+
+    K, shared, _ = involution_model(library, "torus_reflection")
+    tau = SimplicialMap(K, K, shared.images)  # fresh map, nothing cached yet
+    data = fixed_subcomplex(K, tau)
+    assert fixed_subcomplex(K, tau).subcomplex is data.subcomplex
+
+    def recomputed(*args):
+        raise AssertionError("fixed set recomputed")
+
+    monkeypatch.setattr(involutions, "_fixed_set", recomputed)
+    monkeypatch.setattr(complexes, "regularity_offender", recomputed)
+    assert dividing_test(K, tau).dividing
+    assert harnack_audit(K, tau).is_m
+    assert curve_complex_semiorientation(K, tau).carrier is data.subcomplex
+
+
+def test_cached_fixed_set_follows_basis_on_every_call(library):
+    from conjtop.complexes import SimplicialMap
+
+    K, shared, marked = involution_model(library, "quadric")
+    sheared = [marked[0], marked[0] ^ marked[1]]
+    tau = SimplicialMap(K, K, shared.images)
+    classes = []
+    for basis in (marked, None, sheared, marked):
+        fresh = SimplicialMap(K, K, shared.images)
+        expected = fixed_subcomplex(K, fresh, basis_cycles=basis).mid_class
+        classes.append(fixed_subcomplex(K, tau, basis_cycles=basis).mid_class)
+        assert classes[-1] == expected
+    assert classes == [0b11, 0b11, 0b10, 0b11]
+
+
+def test_open_middle_component_names_ambient_vertices():
+    from conjtop.complexes import SimplicialComplex, SimplicialMap
+
+    # cone over the square 0-1-2-3 with apex 4, reflected across the arc 1-4-3
+    disk = SimplicialComplex.from_simplices(5, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+    reflection = SimplicialMap(disk, disk, [2, 1, 0, 3, 4])
+    with pytest.raises(InputError, match=r"face \(1,\) has 1 top cofaces, expected 2"):
+        fixed_subcomplex(disk, reflection)
+
+
 # --- classification ----------------------------------------------------------
 
 
