@@ -135,6 +135,13 @@ def _resolve_involution(model: ModelFile, name: str):
     return src, K, tau, basis
 
 
+def _resolve_form_space(model: ModelFile, name: str):
+    """(space, tau, basis) for a map name, or chain data carrying its involution."""
+    if name not in model.maps and name in model.chains:
+        return model.chains[name], None, None
+    return _resolve_involution(model, name)[1:]
+
+
 def _marked_basis(model: ModelFile, complex_name: str, K):
     marks = model.cycles.get(complex_name, {})
     basis = []
@@ -208,7 +215,7 @@ def _cmd_fixed_set(model, args, report):
 
 
 def _cmd_conj_form(model, args, report):
-    name, K, tau, basis = _resolve_involution(model, args.object)
+    K, tau, basis = _resolve_form_space(model, args.object)
     B = involution_form(K, tau, basis_cycles=basis)
     for i in range(B.dimension):
         report.item(
@@ -230,7 +237,7 @@ def _cmd_conj_form(model, args, report):
 
 
 def _cmd_classify(model, args, report):
-    name, K, tau, basis = _resolve_involution(model, args.object)
+    K, tau, basis = _resolve_form_space(model, args.object)
     h_bits = None
     width = homology(K, K.dimension // 2).betti
     if args.h is not None:

@@ -44,6 +44,7 @@ class SimplicialComplex:
         "_red_cache",
         "_hom_cache",
         "_coh_cache",
+        "_closed",
     )
 
     def __init__(self, vertex_count: int, simplices):
@@ -74,6 +75,7 @@ class SimplicialComplex:
         self._red_cache = {}
         self._hom_cache = {}
         self._coh_cache = {}
+        self._closed = False
 
     @classmethod
     def from_simplices(cls, vertex_count: int, generators) -> "SimplicialComplex":
@@ -421,48 +423,110 @@ def regularize(K: SimplicialComplex, tau: SimplicialMap, max_rounds: int = 2):
     raise InputError("involution still irregular after two barycentric subdivisions")
 
 
+def impure_simplex(K: SimplicialComplex):
+    """First simplex of K that is not a face of a top simplex, or None."""
+    covered = set()
+    for s in K.simplices(K.dimension):
+        for k in range(1, len(s) + 1):
+            covered.update(combinations(s, k))
+    if len(covered) == len(K._index):  # faces of tops are simplices of K
+        return None
+    return next(s for s in K.all_simplices() if s not in covered)
+
+
+def _incidence(top, face) -> int:
+    """Sign (-1)^i of ``face`` in the oriented boundary of ``top``.
+
+    i is the position in ``top`` of the one vertex that ``face`` lacks.
+    Two tops glued along a face are coherently oriented exactly when their
+    signs times their incidences on the face are opposite.
+    """
+    i = top.index(sum(top) - sum(face))
+    return -1 if i & 1 else 1
+
+
+def _top_adjacency(K: SimplicialComplex, excluded_faces=frozenset()):
+    """Pairs of top simplices glued across non-excluded codim-1 faces."""
+    n = K.dimension
+    faces = K.simplices(n - 1)
+    out = []
+    for i, cof in enumerate(K.cofaces(n - 1)):
+        face = faces[i]
+        if face in excluded_faces:
+            continue
+        if len(cof) == 2:
+            out.append((face, cof[0], cof[1]))
+    return out
+
+
+def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset()):
+    """Flood the top simplices of K across the codim-1 faces not in ``cut``.
+
+    Returns ``(comp, signs)``.  ``comp[t]`` numbers the component of top t,
+    in the order of each component's lowest top.  ``signs`` orients every
+    top so that glued tops are coherent across ordinary faces and
+    anti-coherent across ``flip`` faces, with the lowest top of each
+    component positive; it is None when no such signs exist.
+    """
+    tops = K.simplices(K.dimension)
+    m = len(tops)
+    adj = [[] for _ in range(m)]
+    for face, a, b in _top_adjacency(K, cut):
+        # the sign of b relative to a that makes the pair coherent
+        rel = -_incidence(tops[a], face) * _incidence(tops[b], face)
+        if face in flip:
+            rel = -rel
+        adj[a].append((b, rel))
+        adj[b].append((a, rel))
+    comp = [-1] * m
+    signs = [0] * m
+    consistent = True
+    n_comp = 0
+    for start in range(m):
+        if comp[start] >= 0:
+            continue
+        comp[start] = n_comp
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for u, rel in adj[t]:
+                want = signs[t] * rel
+                if comp[u] < 0:
+                    comp[u] = n_comp
+                    signs[u] = want
+                    stack.append(u)
+                elif signs[u] != want:
+                    consistent = False
+        n_comp += 1
+    return comp, (tuple(signs) if consistent else None)
+
+
 def pseudomanifold_check(K: SimplicialComplex):
     """Verify K is a closed pseudomanifold; returns its dimension.
 
     Requires: pure top dimension, every codimension-1 simplex has exactly
-    two cofaces, and the top-dimensional part is strongly connected.
+    two cofaces, and the top-dimensional part is strongly connected (one
+    component of :func:`dual_walk`).  The scan runs once per complex:
+    complexes are immutable, so a pass is remembered, while a complex that
+    fails raises on every call.
     """
     n = K.dimension
     if n < 0:
         raise InputError("empty complex is not a pseudomanifold")
-    if n >= 1:
-        cof_top = K.cofaces(n - 1)
-        for i, c in enumerate(cof_top):
+    if n >= 1 and not K._closed:
+        for i, c in enumerate(K.cofaces(n - 1)):
             if len(c) != 2:
                 raise InputError(
                     f"face {K.simplices(n - 1)[i]} has {len(c)} top cofaces, expected 2"
                 )
-        # purity: every simplex is a face of a top simplex
-        covered = set()
-        for s in K.simplices(n):
-            for k in range(1, len(s) + 1):
-                covered.update(combinations(s, k))
-        for s in K.all_simplices():
-            if s not in covered:
-                raise InputError(f"simplex {s} is not a face of any top simplex")
-        # strong connectivity through codimension-1 faces
-        tops = K.n_simplices(n)
-        if tops:
-            adj = [[] for _ in range(tops)]
-            for c in cof_top:
-                a, b = c
-                adj[a].append(b)
-                adj[b].append(a)
-            seen = {0}
-            stack = [0]
-            while stack:
-                t = stack.pop()
-                for u in adj[t]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != tops:
-                raise InputError("top-dimensional part is not strongly connected")
+        bad = impure_simplex(K)
+        if bad is not None:
+            raise InputError(f"simplex {bad} is not a face of any top simplex")
+        comp, _ = dual_walk(K)
+        if max(comp) > 0:
+            raise InputError("top-dimensional part is not strongly connected")
+        K._closed = True
     return n
 
 

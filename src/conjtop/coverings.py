@@ -10,6 +10,14 @@ branching behaviour.
 Semi-orientations (orientations up to a global flip) are stored by signs
 on top simplices with a canonical representative: the lowest-indexed top
 simplex carries +1.
+
+Every orientation rule here is the oriented boundary sign: a top with sign
+s induces s * (-1)^i on a face that omits its i-th vertex, and two tops
+glued along a face are coherent exactly when they induce opposite signs on
+it.  Orienting a surface, with or without cut and flipped edges, and
+splitting it along a curve are one walk over the dual graph
+(``complexes.dual_walk``); coherence, flip and semi-orientation checks
+compare the induced signs face by face.
 """
 
 from __future__ import annotations
@@ -20,7 +28,11 @@ from itertools import combinations
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    _incidence,
+    _top_adjacency,
     check_involution,
+    dual_walk,
+    impure_simplex,
     pseudomanifold_check,
 )
 from .errors import InputError, ModelIntegrityError
@@ -63,13 +75,9 @@ class SemiOrientation:
             raise InputError("need one sign per top simplex")
         if any(s not in (1, -1) for s in signs):
             raise InputError("signs must be +1 or -1")
-        covered = set()
-        for s in carrier.simplices(n):
-            for k in range(1, len(s) + 1):
-                covered.update(combinations(s, k))
-        for s in carrier.all_simplices():
-            if s not in covered:
-                raise InputError(f"carrier is not pure: {s} is not a face of a top simplex")
+        bad = impure_simplex(carrier)
+        if bad is not None:
+            raise InputError(f"carrier is not pure: {bad} is not a face of a top simplex")
         if signs and signs[0] == -1:
             signs = tuple(-s for s in signs)
         self.carrier = carrier
@@ -93,7 +101,10 @@ def oriented_boundary_edges(simplex, sign):
     """Directed boundary edges of an oriented triangle.
 
     With positive sign the cycle is v0 -> v1 -> v2 -> v0 on the sorted
-    vertices; negative sign reverses it.
+    vertices; negative sign reverses it.  This and
+    :func:`induced_edge_direction` spell the orientation rule out as edge
+    directions, independently of the incidence signs the module computes
+    with; the tests use them as the oracle.
     """
     a, b, c = simplex
     if sign > 0:
@@ -109,17 +120,9 @@ def induced_edge_direction(simplex, sign, edge):
     raise InputError(f"edge {edge} is not a face of {simplex}")
 
 
-def _top_adjacency(K: SimplicialComplex, excluded_faces=frozenset()):
-    """Pairs of top simplices glued across non-excluded codim-1 faces."""
-    n = K.dimension
-    out = []
-    for i, cof in enumerate(K.cofaces(n - 1)):
-        face = K.simplices(n - 1)[i]
-        if face in excluded_faces:
-            continue
-        if len(cof) == 2:
-            out.append((face, cof[0], cof[1]))
-    return out
+def _face_signs(tops, signs, face, a, b):
+    """Signs that tops a and b, oriented by ``signs``, induce on their face."""
+    return signs[a] * _incidence(tops[a], face), signs[b] * _incidence(tops[b], face)
 
 
 def propagate_signs(K: SimplicialComplex, flip_edges=frozenset(), cut_edges=frozenset()):
@@ -132,33 +135,7 @@ def propagate_signs(K: SimplicialComplex, flip_edges=frozenset(), cut_edges=froz
     """
     if K.dimension != 2:
         raise InputError("orientation propagation implemented for surfaces only")
-    tops = K.simplices(2)
-    m = len(tops)
-    signs = [0] * m
-    adj = [[] for _ in range(m)]
-    for face, a, b in _top_adjacency(K, cut_edges):
-        flip = face in flip_edges
-        adj[a].append((b, face, flip))
-        adj[b].append((a, face, flip))
-    for start in range(m):
-        if signs[start]:
-            continue
-        signs[start] = 1
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for (u, face, flip) in adj[t]:
-                # coherent = induced directions on the shared edge disagree
-                dir_t = induced_edge_direction(tops[t], signs[t], face)
-                want = -1 if induced_edge_direction(tops[u], 1, face) == dir_t else 1
-                if flip:
-                    want = -want
-                if signs[u] == 0:
-                    signs[u] = want
-                    stack.append(u)
-                elif signs[u] != want:
-                    return None
-    return tuple(signs)
+    return dual_walk(K, cut_edges, flip_edges)[1]
 
 
 def orient_surface(K: SimplicialComplex, excluded_edges=frozenset()):
@@ -169,30 +146,20 @@ def orient_surface(K: SimplicialComplex, excluded_edges=frozenset()):
 def is_coherent(semi: SemiOrientation, excluded_edges=frozenset()) -> bool:
     """Coherence of a semi-orientation away from given codimension-1 faces.
 
-    Surfaces: adjacent triangles must induce opposite directions on shared
-    edges.  Curves: every interior vertex must have one incoming and one
-    outgoing edge.
+    Surfaces: adjacent triangles must induce opposite signs on shared
+    edges.  Curves: at every interior vertex the induced signs of its edges
+    cancel (as many edges come in as go out).
     """
     K = semi.carrier
     if K.dimension == 1:
-        flow = {}
+        net = [0] * K.vertex_count
         for e, s in zip(K.simplices(1), semi.signs):
-            tail, head = e if s > 0 else (e[1], e[0])
-            flow[tail] = flow.get(tail, [0, 0])
-            flow[tail][1] += 1
-            flow[head] = flow.get(head, [0, 0])
-            flow[head][0] += 1
-        for (v,) in K.simplices(0):
-            if (v,) in excluded_edges:
-                continue
-            inn, out = flow.get(v, (0, 0))
-            if inn != out:
-                return False
-        return True
-    tops = K.simplices(2)
+            for v in e:
+                net[v] += s * _incidence(e, (v,))
+        return all(net[v] == 0 or (v,) in excluded_edges for (v,) in K.simplices(0))
+    tops = K.simplices(K.dimension)
     for face, a, b in _top_adjacency(K, excluded_edges):
-        da = induced_edge_direction(tops[a], semi.signs[a], face)
-        db = induced_edge_direction(tops[b], semi.signs[b], face)
+        da, db = _face_signs(tops, semi.signs, face, a, b)
         if da == db:
             return False
     return True
@@ -459,56 +426,31 @@ class DividingVerdict:
 def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
     """Does the fixed curve separate the surface into two swapped halves?
 
-    Components of the complement are computed on the top-simplex adjacency
-    graph cut along the fixed edges.  Exactly two components swapped by
-    the involution means dividing; a single invariant component means
-    non-dividing; anything else cannot come from a real structure and is
-    refused.
+    Components of the complement are those of the dual walk cut along the
+    fixed edges.  Exactly two components swapped by the involution means
+    dividing; a single invariant component means non-dividing; anything
+    else cannot come from a real structure and is refused.  The surface
+    must be a closed pseudomanifold, which makes it connected.
     """
     if K.dimension != 2:
         raise InputError("dividing test runs on surface complexes")
     pseudomanifold_check(K)
-    if len(K.components()) != 1:
-        raise InputError("dividing test needs a connected surface")
     data = fixed_subcomplex(K, tau)
     F = data.subcomplex
     if F.dimension >= 0 and any(c.dimension != 1 for c in data.components):
         raise InputError("fixed set must be a curve (all components one-dimensional)")
     fixed_edges = frozenset(F.simplices(1))
 
-    tops = K.simplices(2)
-    m = len(tops)
-    adj = _adj_cache(K, fixed_edges)
-    comp = [-1] * m
-    n_comp = 0
-    for start in range(m):
-        if comp[start] >= 0:
-            continue
-        comp[start] = n_comp
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for u, face in adj[t]:
-                if comp[u] < 0:
-                    comp[u] = n_comp
-                    stack.append(u)
-        n_comp += 1
-
+    comp, _ = dual_walk(K, fixed_edges)
+    n_comp = max(comp) + 1
     if n_comp == 1:
         return DividingVerdict(False, None, 1)
     if n_comp == 2:
         # the involution must swap the two components
-        def image_comp(t):
-            img = tuple(sorted(tau(v) for v in tops[t]))
-            return comp[K.index_of(img)]
-
-        c0 = frozenset(t for t in range(m) if comp[t] == 0)
-        c1 = frozenset(t for t in range(m) if comp[t] == 1)
-        swapped = all(image_comp(t) == 1 for t in c0) and all(
-            image_comp(t) == 0 for t in c1
-        )
-        if swapped:
-            return DividingVerdict(True, (c0, c1), 2)
+        tops = K.simplices(2)
+        if all(comp[K.index_of(tau.map_simplex(s))] != comp[t] for t, s in enumerate(tops)):
+            halves = tuple(frozenset(t for t, c in enumerate(comp) if c == h) for h in (0, 1))
+            return DividingVerdict(True, halves, 2)
         raise InputError(
             "complement has two components but the involution preserves them: "
             "not a real-structure pattern"
@@ -517,14 +459,6 @@ def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
         f"complement of the fixed curve has {n_comp} components: "
         "not a real-structure pattern"
     )
-
-
-def _adj_cache(K, excluded_edges):
-    adj = [[] for _ in range(K.n_simplices(2))]
-    for face, a, b in _top_adjacency(K, excluded_edges):
-        adj[a].append((b, face))
-        adj[b].append((a, face))
-    return adj
 
 
 def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
@@ -549,26 +483,21 @@ def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
         raise ModelIntegrityError(
             "surface is non-orientable: halves cannot induce orientations"
         )
-    half0, half1 = verdict.halves
+    half0 = verdict.halves[0]
     tops = K.simplices(2)
-    edge_cofaces = {}
-    for face, a, b in _top_adjacency(K):
-        if F.has_simplex(face):
-            edge_cofaces[face] = (a, b)
-
-    directions = {}
+    cofaces = K.cofaces(1)
+    edge_signs = []
     for e in fixed_edges:
-        a, b = edge_cofaces[e]
-        ta, tb = (a, b) if a in half0 else (b, a)
-        d0 = induced_edge_direction(tops[ta], signs[ta], e)
-        d1 = induced_edge_direction(tops[tb], signs[tb], e)
+        a, b = cofaces[K.index_of(e)]
+        if a not in half0:
+            a, b = b, a
+        # the edge sign is the one the half-0 side induces
+        d0, d1 = _face_signs(tops, signs, e, a, b)
         if d0 == d1:
             raise ModelIntegrityError(
                 f"halves induce the same direction on fixed edge {e}"
             )
-        directions[e] = d0
-
-    edge_signs = [1 if directions[e] == e else -1 for e in fixed_edges]
+        edge_signs.append(d0)
     return SemiOrientation(F, edge_signs)
 
 
@@ -600,8 +529,7 @@ def extendibility_check(X: SimplicialComplex, Y, semi: SemiOrientation) -> dict:
     for face, a, b in _top_adjacency(X):
         if face not in y_edges:
             continue
-        da = induced_edge_direction(tops[a], semi.signs[a], face)
-        db = induced_edge_direction(tops[b], semi.signs[b], face)
+        da, db = _face_signs(tops, semi.signs, face, a, b)
         flips = da == db
         c = comp_of[face[0]]
         if c in verdicts and verdicts[c] != flips:
@@ -763,8 +691,7 @@ def compare_mod_curves(X: SimplicialComplex, Y1, Y2, s1: SemiOrientation,
             raise InputError("semi-orientation incoherent away from its own curve")
         for face, a, b in _top_adjacency(X):
             if face in y_edges:
-                da = induced_edge_direction(tops[a], semi.signs[a], face)
-                db = induced_edge_direction(tops[b], semi.signs[b], face)
+                da, db = _face_signs(tops, semi.signs, face, a, b)
                 if da != db:
                     raise InputError(
                         f"semi-orientation does not flip across its curve at {face}"

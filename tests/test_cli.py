@@ -1,5 +1,8 @@
 import contextlib
+import hashlib
 import io
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +145,42 @@ def test_fixed_set_and_conj_form(capsys):
     assert d["characteristic_class"] == "(1,1)"
     assert d["even"] == "false"
     assert d["fixed_realizes_characteristic"] == "true"
+
+
+def test_form_commands_accept_chain_data(capsys):
+    code, out = run_cli(["conj-form", "t4_chain", "--machine"], capsys)
+    assert code == 0
+    d = machine_dict(out)
+    assert d["gram.0"] == "(0,0,0,0,0,1)"
+    assert d["even"] == "true"
+    assert d["characteristic_class"] == "(0,0,0,0,0,0)"
+    assert d["fixed_realizes_characteristic"] == "true"
+    code, out = run_cli(["classify", "t4_chain", "--machine"], capsys)
+    assert code == 0
+    d = machine_dict(out)
+    assert d["verdict"] == "I_abs" and d["witness"] == "(0,0,0,0,0,0)"
+
+
+@pytest.mark.parametrize("command", ["fixed-set", "divide", "orient"])
+def test_map_commands_refuse_chain_data(command, capsys):
+    code, out = run_cli([command, "t4_chain"], capsys)
+    assert code == 2
+    assert out.startswith("input error:") and out.count("\n") == 1, out
+
+
+CLI_EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json").read_text("utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "command", sorted(k for k in CLI_EXPECTED if "--model" not in k.split(" "))
+)
+def test_library_command_report_bytes(command, capsys):
+    """Report bytes and exit codes of the library commands are frozen."""
+    code, out = run_cli(command.split(" "), capsys)
+    assert code == CLI_EXPECTED[command]["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_EXPECTED[command]["sha256"]
 
 
 def test_orient_command(capsys):

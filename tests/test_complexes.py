@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from conjtop import complexes
 from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -142,8 +143,22 @@ def test_pseudomanifold_check_reports_disconnection():
     two = SimplicialComplex.from_simplices(
         8, list(combinations(range(4), 3)) + [tuple(v + 4 for v in s) for s in combinations(range(4), 3)]
     )
-    with pytest.raises(InputError, match="strongly connected"):
-        pseudomanifold_check(two)
+    for _ in range(2):  # a failure is never remembered
+        with pytest.raises(InputError, match="strongly connected"):
+            pseudomanifold_check(two)
+
+
+def test_pseudomanifold_check_runs_once_per_complex(monkeypatch):
+    K = torus7()
+    assert pseudomanifold_check(K) == 2
+
+    def rescan(_):
+        raise AssertionError("a complex that passed was scanned again")
+
+    monkeypatch.setattr(complexes, "impure_simplex", rescan)
+    assert pseudomanifold_check(K) == 2
+    with pytest.raises(AssertionError):
+        pseudomanifold_check(torus7())
 
 
 def test_orbit_chain_matches_quotient_when_simplicial():

@@ -1,8 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from conjtop.complexes import identity_map
+from conjtop.complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    _incidence,
+    dual_walk,
+    identity_map,
+)
 from conjtop.coverings import (
     SemiOrientation,
     branched_double_cover,
@@ -13,6 +20,7 @@ from conjtop.coverings import (
     double_cover_unbranched,
     extendibility_check,
     flip_semiorientation,
+    induced_edge_direction,
     is_coherent,
     kharlamov_congruence,
     lift_involution,
@@ -24,12 +32,72 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import gf2_solve
 from conjtop.homology import betti_numbers, cohomology
 from conjtop.involutions import fixed_subcomplex
-from conftest import involution_model
+from conftest import chain_bits, involution_model
 
 
 def curve(library, complex_name, mark):
     K = library.complexes[complex_name]
     return [tuple(s) for s in library.cycles[complex_name][mark]]
+
+
+NONORIENTABLE = {"klein_bottle", "rp2_6vertex", "nonorientable_genus3"}
+
+
+def two_spheres():
+    sphere = list(combinations(range(4), 3))
+    return SimplicialComplex.from_simplices(8, sphere + [tuple(v + 4 for v in s) for s in sphere])
+
+
+def surfaces_and_cover_totals(library):
+    """(name, complex) for every bundled surface and three cover totals."""
+    out = [(n, K) for n, K in library.complexes.items() if K.dimension == 2]
+    rp2 = library.complexes["rp2_6vertex"]
+    w1 = chain_bits(rp2, library.cycles["rp2_6vertex"]["w1_cocycle"])
+    octa = library.complexes["sphere_octa_sub"]
+    klein = library.complexes["klein_bottle"]
+    out.append(("rp2 orientation cover", double_cover_unbranched(rp2, w1).total))
+    out.append(("octa branched cover", branched_double_cover(
+        octa, curve(library, "sphere_octa_sub", "arcs_both")).total))
+    out.append(("klein orientation cover", orientation_cover(
+        klein, curve(library, "klein_bottle", "w1dual"))[0].total))
+    return out
+
+
+# --- the orientation rule ------------------------------------------------------
+
+
+def test_incidence_sign_matches_edge_direction_oracle(library):
+    for name, K in surfaces_and_cover_totals(library):
+        for top in K.simplices(2):
+            for face in combinations(top, 2):
+                for s in (1, -1):
+                    positive = s * _incidence(top, face) == 1
+                    assert positive == (induced_edge_direction(top, s, face) == face), (
+                        name, top, face, s)
+
+
+def test_dual_walk_components_and_signs(library):
+    cases = surfaces_and_cover_totals(library) + [
+        ("quadric", library.complexes["quadric"]), ("two spheres", two_spheres())]
+    for name, K in cases:
+        comp, signs = dual_walk(K)
+        component_of = {v: i for i, vs in enumerate(K.components()) for v in vs}
+        assert comp == [component_of[t[0]] for t in K.simplices(K.dimension)], name
+        if name in NONORIENTABLE:
+            assert signs is None, name
+        else:
+            assert is_coherent(SemiOrientation(K, signs)), name
+
+
+def test_curve_coherence_cancels_incidence_signs(library):
+    K, tau, _ = involution_model(library, "torus_reflection")
+    semi = curve_complex_semiorientation(K, tau)
+    signs = list(semi.signs)
+    signs[1] = -signs[1]
+    reversed_edge = SemiOrientation(semi.carrier, signs)
+    assert not is_coherent(reversed_edge)
+    a, b = semi.carrier.simplices(1)[1]
+    assert is_coherent(reversed_edge, frozenset({(a,), (b,)}))
 
 
 # --- unbranched covers -------------------------------------------------------
@@ -169,6 +237,13 @@ def test_genus2_dividing_cases(library):
     assert dividing_test(K, tau).dividing
     K, tau, _ = involution_model(library, "genus2_nondividing")
     assert not dividing_test(K, tau).dividing
+
+
+def test_dividing_test_refuses_disconnected_surface():
+    K = two_spheres()
+    swap = SimplicialMap(K, K, [4, 5, 6, 7, 0, 1, 2, 3])
+    with pytest.raises(InputError, match="not strongly connected"):
+        dividing_test(K, swap)
 
 
 def test_dividing_matches_class_for_nonempty_fixed_curves(library):
