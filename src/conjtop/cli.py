@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, is_dataclass
 
 from .complexes import SimplicialComplex
 from .coverings import (
@@ -94,6 +95,28 @@ def _fmt(value) -> str:
     if isinstance(value, (tuple, list)):
         return "(" + ",".join(_fmt(v) for v in value) + ")"
     return str(value)
+
+
+def _trace_lines(report) -> str:
+    """An integrity report as sorted ``key=value`` lines.
+
+    A dict reports its keys, nested dicts under dotted keys, and a dataclass
+    its fields; any other report is one ``report=<repr>`` line.
+    """
+    if is_dataclass(report):
+        report = {f.name: getattr(report, f.name) for f in fields(report)}
+    if not isinstance(report, dict):
+        return "" if report is None else f"report={report!r}\n"
+
+    def flatten(d, prefix):
+        for key, value in d.items():
+            if isinstance(value, dict):
+                yield from flatten(value, f"{prefix}{key}.")
+            else:
+                yield f"{prefix}{key}", value
+
+    flat = dict(flatten(report, ""))
+    return "".join(f"{k}={_fmt(flat[k])}\n" for k in sorted(flat))
 
 
 def _parse_vector(text: str):
@@ -480,6 +503,8 @@ def main(argv=None) -> int:
         return 2
     except ModelIntegrityError as e:
         sys.stdout.write(f"model integrity violation: {e}\n")
+        if args.machine:
+            sys.stdout.write(_trace_lines(e.report))
         return 1
     except (OSError, UnicodeDecodeError) as e:
         sys.stdout.write(f"input error: {e}\n")

@@ -2,9 +2,10 @@
 
 Works over two kinds of carrier: a :class:`SimplicialComplex`, or abstract
 :class:`ChainComplexData` for spaces whose triangulations are too large to
-write down.  The abstract path supports homology, induced maps and forms
-only; geometric operations (quotients, covers, fixed sets) require an
-actual complex.
+write down, such as the orbit complex of an involution.  Both carriers run
+the same code for absolute and relative homology, cohomology, induced maps
+and the middle-dimensional forms; only geometric operations (quotients,
+covers, fixed sets) and cup products on cochains require an actual complex.
 
 Homology bases are echelon-canonical, so cycles and coordinates are
 reproducible.  Every path (absolute, relative, orbit, cohomology) feeds
@@ -45,6 +46,7 @@ class ChainComplexData:
         "pairing",
         "fixed_class",
         "fixed_betti_total",
+        "_cols_cache",
         "_red_cache",
         "_hom_cache",
         "_coh_cache",
@@ -92,6 +94,7 @@ class ChainComplexData:
                 if involution[k - 1] * boundaries[k - 1] != boundaries[k - 1] * involution[k]:
                     raise InputError(f"involution does not commute with boundary {k}")
         self.involution = involution
+        self._cols_cache = {}
         self._red_cache = {}
         self._hom_cache = {}
         self._coh_cache = {}
@@ -99,8 +102,7 @@ class ChainComplexData:
         self.fixed_class = fixed_class
         self.fixed_betti_total = fixed_betti_total
         if pairing is not None:
-            mid = self.middle_dimension()
-            b = homology(self, mid).betti
+            b = homology(self, middle_dimension(self)).betti
             if (pairing.nrows, pairing.ncols) != (b, b):
                 raise InputError(
                     f"pairing is {pairing.nrows}x{pairing.ncols}, middle Betti is {b}"
@@ -115,12 +117,6 @@ class ChainComplexData:
     def dimension(self):
         return len(self.ranks) - 1
 
-    def middle_dimension(self):
-        n = self.dimension
-        if n % 2 != 0:
-            raise InputError("middle dimension undefined for odd-dimensional data")
-        return n // 2
-
     def boundary_matrix(self, k):
         if 1 <= k <= self.dimension:
             return self.boundaries[k - 1]
@@ -130,7 +126,9 @@ class ChainComplexData:
 
     def boundary_columns(self, k):
         """Columns of the boundary out of dimension k, as bit vectors."""
-        return self.boundary_matrix(k).columns()
+        if k not in self._cols_cache:
+            self._cols_cache[k] = self.boundary_matrix(k).columns()
+        return self._cols_cache[k]
 
     def n_simplices(self, k):
         return self.ranks[k] if 0 <= k <= self.dimension else 0
@@ -217,18 +215,6 @@ def _reduction(space, k, co=False):
     return cache[co, k]
 
 
-def restricted_basis(k, cols_k, cols_k1, keep_km1, keep_k, keep_kp1, chart=None):
-    """Basis of H_k of the quotient complex spanned by the kept cells.
-
-    ``cols_k``, ``cols_k1``: boundary columns out of dimensions k and k + 1;
-    ``keep_*``: increasing lists of the kept cells in dimensions k - 1, k
-    and k + 1, which are renumbered in that order.
-    """
-    boundaries = reduce_columns(_restrict_columns(cols_k1, keep_kp1, keep_k))
-    cycles = reduce_columns(_restrict_columns(cols_k, keep_k, keep_km1), boundaries[0])
-    return _quotient_basis(k, len(keep_k), boundaries, cycles, chart=chart)
-
-
 def _restrict_columns(cols, keep_cols, keep_rows):
     """The kept columns, each restricted to the kept rows renumbered in order."""
     pos = {i: 1 << r for r, i in enumerate(keep_rows)}
@@ -243,18 +229,47 @@ def _restrict_columns(cols, keep_cols, keep_rows):
     return out
 
 
+def _rel_masks(space, rel):
+    """The cells of ``rel`` as one bit mask per dimension 0..n, checked to be closed."""
+    n = space.dimension
+    if isinstance(space, ChainComplexData):
+        masks = list(rel) if isinstance(rel, (list, tuple)) else []
+        if len(masks) != n + 1 or any(
+            not isinstance(m, int) or m < 0 or m >> r for m, r in zip(masks, space.ranks)
+        ):
+            raise InputError(f"rel must be {n + 1} cell masks within the chain ranks")
+        for k in range(1, n + 1):
+            rows = space.boundaries[k - 1].rows
+            if any(r & masks[k] for i, r in enumerate(rows) if not (masks[k - 1] >> i) & 1):
+                raise InputError(f"rel cells are not closed under the boundary {k}")
+        return masks
+    if isinstance(rel, SimplicialComplex):
+        if not space.contains_subcomplex(rel):
+            raise InputError("rel is not a subcomplex of the ambient complex")
+        rel_simplices = rel.all_simplices()
+    else:
+        rel_simplices = set(tuple(s) for s in rel)
+        sub = space.subcomplex(rel_simplices)
+        if set(sub.all_simplices()) != rel_simplices:
+            raise InputError("rel simplices are not closed under faces")
+    masks = [0] * (n + 1)
+    for s in rel_simplices:
+        masks[len(s) - 1] |= 1 << space.index_of(s)
+    return masks
+
+
 def homology(space, k: int, rel=None) -> HomologyBasis:
     """Canonical mod-2 homology basis in dimension k.
 
-    ``space`` is a SimplicialComplex or ChainComplexData.  ``rel``, a
-    subcomplex of a simplicial ``space``, switches to relative homology of
-    the pair; relative bases carry a ``chart`` listing which simplices of
-    the ambient complex index their coordinates.
+    ``space`` is a SimplicialComplex or ChainComplexData.  ``rel`` switches
+    to relative homology of the pair: for a complex, a subcomplex or a list
+    of simplices closed under faces; for chain data, one bit mask of cells
+    per dimension 0..n, closed under the boundaries.  Both become the same
+    masks, and the chain complex spanned by the cells outside them is
+    reduced.  Relative bases carry a ``chart`` listing which cells of the
+    ambient space index their coordinates.
     """
-    if isinstance(space, ChainComplexData):
-        if rel is not None:
-            raise InputError("relative homology is unavailable for abstract chain data")
-    elif not isinstance(space, SimplicialComplex):
+    if not isinstance(space, (SimplicialComplex, ChainComplexData)):
         raise InputError(f"unsupported space type {type(space).__name__}")
     if rel is None:
         cache = space._hom_cache
@@ -264,24 +279,24 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
             )
         return cache[k]
 
-    if isinstance(rel, SimplicialComplex):
-        if not space.contains_subcomplex(rel):
-            raise InputError("rel is not a subcomplex of the ambient complex")
-        rel_simplices = set(rel.all_simplices())
-    else:
-        rel_simplices = set(tuple(s) for s in rel)
-        sub = space.subcomplex(rel_simplices)
-        if set(sub.all_simplices()) != rel_simplices:
-            raise InputError("rel simplices are not closed under faces")
-
+    masks = _rel_masks(space, rel)
     keep_km1, keep_k, keep_kp1 = (
-        [j for j, s in enumerate(space.simplices(kk)) if s not in rel_simplices]
+        [j for j in range(space.n_simplices(kk)) if not (masks[kk] >> j) & 1]
         for kk in (k - 1, k, k + 1)
     )
-    return restricted_basis(
-        k, space.boundary_columns(k), space.boundary_columns(k + 1),
-        keep_km1, keep_k, keep_kp1, chart=tuple(keep_k),
-    )
+    cols_k, cols_k1 = space.boundary_columns(k), space.boundary_columns(k + 1)
+    boundaries = reduce_columns(_restrict_columns(cols_k1, keep_kp1, keep_k))
+    cycles = reduce_columns(_restrict_columns(cols_k, keep_k, keep_km1), boundaries[0])
+    return _quotient_basis(k, len(keep_k), boundaries, cycles, chart=tuple(keep_k))
+
+
+def middle_dimension(space) -> int:
+    """Half the dimension of an even-dimensional carrier; odd ones are refused."""
+    if space.dimension % 2 == 0:
+        return space.dimension // 2
+    raise InputError("middle dimension undefined for odd-dimensional data"
+                     if isinstance(space, ChainComplexData)
+                     else "operation requires an even-dimensional space")
 
 
 def betti_numbers(space):
@@ -343,25 +358,20 @@ def induced_map(f_or_data, k: int, source_basis=None, target_basis=None) -> Gf2M
     cycles in the target basis.
     """
     if isinstance(f_or_data, ChainComplexData):
-        data = f_or_data
-        if data.involution is None:
+        if f_or_data.involution is None:
             raise InputError("chain data carries no involution chain map")
-        basis = source_basis or homology(data, k)
-        tgt = target_basis or basis
-        T = data.involution[k] if 0 <= k <= data.dimension else None
-        cols = []
-        for z in basis.cycles:
-            img = T.mul_vec(z) if T is not None else 0
-            cols.append(tgt.coordinates_of(img))
-        return _matrix_from_coord_columns(cols, tgt.betti)
-    f = f_or_data
-    src_basis = source_basis or homology(f.source, k)
-    dst_basis = target_basis or homology(f.target, k)
-    cols = []
-    for z in src_basis.cycles:
-        img = chain_map_image(f, k, z)
-        cols.append(dst_basis.coordinates_of(img))
-    return _matrix_from_coord_columns(cols, dst_basis.betti)
+        source = target = f_or_data
+
+        def push(z):
+            return f_or_data.involution[k].mul_vec(z)
+    else:
+        source, target = f_or_data.source, f_or_data.target
+
+        def push(z):
+            return chain_map_image(f_or_data, k, z)
+    src = source_basis or homology(source, k)
+    dst = target_basis or homology(target, k)
+    return _matrix_from_coord_columns([dst.coordinates_of(push(z)) for z in src.cycles], dst.betti)
 
 
 def _matrix_from_coord_columns(cols, nrows):

@@ -28,14 +28,11 @@ from .errors import InputError, ModelIntegrityError
 from .gf2 import Gf2Matrix, bits_of, gf2_invert, gf2_solve, rref
 from .homology import (
     ChainComplexData,
-    cochain_pullback,
-    cup_eval,
     duality_data,
     homology,
     induced_map,
     intersection_form_matrix,
-    poincare_dual_cocycle,
-    restricted_basis,
+    middle_dimension,
     total_betti,
 )
 
@@ -114,27 +111,20 @@ class _Basis:
 
     def __init__(self, hom, basis_cycles=None):
         self.hom = hom
+        self.to_marked = None
         if basis_cycles is None:
-            self.to_marked = None
-            self.cycles = hom.cycles
             return
         basis_cycles = list(basis_cycles)
         if len(basis_cycles) != hom.betti:
             raise InputError(
                 f"marked basis has {len(basis_cycles)} cycles, Betti number is {hom.betti}"
             )
-        cols = [hom.coordinates_of(z) for z in basis_cycles]
-        rows = [0] * hom.betti
-        for j, c in enumerate(cols):
-            for i in range(hom.betti):
-                if (c >> i) & 1:
-                    rows[i] |= 1 << j
-        T = Gf2Matrix(hom.betti, hom.betti, rows)
+        # row j holds the canonical coordinates of marked cycle j
+        T = Gf2Matrix(hom.betti, hom.betti, [hom.coordinates_of(z) for z in basis_cycles])
         try:
-            self.to_marked = gf2_invert(T)
+            self.to_marked = gf2_invert(T.transpose())
         except InputError:
             raise InputError("marked cycles do not form a homology basis") from None
-        self.cycles = tuple(basis_cycles)
 
     def coords(self, chain: int) -> int:
         c = self.hom.coordinates_of(chain)
@@ -148,13 +138,6 @@ class _Basis:
         # Gram in marked coordinates: columns of T are the marked cycles
         T = gf2_invert(self.to_marked)
         return T.transpose() * gram_canonical * T
-
-
-def _middle_dimension(space) -> int:
-    n = space.dimension
-    if n % 2 != 0:
-        raise InputError("operation requires an even-dimensional space")
-    return n // 2
 
 
 def fixed_subcomplex(K: SimplicialComplex, tau: SimplicialMap,
@@ -205,46 +188,39 @@ def _fixed_set(K: SimplicialComplex, tau: SimplicialMap):
     return F, tuple(components), mid, mid_cycle
 
 
+def _middle_forms(space, tau=None, act=True):
+    """(H_mid basis, intersection Gram, actor) of a carrier.
+
+    The actor is what :func:`induced_map` takes for the involution: the
+    chain data itself or ``tau``.  With ``act`` the involution is checked
+    first, and odd chain data is refused before a missing pairing.
+    """
+    if isinstance(space, ChainComplexData):
+        if act:
+            middle_dimension(space)
+        if space.pairing is None:
+            raise InputError("chain data has no intersection pairing")
+        return homology(space, middle_dimension(space)), space.pairing, space
+    if act:
+        if tau is None:
+            raise InputError("a simplicial involution is required")
+        check_involution(space, tau)
+    dd = duality_data(space, middle_dimension(space))
+    return dd.hom, intersection_form_matrix(dd), tau
+
+
 def involution_form(space, tau: SimplicialMap | None = None,
                     basis_cycles=None) -> BilinearFormGF2:
     """Mod-2 form (x, y) -> x . t(y) on middle homology.
 
-    For a simplicial carrier the form is computed on the cohomology side:
-    B(x, y) pairs the Poincare dual of x cupped with the pullback of the
-    dual of y against the fundamental cycle.  Abstract chain data must
-    carry its intersection pairing and involution chain maps.
+    The Gram matrix is the intersection pairing times the matrix of the
+    involution on middle homology, on either carrier: a complex pairs
+    Poincare duals by cup products, chain data carries its pairing and
+    involution chain maps.
     """
-    if isinstance(space, ChainComplexData):
-        mid = space.middle_dimension()
-        if space.pairing is None:
-            raise InputError("chain data has no intersection pairing")
-        hom = homology(space, mid)
-        M = induced_map(space, mid)
-        gram_can = space.pairing * M
-        basis = _Basis(hom, basis_cycles)
-        gram = basis.transform_form(gram_can)
-        if not gram.is_symmetric():
-            raise ModelIntegrityError("involution form is not symmetric", report=gram)
-        return BilinearFormGF2(gram)
-
-    K = space
-    if tau is None:
-        raise InputError("a simplicial involution is required")
-    check_involution(K, tau)
-    mid = _middle_dimension(K)
-    dd = duality_data(K, mid)
-    basis = _Basis(dd.hom, basis_cycles)
-    duals = [poincare_dual_cocycle(dd, dd.hom.coordinates_of(z)) for z in basis.cycles]
-    pulled = [cochain_pullback(tau, mid, d) for d in duals]
-    n = len(duals)
-    rows = []
-    for i in range(n):
-        r = 0
-        for j in range(n):
-            if cup_eval(K, mid, duals[i], pulled[j], dd.fc):
-                r |= 1 << j
-        rows.append(r)
-    gram = Gf2Matrix(n, n, rows)
+    hom, pairing, actor = _middle_forms(space, tau)
+    action = induced_map(actor, hom.dimension)
+    gram = _Basis(hom, basis_cycles).transform_form(pairing * action)
     if not gram.is_symmetric():
         raise ModelIntegrityError("involution form is not symmetric", report=gram)
     return BilinearFormGF2(gram)
@@ -252,26 +228,23 @@ def involution_form(space, tau: SimplicialMap | None = None,
 
 def intersection_form(space, basis_cycles=None) -> BilinearFormGF2:
     """Mod-2 intersection form on middle homology."""
-    if isinstance(space, ChainComplexData):
-        if space.pairing is None:
-            raise InputError("chain data has no intersection pairing")
-        basis = _Basis(homology(space, space.middle_dimension()), basis_cycles)
-        return BilinearFormGF2(basis.transform_form(space.pairing))
-    mid = _middle_dimension(space)
-    dd = duality_data(space, mid)
-    basis = _Basis(dd.hom, basis_cycles)
-    return BilinearFormGF2(basis.transform_form(intersection_form_matrix(dd)))
+    hom, pairing, _ = _middle_forms(space, act=False)
+    return BilinearFormGF2(_Basis(hom, basis_cycles).transform_form(pairing))
 
 
-def _fixed_mid_class(space, tau, basis_cycles=None):
-    """Middle class of the fixed set plus the maximal fixed dimension."""
+def _fixed_facts(space, tau, basis_cycles=None, total=False):
+    """Middle class of the fixed set plus its top dimension (None for chain
+    data), or with ``total`` its total Betti number in place of the class.
+    """
     if isinstance(space, ChainComplexData):
-        if space.fixed_class is None:
-            raise InputError("chain data does not carry the class of its fixed set")
-        return space.fixed_class, None
+        value = space.fixed_betti_total if total else space.fixed_class
+        if value is None:
+            what = "fixed-set Betti numbers" if total else "the class of its fixed set"
+            raise InputError(f"chain data does not carry {what}")
+        return value, None
     data = fixed_subcomplex(space, tau, basis_cycles=basis_cycles)
-    max_dim = max((c.dimension for c in data.components), default=-1)
-    return data.mid_class, max_dim
+    value = total_betti(data.subcomplex) if total else data.mid_class
+    return value, max((c.dimension for c in data.components), default=-1)
 
 
 def verify_fixed_class_is_characteristic(space, tau=None, basis_cycles=None):
@@ -281,16 +254,10 @@ def verify_fixed_class_is_characteristic(space, tau=None, basis_cycles=None):
     Rejects fixed sets of dimension above the middle (the statement does
     not apply there, e.g. for the identity involution).
     """
-    if isinstance(space, ChainComplexData):
-        mid = space.middle_dimension()
-        fixed_class, _ = _fixed_mid_class(space, tau)
-    else:
-        mid = _middle_dimension(space)
-        fixed_class, max_dim = _fixed_mid_class(space, tau, basis_cycles)
-        if max_dim is not None and max_dim > mid:
-            raise InputError(
-                f"fixed set has dimension {max_dim} above the middle dimension {mid}"
-            )
+    mid = middle_dimension(space)
+    fixed_class, max_dim = _fixed_facts(space, tau, basis_cycles)
+    if max_dim is not None and max_dim > mid:
+        raise InputError(f"fixed set has dimension {max_dim} above the middle dimension {mid}")
     B = involution_form(space, tau, basis_cycles=basis_cycles)
     chi = characteristic_class(B)
     return {
@@ -317,7 +284,7 @@ def classify_type(space, tau=None, h: int | None = None, basis_cycles=None) -> T
     I_abs when the fixed set bounds (class zero), I_rel when the class
     equals a caller-supplied distinguished class h, otherwise II.
     """
-    fixed_class, _ = _fixed_mid_class(space, tau, basis_cycles)
+    fixed_class, _ = _fixed_facts(space, tau, basis_cycles)
     if fixed_class is None:
         raise InputError("type classification needs an even-dimensional carrier")
     if fixed_class == 0:
@@ -341,12 +308,7 @@ def harnack_audit(space, tau=None) -> HarnackReport:
     violates the Smith-theoretic bound and cannot arise from an involution,
     so it is flagged as a model-integrity failure.
     """
-    if isinstance(space, ChainComplexData):
-        if space.fixed_betti_total is None:
-            raise InputError("chain data does not carry fixed-set Betti numbers")
-        fix_total = space.fixed_betti_total
-    else:
-        fix_total = total_betti(fixed_subcomplex(space, tau).subcomplex)
+    fix_total, _ = _fixed_facts(space, tau, total=True)
     space_total = total_betti(space)
     if fix_total > space_total:
         raise ModelIntegrityError(
@@ -402,13 +364,8 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
     kernel_dim = fix_h2.betti - len(img_rows)
 
     boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
-    ranks = [boundaries[0].nrows] + [b.ncols for b in boundaries]
-    cols = [(0,) * ranks[0]] + [b.columns() for b in boundaries] + [()]
-    keep = [[j for j in range(r) if not (f >> j) & 1] for r, f in zip(ranks, fixed_flags)] + [[]]
-    table = {
-        k: restricted_basis(k, cols[k], cols[k + 1], keep[k - 1], keep[k], keep[k + 1]).betti
-        for k in (4, 3, 2)
-    }
+    orbits = ChainComplexData([boundaries[0].nrows] + [b.ncols for b in boundaries], boundaries)
+    table = {k: homology(orbits, k, rel=fixed_flags).betti for k in (4, 3, 2)}
     asserted = _smith_verdict(kernel_dim, h1_trivial, table)
     return SmithReport(kernel_dim, h1_trivial, asserted, table)
 
@@ -448,9 +405,9 @@ def check_m_variety_even_form(space, tau=None, basis_cycles=None) -> dict:
     involution acts as the identity on mod-2 homology in every dimension.
     """
     harnack = harnack_audit(space, tau)
-    form = intersection_form(space, basis_cycles=basis_cycles)
-    even = is_even(form)
-    fixed_class, _ = _fixed_mid_class(space, tau, basis_cycles)
+    hom, pairing, actor = _middle_forms(space, tau, act=False)
+    even = is_even(BilinearFormGF2(_Basis(hom, basis_cycles).transform_form(pairing)))
+    fixed_class, _ = _fixed_facts(space, tau, basis_cycles)
     report = {
         "is_m": harnack.is_m,
         "even_intersection_form": even,
@@ -464,12 +421,7 @@ def check_m_variety_even_form(space, tau=None, basis_cycles=None) -> dict:
             hk = homology(space, k)
             if hk.betti == 0:
                 continue
-            mat = (
-                induced_map(space, k)
-                if isinstance(space, ChainComplexData)
-                else induced_map(tau, k)
-            )
-            if mat != Gf2Matrix.identity(hk.betti):
+            if induced_map(actor, k) != Gf2Matrix.identity(hk.betti):
                 raise ModelIntegrityError(
                     f"M-object whose involution acts nontrivially on H_{k}",
                     report=report,

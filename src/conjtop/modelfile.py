@@ -79,6 +79,8 @@ def _ints(ln, body, expected=None):
 
 
 def _read_matrix_rows(lines, nrows, ncols, what):
+    if ncols == 0:  # a matrix without columns is written without row lines
+        return [[] for _ in range(nrows)]
     rows = []
     for _ in range(nrows):
         ln, body = lines.next_content()
@@ -378,11 +380,13 @@ def _parse_commands(lines, model):
 
 
 def _format_int_rows(M) -> list:
-    return [" ".join(str(e) for e in row) for row in M.rows]
+    # a matrix without columns gets no row lines: the reader skips blank lines
+    return [" ".join(str(e) for e in row) for row in M.rows] if M.ncols else []
 
 
 def _format_gf2_rows(M: Gf2Matrix) -> list:
-    return [" ".join(str((r >> j) & 1) for j in range(M.ncols)) for r in M.rows]
+    width = range(M.ncols)
+    return [" ".join(str((r >> j) & 1) for j in width) for r in M.rows] if M.ncols else []
 
 
 def format_model(model: ModelFile) -> str:

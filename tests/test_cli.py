@@ -70,6 +70,32 @@ def test_congruence_violation_exit_code(capsys):
     assert "model integrity" in out
 
 
+def test_integrity_trace_on_machine_request(capsys):
+    argv = ["congruence", "--chi", "4", "--type", "I_abs", "--h1-trivial"]
+    code, out = run_cli(argv + ["--machine"], capsys)
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("model integrity violation:") and "=" not in lines[0]
+    assert len(lines) > 1 and lines[1:] == sorted(lines[1:])
+    d = machine_dict(out)
+    assert d["chi"] == "4"
+    assert d["passes"] == "false"
+    assert d["self_intersection_quotient"] == "-8"
+    code, out = run_cli(argv, capsys)
+    assert code == 1 and out.count("\n") == 1
+
+
+def test_trace_lines_flatten_reports():
+    from conjtop.cli import _trace_lines
+    from conjtop.gf2 import Gf2Matrix
+
+    report = {"kernel": 2, "table": {4: 1, 2: 0}, "holds": False, "part": [3, 5]}
+    assert _trace_lines(report) == "holds=false\nkernel=2\npart=(3,5)\ntable.2=0\ntable.4=1\n"
+    gram = Gf2Matrix.identity(2)
+    assert _trace_lines(gram) == f"report={gram!r}\n"
+    assert _trace_lines(None) == ""
+
+
 def test_congruence_not_applicable(capsys):
     code, out = run_cli(["congruence", "--chi", "2", "--type", "I_rel"], capsys)
     assert code == 0
@@ -262,6 +288,19 @@ def test_model_file_loading(tmp_path, capsys):
     )
     assert code == 0
     assert machine_dict(out)["verdict"] == "I_rel"
+
+
+def test_chain_with_zero_ranks_from_model_file(tmp_path, capsys):
+    path = tmp_path / "cp2.cjt"
+    path.write_text(
+        "[chain cp2]\nranks 1 0 1 0 1\nboundary 1\nboundary 2\nboundary 3\nboundary 4\n"
+        "pairing 1\n1\n",
+        encoding="utf-8",
+    )
+    code, out = run_cli(["homology", "cp2", "--model", str(path), "--machine"], capsys)
+    assert code == 0
+    d = machine_dict(out)
+    assert tuple(d[f"betti.{k}"] for k in range(5)) == ("1", "0", "1", "0", "1")
 
 
 def test_missing_model_file(capsys):

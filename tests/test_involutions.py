@@ -3,6 +3,13 @@ import pytest
 from conjtop.complexes import identity_map
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
+from conjtop.homology import (
+    cochain_pullback,
+    cup_eval,
+    duality_data,
+    homology,
+    poincare_dual_cocycle,
+)
 from conjtop.involutions import (
     BilinearFormGF2,
     _smith_verdict,
@@ -18,7 +25,8 @@ from conjtop.involutions import (
     smith_kernel_bound,
     verify_fixed_class_is_characteristic,
 )
-from conftest import involution_model
+from conjtop.models import factor_swap, product_complex, sphere_tetra
+from conftest import involution_model, marked_basis
 
 HYPERBOLIC = Gf2Matrix.from_rows([[0, 1], [1, 0]])
 IDENTITY2 = Gf2Matrix.identity(2)
@@ -369,19 +377,35 @@ def test_characteristic_class_second_solver_oracle(library):
         assert [(chi >> i) & 1 for i in range(n)] == expected
 
 
-def test_involution_form_against_induced_map_route(library):
-    """Independent second route: pair the intersection form with the
-    homology-level induced map instead of pulling cocycles back."""
-    from conjtop.homology import duality_data, induced_map, intersection_form_matrix
+def _cup_pullback_gram(K, tau, cycles):
+    """Gram of x . t(y) on the given cycles by the cohomology route: cup the
+    Poincare dual of x with the pullback of the dual of y on [K]."""
+    mid = K.dimension // 2
+    dd = duality_data(K, mid)
+    duals = [poincare_dual_cocycle(dd, dd.hom.coordinates_of(z)) for z in cycles]
+    pulled = [cochain_pullback(tau, mid, d) for d in duals]
+    rows = (sum(cup_eval(K, mid, a, b, dd.fc) << j for j, b in enumerate(pulled)) for a in duals)
+    return Gf2Matrix(len(duals), len(duals), rows)
 
-    for name in ("torus_reflection", "torus_diagonal", "klein_shift", "quadric",
-                 "genus2_dividing", "genus2_nondividing"):
-        K, tau, _ = involution_model(library, name)
-        mid = K.dimension // 2
-        B = involution_form(K, tau)  # canonical coordinates
-        dd = duality_data(K, mid)
-        expected = intersection_form_matrix(dd) * induced_map(tau, mid)
-        assert B.gram == expected, name
+
+def test_involution_form_against_cup_pullback_route(library):
+    """Independent second route: pull cocycles back and cup them, instead of
+    pairing the intersection form with the homology-level induced map.
+    Dropping the action (the pairing alone) fails on genus2_dividing."""
+    cases = [
+        (name, library.complexes[src], tau, marked_basis(library, src))
+        for name, (src, _, tau) in sorted(library.maps.items())
+        if library.complexes[src].dimension % 2 == 0
+    ]
+    S = sphere_tetra()
+    P = product_complex(S, S)
+    cases.append(("tetra2", P, factor_swap(P, S.vertex_count), None))
+    assert len(cases) == 8 and sum(marked is not None for *_, marked in cases) == 1
+    for name, K, tau, marked in cases:
+        for basis in [None] + ([marked] if marked else []):
+            cycles = basis or homology(K, K.dimension // 2).cycles
+            B = involution_form(K, tau, basis_cycles=basis)
+            assert B.gram == _cup_pullback_gram(K, tau, cycles), (name, basis)
 
 
 def _forged_surface_data(fixed_betti, fixed_class, involution_swap=False):

@@ -99,6 +99,23 @@ def test_round_trip_preserves_chain_data(library):
     assert model.chains["t4_chain"] == library.chains["t4_chain"]
 
 
+def test_round_trip_chain_with_zero_ranks():
+    """Boundaries without columns are written without row lines and read back."""
+    from conjtop.gf2 import Gf2Matrix
+    from conjtop.homology import ChainComplexData
+
+    z, one = Gf2Matrix.zeros, Gf2Matrix.identity
+    model = ModelFile()
+    model.chains["cp2"] = ChainComplexData(
+        (1, 0, 1, 0, 1), [z(1, 0), z(0, 1), z(1, 0), z(0, 1)],
+        involution=[one(r) for r in (1, 0, 1, 0, 1)], pairing=one(1), fixed_class=1,
+    )
+    text = format_model(model)
+    assert "\n\n" not in text.rstrip("\n")
+    assert parse_model(text) == model
+    assert format_model(parse_model(text)) == text
+
+
 def test_round_trip_preserves_lattices_and_loops(library):
     text = format_model(library)
     model = parse_model(text)

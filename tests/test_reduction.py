@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjtop.complexes import SimplicialComplex, barycentric_subdivide
+from conjtop.complexes import SimplicialComplex, barycentric_subdivide, orbit_chain_boundaries
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix, gf2_kernel_basis, reduce_columns, rref
-from conjtop.homology import betti_numbers, cohomology, homology
+from conjtop.homology import ChainComplexData, betti_numbers, cohomology, homology
 from conjtop.involutions import fixed_subcomplex
 
 
@@ -119,26 +119,62 @@ def test_bundled_chain_data_match_dense(library):
         check_all_degrees(D)
 
 
+def check_relative(space, rel, masks, rng):
+    """homology(space, k, rel=rel) against dense elimination of the cells
+    outside ``masks``; returns the bases for comparison across carriers."""
+    bases = []
+    for k in range(space.dimension + 1):
+        km1, kk, kp1 = (
+            [j for j in range(space.n_simplices(d)) if not (masks[d] >> j) & 1]
+            for d in (k - 1, k, k + 1)
+        )
+        dense = DenseBasis(
+            len(kk),
+            restricted_matrix(space.boundary_matrix(k), km1, kk),
+            restricted_matrix(space.boundary_matrix(k + 1), kk, kp1),
+        )
+        sparse = homology(space, k, rel=rel)
+        assert sparse.chart == tuple(kk)
+        assert_matches(sparse, dense, rng)
+        bases.append(sparse)
+    return bases
+
+
 def test_relative_homology_of_fixed_sets_matches_dense(library):
+    """Relative to the fixed set on the complex, on chain data built from its
+    boundaries with the fixed cells as masks, and on the orbit complex
+    relative to its fixed flags: one relative path for every carrier."""
     rng = random.Random(7)
     for name, (src, _, tau) in sorted(library.maps.items()):
         K = library.complexes[src]
         F = fixed_subcomplex(K, tau).subcomplex
-        dropped = set(F.all_simplices())
+        n = K.dimension
+        masks = [sum(1 << K.index_of(s) for s in F.simplices(k)) for k in range(n + 1)]
+        on_complex = check_relative(K, F, masks, rng)
 
-        def keep(kk):
-            return [j for j, s in enumerate(K.simplices(kk)) if s not in dropped]
+        data = ChainComplexData(
+            [K.n_simplices(k) for k in range(n + 1)],
+            [K.boundary_matrix(k) for k in range(1, n + 1)],
+        )
+        on_data = check_relative(data, masks, masks, rng)
+        assert [(b.cycles, b.chart) for b in on_data] == [
+            (b.cycles, b.chart) for b in on_complex
+        ], name
 
-        for k in range(K.dimension + 1):
-            km1, kk, kp1 = keep(k - 1), keep(k), keep(k + 1)
-            dense = DenseBasis(
-                len(kk),
-                restricted_matrix(K.boundary_matrix(k), km1, kk),
-                restricted_matrix(K.boundary_matrix(k + 1), kk, kp1),
-            )
-            sparse = homology(K, k, rel=F)
-            assert sparse.chart == tuple(kk)
-            assert_matches(sparse, dense, rng)
+        boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
+        orbits = ChainComplexData([boundaries[0].nrows] + [b.ncols for b in boundaries],
+                                  boundaries)
+        check_relative(orbits, fixed_flags, fixed_flags, rng)
+
+
+def test_relative_masks_are_validated():
+    data = ChainComplexData((1, 2, 1), [Gf2Matrix.from_rows([[1, 1]]),
+                                        Gf2Matrix.from_rows([[1], [1]])])
+    assert homology(data, 1, rel=[1, 0b11, 0]).betti == 0
+    assert homology(data, 2, rel=[1, 0b11, 0]).betti == 1
+    for bad in ([1, 0b11], [1, 0b111, 0], [0, 0b01, 0], [1, 0, 1], [1, -1, 0], 5):
+        with pytest.raises(InputError):
+            homology(data, 1, rel=bad)
 
 
 def test_betti_numbers_survive_subdivision(library):
