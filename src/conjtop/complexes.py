@@ -2,8 +2,9 @@
 
 Simplices are strictly increasing tuples of vertex indices; the integer
 order on vertices is the global vertex order that cup products and
-barycentric subdivision rely on.  Complexes are validated and immutable
-after construction.
+barycentric subdivision rely on.  Complexes and maps are immutable.  The
+public constructors validate their input; complexes and maps derived from
+valid ones are built by the trusted constructors without re-checking.
 """
 
 from __future__ import annotations
@@ -14,25 +15,67 @@ from .errors import InputError
 from .gf2 import Gf2Matrix
 
 
+def _roots(n, pairs):
+    """Union-find over 0..n-1 joined by the given pairs; a root per element."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(n)]
+
+
 def _normalize_simplex(s):
-    t = tuple(int(v) for v in s)
-    if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+    t = tuple(map(int, s))
+    if not all(map(int.__lt__, t, t[1:])):
         raise InputError(f"simplex {t} is not strictly increasing")
     return t
 
 
-def closure(simplices):
-    """All faces of the given simplices, including themselves."""
-    out = set()
+def _levels(simplices):
+    """Normalised nonempty simplices bucketed into one set per dimension."""
+    levels = []
     for s in simplices:
-        s = _normalize_simplex(s)
-        for k in range(1, len(s) + 1):
-            out.update(combinations(s, k))
-    return out
+        while len(levels) < len(s):
+            levels.append(set())
+        if s:
+            levels[len(s) - 1].add(s)
+    return levels
+
+
+def _close_down(levels):
+    """Add every face to per-dimension sets, one dimension at a time.
+
+    Each k-simplex contributes only its codimension-1 faces, which the set
+    of dimension k - 1 deduplicates before they contribute theirs.
+    """
+    for k in range(len(levels) - 1, 0, -1):
+        levels[k - 1].update(f for s in levels[k] for f in combinations(s, k))
+    return levels
+
+
+def closure(simplices):
+    """All faces of the given simplices, including themselves.
+
+    Each generator is normalised once; faces are then added by dimension.
+    """
+    return set().union(*_close_down(_levels([_normalize_simplex(s) for s in simplices])))
 
 
 class SimplicialComplex:
-    """Validated finite simplicial complex with a fixed vertex order."""
+    """Finite simplicial complex with a fixed vertex order.
+
+    The public constructor checks normalisation, vertex range and closure
+    under faces.  Complexes derived from valid ones are closed and
+    normalised by construction; :meth:`_trusted` builds them unchecked.
+    """
 
     __slots__ = (
         "vertex_count",
@@ -48,12 +91,11 @@ class SimplicialComplex:
     )
 
     def __init__(self, vertex_count: int, simplices):
-        all_s = set()
-        for s in simplices:
-            all_s.add(_normalize_simplex(s))
+        all_s = {_normalize_simplex(s) for s in simplices}
+        all_s.discard(())
         by_dim = {}
         for s in all_s:
-            if s and (s[0] < 0 or s[-1] >= vertex_count):
+            if s[0] < 0 or s[-1] >= vertex_count:
                 raise InputError(f"simplex {s} has a vertex outside 0..{vertex_count - 1}")
             by_dim.setdefault(len(s) - 1, []).append(s)
         for k, group in by_dim.items():
@@ -63,12 +105,22 @@ class SimplicialComplex:
                 for f in combinations(s, k):
                     if f not in all_s:
                         raise InputError(f"complex not closed under faces: {s} misses {f}")
-        dim = max(by_dim) if by_dim else -1
+        self._setup(vertex_count, [by_dim[k] for k in range(len(by_dim))])
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, levels) -> "SimplicialComplex":
+        """Complex from per-dimension sets of normalised simplices that are
+        already closed under faces and in range; nothing is re-checked."""
+        K = cls.__new__(cls)
+        K._setup(vertex_count, levels)
+        return K
+
+    def _setup(self, vertex_count, levels):
         self.vertex_count = vertex_count
-        self._by_dim = tuple(tuple(sorted(by_dim.get(k, ()))) for k in range(dim + 1))
-        self._index = {
-            s: i for k in range(dim + 1) for i, s in enumerate(self._by_dim[k])
-        }
+        self._by_dim = tuple(tuple(sorted(group)) for group in levels)
+        self._index = index = {}
+        for group in self._by_dim:
+            index.update(zip(group, range(len(group))))
         self._boundary_cache = {}
         self._columns_cache = {}
         self._cofaces_cache = {}
@@ -79,8 +131,16 @@ class SimplicialComplex:
 
     @classmethod
     def from_simplices(cls, vertex_count: int, generators) -> "SimplicialComplex":
-        """Build the closure of the given generating simplices."""
-        return cls(vertex_count, closure(generators))
+        """Build the closure of the given generating simplices.
+
+        Each generator is normalised and range-checked once; its faces are
+        then closed by dimension and never re-validated.
+        """
+        levels = _levels([_normalize_simplex(s) for s in generators])
+        for s in (s for group in levels for s in group):
+            if s[0] < 0 or s[-1] >= vertex_count:
+                raise InputError(f"simplex {s} has a vertex outside 0..{vertex_count - 1}")
+        return cls._trusted(vertex_count, _close_down(levels))
 
     @property
     def dimension(self) -> int:
@@ -108,15 +168,14 @@ class SimplicialComplex:
             raise InputError(f"simplex {tuple(s)} not in complex") from None
 
     def facets(self):
-        """Maximal simplices, sorted by (dimension, tuple)."""
-        out = []
-        for k in range(self.dimension, -1, -1):
-            for s in self.simplices(k):
-                if not any(
-                    set(s) < set(t) for t in out
-                ):
-                    out.append(s)
-        return sorted(out, key=lambda s: (len(s), s))
+        """Maximal simplices, sorted by (dimension, tuple).
+
+        A simplex below the top dimension is maximal exactly when it has no
+        coface one dimension up.
+        """
+        out = [s for k in range(self.dimension)
+               for s, c in zip(self._by_dim[k], self.cofaces(k)) if not c]
+        return out + list(self.simplices(self.dimension))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_simplices(k) for k in range(self.dimension + 1))
@@ -167,21 +226,10 @@ class SimplicialComplex:
 
     def components(self):
         """Vertex sets of connected components (via the 1-skeleton)."""
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, b) in self.simplices(1):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        root = _roots(self.vertex_count, self.simplices(1))
         groups = {}
         for (v,) in self.simplices(0):
-            groups.setdefault(find(v), set()).add(v)
+            groups.setdefault(root[v], set()).add(v)
         return [frozenset(g) for _, g in sorted((min(g), g) for g in groups.values())]
 
     def __eq__(self, other):
@@ -217,10 +265,15 @@ class SimplicialMap:
             img = tuple(sorted(set(images[v] for v in s)))
             if not target.has_simplex(img):
                 raise InputError(f"image of simplex {s} spans no simplex: {img}")
-        self.source = source
-        self.target = target
-        self.images = images
-        self._fixed = None
+        self.source, self.target, self.images, self._fixed = source, target, images, None
+
+    @classmethod
+    def _trusted(cls, source, target, images) -> "SimplicialMap":
+        """Map whose images are simplicial by construction (built from valid
+        maps or complexes); the per-simplex image scan is skipped."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.images, f._fixed = source, target, tuple(images), None
+        return f
 
     def __call__(self, v: int) -> int:
         return self.images[v]
@@ -233,7 +286,9 @@ class SimplicialMap:
         """self after inner."""
         if inner.target is not self.source and inner.target != self.source:
             raise InputError("composition mismatch between target and source")
-        return SimplicialMap(inner.source, self.target, (self.images[v] for v in inner.images))
+        return SimplicialMap._trusted(
+            inner.source, self.target, (self.images[v] for v in inner.images)
+        )
 
     def is_identity(self) -> bool:
         return self.source == self.target and all(i == v for v, i in enumerate(self.images))
@@ -260,6 +315,8 @@ def identity_map(K: SimplicialComplex) -> SimplicialMap:
 
 
 def check_involution(K: SimplicialComplex, tau: SimplicialMap):
+    if not isinstance(tau, SimplicialMap):
+        raise InputError("a simplicial involution is required")
     if tau.source != K or tau.target != K:
         raise InputError("involution must map the complex to itself")
     if not tau.is_involution():
@@ -309,6 +366,7 @@ def quotient_by_involution(K: SimplicialComplex, tau: SimplicialMap):
     def orbit_vertex(v):
         return rep_rank[min(v, tau(v))]
 
+    # the orbit image of a face is a face of the orbit image: closed
     image_to_source = {}
     for s in K.all_simplices():
         img = tuple(sorted(orbit_vertex(v) for v in s))
@@ -323,8 +381,8 @@ def quotient_by_involution(K: SimplicialComplex, tau: SimplicialMap):
         if prev is None or s < prev:
             image_to_source[img] = s
 
-    Q = SimplicialComplex(len(reps), image_to_source.keys())
-    proj = SimplicialMap(K, Q, (orbit_vertex(v) for v in range(K.vertex_count)))
+    Q = SimplicialComplex._trusted(len(reps), _levels(image_to_source))
+    proj = SimplicialMap._trusted(K, Q, (orbit_vertex(v) for v in range(K.vertex_count)))
     return Q, proj
 
 
@@ -398,7 +456,10 @@ def barycentric_subdivide(K: SimplicialComplex, f: SimplicialMap | None = None):
             for k in range(1, len(low)):
                 for face in combinations(low, k):
                     stack.append((face,) + chain)
-    Kp = SimplicialComplex(len(order), (tuple(rank[s] for s in chain) for chain in seen))
+    # every chain is generated, so sub-chains are present: closed
+    Kp = SimplicialComplex._trusted(
+        len(order), _levels(tuple(rank[s] for s in chain) for chain in seen)
+    )
 
     if f is None:
         return Kp, None
@@ -406,7 +467,10 @@ def barycentric_subdivide(K: SimplicialComplex, f: SimplicialMap | None = None):
         raise InputError("map to subdivide must be an automorphism of K")
     if sorted(f.images) != list(range(K.vertex_count)):
         raise InputError("map to subdivide must be a bijective automorphism")
-    fp = SimplicialMap(Kp, Kp, (rank[f.map_simplex(order[i])] for i in range(len(order))))
+    # a simplicial bijection of K carries chains to chains
+    fp = SimplicialMap._trusted(
+        Kp, Kp, (rank[f.map_simplex(order[i])] for i in range(len(order)))
+    )
     return Kp, fp
 
 
@@ -425,13 +489,11 @@ def regularize(K: SimplicialComplex, tau: SimplicialMap, max_rounds: int = 2):
 
 def impure_simplex(K: SimplicialComplex):
     """First simplex of K that is not a face of a top simplex, or None."""
-    covered = set()
-    for s in K.simplices(K.dimension):
-        for k in range(1, len(s) + 1):
-            covered.update(combinations(s, k))
-    if len(covered) == len(K._index):  # faces of tops are simplices of K
+    n = K.dimension
+    covered = _close_down([set() for _ in range(n)] + [set(K.simplices(n))])
+    if all(len(c) == len(g) for c, g in zip(covered, K._by_dim)):
         return None
-    return next(s for s in K.all_simplices() if s not in covered)
+    return next(s for k, group in enumerate(K._by_dim) for s in group if s not in covered[k])
 
 
 def _incidence(top, face) -> int:
@@ -506,8 +568,9 @@ def pseudomanifold_check(K: SimplicialComplex):
     """Verify K is a closed pseudomanifold; returns its dimension.
 
     Requires: pure top dimension, every codimension-1 simplex has exactly
-    two cofaces, and the top-dimensional part is strongly connected (one
-    component of :func:`dual_walk`).  The scan runs once per complex:
+    two cofaces, and the top-dimensional part is strongly connected (the
+    coface pairs join all tops into one class; no signs are computed, unlike
+    :func:`dual_walk`).  The scan runs once per complex:
     complexes are immutable, so a pass is remembered, while a complex that
     fails raises on every call.
     """
@@ -523,8 +586,7 @@ def pseudomanifold_check(K: SimplicialComplex):
         bad = impure_simplex(K)
         if bad is not None:
             raise InputError(f"simplex {bad} is not a face of any top simplex")
-        comp, _ = dual_walk(K)
-        if max(comp) > 0:
+        if len(set(_roots(K.n_simplices(n), K.cofaces(n - 1)))) > 1:
             raise InputError("top-dimensional part is not strongly connected")
         K._closed = True
     return n

@@ -29,6 +29,8 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     _incidence,
+    _levels,
+    _roots,
     _top_adjacency,
     check_involution,
     dual_walk,
@@ -95,29 +97,6 @@ class SemiOrientation:
 
     def __repr__(self):
         return f"SemiOrientation({''.join('+' if s > 0 else '-' for s in self.signs)})"
-
-
-def oriented_boundary_edges(simplex, sign):
-    """Directed boundary edges of an oriented triangle.
-
-    With positive sign the cycle is v0 -> v1 -> v2 -> v0 on the sorted
-    vertices; negative sign reverses it.  This and
-    :func:`induced_edge_direction` spell the orientation rule out as edge
-    directions, independently of the incidence signs the module computes
-    with; the tests use them as the oracle.
-    """
-    a, b, c = simplex
-    if sign > 0:
-        return ((a, b), (b, c), (c, a))
-    return ((b, a), (c, b), (a, c))
-
-
-def induced_edge_direction(simplex, sign, edge):
-    """Direction a triangle's orientation induces on one of its edges."""
-    for (x, y) in oriented_boundary_edges(simplex, sign):
-        if (min(x, y), max(x, y)) == edge:
-            return (x, y)
-    raise InputError(f"edge {edge} is not a face of {simplex}")
 
 
 def _face_signs(tops, signs, face, a, b):
@@ -207,10 +186,7 @@ def _validate_cover(cover: CoverComplex, base: SimplicialComplex):
         raise ModelIntegrityError("projection does not absorb the deck transformation")
     if not deck.is_involution():
         raise ModelIntegrityError("deck transformation is not an involution")
-    branch_vertices = set()
-    if cover.branch is not None:
-        for (v,) in cover.branch.simplices(0):
-            branch_vertices.add(v)
+    branch_vertices = {v for (v,) in cover.branch.simplices(0)} if cover.branch else set()
     fibers = {}
     for v in range(total.vertex_count):
         fibers.setdefault(proj(v), set()).add(v)
@@ -255,14 +231,16 @@ def double_cover_unbranched(K: SimplicialComplex, w: int) -> CoverComplex:
         return (w >> K.index_of(e)) & 1
 
     nv = K.vertex_count
+    # by the cocycle condition each face of a lift is the lift of a face:
+    # the total is closed, and projection and deck map lifts onto simplices
     simplices = []
     for s in K.all_simplices():
         v0 = s[0]
         for sheet in (0, 1):
             simplices.append(tuple(sorted(v + nv * (sheet ^ edge_bit(v0, v)) for v in s)))
-    total = SimplicialComplex(2 * nv, simplices)
-    proj = SimplicialMap(total, K, [v % nv for v in range(2 * nv)])
-    deck = SimplicialMap(total, total, [(v + nv) % (2 * nv) for v in range(2 * nv)])
+    total = SimplicialComplex._trusted(2 * nv, _levels(simplices))
+    proj = SimplicialMap._trusted(total, K, [v % nv for v in range(2 * nv)])
+    deck = SimplicialMap._trusted(total, total, [(v + nv) % (2 * nv) for v in range(2 * nv)])
     cover = CoverComplex(total, proj, deck, _sheet_labels_from_projection(total, K, proj))
     _validate_cover(cover, K)
     return cover
@@ -270,7 +248,6 @@ def double_cover_unbranched(K: SimplicialComplex, w: int) -> CoverComplex:
 
 def _sheet_labels_from_projection(total, base, proj):
     n = base.dimension
-    base_tops = base.simplices(n)
     seen = {}
     labels = []
     for t in total.simplices(n):
@@ -307,11 +284,8 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
             raise InputError(f"cut chain entry {s} is not a codimension-1 simplex")
         cut.symmetric_difference_update({s})
 
-    boundary_support = _boundary_support(K, cut, n - 1)
-    branch_simplices = set()
-    for f in boundary_support:
-        for k in range(1, len(f) + 1):
-            branch_simplices.update(combinations(f, k))
+    branch = SimplicialComplex.from_simplices(K.vertex_count, _boundary_support(K, cut, n - 1))
+    branch_simplices = set(branch.all_simplices())
     branch_vertices = {v for s in branch_simplices for v in s}
     within = set(map(tuple, K.simplices_within(branch_vertices)))
     if within != branch_simplices:
@@ -324,41 +298,25 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
     tops = K.simplices(n)
     m = len(tops)
 
-    # union-find over (top, sheet, vertex) triples
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for t in range(m):
-        for sheet in (0, 1):
-            for v in tops[t]:
-                find((t, sheet, v))
+    # one slot per vertex of each copy of each top: (2 * t + sheet) * w + i
+    # for the i-th vertex; the slot order is the order of (t, sheet, vertex)
+    w = n + 1
+    glued = []
     for face, a, b in _top_adjacency(K):
         flip = 1 if face in cut else 0
         for sheet in (0, 1):
             for v in face:
-                union((a, sheet, v), (b, sheet ^ flip, v))
-
-    classes = sorted({find(x) for x in list(parent)})
-    class_index = {c: i for i, c in enumerate(classes)}
-
-    def vertex_of(t, sheet, v):
-        return class_index[find((t, sheet, v))]
+                glued.append(((2 * a + sheet) * w + tops[a].index(v),
+                              (2 * b + (sheet ^ flip)) * w + tops[b].index(v)))
+    # total vertices are the classes of glued slots, numbered by lowest slot
+    number = {}
+    vertex = [number.setdefault(r, len(number)) for r in _roots(2 * m * w, glued)]
 
     total_tops = []
     label_of = {}
     for t in range(m):
         for sheet in (0, 1):
-            vs = tuple(sorted(vertex_of(t, sheet, v) for v in tops[t]))
+            vs = tuple(sorted(vertex[(2 * t + sheet) * w: (2 * t + sheet + 1) * w]))
             if len(set(vs)) != len(vs):
                 raise InputError(
                     f"cut-and-glue degenerates top simplex {tops[t]}; subdivide first"
@@ -369,25 +327,23 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
                 )
             label_of[vs] = (t, sheet)
             total_tops.append(vs)
-    total = SimplicialComplex.from_simplices(len(classes), total_tops)
+    total = SimplicialComplex.from_simplices(len(number), total_tops)
 
-    proj_images = [0] * len(classes)
-    deck_images = [0] * len(classes)
-    for (t, sheet, v), _ in list(parent.items()):
-        i = vertex_of(t, sheet, v)
-        proj_images[i] = v
-        deck_images[i] = vertex_of(t, 1 - sheet, v)
-    proj = SimplicialMap(total, K, proj_images)
-    deck = SimplicialMap(total, total, deck_images)
+    proj_images = [0] * len(number)
+    deck_images = [0] * len(number)
+    for x, i in enumerate(vertex):
+        copy, pos = divmod(x, w)
+        proj_images[i] = tops[copy // 2][pos]
+        deck_images[i] = vertex[(copy ^ 1) * w + pos]
+    # glued vertices share their base vertex, and the gluing treats both
+    # sheets alike: each total top goes onto its base top and its other copy
+    proj = SimplicialMap._trusted(total, K, proj_images)
+    deck = SimplicialMap._trusted(total, total, deck_images)
 
-    branch = SimplicialComplex(K.vertex_count, branch_simplices) if branch_simplices \
-        else None
-    labels = []
-    for tt in total.simplices(n):
-        labels.append(label_of[tt])
-    cover = CoverComplex(total, proj, deck, tuple(labels), branch)
+    labels = tuple(label_of[tt] for tt in total.simplices(n))
+    cover = CoverComplex(total, proj, deck, labels, branch if branch_simplices else None)
     _validate_cover(cover, K)
-    if branch is not None:
+    if branch_simplices:
         _check_branch_preimage(cover, K, branch_simplices)
     return cover
 
@@ -733,50 +689,54 @@ def lift_involution(cover: CoverComplex, tau: SimplicialMap):
     total, proj = cover.total, cover.projection
     base = proj.target
     check_involution(base, tau)
+    bad = impure_simplex(total)
+    if bad is not None:
+        raise InputError(f"cover total is not pure: {bad} is not a face of a top simplex")
     n = total.dimension
     tops = total.simplices(n)
-    m = len(tops)
-
-    # vertex-level image constraints collected during propagation
-    vertex_image = {}
-
-    def learn(v, w):
-        if vertex_image.setdefault(v, w) != w:
-            raise InputError(
-                "cover class not invariant under the involution: "
-                f"vertex {v} receives two images"
-            )
-
-    by_base_sheet = {}
-    for j, (bi, sheet) in enumerate(cover.sheet_labels):
-        by_base_sheet[(bi, sheet)] = j
-
+    cofaces = total.cofaces(n - 1)
+    by_label = {label: j for j, label in enumerate(cover.sheet_labels)}
     base_tops = base.simplices(n)
+    vertex_image = {}
+    assigned = [None] * len(tops)
 
-    assigned = [None] * m
-    for root in range(m):
+    def assign(t, img_t):
+        """Send top t onto top img_t and record its vertex images."""
+        assigned[t] = img_t
+        dst_by_proj = {}
+        for w in tops[img_t]:
+            dst_by_proj.setdefault(proj(w), []).append(w)
+        for v in tops[t]:
+            cands = dst_by_proj.get(tau(proj(v)), [])
+            if len(cands) != 1:
+                raise InputError(
+                    "cover class not invariant under the involution: ambiguous vertex image"
+                )
+            if vertex_image.setdefault(v, cands[0]) != cands[0]:
+                raise InputError(
+                    "cover class not invariant under the involution: "
+                    f"vertex {v} receives two images"
+                )
+
+    for root in range(len(tops)):
         if assigned[root] is not None:
             continue
         # roots keep their sheet: the canonical lift c+
         root_base, root_sheet = cover.sheet_labels[root]
         img_base = tuple(sorted(tau(v) for v in base_tops[root_base]))
-        img_bi = base.index_of(img_base)
-        target = by_base_sheet[(img_bi, root_sheet)]
-        assigned[root] = target
-        _learn_top(total, proj, tau, tops, root, target, learn)
+        assign(root, by_label[(base.index_of(img_base), root_sheet)])
         stack = [root]
         while stack:
             t = stack.pop()
-            for face_idx in _top_faces(total, t):
-                cof = total.cofaces(n - 1)[face_idx]
+            for face in combinations(tops[t], n):
+                cof = cofaces[total.index_of(face)]
                 if len(cof) != 2:
                     continue
                 u = cof[0] if cof[1] == t else cof[1]
                 # the image of u is the coface of the image face adjacent
                 # to the image of t
-                face = total.simplices(n - 1)[face_idx]
                 img_face = tuple(sorted(vertex_image[v] for v in face))
-                img_cof = total.cofaces(n - 1)[total.index_of(img_face)]
+                img_cof = cofaces[total.index_of(img_face)]
                 img_t = assigned[t]
                 if img_t not in img_cof:
                     raise InputError(
@@ -785,8 +745,7 @@ def lift_involution(cover: CoverComplex, tau: SimplicialMap):
                     )
                 img_u = img_cof[0] if img_cof[1] == img_t else img_cof[1]
                 if assigned[u] is None:
-                    assigned[u] = img_u
-                    _learn_top(total, proj, tau, tops, u, img_u, learn)
+                    assign(u, img_u)
                     stack.append(u)
                 elif assigned[u] != img_u:
                     raise InputError(
@@ -795,35 +754,13 @@ def lift_involution(cover: CoverComplex, tau: SimplicialMap):
                     )
 
     images = [vertex_image[v] for v in range(total.vertex_count)]
-    c_plus = SimplicialMap(total, total, images)
+    # every top went onto a top vertex by vertex, so every simplex does
+    c_plus = SimplicialMap._trusted(total, total, images)
     c_minus = cover.deck.compose(c_plus)
     for lift in (c_plus, c_minus):
         if proj.compose(lift).images != tau.compose(proj).images:
             raise ModelIntegrityError("constructed lift does not commute with projection")
     return c_plus, c_minus
-
-
-def _top_faces(total, t):
-    n = total.dimension
-    s = total.simplices(n)[t]
-    return [total.index_of(f) for f in combinations(s, n)]
-
-
-def _learn_top(total, proj, tau, tops, t, img_t, learn):
-    """Record vertex images for one top-simplex assignment."""
-    src = tops[t]
-    dst = tops[img_t]
-    dst_by_proj = {}
-    for w in dst:
-        dst_by_proj.setdefault(proj(w), []).append(w)
-    for v in src:
-        want = tau(proj(v))
-        cands = dst_by_proj.get(want, [])
-        if len(cands) != 1:
-            raise InputError(
-                "cover class not invariant under the involution: ambiguous vertex image"
-            )
-        learn(v, cands[0])
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    _levels,
     check_involution,
     check_regular_involution,
     orbit_chain_boundaries,
@@ -165,8 +166,9 @@ def fixed_subcomplex(K: SimplicialComplex, tau: SimplicialMap,
 
 def _fixed_set(K: SimplicialComplex, tau: SimplicialMap):
     """(F, components, mid, mid_cycle) in one pass over the fixed simplices."""
-    F = SimplicialComplex(
-        K.vertex_count, [s for s in K.all_simplices() if all(tau(v) == v for v in s)]
+    # faces of fixed simplices are fixed, and faces stay in their component
+    F = SimplicialComplex._trusted(
+        K.vertex_count, _levels(s for s in K.all_simplices() if all(tau(v) == v for v in s))
     )
     comps = F.components()
     comp_of = {v: i for i, vs in enumerate(comps) for v in vs}
@@ -181,7 +183,7 @@ def _fixed_set(K: SimplicialComplex, tau: SimplicialMap):
         cdim = len(group[-1]) - 1
         cycle = None
         if cdim == mid:
-            pseudomanifold_check(SimplicialComplex(K.vertex_count, group))
+            pseudomanifold_check(SimplicialComplex._trusted(K.vertex_count, _levels(group)))
             cycle = sum(1 << K.index_of(s) for s in group if len(s) == cdim + 1)
             mid_cycle ^= cycle
         components.append(FixedComponent(cdim, cycle))
@@ -202,8 +204,6 @@ def _middle_forms(space, tau=None, act=True):
             raise InputError("chain data has no intersection pairing")
         return homology(space, middle_dimension(space)), space.pairing, space
     if act:
-        if tau is None:
-            raise InputError("a simplicial involution is required")
         check_involution(space, tau)
     dd = duality_data(space, middle_dimension(space))
     return dd.hom, intersection_form_matrix(dd), tau

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, closure
+from .complexes import SimplicialComplex, SimplicialMap, _levels, barycentric_subdivide, closure
 from .coverings import double_cover_unbranched, stiefel_whitney_cocycle
 from .errors import InputError
 from .gf2 import Gf2Matrix
@@ -297,9 +297,10 @@ def double_along_boundary(H: SimplicialComplex, boundary_vertices):
     def mirror(v):
         return v if v in bset else v + nv
 
+    # the mirror is injective on vertices and carries faces to faces
     simplices = list(H.all_simplices())
     simplices += [tuple(sorted(mirror(v) for v in s)) for s in H.all_simplices()]
-    K = SimplicialComplex(2 * nv, simplices)
+    K = SimplicialComplex._trusted(2 * nv, _levels(simplices))
     images = list(range(2 * nv))
     for v in range(nv):
         if v not in bset:

@@ -1,5 +1,6 @@
 import pytest
 
+from conjtop.errors import InputError
 from conjtop.models import model_library
 
 
@@ -29,3 +30,26 @@ def marked_basis(library, name):
 def involution_model(library, name):
     src, _, tau = library.maps[name]
     return library.complexes[src], tau, marked_basis(library, src)
+
+
+def oriented_boundary_edges(simplex, sign):
+    """Directed boundary edges of an oriented triangle.
+
+    With positive sign the cycle is v0 -> v1 -> v2 -> v0 on the sorted
+    vertices; negative sign reverses it.  This and
+    :func:`induced_edge_direction` spell the orientation rule out as edge
+    directions, independently of the incidence signs ``conjtop`` computes
+    with; the tests use them as the oracle.
+    """
+    a, b, c = simplex
+    if sign > 0:
+        return ((a, b), (b, c), (c, a))
+    return ((b, a), (c, b), (a, c))
+
+
+def induced_edge_direction(simplex, sign, edge):
+    """Direction a triangle's orientation induces on one of its edges."""
+    for (x, y) in oriented_boundary_edges(simplex, sign):
+        if (min(x, y), max(x, y)) == edge:
+            return (x, y)
+    raise InputError(f"edge {edge} is not a face of {simplex}")

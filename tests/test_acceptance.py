@@ -15,7 +15,6 @@ from conjtop.coverings import (
     curve_complex_semiorientation,
     dividing_test,
     double_cover_unbranched,
-    induced_edge_direction,
     kharlamov_congruence,
     orient_surface,
     orientation_cover,
@@ -46,7 +45,7 @@ from conjtop.qforms import (
     pin_value_from_loops,
     spin_value_from_loops,
 )
-from conftest import involution_model
+from conftest import induced_edge_direction, involution_model
 
 
 def _report(name, elapsed, budget):

@@ -20,7 +20,6 @@ from conjtop.coverings import (
     double_cover_unbranched,
     extendibility_check,
     flip_semiorientation,
-    induced_edge_direction,
     is_coherent,
     kharlamov_congruence,
     lift_involution,
@@ -32,7 +31,7 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import gf2_solve
 from conjtop.homology import betti_numbers, cohomology
 from conjtop.involutions import fixed_subcomplex
-from conftest import chain_bits, involution_model
+from conftest import chain_bits, induced_edge_direction, involution_model
 
 
 def curve(library, complex_name, mark):
