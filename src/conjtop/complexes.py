@@ -81,6 +81,7 @@ class SimplicialComplex:
         "vertex_count",
         "_by_dim",
         "_index",
+        "_faces_cache",
         "_boundary_cache",
         "_columns_cache",
         "_cofaces_cache",
@@ -121,6 +122,7 @@ class SimplicialComplex:
         self._index = index = {}
         for group in self._by_dim:
             index.update(zip(group, range(len(group))))
+        self._faces_cache = {}
         self._boundary_cache = {}
         self._columns_cache = {}
         self._cofaces_cache = {}
@@ -180,34 +182,65 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_simplices(k) for k in range(self.dimension + 1))
 
+    def face_indices(self, k: int):
+        """Indices of the codimension-1 faces of each k-simplex, in
+        ``combinations`` order (the face without the last vertex first).
+
+        The one pass over the k-simplices that the boundary columns, the
+        boundary rows and the cofaces one dimension down all read.
+        """
+        faces = self._faces_cache.get(k)
+        if faces is None:
+            index, group = self._index, self.simplices(k)
+            if k == 0:
+                faces = ((),) * len(group)
+            elif k == 1:
+                faces = tuple((index[(a,)], index[(b,)]) for a, b in group)
+            elif k == 2:
+                faces = tuple((index[a, b], index[a, c], index[b, c]) for a, b, c in group)
+            else:
+                faces = tuple(tuple(index[f] for f in combinations(s, k)) for s in group)
+            self._faces_cache[k] = faces
+        return faces
+
     def boundary_matrix(self, k: int) -> Gf2Matrix:
-        """GF(2) boundary from k-chains to (k-1)-chains."""
+        """GF(2) boundary from k-chains to (k-1)-chains.
+
+        Row i collects the k-simplices that have face i, scattered from the
+        face indices in one pass.
+        """
         if k not in self._boundary_cache:
-            cols = Gf2Matrix(self.n_simplices(k), self.n_simplices(k - 1), self.boundary_columns(k))
-            self._boundary_cache[k] = cols.transpose()
+            rows = [0] * self.n_simplices(k - 1)
+            bit = 1
+            for faces in self.face_indices(k):
+                for i in faces:
+                    rows[i] |= bit
+                bit <<= 1
+            self._boundary_cache[k] = Gf2Matrix._trusted(len(rows), self.n_simplices(k), tuple(rows))
         return self._boundary_cache[k]
 
     def boundary_columns(self, k: int):
         """Boundary of each k-simplex as a bit vector over the (k-1)-simplices."""
         if k not in self._columns_cache:
-            index = self._index
-            self._columns_cache[k] = tuple(
-                sum(1 << index[f] for f in combinations(s, k)) if k else 0
-                for s in self.simplices(k)
-            )
+            faces = self.face_indices(k)
+            if k == 1:
+                cols = tuple((1 << a) | (1 << b) for a, b in faces)
+            elif k == 2:
+                cols = tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in faces)
+            else:
+                cols = tuple(sum(1 << i for i in f) for f in faces)
+            self._columns_cache[k] = cols
         return self._columns_cache[k]
 
     def cofaces(self, k: int):
         """Map from each k-simplex index to indices of its (k+1)-cofaces."""
-        if k in self._cofaces_cache:
-            return self._cofaces_cache[k]
-        out = [[] for _ in range(self.n_simplices(k))]
-        for j, s in enumerate(self.simplices(k + 1)):
-            for f in combinations(s, k + 1):
-                out[self._index[f]].append(j)
-        out = tuple(tuple(c) for c in out)
-        self._cofaces_cache[k] = out
-        return out
+        if k not in self._cofaces_cache:
+            out = [[] for _ in range(self.n_simplices(k))]
+            for j, faces in enumerate(self.face_indices(k + 1)):
+                for i in faces:
+                    out[i].append(j)
+            self._cofaces_cache[k] = tuple(map(tuple, out))
+        return self._cofaces_cache[k]
 
     def subcomplex(self, simplices) -> "SimplicialComplex":
         simplices = [tuple(s) for s in simplices]
@@ -399,37 +432,33 @@ def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):
     """
     check_regular_involution(K, tau)
 
-    reps = []
-    orbit_index = []
+    index = K._index
+    reps = []  # per dimension: the index in K of each orbit's first simplex
+    orbit_of = []  # per dimension: the orbit number of each simplex of K
+    fixed_flags = []
     for k in range(K.dimension + 1):
-        lst = []
-        idx = {}
-        for s in K.simplices(k):
+        lst, of, mask = [], [0] * K.n_simplices(k), 0
+        for i, s in enumerate(K.simplices(k)):
             img = tau.map_simplex(s)
-            rep = min(s, img)
-            if rep == s:
-                idx[s] = len(lst)
-                if img != s:
-                    idx[img] = len(lst)
-                lst.append(s)
+            if s <= img:
+                if s == img:  # fixed pointwise, as the involution is regular
+                    mask |= 1 << len(lst)
+                of[i] = of[index[img]] = len(lst)
+                lst.append(i)
         reps.append(lst)
-        orbit_index.append(idx)
+        orbit_of.append(of)
+        fixed_flags.append(mask)
 
     boundaries = []
     for k in range(1, K.dimension + 1):
+        faces, of = K.face_indices(k), orbit_of[k - 1]
         rows = [0] * len(reps[k - 1])
-        for j, s in enumerate(reps[k]):
-            for f in combinations(s, k):
-                rows[orbit_index[k - 1][f]] ^= 1 << j
-        boundaries.append(Gf2Matrix(len(reps[k - 1]), len(reps[k]), rows))
-
-    fixed_flags = []
-    for k in range(K.dimension + 1):
-        mask = 0
-        for j, s in enumerate(reps[k]):
-            if all(tau(v) == v for v in s):
-                mask |= 1 << j
-        fixed_flags.append(mask)
+        bit = 1
+        for i in reps[k]:
+            for f in faces[i]:
+                rows[of[f]] ^= bit
+            bit <<= 1
+        boundaries.append(Gf2Matrix._trusted(len(rows), len(reps[k]), tuple(rows)))
     return boundaries, fixed_flags
 
 

@@ -56,6 +56,14 @@ class Gf2Matrix:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, nrows: int, ncols: int, rows: tuple) -> "Gf2Matrix":
+        """Matrix from a tuple of ``nrows`` rows that fit ``ncols`` columns by
+        construction (boundaries, transposes, products, sums); not re-checked."""
+        M = cls.__new__(cls)
+        M.nrows, M.ncols, M.rows = nrows, ncols, rows
+        return M
+
+    @classmethod
     def from_rows(cls, entry_rows, ncols=None) -> "Gf2Matrix":
         entry_rows = [list(r) for r in entry_rows]
         if ncols is None:
@@ -104,7 +112,7 @@ class Gf2Matrix:
         return cols
 
     def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.ncols, self.nrows, self.columns())
+        return Gf2Matrix._trusted(self.ncols, self.nrows, tuple(self.columns()))
 
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector, both bit-packed."""
@@ -126,12 +134,14 @@ class Gf2Matrix:
                 acc ^= other.rows[k]
                 rr &= rr - 1
             out.append(acc)
-        return Gf2Matrix(self.nrows, other.ncols, out)
+        return Gf2Matrix._trusted(self.nrows, other.ncols, tuple(out))
 
     def __add__(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise InputError("dimension mismatch in matrix sum")
-        return Gf2Matrix(self.nrows, self.ncols, (a ^ b for a, b in zip(self.rows, other.rows)))
+        return Gf2Matrix._trusted(
+            self.nrows, self.ncols, tuple(a ^ b for a, b in zip(self.rows, other.rows))
+        )
 
     def __eq__(self, other):
         return (

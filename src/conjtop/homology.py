@@ -47,6 +47,7 @@ class ChainComplexData:
         "fixed_class",
         "fixed_betti_total",
         "_cols_cache",
+        "_faces_cache",
         "_red_cache",
         "_hom_cache",
         "_coh_cache",
@@ -95,6 +96,7 @@ class ChainComplexData:
                     raise InputError(f"involution does not commute with boundary {k}")
         self.involution = involution
         self._cols_cache = {}
+        self._faces_cache = {}
         self._red_cache = {}
         self._hom_cache = {}
         self._coh_cache = {}
@@ -127,8 +129,23 @@ class ChainComplexData:
     def boundary_columns(self, k):
         """Columns of the boundary out of dimension k, as bit vectors."""
         if k not in self._cols_cache:
-            self._cols_cache[k] = self.boundary_matrix(k).columns()
+            self._cols_cache[k] = tuple(sum(1 << i for i in f) for f in self.face_indices(k))
         return self._cols_cache[k]
+
+    def face_indices(self, k):
+        """Rows of the set bits of each boundary column out of dimension k,
+        ascending, scattered from the set bits of the rows in one pass; the
+        columns and the relative restrictions are read from them."""
+        if k not in self._faces_cache:
+            M = self.boundary_matrix(k)
+            faces = [[] for _ in range(M.ncols)]
+            for i, r in enumerate(M.rows):
+                while r:
+                    low = r & -r
+                    faces[low.bit_length() - 1].append(i)
+                    r ^= low
+            self._faces_cache[k] = tuple(map(tuple, faces))
+        return self._faces_cache[k]
 
     def n_simplices(self, k):
         return self.ranks[k] if 0 <= k <= self.dimension else 0
@@ -205,28 +222,30 @@ def _quotient_basis(dimension, n_chains, boundaries, cycles, chart=None):
 def _reduction(space, k, co=False):
     """Cached reduction of the boundary columns out of dimension k, or with
     ``co`` of the coboundary out of degree k (the rows of the boundary into
-    k + 1).  The pivots of a cached reduction of the map into k are cleared.
+    k + 1).
+
+    The map one step toward the top (the boundary into k, or the coboundary
+    into degree k) is reduced first whenever it is nonzero, so its pivots
+    are always there to clear, whatever order the degrees are asked in.
     """
     cache = space._red_cache
     if (co, k) not in cache:
+        # the map into k: the boundary out of k + 1, or the coboundary out of k - 1
+        d, up = (k, k - 1) if co else (k + 1, k + 1)
+        image = _reduction(space, up, co)[0] if 1 <= d <= space.dimension else ()
         cols = space.boundary_matrix(k + 1).rows if co else space.boundary_columns(k)
-        image = cache.get((co, k - 1 if co else k + 1))
-        cache[co, k] = reduce_columns(cols, image[0] if image else ())
+        cache[co, k] = reduce_columns(cols, image)
     return cache[co, k]
 
 
-def _restrict_columns(cols, keep_cols, keep_rows):
-    """The kept columns, each restricted to the kept rows renumbered in order."""
-    pos = {i: 1 << r for r, i in enumerate(keep_rows)}
-    out = []
-    for j in keep_cols:
-        c, r = cols[j], 0
-        while c:
-            bit = c & -c
-            r |= pos.get(bit.bit_length() - 1, 0)
-            c ^= bit
-        out.append(r)
-    return out
+def _restrict_columns(space, k, keep_cols, keep_rows):
+    """The kept boundary columns out of dimension k, each restricted to the
+    kept rows renumbered in order, read from the face indices."""
+    pos = [0] * space.n_simplices(k - 1)
+    for r, i in enumerate(keep_rows):
+        pos[i] = 1 << r
+    faces = space.face_indices(k)
+    return [sum(map(pos.__getitem__, faces[j])) for j in keep_cols]
 
 
 def _rel_masks(space, rel):
@@ -284,9 +303,8 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
         [j for j in range(space.n_simplices(kk)) if not (masks[kk] >> j) & 1]
         for kk in (k - 1, k, k + 1)
     )
-    cols_k, cols_k1 = space.boundary_columns(k), space.boundary_columns(k + 1)
-    boundaries = reduce_columns(_restrict_columns(cols_k1, keep_kp1, keep_k))
-    cycles = reduce_columns(_restrict_columns(cols_k, keep_k, keep_km1), boundaries[0])
+    boundaries = reduce_columns(_restrict_columns(space, k + 1, keep_kp1, keep_k))
+    cycles = reduce_columns(_restrict_columns(space, k, keep_k, keep_km1), boundaries[0])
     return _quotient_basis(k, len(keep_k), boundaries, cycles, chart=tuple(keep_k))
 
 
