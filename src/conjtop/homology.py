@@ -63,21 +63,20 @@ class ChainComplexData:
         fixed_class=None,
         fixed_betti_total=None,
     ):
-        self.ranks = tuple(int(r) for r in ranks)
-        n = len(self.ranks) - 1
+        ranks = tuple(int(r) for r in ranks)
+        n = len(ranks) - 1
         boundaries = tuple(boundaries)
         if len(boundaries) != n:
             raise InputError(f"expected {n} boundary matrices, got {len(boundaries)}")
         for k, M in enumerate(boundaries, start=1):
-            if (M.nrows, M.ncols) != (self.ranks[k - 1], self.ranks[k]):
+            if (M.nrows, M.ncols) != (ranks[k - 1], ranks[k]):
                 raise InputError(f"boundary {k} has shape {M.nrows}x{M.ncols}")
         for k in range(1, n):
             if not (boundaries[k - 1] * boundaries[k]).is_zero():
                 raise InputError(f"boundary composition in dimension {k + 1} is nonzero")
-        self.boundaries = boundaries
-        self.int_boundaries = tuple(int_boundaries) if int_boundaries else None
-        if self.int_boundaries:
-            for k, (M, B) in enumerate(zip(self.int_boundaries, boundaries), start=1):
+        int_boundaries = tuple(int_boundaries) if int_boundaries else None
+        if int_boundaries:
+            for k, (M, B) in enumerate(zip(int_boundaries, boundaries), start=1):
                 if (M.nrows, M.ncols) != (B.nrows, B.ncols):
                     raise InputError(f"integer boundary {k} shape mismatch")
                 if M.mod2() != B:
@@ -87,22 +86,15 @@ class ChainComplexData:
             if len(involution) != n + 1:
                 raise InputError("involution needs one chain map per dimension")
             for k, T in enumerate(involution):
-                if (T.nrows, T.ncols) != (self.ranks[k], self.ranks[k]):
+                if (T.nrows, T.ncols) != (ranks[k], ranks[k]):
                     raise InputError(f"involution chain map {k} has the wrong shape")
-                if T * T != Gf2Matrix.identity(self.ranks[k]):
+                if T * T != Gf2Matrix.identity(ranks[k]):
                     raise InputError(f"involution chain map {k} does not square to identity")
             for k in range(1, n + 1):
                 if involution[k - 1] * boundaries[k - 1] != boundaries[k - 1] * involution[k]:
                     raise InputError(f"involution does not commute with boundary {k}")
-        self.involution = involution
-        self._cols_cache = {}
-        self._faces_cache = {}
-        self._red_cache = {}
-        self._hom_cache = {}
-        self._coh_cache = {}
-        self.pairing = pairing
-        self.fixed_class = fixed_class
-        self.fixed_betti_total = fixed_betti_total
+        self._setup(ranks, boundaries, int_boundaries, involution, pairing, fixed_class,
+                    fixed_betti_total)
         if pairing is not None:
             b = homology(self, middle_dimension(self)).betti
             if (pairing.nrows, pairing.ncols) != (b, b):
@@ -114,6 +106,30 @@ class ChainComplexData:
         if fixed_class is not None and pairing is not None:
             if fixed_class >> self.pairing.nrows:
                 raise InputError("fixed class has more coordinates than the middle Betti")
+
+    @classmethod
+    def _trusted(cls, ranks, boundaries) -> "ChainComplexData":
+        """Chain complex from boundaries of the stated shapes that compose to
+        zero by construction (orbit chains of a simplicial involution);
+        nothing is re-checked."""
+        C = cls.__new__(cls)
+        C._setup(tuple(ranks), tuple(boundaries))
+        return C
+
+    def _setup(self, ranks, boundaries, int_boundaries=None, involution=None, pairing=None,
+               fixed_class=None, fixed_betti_total=None):
+        self.ranks = ranks
+        self.boundaries = boundaries
+        self.int_boundaries = int_boundaries
+        self.involution = involution
+        self.pairing = pairing
+        self.fixed_class = fixed_class
+        self.fixed_betti_total = fixed_betti_total
+        self._cols_cache = {}
+        self._faces_cache = {}
+        self._red_cache = {}
+        self._hom_cache = {}
+        self._coh_cache = {}
 
     @property
     def dimension(self):

@@ -364,7 +364,8 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
     kernel_dim = fix_h2.betti - len(img_rows)
 
     boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
-    orbits = ChainComplexData([boundaries[0].nrows] + [b.ncols for b in boundaries], boundaries)
+    orbits = ChainComplexData._trusted([boundaries[0].nrows] + [b.ncols for b in boundaries],
+                                       boundaries)
     table = {k: homology(orbits, k, rel=fixed_flags).betti for k in (4, 3, 2)}
     asserted = _smith_verdict(kernel_dim, h1_trivial, table)
     return SmithReport(kernel_dim, h1_trivial, asserted, table)

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, ModelIntegrityError
-from .intmat import IntMatrix, int_solve, invariant_factors
+from .intmat import (
+    IntMatrix,
+    int_kernel_basis,
+    int_solve,
+    invariant_factors,
+    smith_normal_form,
+    snf_solve,
+)
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,6 @@ def build_lattice(
 
 def invariant_sublattices(L: IntegerLattice):
     """Integer bases of ker(T - I) and ker(T + I)."""
-    from .intmat import int_kernel_basis
-
     T = L.isometry
     n = L.rank
     I = IntMatrix.identity(n)
@@ -101,7 +106,8 @@ def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> 
 
     Checks, each by exact matrix arithmetic: push after pull is doubling,
     pull is injective, the image of pull is invariant, and twice any
-    invariant class lies in the image of pull.
+    invariant class lies in the image of pull.  One audited Smith form of
+    pull serves the injectivity check and every solve.
     """
     Q = Q or L.transfer
     if Q is None:
@@ -112,7 +118,8 @@ def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> 
         raise ModelIntegrityError("push after pull is not multiplication by 2",
                                   report={"composition": comp})
     report["composition_is_doubling"] = True
-    factors = invariant_factors(Q.p_pull)
+    pull_snf = smith_normal_form(Q.p_pull)
+    factors = tuple(d for d in pull_snf[0].diagonal_entries() if d != 0)
     if len(factors) != Q.quotient_rank:
         raise ModelIntegrityError("pull map is not injective", report={"factors": factors})
     report["pull_injective"] = True
@@ -122,10 +129,9 @@ def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> 
         raise ModelIntegrityError("image of pull is not invariant under the isometry",
                                   report={"defect": fixed})
     report["image_invariant"] = True
-    invariant, _ = invariant_sublattices(L)
+    invariant = int_kernel_basis(T - IntMatrix.identity(L.rank))
     for alpha in invariant:
-        doubled = [2 * a for a in alpha]
-        if int_solve(Q.p_pull, doubled) is None:
+        if snf_solve(pull_snf, [2 * a for a in alpha]) is None:
             raise ModelIntegrityError(
                 "twice an invariant class escapes the image of pull",
                 report={"alpha": alpha},

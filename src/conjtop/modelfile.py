@@ -90,6 +90,10 @@ def _read_matrix_rows(lines, nrows, ncols, what):
     return rows
 
 
+def _read_int_matrix(lines, nrows, ncols, what):
+    return IntMatrix(_read_matrix_rows(lines, nrows, ncols, what), ncols)
+
+
 def _read_gf2_matrix(lines, nrows, ncols, what):
     rows = _read_matrix_rows(lines, nrows, ncols, what)
     try:
@@ -224,8 +228,8 @@ def _parse_chain(lines, model, name, header_ln):
             boundaries[k] = _read_gf2_matrix(lines, ranks[k - 1], ranks[k], f"boundary {k}")
         elif key == "boundary_int":
             k = _ints(ln, body[len("boundary_int"):], 1)[0]
-            int_boundaries[k] = IntMatrix(
-                _read_matrix_rows(lines, ranks[k - 1], ranks[k], f"boundary_int {k}")
+            int_boundaries[k] = _read_int_matrix(
+                lines, ranks[k - 1], ranks[k], f"boundary_int {k}"
             )
         elif key == "involution":
             k = _ints(ln, body[len("involution"):], 1)[0]
@@ -277,9 +281,9 @@ def _parse_lattice(lines, model, name, header_ln):
         elif rank is None:
             raise InputError(f"line {ln}: lattice section must start with a rank line")
         elif key == "gram":
-            gram = IntMatrix(_read_matrix_rows(lines, rank, rank, "gram"))
+            gram = _read_int_matrix(lines, rank, rank, "gram")
         elif key == "isometry":
-            isometry = IntMatrix(_read_matrix_rows(lines, rank, rank, "isometry"))
+            isometry = _read_int_matrix(lines, rank, rank, "isometry")
         elif key == "mark":
             if len(tokens) < 2:
                 raise InputError(f"line {ln}: mark needs a name")
@@ -288,17 +292,17 @@ def _parse_lattice(lines, model, name, header_ln):
             chi_real = _ints(ln, body[len("chi_real"):], 1)[0]
         elif key == "presentation":
             nrows = _ints(ln, body[len("presentation"):], 1)[0]
-            presentation = IntMatrix(_read_matrix_rows(lines, nrows, rank, "presentation"))
+            presentation = _read_int_matrix(lines, nrows, rank, "presentation")
         elif key == "transfer":
             qrank = _ints(ln, body[len("transfer"):], 1)[0]
             ln2, body2 = lines.next_content()
             if body2 != "pull":
                 raise InputError(f"line {ln2}: transfer block expects 'pull'")
-            pull = IntMatrix(_read_matrix_rows(lines, rank, qrank, "pull"))
+            pull = _read_int_matrix(lines, rank, qrank, "pull")
             ln3, body3 = lines.next_content()
             if body3 != "push":
                 raise InputError(f"line {ln3}: transfer block expects 'push'")
-            push = IntMatrix(_read_matrix_rows(lines, qrank, rank, "push"))
+            push = _read_int_matrix(lines, qrank, rank, "push")
             transfer = QuotientTransferData(qrank, pull, push)
         else:
             raise InputError(f"line {ln}: unknown lattice entry {key!r}")

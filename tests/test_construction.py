@@ -32,6 +32,7 @@ from conjtop.coverings import (
     stiefel_whitney_cocycle,
 )
 from conjtop.errors import InputError
+from conjtop.homology import ChainComplexData
 
 
 @pytest.fixture
@@ -39,12 +40,15 @@ def audited(monkeypatch):
     """Trusted constructors that also check their result the public way.
 
     A complex must equal ``SimplicialComplex(vc, all its simplices)``,
-    index included; a map must pass the ``SimplicialMap`` checks.  Returns
+    index included; a map must pass the ``SimplicialMap`` checks; a chain
+    complex must equal ``ChainComplexData(ranks, boundaries)``, which checks
+    the shapes and that consecutive boundaries compose to zero.  Returns
     the number of trusted constructions of each kind.
     """
-    built = {"complexes": 0, "maps": 0}
+    built = {"complexes": 0, "maps": 0, "chains": 0}
     trusted_complex = SimplicialComplex._trusted.__func__
     trusted_map = SimplicialMap._trusted.__func__
+    trusted_chain = ChainComplexData._trusted.__func__
 
     def complex_checked(cls, vertex_count, levels):
         K = trusted_complex(cls, vertex_count, levels)
@@ -59,8 +63,15 @@ def audited(monkeypatch):
         built["maps"] += 1
         return f
 
+    def chain_checked(cls, ranks, boundaries):
+        C = trusted_chain(cls, ranks, boundaries)
+        assert C == ChainComplexData(ranks, boundaries)
+        built["chains"] += 1
+        return C
+
     monkeypatch.setattr(SimplicialComplex, "_trusted", classmethod(complex_checked))
     monkeypatch.setattr(SimplicialMap, "_trusted", classmethod(map_checked))
+    monkeypatch.setattr(ChainComplexData, "_trusted", classmethod(chain_checked))
     return built
 
 
@@ -103,6 +114,15 @@ def test_audited_subdivision_quotient_and_fixed_sets(audited, library):
         involutions.fixed_subcomplex(Kp, taup)
         K.subcomplex(K.facets()[:2])
     assert audited["complexes"] > 4 * len(library.maps)
+
+
+def test_audited_orbit_chain_complex(audited, library):
+    maps = [(K, tau) for K, _, tau in library.maps.values()
+            if library.complexes[K].dimension == 4]
+    assert maps
+    for K, tau in maps:
+        involutions.smith_kernel_bound(library.complexes[K], tau)
+    assert audited["chains"] == len(maps)
 
 
 def test_lift_refuses_impure_cover():

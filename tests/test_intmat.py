@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conjtop.intmat
+from conjtop import models
 from conjtop.errors import InputError
 from conjtop.intmat import (
     IntMatrix,
@@ -262,6 +263,13 @@ def test_int_kernel(rows):
 @example([[-1, 0], [0, 1]])  # first pivot -1 = -prev: the zero row must be rescaled
 @example([[0, 2, 0], [1, 0, 0], [0, 0, 3]])  # zero pivot: swap
 @example([[2, 0, 1], [0, -1, 0], [1, 0, 1]])  # second pivot -2 = -prev
+# the last row lags through two pivots (2, then 3) and is updated at the third
+@example([[2, 1, 1, 0], [1, 2, 0, 1], [1, 0, 3, 1], [0, 0, 2, 3]])
+@example([[-3, 1, 0], [0, 2, 1], [1, 0, -2]])  # a row lags behind a negative pivot
+# row 2 lags behind the pivot 3 and is swapped into the zero pivot position
+@example([[3, 0, -2, -2], [3, 0, 0, 3], [0, -2, 0, 0], [2, 1, 0, 0]])
+@example([[2, 1, 0], [1, 2, 0], [0, 0, 3]])  # the last row lags to the end
+@example([[3, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])  # two lagging rows
 @settings(max_examples=300, deadline=None)
 def test_det_against_leibniz(rows):
     assert det(IntMatrix(rows)) == leibniz_det(rows)
@@ -285,6 +293,46 @@ def test_snf_matches_reference_sparse_40x30(seed):
     assert_same_snf(seeded_sparse_rows(seed))
 
 
+def signed_boundary_2(K):
+    """Integer boundary from oriented triangles to oriented edges."""
+    edges = {e: i for i, e in enumerate(K.simplices(1))}
+    rows = [[0] * K.n_simplices(2) for _ in edges]
+    for j, (a, b, c) in enumerate(K.simplices(2)):
+        rows[edges[(b, c)]][j] += 1
+        rows[edges[(a, c)]][j] -= 1
+        rows[edges[(a, b)]][j] += 1
+    return rows
+
+
+def rank_deficient_sparse_80x60():
+    rows = seeded_sparse_rows(11, m=80, n=60, density=0.06)
+    rows[-1] = [x - y for x, y in zip(rows[0], rows[1])]
+    for j in (7, 31):  # two columns that repeat others
+        for row in rows:
+            row[j] = row[j + 1] + 2 * row[j + 2]
+    return rows
+
+
+@pytest.mark.parametrize("build, torsion", [
+    (rank_deficient_sparse_80x60, None),
+    (lambda: signed_boundary_2(models.coned_grid_torus(4)[0]), ()),
+    (lambda: signed_boundary_2(models.coned_grid_klein(4)[0]), (2,)),
+], ids=["sparse_80x60", "d2_coned_torus_4", "d2_coned_klein_4"])
+def test_snf_matches_reference_at_bench_scale(build, torsion):
+    rows = build()
+    M = IntMatrix(rows)
+    D, U, V = smith_normal_form(M)
+    ref = ReferenceSNF(M)
+    assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
+    assert U * M * V == D
+    factors = invariant_factors(M)
+    if torsion is None:
+        assert len(factors) < min(M.nrows, M.ncols)
+    else:
+        # H_2 is Z for the torus and 0 for the Klein bottle, whose H_1 has one Z/2
+        assert factors == (1,) * (M.ncols - 1) + torsion
+
+
 def test_unimodularity_audit_runs_on_every_call(monkeypatch):
     seen = []
 
@@ -306,6 +354,20 @@ def test_det_examples():
     assert det(IntMatrix.identity(4)) == 1
     with pytest.raises(InputError):
         det(IntMatrix([[1, 2]]))
+
+
+def test_empty_matrices_keep_their_width():
+    assert (IntMatrix.zeros(0, 3).nrows, IntMatrix.zeros(0, 3).ncols) == (0, 3)
+    assert IntMatrix([], 3) == IntMatrix.zeros(0, 3) != IntMatrix([])
+    three_by_zero = IntMatrix([[], [], []])
+    assert three_by_zero.transpose() == IntMatrix.zeros(0, 3)
+    assert IntMatrix.zeros(0, 3).transpose() == three_by_zero
+    assert three_by_zero * IntMatrix.zeros(0, 2) == IntMatrix.zeros(3, 2)
+    assert IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 2) == IntMatrix.zeros(0, 2)
+    with pytest.raises(InputError, match="ragged"):
+        IntMatrix([[1, 2]], 3)
+    D, U, V = smith_normal_form(three_by_zero)
+    assert (D, U, V) == (three_by_zero, IntMatrix.identity(3), IntMatrix.identity(0))
 
 
 def test_mod2_reduction():

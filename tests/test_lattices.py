@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
+import conjtop.intmat
+import conjtop.lattices
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
-from conjtop.intmat import IntMatrix
+from conjtop.intmat import IntMatrix, smith_normal_form
 from conjtop.involutions import characteristic_class, is_even
 from conjtop.lattices import (
     QuotientTransferData,
@@ -15,6 +19,7 @@ from conjtop.lattices import (
     torsion_audit,
     transfer_audit,
 )
+from conjtop.modelfile import format_model, parse_model
 
 HYP = IntMatrix([[0, 1], [1, 0]])
 SWAP = IntMatrix([[0, 1], [1, 0]])
@@ -174,3 +179,73 @@ def test_alpha_chi_cross_check_violation():
     L = build_lattice(HYP, SWAP, marks={"alpha": (1, 1)}, chi_real=4)
     with pytest.raises(ModelIntegrityError):
         alpha_chi_cross_check(L)
+
+
+def swap_lattice(k, seed):
+    """k hyperbolic planes with the swap and the transfer pulling each
+    quotient class back to (1, 1), under a seeded unimodular basis change P."""
+    n = 2 * k
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    rng = random.Random(seed)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in P:  # P <- P (I + c e_j e_i^T), Pinv <- (I - c e_j e_i^T) Pinv
+            row[i] += c * row[j]
+        Pinv[j] = [a - c * b for a, b in zip(Pinv[j], Pinv[i])]
+    P, Pinv = IntMatrix(P), IntMatrix(Pinv)
+    gram = swap = IntMatrix([[int(i ^ 1 == j) for j in range(n)] for i in range(n)])
+    pull = IntMatrix([[int(i // 2 == b) for b in range(k)] for i in range(n)])
+    transfer = QuotientTransferData(k, Pinv * pull, pull.transpose() * P)
+    return build_lattice(P.transpose() * gram * P, Pinv * swap * P, transfer=transfer)
+
+
+def test_transfer_audit_factors_pull_once(monkeypatch, library):
+    """One audited Smith form of pull serves the injectivity check and every
+    solve; the only other one is that of T - I, for the invariant classes."""
+    seen = []
+
+    def counting_snf(M):
+        seen.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(conjtop.intmat, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(conjtop.lattices, "smith_normal_form", counting_snf)
+    cases = [library.lattices["quadric_lattice"]] + [swap_lattice(k, k) for k in (1, 2, 3, 4)]
+    for L in cases:
+        seen.clear()
+        assert transfer_audit(L) == {
+            "composition_is_doubling": True,
+            "pull_injective": True,
+            "image_invariant": True,
+            "doubled_invariants_in_image": True,
+            "invariant_rank": L.rank // 2,
+        }
+        assert seen == [L.transfer.p_pull, L.isometry - IntMatrix.identity(L.rank)]
+
+
+ZERO_TRANSFER_MODEL = """[lattice L]
+rank 2
+gram
+0 1
+1 0
+isometry
+-1 0
+0 -1
+transfer 0
+pull
+push
+"""
+
+
+def test_zero_rank_transfer_builds_audits_and_round_trips():
+    minus = IntMatrix.diagonal([-1, -1])
+    transfer = QuotientTransferData(0, IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 2))
+    L = build_lattice(HYP, minus, transfer=transfer)
+    assert (L.transfer.p_push.nrows, L.transfer.p_push.ncols) == (0, 2)
+    assert transfer_audit(L)["invariant_rank"] == 0
+    model = parse_model(ZERO_TRANSFER_MODEL)
+    assert model.lattices["L"] == L
+    assert format_model(model) == ZERO_TRANSFER_MODEL
+    assert parse_model(format_model(model)) == model
