@@ -283,7 +283,7 @@ class SimplicialComplex:
 class SimplicialMap:
     """Vertex map between complexes sending simplices to simplices."""
 
-    __slots__ = ("source", "target", "images", "_fixed")
+    __slots__ = ("source", "target", "images", "_fixed", "_index_cache")
 
     def __init__(self, source: SimplicialComplex, target: SimplicialComplex, images):
         images = tuple(int(v) for v in images)
@@ -298,14 +298,16 @@ class SimplicialMap:
             img = tuple(sorted(set(images[v] for v in s)))
             if not target.has_simplex(img):
                 raise InputError(f"image of simplex {s} spans no simplex: {img}")
-        self.source, self.target, self.images, self._fixed = source, target, images, None
+        self.source, self.target, self.images = source, target, images
+        self._fixed, self._index_cache = None, {}
 
     @classmethod
     def _trusted(cls, source, target, images) -> "SimplicialMap":
         """Map whose images are simplicial by construction (built from valid
         maps or complexes); the per-simplex image scan is skipped."""
         f = cls.__new__(cls)
-        f.source, f.target, f.images, f._fixed = source, target, tuple(images), None
+        f.source, f.target, f.images = source, target, tuple(images)
+        f._fixed, f._index_cache = None, {}
         return f
 
     def __call__(self, v: int) -> int:
@@ -314,6 +316,15 @@ class SimplicialMap:
     def map_simplex(self, s):
         """Image vertex set of a simplex, sorted (may have lower dimension)."""
         return tuple(sorted(set(self.images[v] for v in s)))
+
+    def index_images(self, k: int):
+        """Target index of the image of each k-simplex, cached per dimension;
+        -1 where the image has a repeated vertex (a lower dimension)."""
+        if k not in self._index_cache:
+            get, im = self.target._index.get, self.images
+            self._index_cache[k] = tuple(get(tuple(sorted(map(im.__getitem__, s))), -1)
+                                         for s in self.source.simplices(k))
+        return self._index_cache[k]
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
@@ -358,10 +369,12 @@ def check_involution(K: SimplicialComplex, tau: SimplicialMap):
 
 def regularity_offender(K: SimplicialComplex, tau: SimplicialMap):
     """First simplex mapped onto itself without being fixed pointwise."""
-    for s in K.all_simplices():
-        img = tau.map_simplex(s)
-        if img == s and any(tau(v) != v for v in s):
-            return s
+    im = tau.images
+    for k in range(K.dimension + 1):
+        group = K.simplices(k)
+        for i, j in enumerate(tau.index_images(k)):
+            if i == j and any(im[v] != v for v in group[i]):
+                return group[i]
     return None
 
 
@@ -432,18 +445,17 @@ def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):
     """
     check_regular_involution(K, tau)
 
-    index = K._index
     reps = []  # per dimension: the index in K of each orbit's first simplex
     orbit_of = []  # per dimension: the orbit number of each simplex of K
     fixed_flags = []
     for k in range(K.dimension + 1):
         lst, of, mask = [], [0] * K.n_simplices(k), 0
-        for i, s in enumerate(K.simplices(k)):
-            img = tau.map_simplex(s)
-            if s <= img:
-                if s == img:  # fixed pointwise, as the involution is regular
+        # simplices are indexed in sorted order, so i <= j is s <= tau(s)
+        for i, j in enumerate(tau.index_images(k)):
+            if i <= j:
+                if i == j:  # fixed pointwise, as the involution is regular
                     mask |= 1 << len(lst)
-                of[i] = of[index[img]] = len(lst)
+                of[i] = of[j] = len(lst)
                 lst.append(i)
         reps.append(lst)
         orbit_of.append(of)

@@ -2,10 +2,10 @@
 
 Z2-valued forms refine by q(x+y) = q(x) + q(y) + x.y and carry the Arf
 invariant; Z4-valued forms refine by q(x+y) = q(x) + q(y) + 2(x.y) and
-carry the Brown invariant, computed here by an exact Gauss sum in the
-Gaussian integers.  Loop data (counts, linking numbers, crossing counts
-with a distinguished curve) feeds the two closed formulas that produce
-such forms on the real part of a surface.
+carry the Brown invariant, the direction of their Gauss sum.  Both are
+read off one orthogonal splitting in polynomial time.  Loop data (counts,
+linking numbers, crossing counts with a distinguished curve) feeds the
+two closed formulas that produce such forms on the real part of a surface.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .gf2 import Gf2Matrix, bits_of
-
-BROWN_MAX_DIM = 16  # the Gauss sum enumerates 2^n classes
 
 
 def _check_gram(gram: Gf2Matrix):
@@ -75,34 +73,81 @@ class QForm4:
         return (self.gram.mul_vec(y) & x).bit_count() & 1
 
 
-def evaluate_q2(q: QForm2, x: int) -> int:
-    """Value on a class, expanded through the quadratic law."""
+def _expand(q, x: int, scale: int) -> int:
+    """q(x) through the quadratic law, one basis vector at a time, unreduced;
+    the Gram is symmetric, so pairing e_i with the running class is row i."""
     if x >> q.dimension:
         raise InputError("class vector has too many coordinates")
-    total = 0
-    acc = 0
-    xx = x
-    while xx:
-        i = (xx & -xx).bit_length() - 1
-        xx &= xx - 1
-        total = (total + q.values[i] + q.pairing(acc, 1 << i)) & 1
+    rows, values = q.gram.rows, q.values
+    total = acc = 0
+    while x:
+        i = (x & -x).bit_length() - 1
+        x &= x - 1
+        total += values[i] + scale * ((rows[i] & acc).bit_count() & 1)
         acc |= 1 << i
     return total
+
+
+def evaluate_q2(q: QForm2, x: int) -> int:
+    """Value on a class, expanded through the quadratic law."""
+    return _expand(q, x, 1) & 1
 
 
 def evaluate_q4(q: QForm4, x: int) -> int:
     """Value on a class in Z4, expanded through the quadratic law."""
-    if x >> q.dimension:
-        raise InputError("class vector has too many coordinates")
-    total = 0
-    acc = 0
-    xx = x
-    while xx:
-        i = (xx & -xx).bit_length() - 1
-        xx &= xx - 1
-        total = (total + q.values[i] + 2 * q.pairing(acc, 1 << i)) % 4
-        acc |= 1 << i
-    return total
+    return _expand(q, x, 2) & 3
+
+
+def _orthogonal_blocks(gram: Gf2Matrix, values):
+    """Split a Z4-valued form into orthogonal blocks (a, q(a), c, q(c)).
+
+    c != 0: an even hyperbolic pair, b(a, c) = 1; c == 0: a rank-1 block
+    when q(a) is odd, else a lies in the radical of what is left.  Each
+    working vector travels with its Gram image G.x and its value, so a
+    pairing is one AND and a popcount, and projecting the rest onto the
+    complement of a block is XOR plus q(y + x) = q(y) + q(x) + 2 b(y, x).
+    Odd vectors go first; with none left the first vector pairs with its
+    first partner, which on an even pairing is the greedy symplectic basis
+    with lowest-index tie-breaks.  A Z2 form enters with values doubled.
+    """
+    xs = [1 << i for i in range(gram.nrows)]
+    gs = list(gram.rows)
+    qs = list(values)
+    while xs:
+        i = next((i for i, v in enumerate(qs) if v & 1), 0)
+        a, ga, qa = xs.pop(i), gs.pop(i), qs.pop(i)
+        if qa & 1:
+            yield a, qa, 0, 0
+            for j, y in enumerate(xs):
+                if (y & ga).bit_count() & 1:  # y -> y + a
+                    xs[j] = y ^ a
+                    gs[j] ^= ga
+                    qs[j] = (qs[j] + qa + 2) & 3
+            continue
+        j = next((j for j, y in enumerate(xs) if (y & ga).bit_count() & 1), None)
+        if j is None:
+            yield a, qa, 0, 0
+            continue
+        c, gc, qc = xs.pop(j), gs.pop(j), qs.pop(j)
+        yield a, qa, c, qc
+        for j, y in enumerate(xs):
+            # y -> y + s a + t c, where q gains s q(a) + t q(c) + 2 s t
+            s = (y & gc).bit_count() & 1
+            t = (y & ga).bit_count() & 1
+            if s | t:
+                xs[j] = y ^ (-s & a) ^ (-t & c)
+                gs[j] ^= (-s & ga) ^ (-t & gc)
+                qs[j] = (qs[j] + s * qa + t * qc + 2 * (s & t)) & 3
+
+
+def _symplectic_blocks(gram: Gf2Matrix, values):
+    """The hyperbolic pairs of an even nondegenerate pairing, with values."""
+    if gram.diagonal_vector() != 0:
+        raise InputError("pairing is odd: no symplectic basis exists")
+    for block in _orthogonal_blocks(gram, values):
+        if not block[2]:
+            raise InputError("pairing is degenerate: no symplectic partner found")
+        yield block
 
 
 def symplectic_basis(gram: Gf2Matrix):
@@ -111,88 +156,36 @@ def symplectic_basis(gram: Gf2Matrix):
     Greedy pivoting with lowest-index tie-breaks; raises on odd or
     degenerate pairings.
     """
-    n = gram.nrows
-    if gram.diagonal_vector() != 0:
-        raise InputError("pairing is odd: no symplectic basis exists")
-
-    def pair(x, y):
-        return (gram.mul_vec(y) & x).bit_count() & 1
-
-    remaining = [1 << i for i in range(n)]
-    pairs = []
-    while remaining:
-        a = remaining[0]
-        partner = None
-        for j, cand in enumerate(remaining[1:], start=1):
-            if pair(a, cand):
-                partner = j
-                break
-        if partner is None:
-            raise InputError("pairing is degenerate: no symplectic partner found")
-        b = remaining.pop(partner)
-        remaining.pop(0)
-        remaining = [
-            g ^ (pair(g, b) and a) ^ (pair(g, a) and b) for g in remaining
-        ]
-        remaining = [g for g in remaining if g]
-        pairs.append((a, b))
-    return pairs
+    return [(a, c) for a, _, c, _ in _symplectic_blocks(gram, [0] * gram.nrows)]
 
 
 def arf(q: QForm2) -> int:
-    """Arf invariant: sum of q(a_i) q(b_i) over a symplectic basis."""
-    pairs = symplectic_basis(q.gram)
-    total = 0
-    for a, b in pairs:
-        total ^= evaluate_q2(q, a) & evaluate_q2(q, b)
-    return total
+    """Arf invariant: sum of q(a_i) q(b_i) over a symplectic basis, read
+    off the splitting pass, where a pair counts when both doubled values are 2."""
+    doubled = [2 * v for v in q.values]
+    return (sum(qa & qc for _, qa, _, qc in _symplectic_blocks(q.gram, doubled)) >> 1) & 1
 
 
 def brown(q: QForm4) -> int:
-    """Brown invariant in Z8 via the exact Gauss sum.
+    """Brown invariant in Z8: the direction of the Gauss sum of i^q(x).
 
-    Sums i^q(x) over all classes using integer pairs (re, im); the result
-    must have squared modulus 2^n and lie in one of the eight directions,
-    anything else signals data that is not a quadratic refinement.
+    The sum is multiplicative over orthogonal sums, so one splitting pass
+    reads it in O(n^3 / w) word operations: a rank-1 block with q = 1 or 3
+    has sum 1 + i or 1 - i (+1 or -1), an even hyperbolic pair -2 when
+    q = 2 on both vectors (+4) and 2 otherwise, a radical vector 2 when
+    q = 0 and 0 when q = 2, which leaves the invariant undefined.
     """
-    n = q.dimension
-    if n > BROWN_MAX_DIM:
-        raise InputError(f"Gauss sum limited to dimension {BROWN_MAX_DIM}")
-    # Gray-code walk keeps each step to one quadratic-law update
-    rows, values = q.gram.rows, q.values
-    counts = [1, 0, 0, 0]  # classes per value of q; x = 0 has q = 0
-    val = 0
-    acc = 0
-    for g in range(1, 1 << n):
-        i = (g & -g).bit_length() - 1  # the bit where codes g - 1 and g differ
-        # q(acc + e_i) = q(acc) + q(e_i) + 2 pairing(acc, e_i); the Gram
-        # matrix is symmetric, so the pairing with e_i is row i against acc
-        val = (val + values[i] + 2 * ((rows[i] & acc).bit_count() & 1)) & 3
-        acc ^= 1 << i
-        counts[val] += 1
-    re, im = counts[0] - counts[2], counts[1] - counts[3]
-    norm = re * re + im * im
-    if norm == 0:
-        raise InputError(
-            "Gauss sum vanishes: the values are not those of a quadratic form"
-        )
-    if norm & (norm - 1):
-        raise InputError(
-            "Gauss sum modulus is not a power of two: input is not a quadratic form"
-        )
-    return _direction_eighth(re, im)
-
-
-def _direction_eighth(re: int, im: int) -> int:
-    if im == 0:
-        return 0 if re > 0 else 4
-    if re == 0:
-        return 2 if im > 0 else 6
-    if abs(re) != abs(im):
-        raise InputError("Gauss sum points off the eight lattice directions")
-    if re > 0:
-        return 1 if im > 0 else 7
-    return 3 if im > 0 else 5
+    total = 0
+    for _, qa, c, qc in _orthogonal_blocks(q.gram, q.values):
+        if c:
+            total += 4 if qa == qc == 2 else 0
+        elif qa & 1:
+            total += 2 - qa
+        elif qa:
+            raise InputError(
+                "Gauss sum vanishes: q is nonzero on the radical of the pairing"
+            )
+    return total % 8
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from conjtop.qforms import (
     pin_value_from_loops,
     spin_value_from_loops,
 )
-from conftest import induced_edge_direction, involution_model
+from conftest import block_sum_z2, block_sum_z4, induced_edge_direction, involution_model
 
 
 def _report(name, elapsed, budget):
@@ -305,6 +305,20 @@ def test_acceptance_quadratic_form_suite():
         assert brown(qq) == (brown(q1) + brown(q2_)) % 8
         done += 1
     _report("quadratic-form-suite", time.perf_counter() - t0, 10.0)
+
+
+def test_acceptance_quadratic_invariants_at_dimension_256():
+    """Brown and Arf of seeded block sums in random bases; the budget
+    holds only for a polynomial splitting, never for a walk over 2^256
+    classes."""
+    t0 = time.perf_counter()
+    r = random.Random(256)
+    for _ in range(3):
+        q4, b = block_sum_z4(256, r)
+        assert brown(q4) == b
+        q2, a = block_sum_z2(256, r)
+        assert arf(q2) == a
+    _report("quadratic-invariants-256", time.perf_counter() - t0, 2.0)
 
 
 # hand-computed spin/pin tables for small loop counts

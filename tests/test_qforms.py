@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import block_sum_z2, block_sum_z4, direct_sum, random_basis, rebased
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix, gf2_rank
 from conjtop.qforms import (
@@ -209,13 +210,33 @@ def test_brown_additive_random_sums():
 EIGHTH_DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
-@given(st.integers(1, 8), st.integers(0, 2**20))
+def padded_symmetric(r, n, radical):
+    """Random symmetric Gram whose last ``radical`` basis vectors pair to
+    zero with everything."""
+    rows = [0] * n
+    for i in range(n - radical):
+        for j in range(i, n - radical):
+            if r.randint(0, 1):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Gf2Matrix(n, n, rows)
+
+
+@given(st.integers(1, 12), st.integers(0, 3), st.integers(0, 2**20))
 @settings(max_examples=150, deadline=None)
-def test_brown_against_direct_gauss_sum(n, seed):
-    """Sum i^q(x) over every class in index order, with no Gray-code walk."""
+def test_brown_against_direct_gauss_sum(n, radical, seed):
+    """Sum i^q(x) over every class in index order, with no splitting.
+
+    The Gram is drawn with up to three radical vectors, valued 0 or 2 at
+    random, and then written in a random basis, so degenerate forms whose
+    Gauss sum vanishes and degenerate forms with a Brown invariant both
+    occur.
+    """
     r = random.Random(seed)
-    gram = random_symmetric(r, n)
+    radical = min(radical, n)
+    gram = padded_symmetric(r, n, radical)
     q = QForm4(gram, [2 * r.randint(0, 1) + gram[i, i] for i in range(n)])
+    q = rebased(q, random_basis(n, r))
     counts = [0, 0, 0, 0]
     for x in range(1 << n):
         counts[evaluate_q4(q, x)] += 1
@@ -227,6 +248,44 @@ def test_brown_against_direct_gauss_sum(n, seed):
     (k,) = [k for k, (dr, di) in enumerate(EIGHTH_DIRECTIONS)
             if dr * im == di * re and dr * re + di * im > 0]
     assert brown(q) == k
+
+
+@given(st.integers(1, 12), st.integers(0, 2**20))
+@settings(max_examples=100, deadline=None)
+def test_arf_against_majority(n, seed):
+    """Arf is 1 exactly when q = 1 on more than half of the classes."""
+    r = random.Random(seed)
+    gram = random_symmetric(r, n, even=True)
+    q = QForm2(gram, [r.randint(0, 1) for _ in range(n)])
+    if gf2_rank(gram) < n:
+        with pytest.raises(InputError, match="degenerate"):
+            arf(q)
+        return
+    ones = sum(evaluate_q2(q, x) for x in range(1 << n))
+    assert arf(q) == (2 * ones > 1 << n)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_invariants_additive_at_large_dimension(n):
+    """Block sums with known invariants, in a seeded basis, summed and
+    rebased again: dimensions far beyond any walk over the classes."""
+    r = random.Random(n)
+    for _ in range(3):
+        (q1, b1), (q2, b2) = block_sum_z4(n // 2, r), block_sum_z4(n // 2, r)
+        assert (brown(q1), brown(q2)) == (b1, b2)
+        assert brown(rebased(direct_sum(q1, q2), random_basis(n, r))) == (b1 + b2) % 8
+        (p1, a1), (p2, a2) = block_sum_z2(n // 2, r), block_sum_z2(n // 2, r)
+        assert (arf(p1), arf(p2)) == (a1, a2)
+        assert arf(rebased(direct_sum(p1, p2), random_basis(n, r))) == a1 ^ a2
+
+
+def test_brown_degenerate_dimension_40():
+    r = random.Random(40)
+    q, b = block_sum_z4(40, r, radical=(0, 0))
+    assert brown(q) == b
+    q, _ = block_sum_z4(40, r, radical=(0, 2))
+    with pytest.raises(InputError, match="vanishes"):
+        brown(q)
 
 
 def test_brown_rejects_vanishing_gauss_sum():
