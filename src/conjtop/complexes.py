@@ -9,7 +9,7 @@ valid ones are built by the trusted constructors without re-checking.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InputError
 from .gf2 import Gf2Matrix
@@ -85,6 +85,7 @@ class SimplicialComplex:
         "_boundary_cache",
         "_columns_cache",
         "_cofaces_cache",
+        "_dual_cache",
         "_red_cache",
         "_hom_cache",
         "_coh_cache",
@@ -126,6 +127,7 @@ class SimplicialComplex:
         self._boundary_cache = {}
         self._columns_cache = {}
         self._cofaces_cache = {}
+        self._dual_cache = None
         self._red_cache = {}
         self._hom_cache = {}
         self._coh_cache = {}
@@ -172,11 +174,14 @@ class SimplicialComplex:
     def facets(self):
         """Maximal simplices, sorted by (dimension, tuple).
 
-        A simplex below the top dimension is maximal exactly when it has no
-        coface one dimension up.
+        A simplex below the top dimension is maximal exactly when it is no
+        face of a simplex one dimension up.
         """
-        out = [s for k in range(self.dimension)
-               for s, c in zip(self._by_dim[k], self.cofaces(k)) if not c]
+        out = []
+        for k in range(self.dimension):
+            covered = set(chain.from_iterable(self.face_indices(k + 1)))
+            if len(covered) < len(self._by_dim[k]):
+                out += [s for i, s in enumerate(self._by_dim[k]) if i not in covered]
         return out + list(self.simplices(self.dimension))
 
     def euler_characteristic(self) -> int:
@@ -242,6 +247,36 @@ class SimplicialComplex:
             self._cofaces_cache[k] = tuple(map(tuple, out))
         return self._cofaces_cache[k]
 
+    def dual_graph(self):
+        """Signed dual graph of the top simplices, built once per complex.
+
+        Returns ``(pairs, adjacency)``.  ``pairs[f]`` is ``(a, ja, b, jb,
+        rel)`` for an (n-1)-simplex f with exactly two top cofaces a < b,
+        where ja and jb are the positions of f in ``face_indices(n)`` of a
+        and b; it is None for any other face.  Face j of a top omits its
+        vertex n - j, so a top with sign s induces s * (-1)^(n-j) on it, and
+        b is coherent with a exactly when its sign is ``signs[a] * rel``,
+        rel = (-1)^(ja+jb+1).  ``adjacency[t]`` lists ``(f, u, rel)`` for
+        each top u glued to t across f.
+        """
+        if self._dual_cache is None:
+            n = self.dimension
+            faces = self.face_indices(n)
+            pairs = []
+            adjacency = [[] for _ in faces]
+            for f, cof in enumerate(self.cofaces(n - 1)):
+                if len(cof) != 2:
+                    pairs.append(None)
+                    continue
+                a, b = cof
+                ja, jb = faces[a].index(f), faces[b].index(f)
+                rel = 1 if (ja + jb) & 1 else -1
+                pairs.append((a, ja, b, jb, rel))
+                adjacency[a].append((f, b, rel))
+                adjacency[b].append((f, a, rel))
+            self._dual_cache = tuple(pairs), tuple(map(tuple, adjacency))
+        return self._dual_cache
+
     def subcomplex(self, simplices) -> "SimplicialComplex":
         simplices = [tuple(s) for s in simplices]
         for s in simplices:
@@ -294,10 +329,14 @@ class SimplicialMap:
         for v in images:
             if not 0 <= v < target.vertex_count:
                 raise InputError(f"vertex image {v} outside target range")
-        for s in source.all_simplices():
-            img = tuple(sorted(set(images[v] for v in s)))
-            if not target.has_simplex(img):
-                raise InputError(f"image of simplex {s} spans no simplex: {img}")
+        # the target is closed, so the faces of a facet map into faces of
+        # its image; the full scan runs only to name the first offender
+        if not all(target.has_simplex(tuple(sorted(set(images[v] for v in s))))
+                   for s in source.facets()):
+            for s in source.all_simplices():
+                img = tuple(sorted(set(images[v] for v in s)))
+                if not target.has_simplex(img):
+                    raise InputError(f"image of simplex {s} spans no simplex: {img}")
         self.source, self.target, self.images = source, target, images
         self._fixed, self._index_cache = None, {}
 
@@ -333,9 +372,6 @@ class SimplicialMap:
         return SimplicialMap._trusted(
             inner.source, self.target, (self.images[v] for v in inner.images)
         )
-
-    def is_identity(self) -> bool:
-        return self.source == self.target and all(i == v for v, i in enumerate(self.images))
 
     def is_involution(self) -> bool:
         if self.source != self.target:
@@ -537,50 +573,20 @@ def impure_simplex(K: SimplicialComplex):
     return next(s for k, group in enumerate(K._by_dim) for s in group if s not in covered[k])
 
 
-def _incidence(top, face) -> int:
-    """Sign (-1)^i of ``face`` in the oriented boundary of ``top``.
-
-    i is the position in ``top`` of the one vertex that ``face`` lacks.
-    Two tops glued along a face are coherently oriented exactly when their
-    signs times their incidences on the face are opposite.
-    """
-    i = top.index(sum(top) - sum(face))
-    return -1 if i & 1 else 1
-
-
-def _top_adjacency(K: SimplicialComplex, excluded_faces=frozenset()):
-    """Pairs of top simplices glued across non-excluded codim-1 faces."""
-    n = K.dimension
-    faces = K.simplices(n - 1)
-    out = []
-    for i, cof in enumerate(K.cofaces(n - 1)):
-        face = faces[i]
-        if face in excluded_faces:
-            continue
-        if len(cof) == 2:
-            out.append((face, cof[0], cof[1]))
-    return out
-
-
-def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset()):
+def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset(), signed=True):
     """Flood the top simplices of K across the codim-1 faces not in ``cut``.
 
-    Returns ``(comp, signs)``.  ``comp[t]`` numbers the component of top t,
-    in the order of each component's lowest top.  ``signs`` orients every
-    top so that glued tops are coherent across ordinary faces and
-    anti-coherent across ``flip`` faces, with the lowest top of each
-    component positive; it is None when no such signs exist.
+    ``cut`` and ``flip`` are sets of (n-1)-simplex indices.  Returns
+    ``(comp, signs)``.  ``comp[t]`` numbers the component of top t, in the
+    order of each component's lowest top.  ``signs`` orients every top so
+    that glued tops are coherent across ordinary faces and anti-coherent
+    across ``flip`` faces, with the lowest top of each component positive;
+    it is None when no such signs exist.  Unsigned, the walk ignores the
+    orientation signs of :meth:`SimplicialComplex.dual_graph`: ``signs``
+    then solves for a sign that changes exactly across ``flip`` faces.
     """
-    tops = K.simplices(K.dimension)
-    m = len(tops)
-    adj = [[] for _ in range(m)]
-    for face, a, b in _top_adjacency(K, cut):
-        # the sign of b relative to a that makes the pair coherent
-        rel = -_incidence(tops[a], face) * _incidence(tops[b], face)
-        if face in flip:
-            rel = -rel
-        adj[a].append((b, rel))
-        adj[b].append((a, rel))
+    adjacency = K.dual_graph()[1]
+    m = len(adjacency)
     comp = [-1] * m
     signs = [0] * m
     consistent = True
@@ -593,8 +599,13 @@ def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset()):
         stack = [start]
         while stack:
             t = stack.pop()
-            for u, rel in adj[t]:
-                want = signs[t] * rel
+            st = signs[t]
+            for f, u, rel in adjacency[t]:
+                if f in cut:
+                    continue
+                want = st * rel if signed else st
+                if f in flip:
+                    want = -want
                 if comp[u] < 0:
                     comp[u] = n_comp
                     signs[u] = want

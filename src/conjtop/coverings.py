@@ -11,13 +11,17 @@ Semi-orientations (orientations up to a global flip) are stored by signs
 on top simplices with a canonical representative: the lowest-indexed top
 simplex carries +1.
 
-Every orientation rule here is the oriented boundary sign: a top with sign
-s induces s * (-1)^i on a face that omits its i-th vertex, and two tops
-glued along a face are coherent exactly when they induce opposite signs on
-it.  Orienting a surface, with or without cut and flipped edges, and
-splitting it along a curve are one walk over the dual graph
-(``complexes.dual_walk``); coherence, flip and semi-orientation checks
-compare the induced signs face by face.
+Every orientation rule here is the oriented boundary sign: face j of a
+top omits its vertex n - j, a top with sign s induces s * (-1)^(n-j) on
+it, and two tops glued along a face are coherent exactly when they induce
+opposite signs on it.  Each complex caches its signed dual graph
+(``SimplicialComplex.dual_graph``): per shared face, the two tops, the
+face's position in each and the relative sign that makes them coherent.
+Orienting a surface, with or without cut and flipped edges, and splitting
+it along a curve are one walk over that graph (``complexes.dual_walk``);
+coherence, flip and semi-orientation checks compare signs by face index,
+covers glue vertex slots by face position, and a lifted involution is one
+unsigned walk for the sheet shift it applies to each top.
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ from itertools import combinations
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
-    _incidence,
     _levels,
     _roots,
-    _top_adjacency,
     check_involution,
     dual_walk,
     impure_simplex,
@@ -71,7 +73,10 @@ class SemiOrientation:
     __slots__ = ("carrier", "signs")
 
     def __init__(self, carrier: SimplicialComplex, signs):
-        signs = tuple(int(s) for s in signs)
+        try:
+            signs = tuple(int(s) for s in signs)
+        except (TypeError, ValueError):
+            raise InputError("signs must be +1 or -1") from None
         n = carrier.dimension
         if len(signs) != carrier.n_simplices(n):
             raise InputError("need one sign per top simplex")
@@ -99,27 +104,22 @@ class SemiOrientation:
         return f"SemiOrientation({''.join('+' if s > 0 else '-' for s in self.signs)})"
 
 
-def _face_signs(tops, signs, face, a, b):
-    """Signs that tops a and b, oriented by ``signs``, induce on their face."""
-    return signs[a] * _incidence(tops[a], face), signs[b] * _incidence(tops[b], face)
+def _face_ids(K: SimplicialComplex, faces):
+    """Indices of those of the given simplices that lie in K."""
+    return {K.index_of(f) for f in faces if K.has_simplex(f)}
 
 
-def propagate_signs(K: SimplicialComplex, flip_edges=frozenset(), cut_edges=frozenset()):
+def orient_surface(K: SimplicialComplex, excluded_edges=frozenset(), flip_edges=frozenset()):
     """Signs on the triangles of a surface under per-edge constraints.
 
     Orientations must be coherent across ordinary interior edges,
     anti-coherent (deliberately flipped) across ``flip_edges``, and are
-    unconstrained across ``cut_edges``.  Returns the sign tuple or None
-    when the constraints cannot be met.
+    unconstrained across ``excluded_edges``.  Returns the sign tuple or
+    None when the constraints cannot be met.
     """
     if K.dimension != 2:
         raise InputError("orientation propagation implemented for surfaces only")
-    return dual_walk(K, cut_edges, flip_edges)[1]
-
-
-def orient_surface(K: SimplicialComplex, excluded_edges=frozenset()):
-    """Coherent signs on a surface cut along some edges, or None."""
-    return propagate_signs(K, cut_edges=excluded_edges)
+    return dual_walk(K, _face_ids(K, excluded_edges), _face_ids(K, flip_edges))[1]
 
 
 def is_coherent(semi: SemiOrientation, excluded_edges=frozenset()) -> bool:
@@ -129,19 +129,17 @@ def is_coherent(semi: SemiOrientation, excluded_edges=frozenset()) -> bool:
     edges.  Curves: at every interior vertex the induced signs of its edges
     cancel (as many edges come in as go out).
     """
-    K = semi.carrier
+    K, signs = semi.carrier, semi.signs
+    excluded = _face_ids(K, excluded_edges)
     if K.dimension == 1:
-        net = [0] * K.vertex_count
-        for e, s in zip(K.simplices(1), semi.signs):
-            for v in e:
-                net[v] += s * _incidence(e, (v,))
-        return all(net[v] == 0 or (v,) in excluded_edges for (v,) in K.simplices(0))
-    tops = K.simplices(K.dimension)
-    for face, a, b in _top_adjacency(K, excluded_edges):
-        da, db = _face_signs(tops, semi.signs, face, a, b)
-        if da == db:
-            return False
-    return True
+        net = [0] * K.n_simplices(0)
+        # an edge (a, b) with sign s has boundary s * ((b) - (a))
+        for (i, j), s in zip(K.face_indices(1), signs):
+            net[i] -= s
+            net[j] += s
+        return all(d == 0 or i in excluded for i, d in enumerate(net))
+    return all(p is None or f in excluded or signs[p[2]] == signs[p[0]] * p[4]
+               for f, p in enumerate(K.dual_graph()[0]))
 
 
 def pushforward_semiorientation(f: SimplicialMap, semi: SemiOrientation) -> tuple:
@@ -151,16 +149,15 @@ def pushforward_semiorientation(f: SimplicialMap, semi: SemiOrientation) -> tupl
     reference orientation stays visible.
     """
     K = semi.carrier
+    if f.source != K or f.target != K:
+        raise InputError("map must send the carrier of the semi-orientation to itself")
     n = K.dimension
-    tops = K.simplices(n)
-    out = [0] * len(tops)
-    for t, s in enumerate(tops):
-        img_seq = [f(v) for v in s]
-        img = tuple(sorted(img_seq))
-        if len(set(img_seq)) != len(s):
+    im = f.images
+    out = [0] * K.n_simplices(n)
+    for t, (s, j) in enumerate(zip(K.simplices(n), f.index_images(n))):
+        if j < 0:
             raise InputError("automorphism degenerates a top simplex")
-        j = K.index_of(img)
-        out[j] = semi.signs[t] * (-1 if _perm_parity(img_seq) else 1)
+        out[j] = semi.signs[t] * (-1 if _perm_parity([im[v] for v in s]) else 1)
     return tuple(out)
 
 
@@ -299,15 +296,17 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
     m = len(tops)
 
     # one slot per vertex of each copy of each top: (2 * t + sheet) * w + i
-    # for the i-th vertex; the slot order is the order of (t, sheet, vertex)
+    # for the i-th vertex; the slot order is the order of (t, sheet, vertex).
+    # Face j of a top omits its vertex n - j: its vertices fill the other slots
     w = n + 1
+    on_face = [[i for i in range(w) if i != n - j] for j in range(w)]
+    cut_ids = _face_ids(K, cut)
     glued = []
-    for face, a, b in _top_adjacency(K):
-        flip = 1 if face in cut else 0
+    for f, (a, ja, b, jb, _) in enumerate(K.dual_graph()[0]):
+        flip = 1 if f in cut_ids else 0
         for sheet in (0, 1):
-            for v in face:
-                glued.append(((2 * a + sheet) * w + tops[a].index(v),
-                              (2 * b + (sheet ^ flip)) * w + tops[b].index(v)))
+            sa, sb = (2 * a + sheet) * w, (2 * b + (sheet ^ flip)) * w
+            glued += [(sa + i, sb + k) for i, k in zip(on_face[ja], on_face[jb])]
     # total vertices are the classes of glued slots, numbered by lowest slot
     number = {}
     vertex = [number.setdefault(r, len(number)) for r in _roots(2 * m * w, glued)]
@@ -395,16 +394,13 @@ def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
     F = data.subcomplex
     if F.dimension >= 0 and any(c.dimension != 1 for c in data.components):
         raise InputError("fixed set must be a curve (all components one-dimensional)")
-    fixed_edges = frozenset(F.simplices(1))
-
-    comp, _ = dual_walk(K, fixed_edges)
+    comp, _ = dual_walk(K, set(map(K.index_of, F.simplices(1))))
     n_comp = max(comp) + 1
     if n_comp == 1:
         return DividingVerdict(False, None, 1)
     if n_comp == 2:
         # the involution must swap the two components
-        tops = K.simplices(2)
-        if all(comp[K.index_of(tau.map_simplex(s))] != comp[t] for t, s in enumerate(tops)):
+        if all(comp[j] != c for c, j in zip(comp, tau.index_images(2))):
             halves = tuple(frozenset(t for t, c in enumerate(comp) if c == h) for h in (0, 1))
             return DividingVerdict(True, halves, 2)
         raise InputError(
@@ -440,20 +436,18 @@ def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
             "surface is non-orientable: halves cannot induce orientations"
         )
     half0 = verdict.halves[0]
-    tops = K.simplices(2)
-    cofaces = K.cofaces(1)
+    pairs = K.dual_graph()[0]
     edge_signs = []
     for e in fixed_edges:
-        a, b = cofaces[K.index_of(e)]
-        if a not in half0:
-            a, b = b, a
-        # the edge sign is the one the half-0 side induces
-        d0, d1 = _face_signs(tops, signs, e, a, b)
-        if d0 == d1:
+        a, ja, b, jb, rel = pairs[K.index_of(e)]
+        if signs[b] != signs[a] * rel:
             raise ModelIntegrityError(
                 f"halves induce the same direction on fixed edge {e}"
             )
-        edge_signs.append(d0)
+        # the edge sign is the one the half-0 side induces
+        if a not in half0:
+            a, ja = b, jb
+        edge_signs.append(-signs[a] if ja & 1 else signs[a])
     return SemiOrientation(F, edge_signs)
 
 
@@ -471,23 +465,23 @@ def extendibility_check(X: SimplicialComplex, Y, semi: SemiOrientation) -> dict:
     opposite inductions extends.
     """
     Y = _as_curve_subcomplex(X, Y)
-    y_edges = frozenset(Y.simplices(1))
+    y_edges = Y.simplices(1)
     if semi.carrier != X:
         raise InputError("semi-orientation must live on the ambient surface")
     if not is_coherent(semi, y_edges):
         raise InputError("orientation is not coherent away from the curve")
-    tops = X.simplices(2)
     comp_of = {}
     for i, comp in enumerate(Y.components()):
         for v in comp:
             comp_of[v] = i
+    pairs, signs, edges = X.dual_graph()[0], semi.signs, X.simplices(1)
     verdicts = {}
-    for face, a, b in _top_adjacency(X):
-        if face not in y_edges:
+    for f in map(X.index_of, y_edges):
+        if pairs[f] is None:
             continue
-        da, db = _face_signs(tops, semi.signs, face, a, b)
-        flips = da == db
-        c = comp_of[face[0]]
+        a, _, b, _, rel = pairs[f]
+        flips = signs[b] != signs[a] * rel
+        c = comp_of[edges[f][0]]
         if c in verdicts and verdicts[c] != flips:
             raise InputError(
                 f"curve component {c} has mixed flip behaviour: not a coherent cut"
@@ -523,11 +517,11 @@ def orientation_cover(X: SimplicialComplex, Y):
     if X.dimension != 2:
         raise InputError("orientation covers implemented for surfaces")
     Y = _as_curve_subcomplex(X, Y)
-    y_edges = list(Y.simplices(1))
-    signs = propagate_signs(X, flip_edges=frozenset(y_edges))
+    y_edges = Y.simplices(1)
+    signs = orient_surface(X, flip_edges=y_edges)
     if signs is None:
         # diagnose: non-orientable complement, or an extending component
-        cut = orient_surface(X, frozenset(y_edges))
+        cut = orient_surface(X, y_edges)
         if cut is None:
             raise InputError("complement of the curve is not orientable")
         verdicts = extendibility_check(X, Y, SemiOrientation(X, cut))
@@ -540,19 +534,15 @@ def orientation_cover(X: SimplicialComplex, Y):
     if cover.branch is not None:
         raise ModelIntegrityError("closed cutting curve produced a branch locus")
 
-    # orient sheet 0 by the cut orientation and sheet 1 by its reverse
+    # orient sheet 0 by the cut orientation and sheet 1 by its reverse; a
+    # lift whose vertices project in odd order onto its base top turns it over
     total = cover.total
-    tops_total = total.simplices(2)
-    base_tops = X.simplices(2)
+    down = cover.projection.images
     total_signs = []
-    for i, (bt, sheet) in enumerate(cover.sheet_labels):
-        s = signs[bt] * (1 if sheet == 0 else -1)
-        # transport the sign through the vertex relabelling of the lift
-        base_seq = base_tops[bt]
-        lifted = tops_total[i]
-        proj_seq = tuple(cover.projection(lifted[a]) for a in range(3))
-        s *= -1 if _perm_parity(tuple(proj_seq.index(v) for v in base_seq)) else 1
-        total_signs.append(s)
+    for lifted, (bt, sheet) in zip(total.simplices(2), cover.sheet_labels):
+        x, y, z = map(down.__getitem__, lifted)
+        odd = sheet ^ (x > y) ^ (x > z) ^ (y > z)
+        total_signs.append(-signs[bt] if odd else signs[bt])
     total_semi = SemiOrientation(total, total_signs)
     if not is_coherent(total_semi):
         raise ModelIntegrityError("orientation cover total space failed coherence")
@@ -565,7 +555,7 @@ def orientation_cover(X: SimplicialComplex, Y):
 def complement_semiorientation(X: SimplicialComplex, Y) -> SemiOrientation:
     """A coherent orientation of the surface cut along a closed curve."""
     Y = _as_curve_subcomplex(X, Y)
-    signs = orient_surface(X, frozenset(Y.simplices(1)))
+    signs = orient_surface(X, Y.simplices(1))
     if signs is None:
         raise InputError("complement of the curve is not orientable")
     return SemiOrientation(X, signs)
@@ -580,7 +570,7 @@ def flip_semiorientation(X: SimplicialComplex, Y) -> SemiOrientation:
     satisfiable on a connected surface.
     """
     Y = _as_curve_subcomplex(X, Y)
-    signs = propagate_signs(X, flip_edges=frozenset(Y.simplices(1)))
+    signs = orient_surface(X, flip_edges=Y.simplices(1))
     if signs is None:
         raise InputError(
             "no orientation of the complement flips across the whole curve"
@@ -638,19 +628,19 @@ def compare_mod_curves(X: SimplicialComplex, Y1, Y2, s1: SemiOrientation,
         raise InputError("curves are not homologous: no chain bounds their difference")
     h_chain, _ = sol
 
-    tops = X.simplices(2)
+    pairs, edges = X.dual_graph()[0], X.simplices(1)
     for semi, Y in ((s1, Y1), (s2, Y2)):
         if semi.carrier != X:
             raise InputError("semi-orientations must live on the ambient surface")
-        y_edges = frozenset(Y.simplices(1))
+        y_edges = Y.simplices(1)
         if not is_coherent(semi, y_edges):
             raise InputError("semi-orientation incoherent away from its own curve")
-        for face, a, b in _top_adjacency(X):
-            if face in y_edges:
-                da, db = _face_signs(tops, semi.signs, face, a, b)
-                if da != db:
+        for f in map(X.index_of, y_edges):
+            if pairs[f] is not None:
+                a, _, b, _, rel = pairs[f]
+                if semi.signs[b] == semi.signs[a] * rel:
                     raise InputError(
-                        f"semi-orientation does not flip across its curve at {face}"
+                        f"semi-orientation does not flip across its curve at {edges[f]}"
                     )
 
     m = X.n_simplices(2)
@@ -680,11 +670,15 @@ def compare_mod_curves(X: SimplicialComplex, Y1, Y2, s1: SemiOrientation,
 def lift_involution(cover: CoverComplex, tau: SimplicialMap):
     """Both lifts of a base involution to the total space.
 
-    Propagates over the dual graph of the total space: the image of one
-    top simplex determines its neighbours.  Roots of components map with
-    sheet preserved (the c+ convention); the second lift is deck composed
-    with the first.  Inconsistent propagation means the covering class is
-    not invariant under the involution.
+    A lift sends the copy (t, s) of base top t to (tau t, s + h), where the
+    0-cochain h on the dual graph of the total changes exactly across the
+    lifts of the faces where the sheet cocycle c of the cover (1 across a
+    face where the sheet changes) and tau*c differ.  h is one unsigned walk,
+    zero on the lowest top of each component: roots keep their sheet (the
+    c+ convention).  An inconsistent walk means the covering class is not
+    invariant under the involution.  The second lift is deck composed with
+    the first.  Each vertex goes to the vertex of its top's image that lies
+    over its image downstairs.
     """
     total, proj = cover.total, cover.projection
     base = proj.target
@@ -693,67 +687,36 @@ def lift_involution(cover: CoverComplex, tau: SimplicialMap):
     if bad is not None:
         raise InputError(f"cover total is not pure: {bad} is not a face of a top simplex")
     n = total.dimension
-    tops = total.simplices(n)
-    cofaces = total.cofaces(n - 1)
-    by_label = {label: j for j, label in enumerate(cover.sheet_labels)}
-    base_tops = base.simplices(n)
-    vertex_image = {}
-    assigned = [None] * len(tops)
+    labels, tau_top = cover.sheet_labels, tau.index_images(n)
+    glued = [(f, labels[p[0]], labels[p[2]]) for f, p in enumerate(total.dual_graph()[0]) if p]
+    change = {}
+    for _, (a, sa), (b, sb) in glued:
+        change[a, b] = change[b, a] = sa ^ sb
+    moved = {f for f, (a, _), (b, _) in glued if change[a, b] != change[tau_top[a], tau_top[b]]}
+    _, h = dual_walk(total, flip=moved, signed=False)
+    if h is None:
+        raise InputError("cover class not invariant under the involution: propagation conflict")
 
-    def assign(t, img_t):
-        """Send top t onto top img_t and record its vertex images."""
-        assigned[t] = img_t
-        dst_by_proj = {}
-        for w in tops[img_t]:
-            dst_by_proj.setdefault(proj(w), []).append(w)
-        for v in tops[t]:
-            cands = dst_by_proj.get(tau(proj(v)), [])
-            if len(cands) != 1:
-                raise InputError(
-                    "cover class not invariant under the involution: ambiguous vertex image"
-                )
-            if vertex_image.setdefault(v, cands[0]) != cands[0]:
+    by_label = {label: j for j, label in enumerate(labels)}
+    tops, down, tau_im = total.simplices(n), proj.images, tau.images
+    images = [-1] * total.vertex_count
+    for i, (t, s) in enumerate(labels):
+        img = tops[by_label[tau_top[t], s ^ (h[i] < 0)]]
+        over = dict(zip(map(down.__getitem__, img), img))
+        for v in tops[i]:
+            w = over[tau_im[down[v]]]
+            if images[v] >= 0 and images[v] != w:
                 raise InputError(
                     "cover class not invariant under the involution: "
                     f"vertex {v} receives two images"
                 )
-
-    for root in range(len(tops)):
-        if assigned[root] is not None:
-            continue
-        # roots keep their sheet: the canonical lift c+
-        root_base, root_sheet = cover.sheet_labels[root]
-        img_base = tuple(sorted(tau(v) for v in base_tops[root_base]))
-        assign(root, by_label[(base.index_of(img_base), root_sheet)])
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            for face in combinations(tops[t], n):
-                cof = cofaces[total.index_of(face)]
-                if len(cof) != 2:
-                    continue
-                u = cof[0] if cof[1] == t else cof[1]
-                # the image of u is the coface of the image face adjacent
-                # to the image of t
-                img_face = tuple(sorted(vertex_image[v] for v in face))
-                img_cof = cofaces[total.index_of(img_face)]
-                img_t = assigned[t]
-                if img_t not in img_cof:
-                    raise InputError(
-                        "cover class not invariant under the involution: "
-                        "image face misses the image simplex"
-                    )
-                img_u = img_cof[0] if img_cof[1] == img_t else img_cof[1]
-                if assigned[u] is None:
-                    assign(u, img_u)
-                    stack.append(u)
-                elif assigned[u] != img_u:
-                    raise InputError(
-                        "cover class not invariant under the involution: "
-                        "propagation conflict"
-                    )
-
-    images = [vertex_image[v] for v in range(total.vertex_count)]
+            images[v] = w
+    # a vertex id in no simplex keeps its place in its fiber
+    fibers = {}
+    for v, x in enumerate(down):
+        fibers.setdefault(x, []).append(v)
+    for v in (v for v, w in enumerate(images) if w < 0):
+        images[v] = fibers[tau_im[down[v]]][fibers[down[v]].index(v)]
     # every top went onto a top vertex by vertex, so every simplex does
     c_plus = SimplicialMap._trusted(total, total, images)
     c_minus = cover.deck.compose(c_plus)

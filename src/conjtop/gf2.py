@@ -97,9 +97,6 @@ class Gf2Matrix:
                 v |= 1 << i
         return v
 
-    def to_lists(self):
-        return [list(bits_of(r, self.ncols)) for r in self.rows]
-
     def columns(self) -> list:
         """All columns as bit-packed vectors, scattered from the rows' set bits."""
         cols = [0] * self.ncols

@@ -166,10 +166,12 @@ def fixed_subcomplex(K: SimplicialComplex, tau: SimplicialMap,
 
 def _fixed_set(K: SimplicialComplex, tau: SimplicialMap):
     """(F, components, mid, mid_cycle) in one pass over the fixed simplices."""
+    # a regular involution fixes pointwise each simplex it maps onto itself;
     # faces of fixed simplices are fixed, and faces stay in their component
-    F = SimplicialComplex._trusted(
-        K.vertex_count, _levels(s for s in K.all_simplices() if all(tau(v) == v for v in s))
-    )
+    F = SimplicialComplex._trusted(K.vertex_count, _levels(
+        group[i] for k, group in enumerate(K._by_dim)
+        for i, j in enumerate(tau.index_images(k)) if i == j
+    ))
     comps = F.components()
     comp_of = {v: i for i, vs in enumerate(comps) for v in vs}
     groups = [[] for _ in comps]

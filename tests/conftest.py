@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
-from conjtop.errors import InputError
+from conjtop.complexes import SimplicialMap, check_involution, impure_simplex
+from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
 from conjtop.models import model_library
 from conjtop.qforms import QForm2, QForm4, evaluate_q2, evaluate_q4
@@ -55,6 +58,131 @@ def induced_edge_direction(simplex, sign, edge):
         if (min(x, y), max(x, y)) == edge:
             return (x, y)
     raise InputError(f"edge {edge} is not a face of {simplex}")
+
+
+def incidence(top, face) -> int:
+    """Sign (-1)^i of ``face`` in the oriented boundary of ``top``.
+
+    i is the position in ``top`` of the one vertex that ``face`` lacks:
+    the incidence rule spelled out by vertex, the oracle for the signs
+    ``SimplicialComplex.dual_graph`` reads off face positions.
+    """
+    i = top.index(sum(top) - sum(face))
+    return -1 if i & 1 else 1
+
+
+def top_adjacency(K, excluded_faces=frozenset()):
+    """(face, a, b) for the tops a < b glued across each non-excluded
+    codim-1 face with exactly two cofaces, in face order."""
+    n = K.dimension
+    faces = K.simplices(n - 1)
+    return [(faces[i], cof[0], cof[1]) for i, cof in enumerate(K.cofaces(n - 1))
+            if len(cof) == 2 and faces[i] not in excluded_faces]
+
+
+def face_tuple_dual_walk(K, cut=frozenset(), flip=frozenset()):
+    """The dual walk over face tuples and vertex incidences, as ``conjtop``
+    computed it before the cached index graph: the oracle for
+    ``complexes.dual_walk``.  ``cut`` and ``flip`` hold face tuples."""
+    tops = K.simplices(K.dimension)
+    m = len(tops)
+    adj = [[] for _ in range(m)]
+    for face, a, b in top_adjacency(K, cut):
+        rel = -incidence(tops[a], face) * incidence(tops[b], face)
+        if face in flip:
+            rel = -rel
+        adj[a].append((b, rel))
+        adj[b].append((a, rel))
+    comp = [-1] * m
+    signs = [0] * m
+    consistent = True
+    n_comp = 0
+    for start in range(m):
+        if comp[start] >= 0:
+            continue
+        comp[start] = n_comp
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for u, rel in adj[t]:
+                want = signs[t] * rel
+                if comp[u] < 0:
+                    comp[u] = n_comp
+                    signs[u] = want
+                    stack.append(u)
+                elif signs[u] != want:
+                    consistent = False
+        n_comp += 1
+    return comp, (tuple(signs) if consistent else None)
+
+
+def propagated_lift(cover, tau):
+    """Both lifts of a base involution, propagated top by top over the dual
+    graph of the total space from face images: the oracle for
+    ``coverings.lift_involution``.  Roots of components keep their sheet."""
+    total, proj = cover.total, cover.projection
+    base = proj.target
+    check_involution(base, tau)
+    bad = impure_simplex(total)
+    if bad is not None:
+        raise InputError(f"cover total is not pure: {bad} is not a face of a top simplex")
+    n = total.dimension
+    tops = total.simplices(n)
+    cofaces = total.cofaces(n - 1)
+    by_label = {label: j for j, label in enumerate(cover.sheet_labels)}
+    base_tops = base.simplices(n)
+    vertex_image = {}
+    assigned = [None] * len(tops)
+
+    def assign(t, img_t):
+        assigned[t] = img_t
+        dst_by_proj = {}
+        for w in tops[img_t]:
+            dst_by_proj.setdefault(proj(w), []).append(w)
+        for v in tops[t]:
+            cands = dst_by_proj.get(tau(proj(v)), [])
+            if len(cands) != 1:
+                raise InputError("cover class not invariant under the involution: "
+                                 "ambiguous vertex image")
+            if vertex_image.setdefault(v, cands[0]) != cands[0]:
+                raise InputError("cover class not invariant under the involution: "
+                                 f"vertex {v} receives two images")
+
+    for root in range(len(tops)):
+        if assigned[root] is not None:
+            continue
+        root_base, root_sheet = cover.sheet_labels[root]
+        img_base = tuple(sorted(tau(v) for v in base_tops[root_base]))
+        assign(root, by_label[(base.index_of(img_base), root_sheet)])
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            for face in combinations(tops[t], n):
+                cof = cofaces[total.index_of(face)]
+                if len(cof) != 2:
+                    continue
+                u = cof[0] if cof[1] == t else cof[1]
+                img_cof = cofaces[total.index_of(tuple(sorted(vertex_image[v] for v in face)))]
+                img_t = assigned[t]
+                if img_t not in img_cof:
+                    raise InputError("cover class not invariant under the involution: "
+                                     "image face misses the image simplex")
+                img_u = img_cof[0] if img_cof[1] == img_t else img_cof[1]
+                if assigned[u] is None:
+                    assign(u, img_u)
+                    stack.append(u)
+                elif assigned[u] != img_u:
+                    raise InputError("cover class not invariant under the involution: "
+                                     "propagation conflict")
+
+    images = [vertex_image[v] for v in range(total.vertex_count)]
+    c_plus = SimplicialMap._trusted(total, total, images)
+    c_minus = cover.deck.compose(c_plus)
+    for lift in (c_plus, c_minus):
+        if proj.compose(lift).images != tau.compose(proj).images:
+            raise ModelIntegrityError("constructed lift does not commute with projection")
+    return c_plus, c_minus
 
 
 def random_basis(n, rng):

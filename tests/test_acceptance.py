@@ -45,7 +45,13 @@ from conjtop.qforms import (
     pin_value_from_loops,
     spin_value_from_loops,
 )
-from conftest import block_sum_z2, block_sum_z4, induced_edge_direction, involution_model
+from conftest import (
+    block_sum_z2,
+    block_sum_z4,
+    induced_edge_direction,
+    involution_model,
+    top_adjacency,
+)
 
 
 def _report(name, elapsed, budget):
@@ -137,9 +143,7 @@ def test_acceptance_curve_complex_orientations():
         data = fixed_subcomplex(K, tau)
         fixed_edges = set(data.subcomplex.simplices(1))
         half0, half1 = verdict.halves
-        from conjtop.coverings import _top_adjacency
-
-        for face, a, b in _top_adjacency(K):
+        for face, a, b in top_adjacency(K):
             if face not in fixed_edges:
                 continue
             da = induced_edge_direction(tops[a], signs[a], face)

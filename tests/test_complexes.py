@@ -74,7 +74,7 @@ def test_subdivided_involution_still_involution():
     sub, refl_sub = barycentric_subdivide(sq, refl)
     assert refl_sub.is_involution()
     composed = refl_sub.compose(refl_sub)
-    assert composed.is_identity()
+    assert composed.images == tuple(range(sub.vertex_count))
 
 
 def test_quotient_square_reflection_gives_arc():

@@ -107,7 +107,7 @@ def test_audited_subdivision_quotient_and_fixed_sets(audited, library):
     for name, (src, _, tau) in library.maps.items():
         K = library.complexes[src]
         Kp, taup = barycentric_subdivide(K, tau)
-        assert taup.compose(taup).is_identity()
+        assert taup.compose(taup).images == tuple(range(Kp.vertex_count))
         Kr, taur = regularize(K, tau)
         quotient_by_involution(Kr, taur)
         involutions.fixed_subcomplex(K, tau)

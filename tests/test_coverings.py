@@ -6,7 +6,6 @@ import pytest
 from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
-    _incidence,
     dual_walk,
     identity_map,
 )
@@ -31,7 +30,7 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import gf2_solve
 from conjtop.homology import betti_numbers, cohomology
 from conjtop.involutions import fixed_subcomplex
-from conftest import chain_bits, induced_edge_direction, involution_model
+from conftest import chain_bits, incidence, induced_edge_direction, involution_model
 
 
 def curve(library, complex_name, mark):
@@ -70,7 +69,7 @@ def test_incidence_sign_matches_edge_direction_oracle(library):
         for top in K.simplices(2):
             for face in combinations(top, 2):
                 for s in (1, -1):
-                    positive = s * _incidence(top, face) == 1
+                    positive = s * incidence(top, face) == 1
                     assert positive == (induced_edge_direction(top, s, face) == face), (
                         name, top, face, s)
 
@@ -97,6 +96,19 @@ def test_curve_coherence_cancels_incidence_signs(library):
     assert not is_coherent(reversed_edge)
     a, b = semi.carrier.simplices(1)[1]
     assert is_coherent(reversed_edge, frozenset({(a,), (b,)}))
+
+
+def test_pushforward_refuses_map_off_the_carrier(library):
+    K = library.complexes["torus7"]
+    semi = SemiOrientation(K, dual_walk(K)[1])
+    with pytest.raises(InputError, match="carrier of the semi-orientation"):
+        pushforward_semiorientation(identity_map(library.complexes["sphere_tetra"]), semi)
+
+
+def test_semiorientation_refuses_non_integer_signs(library):
+    K = library.complexes["torus7"]
+    with pytest.raises(InputError, match=r"signs must be \+1 or -1"):
+        SemiOrientation(K, ["x"] * K.n_simplices(2))
 
 
 # --- unbranched covers -------------------------------------------------------
@@ -401,7 +413,7 @@ def test_lift_identity_on_orientation_cover(library):
     K = library.complexes["rp2_6vertex"]
     cover = double_cover_unbranched(K, stiefel_whitney_cocycle(K))
     c_plus, c_minus = lift_involution(cover, identity_map(K))
-    assert c_plus.is_identity()
+    assert c_plus.images == tuple(range(cover.total.vertex_count))
     assert c_minus.images == cover.deck.images
 
 
