@@ -46,22 +46,6 @@ from .modelfile import ModelFile, parse_model
 from .models import model_library
 from .qforms import arf, brown, qform_from_loop_table
 
-COMMANDS = (
-    "homology",
-    "fixed-set",
-    "conj-form",
-    "classify",
-    "divide",
-    "orient",
-    "cover",
-    "orient-cover",
-    "compare",
-    "congruence",
-    "lattice-audit",
-    "qform",
-)
-
-
 class Report:
     """Paired human/machine output; all numbers flow through items."""
 
@@ -139,6 +123,12 @@ def _reject(v):
     raise InputError(f"coordinate {v} is not a bit")
 
 
+def _lookup(table: dict, name: str, kind: str):
+    if name not in table:
+        raise InputError(f"no {kind} named {name!r}")
+    return table[name]
+
+
 def _resolve_space(model: ModelFile, name: str):
     if name in model.complexes:
         return model.complexes[name]
@@ -148,21 +138,18 @@ def _resolve_space(model: ModelFile, name: str):
 
 
 def _resolve_involution(model: ModelFile, name: str):
-    if name not in model.maps:
-        raise InputError(f"no map named {name!r}")
-    src, dst, tau = model.maps[name]
+    src, dst, tau = _lookup(model.maps, name, "map")
     if src != dst:
         raise InputError(f"map {name!r} is not a self-map")
     K = model.complexes[src]
-    basis = _marked_basis(model, src, K)
-    return src, K, tau, basis
+    return K, tau, _marked_basis(model, src, K)
 
 
 def _resolve_form_space(model: ModelFile, name: str):
     """(space, tau, basis) for a map name, or chain data carrying its involution."""
     if name not in model.maps and name in model.chains:
         return model.chains[name], None, None
-    return _resolve_involution(model, name)[1:]
+    return _resolve_involution(model, name)
 
 
 def _marked_basis(model: ModelFile, complex_name: str, K):
@@ -206,10 +193,6 @@ def _resolve_chain_arg(model: ModelFile, complex_name: str, K, text: str):
     return out
 
 
-def _class_vector_report(report, key, bits, width, label):
-    report.item(key, bits_of(bits, width), label)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -226,30 +209,26 @@ def _cmd_homology(model, args, report):
 
 
 def _cmd_fixed_set(model, args, report):
-    name, K, tau, basis = _resolve_involution(model, args.object)
+    K, tau, basis = _resolve_involution(model, args.object)
     data = fixed_subcomplex(K, tau, basis_cycles=basis)
     report.item("components", len(data.components), "fixed components")
     dims = tuple(sorted(c.dimension for c in data.components))
     report.item("component_dims", dims, "component dimensions")
     if data.mid_class is not None:
         width = homology(K, data.mid_dimension).betti
-        _class_vector_report(report, "fixed_class", data.mid_class, width,
-                             "middle-dimension class")
+        report.item("fixed_class", bits_of(data.mid_class, width),
+                    "middle-dimension class")
 
 
 def _cmd_conj_form(model, args, report):
     K, tau, basis = _resolve_form_space(model, args.object)
     B = involution_form(K, tau, basis_cycles=basis)
     for i in range(B.dimension):
-        report.item(
-            f"gram.{i}",
-            bits_of(B.gram.rows[i], B.dimension),
-            f"Gram row {i}",
-        )
+        report.item(f"gram.{i}", bits_of(B.gram.rows[i], B.dimension), f"Gram row {i}")
     report.item("even", is_even(B), "form is even")
     chi_cls = characteristic_class(B)
-    _class_vector_report(report, "characteristic_class", chi_cls, B.dimension,
-                         "characteristic class")
+    report.item("characteristic_class", bits_of(chi_cls, B.dimension),
+                "characteristic class")
     lemma = verify_fixed_class_is_characteristic(K, tau, basis_cycles=basis)
     report.item("fixed_realizes_characteristic", lemma["holds"],
                 "fixed set realizes the characteristic class")
@@ -267,11 +246,11 @@ def _cmd_classify(model, args, report):
         h_bits = _coords_bits(_parse_vector(args.h), width)
     verdict = classify_type(K, tau, h=h_bits, basis_cycles=basis)
     report.item("verdict", verdict.kind, "type")
-    _class_vector_report(report, "witness", verdict.witness, width, "fixed-set class")
+    report.item("witness", bits_of(verdict.witness, width), "fixed-set class")
 
 
 def _cmd_divide(model, args, report):
-    name, K, tau, basis = _resolve_involution(model, args.object)
+    K, tau, basis = _resolve_involution(model, args.object)
     verdict = dividing_test(K, tau)
     report.item("dividing", verdict.dividing, "dividing")
     report.item("components", verdict.component_count, "complement components")
@@ -282,7 +261,7 @@ def _cmd_divide(model, args, report):
 
 
 def _cmd_orient(model, args, report):
-    name, K, tau, basis = _resolve_involution(model, args.object)
+    K, tau, basis = _resolve_involution(model, args.object)
     semi = curve_complex_semiorientation(K, tau)
     edges = semi.carrier.simplices(1)
     report.item("fixed_edges", len(edges), "oriented fixed edges")
@@ -295,9 +274,7 @@ def _cmd_orient(model, args, report):
 
 
 def _cmd_cover(model, args, report):
-    K = model.complexes.get(args.object)
-    if K is None:
-        raise InputError(f"no complex named {args.object!r}")
+    K = _lookup(model.complexes, args.object, "complex")
     if (args.cut is None) == (args.cocycle is None):
         raise InputError("cover needs exactly one of --cut or --cocycle")
     if args.cut is not None:
@@ -320,9 +297,7 @@ def _cmd_cover(model, args, report):
 
 
 def _cmd_orient_cover(model, args, report):
-    K = model.complexes.get(args.object)
-    if K is None:
-        raise InputError(f"no complex named {args.object!r}")
+    K = _lookup(model.complexes, args.object, "complex")
     if args.curve is None:
         raise InputError("orient-cover needs --curve")
     chain = _resolve_chain_arg(model, args.object, K, args.curve)
@@ -336,9 +311,7 @@ def _cmd_orient_cover(model, args, report):
 
 
 def _cmd_compare(model, args, report):
-    K = model.complexes.get(args.object)
-    if K is None:
-        raise InputError(f"no complex named {args.object!r}")
+    K = _lookup(model.complexes, args.object, "complex")
     if args.y1 is None or args.y2 is None:
         raise InputError("compare needs --y1 and --y2")
     Y1 = _resolve_chain_arg(model, args.object, K, args.y1)
@@ -368,9 +341,7 @@ def _cmd_congruence(model, args, report):
 
 
 def _cmd_lattice_audit(model, args, report):
-    L = model.lattices.get(args.object)
-    if L is None:
-        raise InputError(f"no lattice named {args.object!r}")
+    L = _lookup(model.lattices, args.object, "lattice")
     report.item("rank", L.rank, "lattice rank")
     plus, minus = invariant_sublattices(L)
     report.item("invariant_rank", len(plus), "invariant sublattice rank")
@@ -379,8 +350,8 @@ def _cmd_lattice_audit(model, args, report):
     report.item("conj_form_even", is_even(B), "mod-2 conjugation form even")
     try:
         chi_cls = characteristic_class(B)
-        _class_vector_report(report, "characteristic_class", chi_cls, B.dimension,
-                             "characteristic class")
+        report.item("characteristic_class", bits_of(chi_cls, B.dimension),
+                    "characteristic class")
     except InputError:
         report.note("conjugation form is degenerate; no characteristic class")
     tor = torsion_audit(L)
@@ -407,9 +378,7 @@ def _cmd_lattice_audit(model, args, report):
 
 
 def _cmd_qform(model, args, report):
-    table = model.loops.get(args.object)
-    if table is None:
-        raise InputError(f"no loop table named {args.object!r}")
+    table = _lookup(model.loops, args.object, "loop table")
     q = qform_from_loop_table(table)
     report.item("kind", table.kind, "form kind")
     report.item("dimension", q.dimension, "dimension")
@@ -420,37 +389,53 @@ def _cmd_qform(model, args, report):
         report.item("brown", brown(q), "Brown invariant (mod 8)")
 
 
-_HANDLERS = {
-    "homology": _cmd_homology,
-    "fixed-set": _cmd_fixed_set,
-    "conj-form": _cmd_conj_form,
-    "classify": _cmd_classify,
-    "divide": _cmd_divide,
-    "orient": _cmd_orient,
-    "cover": _cmd_cover,
-    "orient-cover": _cmd_orient_cover,
-    "compare": _cmd_compare,
-    "congruence": _cmd_congruence,
-    "lattice-audit": _cmd_lattice_audit,
-    "qform": _cmd_qform,
+# every argument a command can read, as the user spells it
+_ARGUMENTS = {
+    "object": {"help": "named object from the model or library"},
+    "--h": {"help": "distinguished middle class, e.g. '(1,1)'"},
+    "--chi": {"type": int, "help": "Euler characteristic of the real part"},
+    "--type": {"choices": ("I_abs", "I_rel", "II"), "help": "surface type"},
+    "--h1-trivial": {"action": "store_true",
+                     "help": "assert trivial first mod-2 homology of the complexification"},
+    "--cut": {"help": "cutting chain: marked cycle name or inline simplices"},
+    "--cocycle": {"help": "1-cocycle: marked cycle name or inline edges"},
+    "--curve": {"help": "closed curve: marked cycle name or inline edges"},
+    "--y1": {"help": "first curve for compare"},
+    "--y2": {"help": "second curve for compare"},
+}
+
+# command -> (handler, the arguments it reads, in the order its report echoes
+# them); every command also takes --model and --machine
+_COMMANDS = {
+    "homology": (_cmd_homology, ("object",)),
+    "fixed-set": (_cmd_fixed_set, ("object",)),
+    "conj-form": (_cmd_conj_form, ("object",)),
+    "classify": (_cmd_classify, ("object", "--h")),
+    "divide": (_cmd_divide, ("object",)),
+    "orient": (_cmd_orient, ("object",)),
+    "cover": (_cmd_cover, ("object", "--cut", "--cocycle")),
+    "orient-cover": (_cmd_orient_cover, ("object", "--curve")),
+    "compare": (_cmd_compare, ("object", "--y1", "--y2")),
+    "congruence": (_cmd_congruence, ("--chi", "--type", "--h1-trivial")),
+    "lattice-audit": (_cmd_lattice_audit, ("object",)),
+    "qform": (_cmd_qform, ("object",)),
 }
 
 
 def run(command: str, model: ModelFile, args) -> Report:
     """Dispatch one command against a model; raises on failures."""
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}")
-    echo_parts = [command]
-    if getattr(args, "object", None):
-        echo_parts.append(args.object)
-    for flag in ("h", "chi", "type", "cut", "cocycle", "curve", "y1", "y2"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            echo_parts.append(f"--{flag} {val}")
-    if getattr(args, "h1_trivial", False):
-        echo_parts.append("--h1-trivial")
-    report = Report(" ".join(str(p) for p in echo_parts))
-    _HANDLERS[command](model, args, report)
+    handler, arguments = _COMMANDS[command]
+    echo = [command]
+    for arg in arguments:
+        val = getattr(args, arg.lstrip("-").replace("-", "_"), None)
+        if val is True:
+            echo.append(arg)
+        elif val is not None and val is not False:
+            echo.append(f"{arg} {val}" if arg.startswith("-") else val)
+    report = Report(" ".join(echo))
+    handler(model, args, report)
     return report
 
 
@@ -461,27 +446,14 @@ def _build_parser():
         "covers, complex semi-orientations, congruences, quadratic invariants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    needs_object = {
-        "homology", "fixed-set", "conj-form", "classify", "divide", "orient",
-        "cover", "orient-cover", "compare", "lattice-audit", "qform",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        if name in needs_object:
-            p.add_argument("object", help="named object from the model or library")
+    for name, (_, arguments) in _COMMANDS.items():
+        # no prefix matching: it would read a stray --h as --help
+        p = sub.add_parser(name, allow_abbrev=False)
+        for arg in arguments:
+            p.add_argument(arg, **_ARGUMENTS[arg])
         p.add_argument("--model", help="model file (defaults to the bundled library)")
         p.add_argument("--machine", action="store_true",
                        help="print only the machine-readable section")
-        p.add_argument("--h", help="distinguished middle class, e.g. '(1,1)'")
-        p.add_argument("--chi", type=int, help="Euler characteristic of the real part")
-        p.add_argument("--type", choices=("I_abs", "I_rel", "II"), help="surface type")
-        p.add_argument("--h1-trivial", dest="h1_trivial", action="store_true",
-                       help="assert trivial first mod-2 homology of the complexification")
-        p.add_argument("--cut", help="cutting chain: marked cycle name or inline simplices")
-        p.add_argument("--cocycle", help="1-cocycle: marked cycle name or inline edges")
-        p.add_argument("--curve", help="closed curve: marked cycle name or inline edges")
-        p.add_argument("--y1", help="first curve for compare")
-        p.add_argument("--y2", help="second curve for compare")
     return parser
 
 

@@ -32,6 +32,7 @@ from itertools import combinations
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    _close_down,
     _levels,
     _roots,
     check_involution,
@@ -229,31 +230,22 @@ def double_cover_unbranched(K: SimplicialComplex, w: int) -> CoverComplex:
 
     nv = K.vertex_count
     # by the cocycle condition each face of a lift is the lift of a face:
-    # the total is closed, and projection and deck map lifts onto simplices
-    simplices = []
-    for s in K.all_simplices():
-        v0 = s[0]
-        for sheet in (0, 1):
-            simplices.append(tuple(sorted(v + nv * (sheet ^ edge_bit(v0, v)) for v in s)))
-    total = SimplicialComplex._trusted(2 * nv, _levels(simplices))
+    # the total is closed, and projection and deck map lifts onto simplices.
+    # The lift rooted on sheet 0 holds v0 and the other lies wholly above v0,
+    # so the root sheet is also the lift's rank among the two in sorted order
+    lifts = {}
+    for k in range(K.dimension + 1):
+        for i, s in enumerate(K.simplices(k)):
+            v0 = s[0]
+            for sheet in (0, 1):
+                lifts[tuple(sorted(v + nv * (sheet ^ edge_bit(v0, v)) for v in s))] = i, sheet
+    total = SimplicialComplex._trusted(2 * nv, _levels(lifts))
     proj = SimplicialMap._trusted(total, K, [v % nv for v in range(2 * nv)])
     deck = SimplicialMap._trusted(total, total, [(v + nv) % (2 * nv) for v in range(2 * nv)])
-    cover = CoverComplex(total, proj, deck, _sheet_labels_from_projection(total, K, proj))
+    labels = tuple(map(lifts.__getitem__, total.simplices(K.dimension)))
+    cover = CoverComplex(total, proj, deck, labels)
     _validate_cover(cover, K)
     return cover
-
-
-def _sheet_labels_from_projection(total, base, proj):
-    n = base.dimension
-    seen = {}
-    labels = []
-    for t in total.simplices(n):
-        img = tuple(sorted(proj(v) for v in t))
-        bi = base.index_of(img)
-        sheet = seen.get(bi, 0)
-        seen[bi] = sheet + 1
-        labels.append((bi, sheet))
-    return tuple(labels)
 
 
 def _boundary_support(K: SimplicialComplex, chain_simplices, k: int):
@@ -326,7 +318,8 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
                 )
             label_of[vs] = (t, sheet)
             total_tops.append(vs)
-    total = SimplicialComplex.from_simplices(len(number), total_tops)
+    # the tops are distinct, sorted and in range by construction
+    total = SimplicialComplex._trusted(len(number), _close_down(_levels(total_tops)))
 
     proj_images = [0] * len(number)
     deck_images = [0] * len(number)
@@ -343,27 +336,26 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
     cover = CoverComplex(total, proj, deck, labels, branch if branch_simplices else None)
     _validate_cover(cover, K)
     if branch_simplices:
-        _check_branch_preimage(cover, K, branch_simplices)
+        _check_branch_preimage(cover, K)
     return cover
 
 
-def _check_branch_preimage(cover: CoverComplex, K, branch_simplices):
+def _check_branch_preimage(cover: CoverComplex, K):
     """Branch simplices must be single-sheeted and deck-fixed upstairs."""
-    total, proj, deck = cover.total, cover.projection, cover.deck
-    preimages = {s: [] for s in branch_simplices}
-    for s in total.all_simplices():
-        img = tuple(sorted(proj(v) for v in s))
-        if img in preimages and len(set(proj(v) for v in s)) == len(s):
-            preimages[img].append(s)
-    for s, pre in preimages.items():
-        if len(pre) != 1:
-            raise ModelIntegrityError(
-                f"branch simplex {s} has {len(pre)} preimages, expected 1"
-            )
-    fixed = {s for s in total.all_simplices() if all(deck(v) == v for v in s)}
-    expected = {pre[0] for pre in preimages.values()}
-    if fixed != expected:
-        raise ModelIntegrityError("deck-fixed simplices differ from the branch preimage")
+    total, proj, deck, branch = cover.total, cover.projection, cover.deck, cover.branch
+    for k in range(total.dimension + 1):
+        preimages = {K.index_of(s): [] for s in branch.simplices(k)}
+        for t, i in enumerate(proj.index_images(k)):
+            if i in preimages:
+                preimages[i].append(t)
+        for i, pre in preimages.items():
+            if len(pre) != 1:
+                raise ModelIntegrityError(
+                    f"branch simplex {K.simplices(k)[i]} has {len(pre)} preimages, expected 1"
+                )
+        fixed = [t for t, j in enumerate(deck.index_images(k)) if j == t]
+        if fixed != sorted(pre[0] for pre in preimages.values()):
+            raise ModelIntegrityError("deck-fixed simplices differ from the branch preimage")
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +379,11 @@ def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
     else cannot come from a real structure and is refused.  The surface
     must be a closed pseudomanifold, which makes it connected.
     """
+    return _split_along_fixed_curve(K, tau)[0]
+
+
+def _split_along_fixed_curve(K: SimplicialComplex, tau: SimplicialMap):
+    """(dividing verdict, fixed curve, signs of the walk cut along it)."""
     if K.dimension != 2:
         raise InputError("dividing test runs on surface complexes")
     pseudomanifold_check(K)
@@ -394,15 +391,15 @@ def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
     F = data.subcomplex
     if F.dimension >= 0 and any(c.dimension != 1 for c in data.components):
         raise InputError("fixed set must be a curve (all components one-dimensional)")
-    comp, _ = dual_walk(K, set(map(K.index_of, F.simplices(1))))
+    comp, signs = dual_walk(K, set(map(K.index_of, F.simplices(1))))
     n_comp = max(comp) + 1
     if n_comp == 1:
-        return DividingVerdict(False, None, 1)
+        return DividingVerdict(False, None, 1), F, signs
     if n_comp == 2:
         # the involution must swap the two components
         if all(comp[j] != c for c, j in zip(comp, tau.index_images(2))):
             halves = tuple(frozenset(t for t, c in enumerate(comp) if c == h) for h in (0, 1))
-            return DividingVerdict(True, halves, 2)
+            return DividingVerdict(True, halves, 2), F, signs
         raise InputError(
             "complement has two components but the involution preserves them: "
             "not a real-structure pattern"
@@ -416,31 +413,31 @@ def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
 def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
     """Boundary semi-orientation the two halves induce on the fixed curve.
 
-    Requires a dividing involution and orientable halves.  A global
-    orientation of the surface restricts to the halves; each half induces
-    a direction on every fixed edge and the two inductions must be
-    opposite.  Flipping the global orientation flips both at once, so only
-    the semi-orientation of the curve is well defined.
+    Requires a dividing involution and orientable halves.  The walk cut
+    along the fixed curve orients each half, with top 0 positive in half 0;
+    the halves glue into an orientation of the surface exactly when one
+    sign turns half 1 coherent with half 0 across every fixed edge.  Each
+    half then induces a direction on every fixed edge and the two are
+    opposite.  Flipping the orientation flips both at once, so only the
+    semi-orientation of the curve is well defined.
     """
-    verdict = dividing_test(K, tau)
+    verdict, F, signs = _split_along_fixed_curve(K, tau)
     if not verdict.dividing:
         raise InputError("complex semi-orientation needs a dividing involution")
-    F = fixed_subcomplex(K, tau).subcomplex
-    fixed_edges = F.simplices(1)
-    if not fixed_edges:
-        raise InputError("fixed curve has no edges")
-
-    signs = orient_surface(K)
     if signs is None:
         raise ModelIntegrityError(
             "surface is non-orientable: halves cannot induce orientations"
         )
     half0 = verdict.halves[0]
     pairs = K.dual_graph()[0]
+    glue = None
     edge_signs = []
-    for e in fixed_edges:
+    for e in F.simplices(1):
         a, ja, b, jb, rel = pairs[K.index_of(e)]
-        if signs[b] != signs[a] * rel:
+        # a and b lie in different halves; this sign turns half 1 coherent with half 0
+        turn = signs[a] * signs[b] * rel
+        glue = glue or turn
+        if turn != glue:
             raise ModelIntegrityError(
                 f"halves induce the same direction on fixed edge {e}"
             )

@@ -117,6 +117,22 @@ def face_tuple_dual_walk(K, cut=frozenset(), flip=frozenset()):
     return comp, (tuple(signs) if consistent else None)
 
 
+def sheet_labels_from_projection(total, base, proj):
+    """(base top, sheet) per top of a cover total, sheet 0 for the first of
+    the two lifts of each base top in sorted order, read by projecting every
+    top: the oracle for the labels ``double_cover_unbranched`` takes
+    straight from its lifts."""
+    n = base.dimension
+    seen = {}
+    labels = []
+    for t in total.simplices(n):
+        bi = base.index_of(tuple(sorted(proj(v) for v in t)))
+        sheet = seen.get(bi, 0)
+        seen[bi] = sheet + 1
+        labels.append((bi, sheet))
+    return tuple(labels)
+
+
 def propagated_lift(cover, tau):
     """Both lifts of a base involution, propagated top by top over the dual
     graph of the total space from face images: the oracle for

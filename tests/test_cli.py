@@ -2,13 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjtop.cli import Report, main
+from conjtop.cli import Report, main, run
 from conjtop.errors import InputError
 from conjtop.modelfile import format_model, parse_model
 
@@ -320,6 +322,91 @@ def test_unreadable_model_file(tmp_path, capsys):
 def test_unknown_command_rejected(capsys):
     code, out = run_cli(["frobnicate", "x"], capsys)
     assert code == 2
+
+
+# the command flags each command reads, in the order its report echoes them;
+# every command also takes --model and --machine, and all but congruence an object
+COMMAND_FLAGS = {
+    "homology": (),
+    "fixed-set": (),
+    "conj-form": (),
+    "classify": ("--h",),
+    "divide": (),
+    "orient": (),
+    "cover": ("--cut", "--cocycle"),
+    "orient-cover": ("--curve",),
+    "compare": ("--y1", "--y2"),
+    "congruence": ("--chi", "--type", "--h1-trivial"),
+    "lattice-audit": (),
+    "qform": (),
+}
+FLAG_VALUES = {"--h": "(1,1)", "--chi": "8", "--type": "I_abs", "--h1-trivial": None,
+               "--cut": "arc1", "--cocycle": "w1_cocycle", "--curve": "w1dual",
+               "--y1": "col0", "--y2": "col1"}
+VALID_ARGV = {
+    "homology": "homology torus7",
+    "fixed-set": "fixed-set quadric",
+    "conj-form": "conj-form quadric",
+    "classify": "classify quadric --h (1,1)",
+    "divide": "divide torus_reflection",
+    "orient": "orient torus_reflection",
+    "cover": "cover sphere_octa_sub --cut arc1",
+    "orient-cover": "orient-cover klein_bottle --curve w1dual",
+    "compare": "compare torus_grid --y1 col0,col2 --y2 col1,col3",
+    "congruence": "congruence --chi 8 --type I_abs --h1-trivial",
+    "lattice-audit": "lattice-audit quadric_lattice",
+    "qform": "qform rp2_loops",
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in COMMAND_FLAGS for flag in FLAG_VALUES
+    if flag not in COMMAND_FLAGS[command]
+])
+def test_flag_the_command_does_not_read_exits_2(command, flag, capsys):
+    """A stray flag, with or without a value, is a malformed argument: it is
+    never ignored or echoed, and a bare --h is not read as --help."""
+    value = FLAG_VALUES[flag]
+    for stray in ([flag], [flag, value] if value else [flag, "x"]):
+        code = main(VALID_ARGV[command].split(" ") + stray)
+        captured = capsys.readouterr()
+        assert code == 2, (command, stray)
+        assert captured.out == "", (command, stray)
+        assert "Traceback" not in captured.err and "unrecognized" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_subcommand_help_lists_exactly_its_flags(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    options = set(re.findall(r"--[a-z0-9-]+", out))
+    assert options == {"--help", "--model", "--machine", *COMMAND_FLAGS[command]}
+    assert ("positional arguments:" in out) == (command != "congruence")
+
+
+def test_abbreviated_flags_exit_2(capsys):
+    """Flags after the command are spelled in full: prefix matching would
+    read a stray --h as --help on every command without --h."""
+    for argv in (["homology", "torus7", "--mach"], ["congruence", "--ch", "8", "--type", "II"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().out == ""
+
+
+def test_report_echoes_flags_in_table_order(library, capsys):
+    """The command line echoes the flags a command reads in one fixed order
+    (--h1-trivial last), whatever order they were given in, and nothing else."""
+    everything = Namespace(**{f[2:].replace("-", "_"): v or True for f, v in FLAG_VALUES.items()})
+    everything.chi = 8
+    report = run("congruence", library, everything)
+    assert report.command == "congruence --chi 8 --type I_abs --h1-trivial"
+    everything.object = "quadric"
+    assert run("classify", library, everything).command == "classify quadric --h (1,1)"
+    assert main(["congruence", "--h1-trivial", "--type", "I_abs", "--chi", "8"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "command: congruence --chi 8 --type I_abs --h1-trivial\n")
+    assert main(["compare", "torus_grid", "--y2", "col1,col3", "--y1", "col0,col2"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "command: compare torus_grid --y1 col0,col2 --y2 col1,col3\n")
 
 
 def test_report_note_refuses_numbers():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from conjtop.complexes import (
 )
 from conjtop.coverings import (
     SemiOrientation,
+    _check_branch_preimage,
     branched_double_cover,
     compare_mod_curves,
     complement_semiorientation,
@@ -194,6 +196,20 @@ def test_branched_cover_fullness_rejected(library):
     # arc between adjacent vertices: branch points are adjacent, not full
     with pytest.raises(InputError, match="full"):
         branched_double_cover(K, [(0, 1)])
+
+
+def test_branch_preimage_audit_refuses_corrupted_covers(library):
+    """A branch simplex with two preimages, and a deck transformation that
+    fixes simplices off the branch preimage, are integrity violations."""
+    K = library.complexes["sphere_octa_sub"]
+    cover = branched_double_cover(K, curve(library, "sphere_octa_sub", "arcs_both"))
+    _check_branch_preimage(cover, K)
+    off = next(s for s in K.simplices(0) if s not in cover.branch.simplices(0))
+    wide = SimplicialComplex.from_simplices(K.vertex_count, cover.branch.simplices(0) + (off,))
+    with pytest.raises(ModelIntegrityError, match="has 2 preimages, expected 1"):
+        _check_branch_preimage(replace(cover, branch=wide), K)
+    with pytest.raises(ModelIntegrityError, match="deck-fixed simplices differ"):
+        _check_branch_preimage(replace(cover, deck=identity_map(cover.total)), K)
 
 
 def test_chi_law_on_many_covers(library):

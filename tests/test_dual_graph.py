@@ -43,6 +43,7 @@ from conftest import (
     incidence,
     involution_model,
     propagated_lift,
+    sheet_labels_from_projection,
     top_adjacency,
 )
 
@@ -229,6 +230,24 @@ def test_covers_match_vertex_gluing(library):
             assert (cover.projection.images, cover.deck.images) == (proj, deck), (name, kind)
             assert cover.sheet_labels == labels, (name, kind)
     assert glued >= 13
+
+
+def test_unbranched_sheet_labels_match_projection_order(library):
+    """The label sheet of each lift is the sheet it was rooted on; the oracle
+    ranks the two lifts of each base top by sorting their projections.  The
+    w1 cover of every surface, and again from seeded cohomologous cocycles."""
+    rng = random.Random(59)
+    covered = 0
+    for name, K, _ in surface_cases(library):
+        w1 = stiefel_whitney_cocycle(K)
+        coboundary = K.boundary_matrix(1).transpose()
+        for w in [w1] + [w1 ^ coboundary.mul_vec(rng.getrandbits(K.vertex_count))
+                         for _ in range(2)]:
+            cover = double_cover_unbranched(K, w)
+            want = sheet_labels_from_projection(cover.total, K, cover.projection)
+            assert cover.sheet_labels == want, name
+            covered += 1
+    assert covered >= 30
 
 
 def test_orientation_cover_signs_match_transport(library):
