@@ -10,87 +10,41 @@ quadratic refinements.  All arithmetic is exact (GF(2) bit vectors and
 arbitrary-precision integers); no floating point anywhere.
 """
 
-from .complexes import (
-    SimplicialComplex,
-    SimplicialMap,
-    barycentric_subdivide,
-    fundamental_class,
-    identity_map,
-    orbit_chain_boundaries,
-    pseudomanifold_check,
-    quotient_by_involution,
-    regularize,
-)
-from .coverings import (
-    CoverComplex,
-    SemiOrientation,
-    branched_double_cover,
-    compare_mod_curves,
-    complement_semiorientation,
-    curve_complex_semiorientation,
-    dividing_test,
-    double_cover_unbranched,
-    extendibility_check,
-    flip_semiorientation,
-    kharlamov_congruence,
-    lift_involution,
-    orientation_cover,
-    stiefel_whitney_cocycle,
-)
-from .errors import InputError, ModelIntegrityError
-from .gf2 import Gf2Matrix, gf2_kernel_basis, gf2_rank, gf2_solve
-from .homology import (
-    ChainComplexData,
-    HomologyBasis,
-    betti_numbers,
-    cohomology,
-    cup_pairing,
-    duality_audit,
-    homology,
-    induced_map,
-    total_betti,
-)
-from .intmat import IntMatrix, int_kernel_basis, int_solve, smith_normal_form
-from .involutions import (
-    BilinearFormGF2,
-    TypeVerdict,
-    characteristic_class,
-    check_m_variety_even_form,
-    classify_type,
-    fixed_subcomplex,
-    harnack_audit,
-    intersection_form,
-    involution_form,
-    is_even,
-    parity_obstruction,
-    smith_kernel_bound,
-    verify_fixed_class_is_characteristic,
-)
-from .lattices import (
-    IntegerLattice,
-    QuotientTransferData,
-    build_lattice,
-    conj_form_mod2,
-    invariant_sublattices,
-    order_obstruction,
-    orientation_class_check,
-    torsion_audit,
-    transfer_audit,
-)
-from .modelfile import ModelFile, format_model, parse_model
-from .models import model_library
-from .qforms import (
-    LoopData,
-    LoopTable,
-    QForm2,
-    QForm4,
-    arf,
-    brown,
-    evaluate_q2,
-    evaluate_q4,
-    pin_value_from_loops,
-    qform_from_loop_table,
-    spin_value_from_loops,
-)
+from .homology import homology  # eager: lazily, importing conjtop.homology would rebind it
 
 __version__ = "0.1.0"
+_EXPORTS = {  # module -> the names it exports, loaded with it on first access (PEP 562)
+    "complexes": "SimplicialComplex SimplicialMap barycentric_subdivide fundamental_class "
+    "identity_map orbit_chain_boundaries pseudomanifold_check quotient_by_involution regularize",
+    "coverings": "CoverComplex SemiOrientation branched_double_cover compare_mod_curves "
+    "complement_semiorientation curve_complex_semiorientation dividing_test "
+    "double_cover_unbranched extendibility_check flip_semiorientation kharlamov_congruence "
+    "lift_involution orientation_cover stiefel_whitney_cocycle",
+    "errors": "InputError ModelIntegrityError",
+    "gf2": "Gf2Matrix gf2_kernel_basis gf2_rank gf2_solve",
+    "homology": "ChainComplexData HomologyBasis betti_numbers cohomology cup_pairing "
+    "duality_audit homology induced_map total_betti",
+    "intmat": "IntMatrix int_kernel_basis int_solve smith_normal_form",
+    "involutions": "BilinearFormGF2 TypeVerdict characteristic_class check_m_variety_even_form "
+    "classify_type fixed_subcomplex harnack_audit intersection_form involution_form is_even "
+    "parity_obstruction smith_kernel_bound verify_fixed_class_is_characteristic",
+    "lattices": "IntegerLattice QuotientTransferData build_lattice conj_form_mod2 "
+    "invariant_sublattices order_obstruction orientation_class_check torsion_audit transfer_audit",
+    "modelfile": "format_model parse_model",
+    "models": "ModelFile model_library",
+    "qforms": "LoopData LoopTable QForm2 QForm4 arf brown evaluate_q2 evaluate_q4 "
+    "pin_value_from_loops qform_from_loop_table spin_value_from_loops",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    for module, names in _EXPORTS.items():
+        if name in names.split():
+            return globals().setdefault(name, getattr(import_module(f".{module}", __name__), name))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()).union(*(names.split() for names in _EXPORTS.values())))

@@ -10,41 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, is_dataclass
 
-from .complexes import SimplicialComplex
-from .coverings import (
-    branched_double_cover,
-    compare_mod_curves,
-    curve_complex_semiorientation,
-    dividing_test,
-    double_cover_unbranched,
-    flip_semiorientation,
-    kharlamov_congruence,
-    orientation_cover,
-)
 from .errors import InputError, ModelIntegrityError
 from .gf2 import bits_of, vec_from_bits
-from .homology import betti_numbers, homology
-from .involutions import (
-    characteristic_class,
-    classify_type,
-    fixed_subcomplex,
-    involution_form,
-    is_even,
-    verify_fixed_class_is_characteristic,
-)
-from .lattices import (
-    alpha_chi_cross_check,
-    conj_form_mod2,
-    invariant_sublattices,
-    orientation_class_check,
-    torsion_audit,
-    transfer_audit,
-)
-from .modelfile import ModelFile, parse_model
-from .models import model_library
-from .qforms import arf, brown, qform_from_loop_table
+
 
 class Report:
     """Paired human/machine output; all numbers flow through items."""
@@ -87,6 +56,8 @@ def _trace_lines(report) -> str:
     A dict reports its keys, nested dicts under dotted keys, and a dataclass
     its fields; any other report is one ``report=<repr>`` line.
     """
+    from dataclasses import fields, is_dataclass
+
     if is_dataclass(report):
         report = {f.name: getattr(report, f.name) for f in fields(report)}
     if not isinstance(report, dict):
@@ -129,7 +100,7 @@ def _lookup(table: dict, name: str, kind: str):
     return table[name]
 
 
-def _resolve_space(model: ModelFile, name: str):
+def _resolve_space(model, name: str):
     if name in model.complexes:
         return model.complexes[name]
     if name in model.chains:
@@ -137,7 +108,7 @@ def _resolve_space(model: ModelFile, name: str):
     raise InputError(f"no complex or chain data named {name!r}")
 
 
-def _resolve_involution(model: ModelFile, name: str):
+def _resolve_involution(model, name: str):
     src, dst, tau = _lookup(model.maps, name, "map")
     if src != dst:
         raise InputError(f"map {name!r} is not a self-map")
@@ -145,14 +116,14 @@ def _resolve_involution(model: ModelFile, name: str):
     return K, tau, _marked_basis(model, src, K)
 
 
-def _resolve_form_space(model: ModelFile, name: str):
+def _resolve_form_space(model, name: str):
     """(space, tau, basis) for a map name, or chain data carrying its involution."""
     if name not in model.maps and name in model.chains:
         return model.chains[name], None, None
     return _resolve_involution(model, name)
 
 
-def _marked_basis(model: ModelFile, complex_name: str, K):
+def _marked_basis(model, complex_name: str, K):
     marks = model.cycles.get(complex_name, {})
     basis = []
     i = 0
@@ -169,7 +140,7 @@ def _chain_bits(K, simplices):
     return bits
 
 
-def _resolve_chain_arg(model: ModelFile, complex_name: str, K, text: str):
+def _resolve_chain_arg(model, complex_name: str, K, text: str):
     """A chain argument: marked cycle name(s) or inline 'v v, v v' simplices.
 
     Comma-separated mark names are summed as mod-2 chains.
@@ -199,6 +170,9 @@ def _resolve_chain_arg(model: ModelFile, complex_name: str, K, text: str):
 
 
 def _cmd_homology(model, args, report):
+    from .complexes import SimplicialComplex
+    from .homology import betti_numbers
+
     space = _resolve_space(model, args.object)
     betti = betti_numbers(space)
     for k, b in enumerate(betti):
@@ -209,6 +183,9 @@ def _cmd_homology(model, args, report):
 
 
 def _cmd_fixed_set(model, args, report):
+    from .homology import homology
+    from .involutions import fixed_subcomplex
+
     K, tau, basis = _resolve_involution(model, args.object)
     data = fixed_subcomplex(K, tau, basis_cycles=basis)
     report.item("components", len(data.components), "fixed components")
@@ -221,6 +198,10 @@ def _cmd_fixed_set(model, args, report):
 
 
 def _cmd_conj_form(model, args, report):
+    from .involutions import (
+        characteristic_class, involution_form, is_even, verify_fixed_class_is_characteristic,
+    )
+
     K, tau, basis = _resolve_form_space(model, args.object)
     B = involution_form(K, tau, basis_cycles=basis)
     for i in range(B.dimension):
@@ -239,6 +220,9 @@ def _cmd_conj_form(model, args, report):
 
 
 def _cmd_classify(model, args, report):
+    from .homology import homology
+    from .involutions import classify_type
+
     K, tau, basis = _resolve_form_space(model, args.object)
     h_bits = None
     width = homology(K, K.dimension // 2).betti
@@ -250,6 +234,8 @@ def _cmd_classify(model, args, report):
 
 
 def _cmd_divide(model, args, report):
+    from .coverings import dividing_test
+
     K, tau, basis = _resolve_involution(model, args.object)
     verdict = dividing_test(K, tau)
     report.item("dividing", verdict.dividing, "dividing")
@@ -261,6 +247,8 @@ def _cmd_divide(model, args, report):
 
 
 def _cmd_orient(model, args, report):
+    from .coverings import curve_complex_semiorientation
+
     K, tau, basis = _resolve_involution(model, args.object)
     semi = curve_complex_semiorientation(K, tau)
     edges = semi.carrier.simplices(1)
@@ -274,6 +262,9 @@ def _cmd_orient(model, args, report):
 
 
 def _cmd_cover(model, args, report):
+    from .coverings import branched_double_cover, double_cover_unbranched
+    from .homology import betti_numbers
+
     K = _lookup(model.complexes, args.object, "complex")
     if (args.cut is None) == (args.cocycle is None):
         raise InputError("cover needs exactly one of --cut or --cocycle")
@@ -297,6 +288,9 @@ def _cmd_cover(model, args, report):
 
 
 def _cmd_orient_cover(model, args, report):
+    from .coverings import orientation_cover
+    from .homology import betti_numbers
+
     K = _lookup(model.complexes, args.object, "complex")
     if args.curve is None:
         raise InputError("orient-cover needs --curve")
@@ -311,6 +305,8 @@ def _cmd_orient_cover(model, args, report):
 
 
 def _cmd_compare(model, args, report):
+    from .coverings import compare_mod_curves, flip_semiorientation
+
     K = _lookup(model.complexes, args.object, "complex")
     if args.y1 is None or args.y2 is None:
         raise InputError("compare needs --y1 and --y2")
@@ -327,6 +323,8 @@ def _cmd_compare(model, args, report):
 
 
 def _cmd_congruence(model, args, report):
+    from .coverings import kharlamov_congruence
+
     if args.chi is None or args.type is None:
         raise InputError("congruence needs --chi and --type")
     trace = kharlamov_congruence(args.chi, args.type, args.h1_trivial)
@@ -341,6 +339,12 @@ def _cmd_congruence(model, args, report):
 
 
 def _cmd_lattice_audit(model, args, report):
+    from .involutions import characteristic_class, is_even
+    from .lattices import (
+        alpha_chi_cross_check, conj_form_mod2, invariant_sublattices, orientation_class_check,
+        torsion_audit, transfer_audit,
+    )
+
     L = _lookup(model.lattices, args.object, "lattice")
     report.item("rank", L.rank, "lattice rank")
     plus, minus = invariant_sublattices(L)
@@ -378,6 +382,8 @@ def _cmd_lattice_audit(model, args, report):
 
 
 def _cmd_qform(model, args, report):
+    from .qforms import arf, brown, qform_from_loop_table
+
     table = _lookup(model.loops, args.object, "loop table")
     q = qform_from_loop_table(table)
     report.item("kind", table.kind, "form kind")
@@ -422,7 +428,7 @@ _COMMANDS = {
 }
 
 
-def run(command: str, model: ModelFile, args) -> Report:
+def run(command: str, model, args) -> Report:
     """Dispatch one command against a model; raises on failures."""
     if command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}")
@@ -465,10 +471,16 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         if args.model:
+            from .modelfile import parse_model
+
             with open(args.model, "r", encoding="utf-8") as fh:
                 model = parse_model(fh.read())
         else:
-            model = model_library()
+            from .models import model_library
+
+            # only the group that defines the object; congruence reads none,
+            # and "" names no model
+            model = model_library(getattr(args, "object", ""))
         report = run(args.command, model, args)
     except InputError as e:
         sys.stdout.write(f"input error: {e}\n")

@@ -222,12 +222,6 @@ def double_cover_unbranched(K: SimplicialComplex, w: int) -> CoverComplex:
     if not is_cocycle(K, 1, w):
         raise InputError("the given 1-cochain is not a cocycle")
 
-    def edge_bit(a, b):
-        if a == b:
-            return 0
-        e = (min(a, b), max(a, b))
-        return (w >> K.index_of(e)) & 1
-
     nv = K.vertex_count
     # by the cocycle condition each face of a lift is the lift of a face:
     # the total is closed, and projection and deck map lifts onto simplices.
@@ -235,10 +229,17 @@ def double_cover_unbranched(K: SimplicialComplex, w: int) -> CoverComplex:
     # so the root sheet is also the lift's rank among the two in sorted order
     lifts = {}
     for k in range(K.dimension + 1):
-        for i, s in enumerate(K.simplices(k)):
-            v0 = s[0]
+        # per simplex, w on the edge from v0 to each vertex: the face without
+        # the last vertex holds all but the last, face k - 1 (without v1) ends in it
+        if k == 0:
+            shifts = [(0,)] * K.n_simplices(0)
+        elif k == 1:
+            shifts = [(0, (w >> i) & 1) for i in range(K.n_simplices(1))]
+        else:
+            shifts = [shifts[f[0]] + shifts[f[k - 1]][-1:] for f in K.face_indices(k)]
+        for i, (s, shift) in enumerate(zip(K.simplices(k), shifts)):
             for sheet in (0, 1):
-                lifts[tuple(sorted(v + nv * (sheet ^ edge_bit(v0, v)) for v in s))] = i, sheet
+                lifts[tuple(sorted(v + nv * (sheet ^ b) for v, b in zip(s, shift)))] = i, sheet
     total = SimplicialComplex._trusted(2 * nv, _levels(lifts))
     proj = SimplicialMap._trusted(total, K, [v % nv for v in range(2 * nv)])
     deck = SimplicialMap._trusted(total, total, [(v + nv) % (2 * nv) for v in range(2 * nv)])
@@ -343,6 +344,7 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
 def _check_branch_preimage(cover: CoverComplex, K):
     """Branch simplices must be single-sheeted and deck-fixed upstairs."""
     total, proj, deck, branch = cover.total, cover.projection, cover.deck, cover.branch
+    still = {v for v, u in enumerate(deck.images) if u == v}
     for k in range(total.dimension + 1):
         preimages = {K.index_of(s): [] for s in branch.simplices(k)}
         for t, i in enumerate(proj.index_images(k)):
@@ -353,7 +355,9 @@ def _check_branch_preimage(cover: CoverComplex, K):
                 raise ModelIntegrityError(
                     f"branch simplex {K.simplices(k)[i]} has {len(pre)} preimages, expected 1"
                 )
-        fixed = [t for t, j in enumerate(deck.index_images(k)) if j == t]
+        # the deck fixes a simplex only pointwise: v and deck(v) project to
+        # one base vertex, and every total simplex projects injectively
+        fixed = [t for t, s in enumerate(total.simplices(k)) if still.issuperset(s)]
         if fixed != sorted(pre[0] for pre in preimages.values()):
             raise ModelIntegrityError("deck-fixed simplices differ from the branch preimage")
 

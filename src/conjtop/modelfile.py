@@ -9,40 +9,10 @@ field for field and reports built from files are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .complexes import SimplicialComplex, SimplicialMap
 from .errors import InputError
 from .gf2 import Gf2Matrix, vec_from_bits
-from .homology import ChainComplexData
-from .intmat import IntMatrix
-from .lattices import QuotientTransferData, build_lattice
-from .qforms import LoopData, LoopTable
-
-
-@dataclass
-class ModelFile:
-    """Named objects parsed from one model file (or the bundled library)."""
-
-    complexes: dict = field(default_factory=dict)
-    cycles: dict = field(default_factory=dict)  # complex -> mark name -> simplices
-    maps: dict = field(default_factory=dict)  # name -> (src, dst, SimplicialMap)
-    chains: dict = field(default_factory=dict)
-    lattices: dict = field(default_factory=dict)
-    loops: dict = field(default_factory=dict)
-    commands: list = field(default_factory=list)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModelFile)
-            and self.complexes == other.complexes
-            and self.cycles == other.cycles
-            and self.maps == other.maps
-            and self.chains == other.chains
-            and self.lattices == other.lattices
-            and self.loops == other.loops
-            and self.commands == other.commands
-        )
+from .models import ModelFile
 
 
 class _Lines:
@@ -91,6 +61,8 @@ def _read_matrix_rows(lines, nrows, ncols, what):
 
 
 def _read_int_matrix(lines, nrows, ncols, what):
+    from .intmat import IntMatrix
+
     return IntMatrix(_read_matrix_rows(lines, nrows, ncols, what), ncols)
 
 
@@ -208,6 +180,8 @@ def _parse_map(lines, model, name, src, dst, header_ln):
 
 
 def _parse_chain(lines, model, name, header_ln):
+    from .homology import ChainComplexData
+
     ranks = None
     boundaries = {}
     int_boundaries = {}
@@ -267,6 +241,8 @@ def _parse_chain(lines, model, name, header_ln):
 
 
 def _parse_lattice(lines, model, name, header_ln):
+    from .lattices import QuotientTransferData, build_lattice
+
     rank = None
     gram = isometry = presentation = None
     marks = {}
@@ -317,6 +293,8 @@ def _parse_lattice(lines, model, name, header_ln):
 
 
 def _parse_loops(lines, model, name, header_ln):
+    from .qforms import LoopData, LoopTable
+
     kind = None
     rank = None
     gram = None

@@ -13,14 +13,24 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import SimplicialComplex, SimplicialMap, _levels, barycentric_subdivide, closure
-from .coverings import double_cover_unbranched, stiefel_whitney_cocycle
 from .errors import InputError
 from .gf2 import Gf2Matrix
-from .homology import ChainComplexData
-from .intmat import IntMatrix
-from .lattices import QuotientTransferData, build_lattice
-from .modelfile import ModelFile
-from .qforms import LoopData, LoopTable
+
+
+class ModelFile:
+    """Named objects parsed from one model file (or the bundled library)."""
+
+    def __init__(self):
+        self.complexes = {}
+        self.cycles = {}  # complex -> mark name -> simplices
+        self.maps = {}  # name -> (src, dst, SimplicialMap)
+        self.chains = {}
+        self.lattices = {}
+        self.loops = {}
+        self.commands = []
+
+    def __eq__(self, other):
+        return isinstance(other, ModelFile) and vars(self) == vars(other)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +355,8 @@ def genus2_nondividing():
     The deck involution is free and orientation-reversing: the picture of
     a genus-2 real curve without real points.
     """
+    from .coverings import double_cover_unbranched, stiefel_whitney_cocycle
+
     N = nonorientable_genus3()
     w = stiefel_whitney_cocycle(N)
     cover = double_cover_unbranched(N, w)
@@ -384,7 +396,7 @@ def octa_subdivided_with_arcs():
 # ---------------------------------------------------------------------------
 
 
-def t4_chain_data() -> ChainComplexData:
+def t4_chain_data():
     """Product of two maximal real elliptic curves, as minimal cell data.
 
     The 4-torus with its product cell structure has one cell per subset of
@@ -392,6 +404,9 @@ def t4_chain_data() -> ChainComplexData:
     with two real circles on each factor acts trivially on mod-2 homology;
     the real part is four tori, an M-object, with class zero.
     """
+    from .homology import ChainComplexData
+    from .intmat import IntMatrix
+
     ranks = (1, 4, 6, 4, 1)
     boundaries = [Gf2Matrix.zeros(ranks[k - 1], ranks[k]) for k in range(1, 5)]
     int_boundaries = [IntMatrix.zeros(ranks[k - 1], ranks[k]) for k in range(1, 5)]
@@ -423,6 +438,9 @@ def quadric_lattice():
     The two line families generate; conjugation swaps them.  The quotient
     contributes one class whose pull-back is the invariant vector (1, 1).
     """
+    from .intmat import IntMatrix
+    from .lattices import QuotientTransferData, build_lattice
+
     gram = IntMatrix([[0, 1], [1, 0]])
     isometry = IntMatrix([[0, 1], [1, 0]])
     transfer = QuotientTransferData(1, IntMatrix([[1], [1]]), IntMatrix([[1, 1]]))
@@ -442,6 +460,9 @@ def t4_lattice():
     Basis: products of circle classes ab, aa', ab', ba', bb', a'b' with
     conjugation negating b and b'; the form pairs complementary products.
     """
+    from .intmat import IntMatrix
+    from .lattices import build_lattice
+
     gram = IntMatrix(
         [
             [0, 0, 0, 0, 0, 1],
@@ -458,6 +479,8 @@ def t4_lattice():
 
 
 def bundled_loop_tables():
+    from .qforms import LoopData, LoopTable
+
     hyp = Gf2Matrix.from_rows([[0, 1], [1, 0]])
     torus_loops = LoopTable(
         "spin",
@@ -479,82 +502,101 @@ def bundled_loop_tables():
 # ---------------------------------------------------------------------------
 
 
-def model_library() -> ModelFile:
-    """All bundled models, named as the command line expects them.
+def _add(model, name, K, marks=None, involution=None):
+    """Add complex ``name`` with its marked cycles and a ``(map name, tau)`` involution."""
+    model.complexes[name] = K
+    if marks:
+        model.cycles[name] = {k: tuple(v) for k, v in marks.items()}
+    if involution:
+        model.maps[involution[0]] = (name, name, involution[1])
+
+
+def _small_complexes(model):
+    sq, hexa = square_circle(), hexagon_circle()
+    _add(model, "square_circle", sq,
+         involution=("square_reflection", SimplicialMap(sq, sq, [0, 3, 2, 1])))
+    antipodal = SimplicialMap(hexa, hexa, [(v + 3) % 6 for v in range(6)])
+    _add(model, "hexagon_circle", hexa, involution=("hexagon_antipodal", antipodal))
+    _add(model, "sphere_tetra", sphere_tetra())
+    _add(model, "sphere_octa", sphere_octa())
+    _add(model, "torus7", torus7())
+
+
+def _rp2(model):
+    from .coverings import stiefel_whitney_cocycle
+
+    rp2 = rp2_6vertex()
+    w = stiefel_whitney_cocycle(rp2)
+    w_edges = tuple(e for i, e in enumerate(rp2.simplices(1)) if (w >> i) & 1)
+    _add(model, "rp2_6vertex", rp2, {"generator": RP2_GENERATOR_CYCLE, "w1_cocycle": w_edges})
+
+
+def _torus_grids(model):
+    K, tau, marks = torus_reflection()
+    _add(model, "torus_grid", K, marks, ("torus_reflection", tau))
+    Kf, tauf = torus_free_shift()
+    _add(model, "torus_grid_free", Kf, involution=("torus_free", tauf))
+
+
+def _torus_product(model):
+    P, swap, marks = torus_diagonal()
+    _add(model, "torus_product", P, marks, ("torus_diagonal", swap))
+
+
+def _klein_bottle(model):
+    KB, marks, shift = coned_grid_klein()
+    _add(model, "klein_bottle", KB, marks, ("klein_shift", shift))
+
+
+def _quadric(model):
+    Q, swap, marks = quadric_complex()
+    _add(model, "quadric", Q, marks, ("quadric", swap))
+
+
+def _genus2_dividing(model):
+    G, tau = genus2_dividing()
+    _add(model, "genus2_dividing_surface", G, involution=("genus2_dividing", tau))
+
+
+def _genus2_nondividing(model):
+    G, tau = genus2_nondividing()
+    _add(model, "genus2_nondividing_surface", G, involution=("genus2_nondividing", tau))
+
+
+def _sphere_octa_sub(model):
+    sub, arc1, arc2 = octa_subdivided_with_arcs()
+    _add(model, "sphere_octa_sub", sub, {"arc1": arc1, "arc2": arc2, "arcs_both": arc1 + arc2})
+
+
+# builder -> the names it defines, in library order
+_LIBRARY = {
+    _small_complexes: ("square_circle", "square_reflection", "hexagon_circle",
+                       "hexagon_antipodal", "sphere_tetra", "sphere_octa", "torus7"),
+    _rp2: ("rp2_6vertex",),
+    _torus_grids: ("torus_grid", "torus_reflection", "torus_grid_free", "torus_free"),
+    _torus_product: ("torus_product", "torus_diagonal"),
+    _klein_bottle: ("klein_bottle", "klein_shift"),
+    _quadric: ("quadric",),
+    _genus2_dividing: ("genus2_dividing_surface", "genus2_dividing"),
+    lambda m: _add(m, "nonorientable_genus3", nonorientable_genus3()): ("nonorientable_genus3",),
+    _genus2_nondividing: ("genus2_nondividing_surface", "genus2_nondividing"),
+    _sphere_octa_sub: ("sphere_octa_sub",),
+    lambda m: m.chains.update(t4_chain=t4_chain_data()): ("t4_chain",),
+    lambda m: m.lattices.update(quadric_lattice=quadric_lattice(), t4_lattice=t4_lattice()):
+        ("quadric_lattice", "t4_lattice"),
+    lambda m: m.loops.update(bundled_loop_tables()): ("torus_loops", "rp2_loops", "klein_loops"),
+}
+
+
+def model_library(name=None) -> ModelFile:
+    """The bundled models, named as the command line expects them: all of
+    them, or only the group that defines ``name``.
 
     Involutions are maps whose name doubles as the model name; marked
     cycles provide geometric homology bases and cutting curves.
     """
     model = ModelFile()
-
-    def add_complex(name, K, marks=None):
-        model.complexes[name] = K
-        if marks:
-            model.cycles[name] = {k: tuple(v) for k, v in marks.items()}
-
-    def add_involution(name, complex_name, tau):
-        model.maps[name] = (complex_name, complex_name, tau)
-
-    add_complex("square_circle", square_circle())
-    sq = model.complexes["square_circle"]
-    add_involution("square_reflection", "square_circle", SimplicialMap(sq, sq, [0, 3, 2, 1]))
-
-    add_complex("hexagon_circle", hexagon_circle())
-    hexa = model.complexes["hexagon_circle"]
-    add_involution(
-        "hexagon_antipodal", "hexagon_circle",
-        SimplicialMap(hexa, hexa, [(v + 3) % 6 for v in range(6)]),
-    )
-
-    add_complex("sphere_tetra", sphere_tetra())
-    add_complex("sphere_octa", sphere_octa())
-    add_complex("torus7", torus7())
-    rp2 = rp2_6vertex()
-    w_bits = stiefel_whitney_cocycle(rp2)
-    w_edges = tuple(
-        e for i, e in enumerate(rp2.simplices(1)) if (w_bits >> i) & 1
-    )
-    add_complex(
-        "rp2_6vertex", rp2,
-        {"generator": RP2_GENERATOR_CYCLE, "w1_cocycle": w_edges},
-    )
-
-    K, tau, marks = torus_reflection()
-    add_complex("torus_grid", K, marks)
-    add_involution("torus_reflection", "torus_grid", tau)
-    Kf, tauf = torus_free_shift()
-    add_complex("torus_grid_free", Kf)
-    add_involution("torus_free", "torus_grid_free", tauf)
-
-    P, swap, pmarks = torus_diagonal()
-    add_complex("torus_product", P, pmarks)
-    add_involution("torus_diagonal", "torus_product", swap)
-
-    KB, kmarks, kshift = coned_grid_klein()
-    add_complex("klein_bottle", KB, kmarks)
-    add_involution("klein_shift", "klein_bottle", kshift)
-
-    Q, qswap, qmarks = quadric_complex()
-    add_complex("quadric", Q, qmarks)
-    add_involution("quadric", "quadric", qswap)
-
-    G2, g2tau = genus2_dividing()
-    add_complex("genus2_dividing_surface", G2)
-    add_involution("genus2_dividing", "genus2_dividing_surface", g2tau)
-    N3 = nonorientable_genus3()
-    add_complex("nonorientable_genus3", N3)
-    G2n, g2ntau = genus2_nondividing()
-    add_complex("genus2_nondividing_surface", G2n)
-    add_involution("genus2_nondividing", "genus2_nondividing_surface", g2ntau)
-
-    sub, arc1, arc2 = octa_subdivided_with_arcs()
-    add_complex(
-        "sphere_octa_sub", sub,
-        {"arc1": arc1, "arc2": arc2, "arcs_both": arc1 + arc2},
-    )
-
-    model.chains["t4_chain"] = t4_chain_data()
-    model.lattices["quadric_lattice"] = quadric_lattice()
-    model.lattices["t4_lattice"] = t4_lattice()
-    model.loops.update(bundled_loop_tables())
+    for build, names in _LIBRARY.items():
+        if name is None or name in names:
+            build(model)
     return model
