@@ -445,7 +445,13 @@ def run(command: str, model, args) -> Report:
     return report
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """All twelve subcommands, with arguments only on ``command``'s parser.
+
+    argparse makes a help formatter for every argument it adds, so a run
+    adds only the arguments of the command it names; the top-level usage,
+    help and choices are the same for every ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="conjtop",
         description="Topology of involutions on finite complexes: types, double "
@@ -455,6 +461,8 @@ def _build_parser():
     for name, (_, arguments) in _COMMANDS.items():
         # no prefix matching: it would read a stray --h as --help
         p = sub.add_parser(name, allow_abbrev=False)
+        if name != command:
+            continue
         for arg in arguments:
             p.add_argument(arg, **_ARGUMENTS[arg])
         p.add_argument("--model", help="model file (defaults to the bundled library)")
@@ -464,7 +472,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

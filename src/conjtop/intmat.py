@@ -4,20 +4,30 @@ Everything runs on Python integers, so entry blow-up during elimination
 is harmless.  No floating point enters at any stage.
 
 Smith normal form pivots on the smallest nonzero |entry| of the remaining
-block, ties by row-major position, so (D, U, V) are deterministic.  The
-search takes each row's minimum with builtins and stops at the first row
-whose minimum is 1.  Each pivot then makes one row pass and one column pass,
-both over supports read once: the pivot row's nonzero columns, the nonzero
-entries of its row of U, and the rows with a nonzero in the pivot column.
-V is kept transposed, so its column operations are sparse row operations
-and a column swap exchanges two rows.  Every call audits U and V exactly
-with ``det``: Bareiss elimination that rescales a row only when it next
-has a nonzero in the pivot column.
+block, ties by row-major position, so (D, U, V) are deterministic.  Each
+row's minimum |entry| is cached: it is computed once per row, swapped with
+the row, and refreshed only for the rows a pivot pass touched, so the
+search reads one list instead of rescanning the block.  Each pivot makes
+one row pass and one column pass, both over supports read once: the pivot
+row's nonzero columns, the nonzero entries of its row of U, and the rows
+with a nonzero in the pivot column.  V is kept transposed, so its column
+operations are sparse row operations and a column swap exchanges two rows.
+Every call audits U and V exactly with ``det``: Bareiss elimination that
+rescales a row only when it next has a nonzero in the pivot column.
+
+``invariant_factors`` needs no U or V.  It first eliminates unit pivots on
+sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do for
+boundary matrices, and hands what is left to the audited Smith form; the
+count of odd factors is checked against the rank over GF(2).
 """
 
 from __future__ import annotations
 
-from .errors import InputError
+from heapq import heapify, heappop, heappush
+from itertools import compress
+
+from .errors import InputError, ModelIntegrityError
+from .gf2 import Gf2Matrix, reduce_columns
 
 
 class IntMatrix:
@@ -113,8 +123,6 @@ class IntMatrix:
         return self.nrows == self.ncols and self == self.transpose()
 
     def mod2(self):
-        from .gf2 import Gf2Matrix
-
         return Gf2Matrix.from_rows([[e & 1 for e in r] for r in self.rows], self.ncols)
 
     def diagonal_entries(self):
@@ -162,7 +170,12 @@ def det(M: IntMatrix) -> int:
 
 
 def _support(row, lo=0):
-    return [j for j, x in enumerate(row[lo:], lo) if x]
+    return list(compress(range(lo, len(row)), row[lo:]))
+
+
+def _row_min(row, lo):
+    """Smallest nonzero |entry| of ``row[lo:]``, 0 when there is none."""
+    return min(map(abs, filter(None, row[lo:])), default=0)
 
 
 def smith_normal_form(M: IntMatrix):
@@ -171,15 +184,21 @@ def smith_normal_form(M: IntMatrix):
     D is diagonal with nonnegative entries d_i satisfying d_i | d_{i+1};
     U and V are unimodular.  Pivot choice is deterministic (smallest
     absolute value, ties by row-major position) so outputs are stable.
+    Raises :class:`ModelIntegrityError` when ``det`` finds U or V not
+    unimodular.
     """
     m, n = M.nrows, M.ncols
     a = [list(r) for r in M.rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # V transposed
+    # mins[i] is the smallest nonzero |entry| of a[i][t:] at step t: column
+    # swaps keep it, and a finished step leaves column t zero below row t
+    mins = [_row_min(row, 0) for row in a]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        mins[i], mins[j] = mins[j], mins[i]
 
     def swap_cols(t, j):
         for row in a[t:]:  # rows above t are zero from column t on
@@ -203,24 +222,25 @@ def smith_normal_form(M: IntMatrix):
             vd[j] += c * vsrc[j]
 
     def find_pivot(t):
-        # a row's smallest |e| is taken at C speed; no entry beats a 1
-        best, pi = 0, None
-        for i in range(t, m):
-            e = min(map(abs, filter(None, a[i][t:])), default=0)
-            if e and (not best or e < best):
-                best, pi = e, i
-                if e == 1:
-                    break
+        # the smallest cached minimum, its first row, that row's first column
+        best = min(filter(None, mins[t:]), default=0)
         if not best:
             return None
-        return pi, next(j for j in range(t, n) if abs(a[pi][j]) == best)
+        pi = mins.index(best, t)
+        row = a[pi]
+        return pi, next(j for j in range(t, n) if abs(row[j]) == best)
 
     r = min(m, n)
     for t in range(r):
+        prev = 0
         while (pos := find_pivot(t)) is not None:
             swap_rows(t, pos[0])
             swap_cols(t, pos[1])
             at, p = a[t], a[t][t]
+            if prev and abs(p) >= prev:
+                raise ModelIntegrityError("a repeated pivot search found no smaller pivot",
+                                          report={"step": t, "pivot": p, "previous": prev})
+            prev = abs(p)
             cols, ucols, vcols = _support(at, t), _support(u[t]), _support(vt[t])
             below = [i for i in range(t + 1, m) if a[i][t]]
             for i in below:
@@ -228,9 +248,11 @@ def smith_normal_form(M: IntMatrix):
             rows = [t] + [i for i in below if a[i][t]]
             for j in cols[1:]:
                 add_col(t, j, -(at[j] // p), rows, vcols)
+            for i in (t, *below):  # the rows add_row and add_col touched
+                mins[i] = _row_min(a[i], t)
             if len(rows) == 1 and not any(at[j] for j in cols[1:]):
                 break
-            # residues remain; re-pick a strictly smaller pivot
+            # residues smaller than |p| remain, so the next pivot is smaller
 
     def fix_pair(t, s):
         # replace diag entries (a_t, a_s) by (gcd, +-lcm); only rows/cols
@@ -258,15 +280,86 @@ def smith_normal_form(M: IntMatrix):
     D = IntMatrix._trusted(m, n, tuple(map(tuple, a)))
     U = IntMatrix._trusted(m, m, tuple(map(tuple, u)))
     V = IntMatrix._trusted(n, n, tuple(zip(*vt)))
-    if det(U) not in (1, -1) or det(V) not in (1, -1):
-        raise AssertionError("transform matrices lost unimodularity")
+    dets = {"det_U": det(U), "det_V": det(V)}
+    if not all(d in (1, -1) for d in dets.values()):
+        raise ModelIntegrityError("transform matrices lost unimodularity", report=dets)
     return D, U, V
 
 
 def invariant_factors(M: IntMatrix):
-    """Nonzero diagonal of the Smith form."""
-    D, _, _ = smith_normal_form(M)
-    return tuple(d for d in D.diagonal_entries() if d != 0)
+    """Nonzero diagonal of the Smith form, units first.
+
+    Columns are stored sparsely, and a heap keyed by row length yields the
+    sparsest row holding a +-1 entry; the unit in its sparsest column is the
+    pivot.  A unit pivot splits off a factor 1: the Schur update subtracts
+    its column, scaled by the pivot row's entries, from the other columns
+    of that row, and the pivot's row and column are dropped.  The remainder,
+    its zero rows and columns left out, goes to the audited
+    :func:`smith_normal_form` even when it is empty.  The number of odd
+    factors must equal the rank of M over GF(2), or
+    :class:`ModelIntegrityError` is raised.
+    """
+    m, n = M.nrows, M.ncols
+    cols = [{} for _ in range(n)]  # column j: {row: nonzero entry}
+    rows = [set() for _ in range(m)]  # row i: its nonzero columns
+    odd = [0] * n  # column j mod 2, bit-packed
+    for i, r in enumerate(M.rows):
+        for j in compress(range(n), r):
+            x = r[j]
+            cols[j][i] = x
+            rows[i].add(j)
+            if x & 1:
+                odd[j] |= 1 << i
+    heap = [(len(s), i) for i, s in enumerate(rows) if s]
+    heapify(heap)
+    units = 0
+    while heap:
+        k, r = heappop(heap)
+        row = rows[r]
+        if k != len(row):  # a stale entry, or an eliminated row
+            continue
+        c = min((j for j in row if cols[j][r] in (1, -1)),
+                key=lambda j: (len(cols[j]), j), default=None)
+        if c is None:  # pushed again if an update changes it
+            continue
+        pivot_col = cols[c]
+        p = pivot_col.pop(r)
+        others = [(i, x * p) for i, x in pivot_col.items()]  # x * p == x / p
+        for j in row:
+            if j == c:
+                continue
+            col = cols[j]
+            f = col.pop(r)
+            for i, x in others:
+                y = col.get(i, 0) - f * x
+                if y:
+                    col[i] = y
+                    rows[i].add(j)
+                else:
+                    del col[i]
+                    rows[i].discard(j)
+        for i, _ in others:
+            rows[i].discard(c)
+            if rows[i]:
+                heappush(heap, (len(rows[i]), i))
+        cols[c], rows[r] = {}, set()
+        units += 1
+    live_rows = [i for i in range(m) if rows[i]]
+    live_cols = [j for j in range(n) if cols[j]]
+    position = {i: k for k, i in enumerate(live_rows)}
+    rest = [[0] * len(live_cols) for _ in live_rows]
+    for k, j in enumerate(live_cols):
+        for i, x in cols[j].items():
+            rest[position[i]][k] = x
+    D, _, _ = smith_normal_form(IntMatrix._trusted(
+        len(live_rows), len(live_cols), tuple(map(tuple, rest))))
+    factors = (1,) * units + tuple(d for d in D.diagonal_entries() if d)
+    parity = {"odd_factors": sum(d & 1 for d in factors),
+              "rank_mod2": len(reduce_columns(odd)[0])}
+    if parity["odd_factors"] != parity["rank_mod2"]:
+        raise ModelIntegrityError("invariant factors disagree with the rank mod 2",
+                                  report=parity)
+    return factors
 
 
 def int_solve(M: IntMatrix, b):

@@ -37,6 +37,17 @@ def involution_model(library, name):
     return library.complexes[src], tau, marked_basis(library, src)
 
 
+def signed_boundary_2(K):
+    """Integer boundary from oriented triangles to oriented edges."""
+    edges = {e: i for i, e in enumerate(K.simplices(1))}
+    rows = [[0] * K.n_simplices(2) for _ in edges]
+    for j, (a, b, c) in enumerate(K.simplices(2)):
+        rows[edges[(b, c)]][j] += 1
+        rows[edges[(a, c)]][j] -= 1
+        rows[edges[(a, b)]][j] += 1
+    return rows
+
+
 def oriented_boundary_edges(simplex, sign):
     """Directed boundary edges of an oriented triangle.
 

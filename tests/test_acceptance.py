@@ -23,6 +23,7 @@ from conjtop.coverings import (
 from conjtop.errors import ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix, gf2_rank
 from conjtop.homology import betti_numbers, cohomology
+from conjtop.intmat import IntMatrix, invariant_factors
 from conjtop.involutions import (
     BilinearFormGF2,
     characteristic_class,
@@ -33,7 +34,7 @@ from conjtop.involutions import (
     verify_fixed_class_is_characteristic,
 )
 from conjtop.lattices import orientation_class_check, transfer_audit
-from conjtop.models import model_library
+from conjtop.models import coned_grid_klein, coned_grid_torus, model_library
 from conjtop.qforms import (
     LoopData,
     QForm2,
@@ -50,6 +51,7 @@ from conftest import (
     block_sum_z4,
     induced_edge_direction,
     involution_model,
+    signed_boundary_2,
     top_adjacency,
 )
 
@@ -215,6 +217,17 @@ def test_acceptance_kharlamov_arithmetic():
         with pytest.raises(ModelIntegrityError):
             kharlamov_congruence(chi, "I_abs", True)
     _report("kharlamov-arithmetic", time.perf_counter() - t0, 1.0)
+
+
+def test_acceptance_unit_pivot_invariant_factors():
+    """Integer torsion of the coned torus and Klein bottle at n = 16 from
+    their signed boundaries d2 (1536 x 1024): Z/2 only for the Klein bottle."""
+    t0 = time.perf_counter()
+    for build, torsion in ((coned_grid_torus, ()), (coned_grid_klein, (2,))):
+        M = IntMatrix(signed_boundary_2(build(16)[0]))
+        assert (M.nrows, M.ncols) == (1536, 1024)
+        assert invariant_factors(M) == (1,) * 1023 + torsion
+    _report("unit-pivot-invariant-factors", time.perf_counter() - t0, 2.0)
 
 
 def test_acceptance_smith_kernel_bound():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjtop.cli import Report, main, run
+from conjtop.cli import Report, _build_parser, main, run
 from conjtop.errors import InputError
 from conjtop.modelfile import format_model, parse_model
 
@@ -382,6 +382,14 @@ def test_subcommand_help_lists_exactly_its_flags(command, capsys):
     options = set(re.findall(r"--[a-z0-9-]+", out))
     assert options == {"--help", "--model", "--machine", *COMMAND_FLAGS[command]}
     assert ("positional arguments:" in out) == (command != "congruence")
+
+
+def test_top_level_parser_does_not_depend_on_the_command():
+    """Only the named command's subparser gets its arguments; the top-level
+    usage, help and choices are the same whichever command is named."""
+    expected = _build_parser().format_help()
+    for command in (*COMMAND_FLAGS, "nosuch"):
+        assert _build_parser(command).format_help() == expected, command
 
 
 def test_abbreviated_flags_exit_2(capsys):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import conjtop.intmat
 from conjtop import models
-from conjtop.errors import InputError
+from conjtop.complexes import SimplicialComplex
+from conjtop.errors import InputError, ModelIntegrityError
+from conjtop.gf2 import gf2_rank
 from conjtop.intmat import (
     IntMatrix,
     det,
@@ -17,6 +19,7 @@ from conjtop.intmat import (
     invariant_factors,
     smith_normal_form,
 )
+from conftest import signed_boundary_2
 
 
 def minors_gcd_invariant_factors(M):
@@ -293,17 +296,6 @@ def test_snf_matches_reference_sparse_40x30(seed):
     assert_same_snf(seeded_sparse_rows(seed))
 
 
-def signed_boundary_2(K):
-    """Integer boundary from oriented triangles to oriented edges."""
-    edges = {e: i for i, e in enumerate(K.simplices(1))}
-    rows = [[0] * K.n_simplices(2) for _ in edges]
-    for j, (a, b, c) in enumerate(K.simplices(2)):
-        rows[edges[(b, c)]][j] += 1
-        rows[edges[(a, c)]][j] -= 1
-        rows[edges[(a, b)]][j] += 1
-    return rows
-
-
 def rank_deficient_sparse_80x60():
     rows = seeded_sparse_rows(11, m=80, n=60, density=0.06)
     rows[-1] = [x - y for x, y in zip(rows[0], rows[1])]
@@ -333,6 +325,102 @@ def test_snf_matches_reference_at_bench_scale(build, torsion):
         assert factors == (1,) * (M.ncols - 1) + torsion
 
 
+# no +-1 anywhere: the unit-pivot front end eliminates nothing
+NO_UNIT_ENTRIES = st.sampled_from((0, 0, 2, -2, 3, -3, 4, 6, -9))
+
+
+def shaped_matrices(entries, max_dim=7):
+    """(rows, ncols) for m x n matrices with m and n from 0."""
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(
+        lambda mn: st.tuples(
+            st.lists(st.lists(entries, min_size=mn[1], max_size=mn[1]),
+                     min_size=mn[0], max_size=mn[0]),
+            st.just(mn[1]),
+        )
+    )
+
+
+@given(st.one_of(shaped_matrices(SPARSE_ENTRIES), shaped_matrices(NO_UNIT_ENTRIES)),
+       st.sets(st.integers(0, 6)), st.sets(st.integers(0, 6)))
+@example(([], 3), set(), set())  # 0 x 3
+@example(([[], [], []], 0), set(), set())  # 3 x 0
+@example(([[2, 4], [6, 3]], 2), set(), set())  # no unit: the remainder is all of M
+@example(([[1, 1], [1, -1]], 2), set(), set())  # the Schur update leaves -2
+@example(([[1, 2, 0], [3, 1, 0], [0, 0, 0]], 3), {2}, {2})
+@settings(max_examples=300, deadline=None)
+def test_invariant_factors_match_reference_diagonal(shaped, zero_rows, zero_cols):
+    rows, n = shaped
+    rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            for i, r in enumerate(rows)]
+    M = IntMatrix(rows, n)
+    expected = tuple(d for d in ReferenceSNF(M).D.diagonal_entries() if d)
+    assert invariant_factors(M) == expected
+
+
+def moore_space_z3():
+    """M(Z/3, 1): a disk whose boundary, 9 edges, wraps three times around
+    the triangle 0-1-2.  Boundary vertex k is k mod 3, inner ring vertex k
+    is 3 + k, and 12 is the centre."""
+    faces = []
+    for k in range(9):
+        b0, b1, i0, i1 = k % 3, (k + 1) % 3, 3 + k, 3 + (k + 1) % 9
+        faces += [tuple(sorted(f)) for f in ((b0, b1, i0), (b1, i0, i1), (i0, i1, 12))]
+    return SimplicialComplex.from_simplices(13, faces)
+
+
+@pytest.mark.parametrize("build, torsion", [
+    (models.rp2_6vertex, (2,)),
+    (lambda: models.coned_grid_klein(6)[0], (2,)),
+    (moore_space_z3, (3,)),
+], ids=["rp2", "coned_klein_6", "moore_z3"])
+def test_invariant_factors_of_known_torsion(build, torsion):
+    # H_2 = 0 in each case, so d2 is injective and H_1 is its cokernel's torsion
+    M = IntMatrix(signed_boundary_2(build()))
+    assert invariant_factors(M) == (1,) * (M.ncols - 1) + torsion
+    # Z/2 drops the rank mod 2 by one; Z/3 leaves it full, unseen mod 2
+    assert gf2_rank(M.mod2()) == M.ncols - (torsion == (2,))
+
+
+def test_invariant_factors_parity_check(monkeypatch):
+    """An odd-factor count that disagrees with the GF(2) rank is refused."""
+    def doubled_snf(M):
+        D, U, V = smith_normal_form(M)
+        return D.scale(2), U, V
+
+    monkeypatch.setattr(conjtop.intmat, "smith_normal_form", doubled_snf)
+    with pytest.raises(ModelIntegrityError, match="rank mod 2") as err:
+        invariant_factors(IntMatrix([[3, 0], [0, 1]]))
+    assert err.value.report == {"odd_factors": 1, "rank_mod2": 2}
+
+
+def udv_rows(m, n, seed):
+    """U * D * V with seeded elementary U and V and a divisor chain D."""
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(m)]
+    d = 1
+    for i in range(n - 3):
+        d *= rng.choice((1,) * 20 + (2, 3, 5))
+        rows[i][i] = d
+    for _ in range(m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in rows:
+            row[i] += c * row[j]
+    return rows
+
+
+def test_snf_matches_reference_on_udv_120x90():
+    M = IntMatrix(udv_rows(120, 90, seed=14))
+    D, U, V = smith_normal_form(M)
+    ref = ReferenceSNF(M)
+    assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
+    assert invariant_factors(M) == tuple(d for d in ref.D.diagonal_entries() if d)
+
+
 def test_unimodularity_audit_runs_on_every_call(monkeypatch):
     seen = []
 
@@ -344,8 +432,9 @@ def test_unimodularity_audit_runs_on_every_call(monkeypatch):
     smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
     assert seen == [(2, 2), (3, 3)]
     monkeypatch.setattr(conjtop.intmat, "det", lambda M: 2)
-    with pytest.raises(AssertionError, match="unimodularity"):
-        invariant_factors(IntMatrix([[1]]))
+    with pytest.raises(ModelIntegrityError, match="unimodularity") as err:
+        invariant_factors(IntMatrix([[1]]))  # the empty remainder is audited too
+    assert err.value.report == {"det_U": 2, "det_V": 2}
 
 
 def test_det_examples():
