@@ -2,11 +2,12 @@
 
 A row is a Python integer used as a bit vector (bit ``j`` is column ``j``),
 so a row update is one word-level XOR no matter how wide the matrix is.
-Vectors use the same encoding.  Two eliminations share it: :func:`rref`
-for small dense systems (solving, inverting), pivoting on columns left to
-right, and :func:`reduce_columns`, the sparse lowest-bit column reduction
-behind homology.  Both are deterministic and pick the same pivots for the
-same span, which keeps every echelon basis reproducible across runs.
+Vectors use the same encoding.  One elimination serves every caller:
+:func:`reduce_columns`, the lowest-bit column reduction behind homology.
+A rank is its pivot count; kernels, solutions and inverses take the
+reduced row echelon form from :func:`echelon`, which back-substitutes its
+pivot rows.  The reduced echelon form of a span is unique, so every
+echelon basis is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class Gf2Matrix:
             raise InputError(f"index {ij} out of range")
         return (self.rows[i] >> j) & 1
 
-    def row(self, i: int) -> int:
-        return self.rows[i]
-
     def column(self, j: int) -> int:
         v = 0
         for i, r in enumerate(self.rows):
@@ -169,44 +167,13 @@ class Gf2Matrix:
         return v
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form of bit-packed rows.
-
-    Returns (nonzero reduced rows, pivot column per row).  Deterministic:
-    columns are scanned left to right, candidate rows top to bottom.
-    """
-    work = list(rows)
-    m = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pivot = None
-        for i in range(r, m):
-            if work[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(m):
-            if i != r and (work[i] & bit):
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    # rows past r are zero after full reduction
-    return work[:r], pivots
-
-
 def reduce_columns(cols, clear=()):
     """Lowest-bit column reduction of bit-packed columns.
 
     Columns are taken last to first; while a column's lowest set bit is
     the pivot of an earlier reduced column, that column is added.  Returns
     ``(pivots, kernel)``: ``pivots`` maps each pivot to its reduced column,
-    its keys being the pivots :func:`rref` picks for the column space;
+    its keys being the pivots a row echelon form of the columns picks;
     ``kernel`` maps each column reduced to zero to the additions that did
     it, a kernel vector whose lowest set bit is that column.  Indices in
     ``clear`` are skipped: columns known to reduce to zero, such as the
@@ -246,15 +213,30 @@ def reduce_by_pivots(v: int, pivots, mask: int) -> int:
     return v
 
 
+def echelon(rows):
+    """Reduced row echelon form of bit-packed rows.
+
+    Returns (nonzero reduced rows, pivot column per row), pivots ascending.
+    :func:`reduce_columns` leaves one row per pivot, its lowest set bit;
+    back-substitution, highest pivot first, clears the other pivot bits.
+    """
+    pivots, _ = reduce_columns(list(rows))
+    mask = 0
+    for p in sorted(pivots, reverse=True):
+        pivots[p] = reduce_by_pivots(pivots[p], pivots, mask)
+        mask |= 1 << p
+    order = sorted(pivots)
+    return [pivots[p] for p in order], order
+
+
 def gf2_rank(M: Gf2Matrix) -> int:
     """Rank of M over GF(2)."""
-    rows, _ = rref(M.rows, M.ncols)
-    return len(rows)
+    return len(reduce_columns(M.rows)[0])
 
 
 def gf2_kernel_basis(M: Gf2Matrix):
     """Echelon basis of {x : Mx = 0}, as bit-packed vectors."""
-    return _echelon_kernel(*rref(M.rows, M.ncols), M.ncols)
+    return _echelon_kernel(*echelon(M.rows), M.ncols)
 
 
 def _echelon_kernel(rows, pivots, n):
@@ -282,7 +264,7 @@ def gf2_solve(M: Gf2Matrix, b: int):
     if b >> M.nrows:
         raise InputError("right-hand side longer than the number of rows")
     n = M.ncols
-    rows, pivots = rref((r | ((b >> i) & 1) << n for i, r in enumerate(M.rows)), n + 1)
+    rows, pivots = echelon(r | ((b >> i) & 1) << n for i, r in enumerate(M.rows))
     if pivots and pivots[-1] == n:
         return None
     x = 0
@@ -297,7 +279,7 @@ def gf2_invert(M: Gf2Matrix) -> Gf2Matrix:
     if M.nrows != M.ncols:
         raise InputError("only square matrices can be inverted")
     n = M.nrows
-    rows, pivots = rref((r | (1 << (n + i)) for i, r in enumerate(M.rows)), 2 * n)
+    rows, pivots = echelon(r | (1 << (n + i)) for i, r in enumerate(M.rows))
     if pivots and pivots[-1] >= n:
         raise InputError("matrix is singular over GF(2)")
     mask = (1 << n) - 1

@@ -15,15 +15,18 @@ pivots are those a row echelon form of B picks; each class of Z/B has one
 representative vanishing on them.  The boundary out of dimension k yields
 cycles with distinct lowest bits; those whose lowest bit is not a pivot of
 B are such representatives, one per class of a basis, and their reduced
-row echelon form is the canonical basis.  A chain is reduced against the
-pivot map, lowest pivot first, to find its representative.
+row echelon form (``gf2.echelon``, the same reduction back-substituted) is
+the canonical basis.  A chain is reduced against the pivot map, lowest
+pivot first, to find its representative.  The intersection form on middle
+homology is read from the cup and evaluation matrices of
+:func:`duality_data`; no Poincare dual cochain is built.
 """
 
 from __future__ import annotations
 
 from .complexes import SimplicialComplex, SimplicialMap, fundamental_class
 from .errors import InputError
-from .gf2 import Gf2Matrix, dot, gf2_invert, reduce_by_pivots, reduce_columns, rref
+from .gf2 import Gf2Matrix, dot, echelon, gf2_invert, reduce_by_pivots, reduce_columns
 
 
 class ChainComplexData:
@@ -230,7 +233,7 @@ def _quotient_basis(dimension, n_chains, boundaries, cycles, chart=None):
     # Kernel vectors use only their own and pivot-keeping columns, and a pivot of B, the
     # lowest bit of a cycle, has a zero column: those off B's pivots vanish on them.
     reps = [z for j, z in cycles[1].items() if j not in b_pivots]
-    h_rows, h_pivots = rref(reps, n_chains)
+    h_rows, h_pivots = echelon(reps)
     mask = sum(1 << p for p in b_pivots)
     return HomologyBasis(dimension, n_chains, h_rows, b_pivots, mask, h_pivots, chart=chart)
 
@@ -361,26 +364,13 @@ def is_cocycle(space, k: int, cochain: int) -> bool:
 
 def chain_map_image(f: SimplicialMap, k: int, chain: int) -> int:
     """Push a k-chain through a simplicial map; degenerate images drop out."""
-    src = f.source.simplices(k)
+    images = f.index_images(k)
     out = 0
-    c = chain
-    while c:
-        j = (c & -c).bit_length() - 1
-        c &= c - 1
-        s = src[j]
-        img = f.map_simplex(s)
-        if len(img) == len(s):
-            out ^= 1 << f.target.index_of(img)
-    return out
-
-
-def cochain_pullback(f: SimplicialMap, k: int, cochain: int) -> int:
-    """Pull a k-cochain on the target back along a simplicial map."""
-    out = 0
-    for j, s in enumerate(f.source.simplices(k)):
-        img = f.map_simplex(s)
-        if len(img) == len(s) and (cochain >> f.target.index_of(img)) & 1:
-            out |= 1 << j
+    while chain:
+        i = images[(chain & -chain).bit_length() - 1]
+        chain &= chain - 1
+        if i >= 0:
+            out ^= 1 << i
     return out
 
 
@@ -405,17 +395,8 @@ def induced_map(f_or_data, k: int, source_basis=None, target_basis=None) -> Gf2M
             return chain_map_image(f_or_data, k, z)
     src = source_basis or homology(source, k)
     dst = target_basis or homology(target, k)
-    return _matrix_from_coord_columns([dst.coordinates_of(push(z)) for z in src.cycles], dst.betti)
-
-
-def _matrix_from_coord_columns(cols, nrows):
-    rows = [0] * nrows
-    for j, c in enumerate(cols):
-        while c:
-            i = (c & -c).bit_length() - 1
-            c &= c - 1
-            rows[i] |= 1 << j
-    return Gf2Matrix(nrows, len(cols), rows)
+    cols = [dst.coordinates_of(push(z)) for z in src.cycles]
+    return Gf2Matrix(len(cols), dst.betti, cols).transpose()
 
 
 def cup_eval(K: SimplicialComplex, k: int, a: int, b: int, fc: int | None = None) -> int:
@@ -456,20 +437,17 @@ def cup_pairing(K: SimplicialComplex, k: int, a: int, b: int) -> int:
 
 
 class DualityData:
-    """Cohomology bases plus cup data needed for Poincare duality work."""
+    """Canonical bases in degree k with the cup matrix C of H^k against
+    H^(n-k), its inverse, and the evaluation matrix E of H^k on H_k."""
 
-    __slots__ = ("K", "k", "hom", "coh", "coh_dual", "cup", "cup_inv", "eval_matrix", "fc")
+    __slots__ = ("hom", "coh", "cup", "cup_inv", "eval_matrix")
 
-    def __init__(self, K, k, hom, coh, coh_dual, cup, cup_inv, eval_matrix, fc):
-        self.K = K
-        self.k = k
+    def __init__(self, hom, coh, cup, cup_inv, eval_matrix):
         self.hom = hom
         self.coh = coh
-        self.coh_dual = coh_dual
         self.cup = cup
         self.cup_inv = cup_inv
         self.eval_matrix = eval_matrix
-        self.fc = fc
 
 
 def duality_data(K: SimplicialComplex, k: int) -> DualityData:
@@ -520,7 +498,7 @@ def duality_data(K: SimplicialComplex, k: int) -> DualityData:
         gf2_invert(eval_matrix)
     except InputError:
         raise InputError("evaluation pairing between cohomology and homology is singular")
-    return DualityData(K, k, hom, coh, coh_dual, cup, cup_inv, eval_matrix, fc)
+    return DualityData(hom, coh, cup, cup_inv, eval_matrix)
 
 
 def duality_audit(K: SimplicialComplex) -> bool:
@@ -531,31 +509,11 @@ def duality_audit(K: SimplicialComplex) -> bool:
     return True
 
 
-def poincare_dual_cocycle(dd: DualityData, hom_coords: int) -> int:
-    """Cocycle Poincare-dual to a homology class given in basis coordinates.
-
-    The dual is characterized by: evaluating any cocycle c on the class
-    equals evaluating c cup dual on the fundamental cycle.
-    """
-    e = dd.eval_matrix.mul_vec(hom_coords)
-    lam = dd.cup_inv.mul_vec(e)
-    out = 0
-    l = lam
-    while l:
-        i = (l & -l).bit_length() - 1
-        l &= l - 1
-        out ^= dd.coh_dual.cycles[i]
-    return out
-
-
 def intersection_form_matrix(dd: DualityData) -> Gf2Matrix:
-    """Mod-2 intersection form on the canonical homology basis."""
-    duals = [poincare_dual_cocycle(dd, 1 << i) for i in range(dd.hom.betti)]
-    rows = []
-    for i in range(dd.hom.betti):
-        r = 0
-        for j in range(dd.hom.betti):
-            if cup_eval(dd.K, dd.K.dimension - dd.k, duals[i], duals[j], dd.fc):
-                r |= 1 << j
-        rows.append(r)
-    return Gf2Matrix(dd.hom.betti, dd.hom.betti, rows)
+    """Mod-2 intersection form on the canonical basis of middle homology.
+
+    In the middle degree C pairs the H^k basis with itself.  The Poincare
+    dual of class j has coordinates L e_j with L = C^-1 E, so the form is
+    L^T C L, which is L^T E because C L = E.
+    """
+    return (dd.cup_inv * dd.eval_matrix).transpose() * dd.eval_matrix

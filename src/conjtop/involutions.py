@@ -26,7 +26,7 @@ from .complexes import (
     pseudomanifold_check,
 )
 from .errors import InputError, ModelIntegrityError
-from .gf2 import Gf2Matrix, bits_of, gf2_invert, gf2_solve, rref
+from .gf2 import Gf2Matrix, bits_of, gf2_invert, gf2_solve, reduce_columns
 from .homology import (
     ChainComplexData,
     duality_data,
@@ -112,7 +112,7 @@ class _Basis:
 
     def __init__(self, hom, basis_cycles=None):
         self.hom = hom
-        self.to_marked = None
+        self.marked = self.to_marked = None
         if basis_cycles is None:
             return
         basis_cycles = list(basis_cycles)
@@ -121,9 +121,10 @@ class _Basis:
                 f"marked basis has {len(basis_cycles)} cycles, Betti number is {hom.betti}"
             )
         # row j holds the canonical coordinates of marked cycle j
-        T = Gf2Matrix(hom.betti, hom.betti, [hom.coordinates_of(z) for z in basis_cycles])
+        self.marked = Gf2Matrix(hom.betti, hom.betti,
+                                [hom.coordinates_of(z) for z in basis_cycles])
         try:
-            self.to_marked = gf2_invert(T.transpose())
+            self.to_marked = gf2_invert(self.marked.transpose())
         except InputError:
             raise InputError("marked cycles do not form a homology basis") from None
 
@@ -134,11 +135,9 @@ class _Basis:
         return self.to_marked.mul_vec(c)
 
     def transform_form(self, gram_canonical: Gf2Matrix) -> Gf2Matrix:
-        if self.to_marked is None:
+        if self.marked is None:
             return gram_canonical
-        # Gram in marked coordinates: columns of T are the marked cycles
-        T = gf2_invert(self.to_marked)
-        return T.transpose() * gram_canonical * T
+        return self.marked * gram_canonical * self.marked.transpose()
 
 
 def fixed_subcomplex(K: SimplicialComplex, tau: SimplicialMap,
@@ -362,8 +361,7 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
         amb.coordinates_of(sum(b for j, b in enumerate(ambient_bit) if (z >> j) & 1))
         for z in fix_h2.cycles
     ]
-    img_rows, _ = rref(images, amb.betti)
-    kernel_dim = fix_h2.betti - len(img_rows)
+    kernel_dim = fix_h2.betti - len(reduce_columns(images)[0])
 
     boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
     orbits = ChainComplexData._trusted([boundaries[0].nrows] + [b.ncols for b in boundaries],

@@ -48,6 +48,15 @@ def _ints(ln, body, expected=None):
     return vals
 
 
+def _int(ln, body, what, lo=0, hi=None):
+    """The one size or dimension index of a line, refused outside lo..hi."""
+    v = _ints(ln, body, 1)[0]
+    if v < lo or hi is not None and v > hi:
+        span = f"{lo}..{hi}" if hi is not None else f"at least {lo}"
+        raise InputError(f"line {ln}: {what} {v} out of range ({span})")
+    return v
+
+
 def _read_matrix_rows(lines, nrows, ncols, what):
     if ncols == 0:  # a matrix without columns is written without row lines
         return [[] for _ in range(nrows)]
@@ -126,7 +135,7 @@ def _parse_complex(lines, model, name, header_ln):
         ln, body = lines.next_content()
         tokens = body.split()
         if tokens[0] == "vertices":
-            vertices = _ints(ln, body[len("vertices"):], 1)[0]
+            vertices = _int(ln, body[len("vertices"):], "vertex count")
         elif tokens[0] == "simplex":
             generators.append(tuple(_ints(ln, body[len("simplex"):])))
         elif tokens[0] == "cycle":
@@ -194,35 +203,40 @@ def _parse_chain(lines, model, name, header_ln):
         tokens = body.split()
         key = tokens[0]
         if key == "ranks":
-            ranks = _ints(ln, body[len("ranks"):])
+            ranks = [_int(ln, t, "rank") for t in tokens[1:]]
+            if not ranks:
+                raise InputError(f"line {ln}: a ranks line needs at least one rank")
         elif ranks is None:
             raise InputError(f"line {ln}: chain section must start with a ranks line")
         elif key == "boundary":
-            k = _ints(ln, body[len("boundary"):], 1)[0]
+            k = _int(ln, body[len("boundary"):], "boundary", 1, len(ranks) - 1)
             boundaries[k] = _read_gf2_matrix(lines, ranks[k - 1], ranks[k], f"boundary {k}")
         elif key == "boundary_int":
-            k = _ints(ln, body[len("boundary_int"):], 1)[0]
+            k = _int(ln, body[len("boundary_int"):], "boundary_int", 1, len(ranks) - 1)
             int_boundaries[k] = _read_int_matrix(
                 lines, ranks[k - 1], ranks[k], f"boundary_int {k}"
             )
         elif key == "involution":
-            k = _ints(ln, body[len("involution"):], 1)[0]
+            k = _int(ln, body[len("involution"):], "involution", 0, len(ranks) - 1)
             involution[k] = _read_gf2_matrix(lines, ranks[k], ranks[k], f"involution {k}")
         elif key == "pairing":
-            b = _ints(ln, body[len("pairing"):], 1)[0]
+            b = _int(ln, body[len("pairing"):], "pairing size")
             pairing = _read_gf2_matrix(lines, b, b, "pairing")
         elif key == "fixed_class":
             fixed_class = vec_from_bits(_ints(ln, body[len("fixed_class"):]))
         elif key == "fixed_betti":
-            fixed_betti = _ints(ln, body[len("fixed_betti"):], 1)[0]
+            fixed_betti = _int(ln, body[len("fixed_betti"):], "fixed_betti")
         else:
             raise InputError(f"line {ln}: unknown chain entry {key!r}")
     if ranks is None:
         raise InputError(f"line {header_ln}: chain {name!r} missing ranks")
     n = len(ranks) - 1
-    for k in range(1, n + 1):
-        if k not in boundaries:
-            raise InputError(f"chain {name!r}: boundary {k} missing")
+    # boundaries are required; integer boundaries and involution maps come all or none
+    for what, found, first in (("boundary", boundaries, 1),
+                               ("boundary_int", int_boundaries, 1), ("involution", involution, 0)):
+        for k in range(first, n + 1):
+            if k not in found and (found or what == "boundary"):
+                raise InputError(f"chain {name!r}: {what} {k} missing")
     try:
         data = ChainComplexData(
             ranks,
@@ -235,7 +249,7 @@ def _parse_chain(lines, model, name, header_ln):
             fixed_class=fixed_class,
             fixed_betti_total=fixed_betti,
         )
-    except (InputError, KeyError) as e:
+    except InputError as e:
         raise InputError(f"chain {name!r}: {e}") from None
     model.chains[name] = data
 
@@ -253,7 +267,7 @@ def _parse_lattice(lines, model, name, header_ln):
         tokens = body.split()
         key = tokens[0]
         if key == "rank":
-            rank = _ints(ln, body[len("rank"):], 1)[0]
+            rank = _int(ln, body[len("rank"):], "rank")
         elif rank is None:
             raise InputError(f"line {ln}: lattice section must start with a rank line")
         elif key == "gram":
@@ -267,10 +281,10 @@ def _parse_lattice(lines, model, name, header_ln):
         elif key == "chi_real":
             chi_real = _ints(ln, body[len("chi_real"):], 1)[0]
         elif key == "presentation":
-            nrows = _ints(ln, body[len("presentation"):], 1)[0]
+            nrows = _int(ln, body[len("presentation"):], "presentation rows")
             presentation = _read_int_matrix(lines, nrows, rank, "presentation")
         elif key == "transfer":
-            qrank = _ints(ln, body[len("transfer"):], 1)[0]
+            qrank = _int(ln, body[len("transfer"):], "transfer rank")
             ln2, body2 = lines.next_content()
             if body2 != "pull":
                 raise InputError(f"line {ln2}: transfer block expects 'pull'")
@@ -322,7 +336,7 @@ def _parse_loops(lines, model, name, header_ln):
         if key == "kind":
             kind = tokens[1] if len(tokens) > 1 else ""
         elif key == "rank":
-            rank = _ints(ln, body[len("rank"):], 1)[0]
+            rank = _int(ln, body[len("rank"):], "rank")
         elif key == "gram":
             if rank is None:
                 raise InputError(f"line {ln}: rank must precede gram")

@@ -2,11 +2,33 @@ from itertools import combinations
 
 import pytest
 
-from conjtop.complexes import SimplicialMap, check_involution, impure_simplex
+from conjtop.complexes import SimplicialMap, check_involution, fundamental_class, impure_simplex
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
+from conjtop.homology import cohomology, cup_eval, duality_data, homology
 from conjtop.models import model_library
 from conjtop.qforms import QForm2, QForm4, evaluate_q2, evaluate_q4
+
+
+# malformed model files, each with the fragment of the one-line reason it must give
+MALFORMED_MODELS = {
+    "boundary_above_top": ("[chain c]\nranks 1 1\nboundary 2\n", "line 3: boundary 2 out of range"),
+    "boundary_0": ("[chain c]\nranks 1 1\nboundary 0\n1\n", "line 3: boundary 0 out of range"),
+    "boundary_negative": ("[chain c]\nranks 1 1\nboundary -1\n1\n", "line 3: boundary -1 out"),
+    "involution_above_top": ("[chain c]\nranks 1 1\nboundary 1\n0\ninvolution 5\n1\n",
+                             "line 5: involution 5 out of range"),
+    "involution_missing": ("[chain c]\nranks 1 1\nboundary 1\n0\ninvolution 0\n1\n",
+                           "chain 'c': involution 1 missing"),
+    "boundary_int_missing": ("[chain c]\nranks 1 1 1\nboundary 1\n0\nboundary 2\n0\n"
+                             "boundary_int 1\n0\n", "chain 'c': boundary_int 2 missing"),
+    "pairing_negative": ("[chain c]\nranks 1\npairing -1\n", "line 3: pairing size -1 out"),
+    "ranks_negative": ("[chain c]\nranks 1 -1\n", "line 2: rank -1 out of range"),
+    "ranks_empty": ("[chain c]\nranks\n", "line 2: a ranks line needs at least one rank"),
+    "loops_rank_negative": ("[loops q]\nkind spin\nrank -1\ngram\n", "line 3: rank -1 out"),
+    "lattice_presentation_negative": ("[lattice L]\nrank 1\ngram\n1\nisometry\n1\n"
+                                      "presentation -1\n", "line 7: presentation rows -1 out"),
+    "vertices_negative": ("[complex K]\nvertices -1\n", "line 2: vertex count -1 out"),
+}
 
 
 @pytest.fixture(scope="session")
@@ -210,6 +232,70 @@ def propagated_lift(cover, tau):
         if proj.compose(lift).images != tau.compose(proj).images:
             raise ModelIntegrityError("constructed lift does not commute with projection")
     return c_plus, c_minus
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form by dense pivoting on columns left to right,
+    candidate rows top to bottom: (nonzero reduced rows, pivot per row).
+    The former elimination of ``conjtop.gf2``, the oracle for ``echelon``."""
+    work = list(rows)
+    m = len(work)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        bit = 1 << c
+        pivot = None
+        for i in range(r, m):
+            if work[i] & bit:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(m):
+            if i != r and (work[i] & bit):
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    # rows past r are zero after full reduction
+    return work[:r], pivots
+
+
+def cochain_pullback(f, k, cochain):
+    """Pull a k-cochain on the target back along a simplicial map."""
+    out = 0
+    for j, s in enumerate(f.source.simplices(k)):
+        img = f.map_simplex(s)
+        if len(img) == len(s) and (cochain >> f.target.index_of(img)) & 1:
+            out |= 1 << j
+    return out
+
+
+def poincare_dual_cocycle(K, k, hom_coords):
+    """Cocycle of degree n - k Poincare-dual to a class of H_k given in
+    canonical coordinates: evaluating any k-cocycle c on the class equals
+    evaluating c cup the dual on [K].  It sums the H^(n-k) basis cocycles
+    at the bits of C^-1 E x."""
+    dd = duality_data(K, k)
+    lam = dd.cup_inv.mul_vec(dd.eval_matrix.mul_vec(hom_coords))
+    out = 0
+    for i, c in enumerate(cohomology(K, K.dimension - k).cycles):
+        if (lam >> i) & 1:
+            out ^= c
+    return out
+
+
+def cochain_intersection_form(K):
+    """Intersection Gram on the canonical middle homology basis by the
+    cochain route: the Poincare duals of the basis classes, cupped pairwise
+    on the fundamental cycle.  The oracle for ``intersection_form_matrix``."""
+    k = K.dimension // 2
+    duals = [poincare_dual_cocycle(K, k, 1 << i) for i in range(homology(K, k).betti)]
+    fc = fundamental_class(K)
+    rows = (sum(cup_eval(K, k, a, b, fc) << j for j, b in enumerate(duals)) for a in duals)
+    return Gf2Matrix(len(duals), len(duals), rows)
 
 
 def random_basis(n, rng):

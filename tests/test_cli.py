@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conjtop.cli import Report, _build_parser, main, run
 from conjtop.errors import InputError
 from conjtop.modelfile import format_model, parse_model
+from conftest import MALFORMED_MODELS
 
 
 def run_cli(argv, capsys):
@@ -317,6 +318,16 @@ def test_unreadable_model_file(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe[complex")
     code, out = run_cli(["homology", "torus7", "--model", str(binary)], capsys)
     assert code == 2 and out.startswith("input error:")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_exits_2_with_one_line(case, tmp_path, capsys):
+    text, reason = MALFORMED_MODELS[case]
+    path = tmp_path / f"{case}.cjt"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(["homology", "c", "--model", str(path)], capsys)
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("input error: ") and reason in out
 
 
 def test_unknown_command_rejected(capsys):

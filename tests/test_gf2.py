@@ -1,20 +1,21 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conjtop.errors import InputError
 from conjtop.gf2 import (
     Gf2Matrix,
     bits_of,
+    echelon,
     gf2_invert,
     gf2_kernel_basis,
     gf2_rank,
     gf2_solve,
-    rref,
     vec_from_bits,
 )
+from conftest import rref
 
 
 def naive_rank(rows_of_bits):
@@ -103,14 +104,37 @@ def test_solve_verified_by_multiplication(rows, seed_x):
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
-def test_rref_is_reduced(rows):
+def test_echelon_is_reduced(rows):
     M = Gf2Matrix.from_rows(rows)
-    reduced, pivots = rref(M.rows, M.ncols)
+    reduced, pivots = echelon(M.rows)
     assert len(reduced) == gf2_rank(M)
     for i, (row, p) in enumerate(zip(reduced, pivots)):
         assert (row >> p) & 1
         for other in reduced[:i] + reduced[i + 1:]:
             assert not (other >> p) & 1
+
+
+def wide_or_empty_matrices():
+    """(width, rows): up to 8 rows of up to 80 columns, dense or with at most 3 bits."""
+    def rows_of(n):
+        sparse = st.sets(st.integers(0, n - 1), max_size=3).map(
+            lambda bits: sum(1 << b for b in bits)) if n else st.just(0)
+        return st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1) | sparse, max_size=8))
+    return st.integers(0, 80).flatmap(rows_of)
+
+
+@given(wide_or_empty_matrices())
+@example((0, []))
+@example((6, []))
+@example((0, [0, 0, 0]))
+@example((5, [0, 0, 0, 0]))
+@example((70, [1 << 69 | 1, 1 << 69 | 1 << 40, 1 << 40 | 1, 1 << 69]))
+@settings(max_examples=200, deadline=None)
+def test_echelon_matches_dense_rref(case):
+    """The reduced echelon form of a span is unique: back-substituted column
+    reduction and dense left-to-right pivoting agree bit for bit."""
+    n, rows = case
+    assert echelon(iter(rows)) == rref(rows, n)
 
 
 def test_invert_round_trip():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conjtop.complexes import SimplicialComplex, SimplicialMap, identity_map
+from conjtop.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, identity_map
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix
 from conjtop.homology import (
@@ -26,6 +26,7 @@ from conjtop.models import (
     torus7,
     torus_reflection,
 )
+from conftest import cochain_intersection_form
 
 
 def naive_betti(K, k):
@@ -258,3 +259,13 @@ def test_rp2_marked_generator_is_the_generator():
     for s in RP2_GENERATOR_CYCLE:
         chain |= 1 << K.index_of(tuple(s))
     assert h1.coordinates_of(chain) == 1  # nonzero: the generator
+
+
+def test_intersection_form_matrix_against_cochain_route(library):
+    """C^-1 E transposed times E equals the Gram of the Poincare duals cupped
+    on [K], on every even-dimensional library complex and one subdivision."""
+    cases = {name: K for name, K in library.complexes.items() if K.dimension % 2 == 0}
+    cases["sd genus2"] = barycentric_subdivide(library.complexes["genus2_dividing_surface"])[0]
+    for name, K in sorted(cases.items()):
+        dd = duality_data(K, K.dimension // 2)
+        assert intersection_form_matrix(dd) == cochain_intersection_form(K), name

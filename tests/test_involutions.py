@@ -1,15 +1,9 @@
 import pytest
 
-from conjtop.complexes import identity_map
+from conjtop.complexes import fundamental_class, identity_map
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
-from conjtop.homology import (
-    cochain_pullback,
-    cup_eval,
-    duality_data,
-    homology,
-    poincare_dual_cocycle,
-)
+from conjtop.homology import cup_eval, homology
 from conjtop.involutions import (
     BilinearFormGF2,
     _smith_verdict,
@@ -26,7 +20,7 @@ from conjtop.involutions import (
     verify_fixed_class_is_characteristic,
 )
 from conjtop.models import factor_swap, product_complex, sphere_tetra
-from conftest import involution_model, marked_basis
+from conftest import cochain_pullback, involution_model, marked_basis, poincare_dual_cocycle
 
 HYPERBOLIC = Gf2Matrix.from_rows([[0, 1], [1, 0]])
 IDENTITY2 = Gf2Matrix.identity(2)
@@ -381,10 +375,10 @@ def _cup_pullback_gram(K, tau, cycles):
     """Gram of x . t(y) on the given cycles by the cohomology route: cup the
     Poincare dual of x with the pullback of the dual of y on [K]."""
     mid = K.dimension // 2
-    dd = duality_data(K, mid)
-    duals = [poincare_dual_cocycle(dd, dd.hom.coordinates_of(z)) for z in cycles]
+    hom, fc = homology(K, mid), fundamental_class(K)
+    duals = [poincare_dual_cocycle(K, mid, hom.coordinates_of(z)) for z in cycles]
     pulled = [cochain_pullback(tau, mid, d) for d in duals]
-    rows = (sum(cup_eval(K, mid, a, b, dd.fc) << j for j, b in enumerate(pulled)) for a in duals)
+    rows = (sum(cup_eval(K, mid, a, b, fc) << j for j, b in enumerate(pulled)) for a in duals)
     return Gf2Matrix(len(duals), len(duals), rows)
 
 

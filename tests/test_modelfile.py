@@ -2,6 +2,7 @@ import pytest
 
 from conjtop.errors import InputError
 from conjtop.modelfile import ModelFile, format_model, parse_model
+from conftest import MALFORMED_MODELS
 
 
 def test_empty_file_is_valid():
@@ -156,3 +157,13 @@ isometry
 """
     with pytest.raises(InputError, match="L"):
         parse_model(bad)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_sizes_and_dimensions_name_the_line(case):
+    """Sizes and dimension indices are range-checked where they are read:
+    none indexes past the ranks, wraps to the last rank or reaches a shift."""
+    text, reason = MALFORMED_MODELS[case]
+    with pytest.raises(InputError) as err:
+        parse_model(text)
+    assert reason in str(err.value)

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from conjtop.complexes import SimplicialComplex, barycentric_subdivide, orbit_chain_boundaries
 from conjtop.errors import InputError
-from conjtop.gf2 import Gf2Matrix, gf2_kernel_basis, reduce_columns, rref
+from conjtop.gf2 import Gf2Matrix, gf2_kernel_basis, reduce_columns
 from conjtop.homology import ChainComplexData, betti_numbers, cohomology, homology
 from conjtop.involutions import fixed_subcomplex
+from conftest import rref
 
 
 def reduce_against(v, basis_rows, pivots):
