@@ -565,11 +565,14 @@ def regularize(K: SimplicialComplex, tau: SimplicialMap, max_rounds: int = 2):
 
 
 def impure_simplex(K: SimplicialComplex):
-    """First simplex of K that is not a face of a top simplex, or None."""
+    """First simplex of K that is not a face of a top simplex, or None.
+
+    K is pure exactly when its facets are its top simplices; only an impure
+    K closes its tops down, to name the offender."""
     n = K.dimension
-    covered = _close_down([set() for _ in range(n)] + [set(K.simplices(n))])
-    if all(len(c) == len(g) for c, g in zip(covered, K._by_dim)):
+    if len(K.facets()) == K.n_simplices(n):
         return None
+    covered = _close_down([set() for _ in range(n)] + [set(K.simplices(n))])
     return next(s for k, group in enumerate(K._by_dim) for s in group if s not in covered[k])
 
 

@@ -12,8 +12,10 @@ one row pass and one column pass, both over supports read once: the pivot
 row's nonzero columns, the nonzero entries of its row of U, and the rows
 with a nonzero in the pivot column.  V is kept transposed, so its column
 operations are sparse row operations and a column swap exchanges two rows.
-Every call audits U and V exactly with ``det``: Bareiss elimination that
-rescales a row only when it next has a nonzero in the pivot column.
+Every call audits U and V exactly with ``det``, which pivots on +-1 entries
+while a column has one, since U and V are sparse and full of units, and
+hands the block left without a unit to Bareiss elimination that rescales a
+row only when it next has a nonzero in the pivot column.
 
 ``invariant_factors`` needs no U or V.  It first eliminates unit pivots on
 sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do for
@@ -130,20 +132,43 @@ class IntMatrix:
 
 
 def det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination, rescaled lazily.
+    """Exact determinant: unit pivots first, then lazy fraction-free Bareiss.
 
-    A row with a zero in the pivot column is left alone, and ``lag[i]`` keeps
-    the pivot current at its last update: its true Bareiss row is
-    ``a[i] * prev // lag[i]``, so its next update divides by ``lag[i]``,
-    exactly, because the true entries are integer minors."""
+    A +-1 at or below the diagonal pivots without division, over its row's
+    support; the first column without one hands the trailing block to
+    Bareiss.  There a row with a zero in the pivot column is left alone, and
+    ``lag[i]`` keeps the pivot current at its last update: its true Bareiss
+    row is ``a[i] * prev // lag[i]``, so its next update divides by
+    ``lag[i]``, exactly, because the true entries are integer minors."""
     if M.nrows != M.ncols:
         raise InputError("determinant of a non-square matrix")
     n = M.nrows
-    if n == 0:
-        return 1
     a = [list(r) for r in M.rows]
-    lag = [1] * n
-    sign = prev = 1
+    sign = 1  # the product of the unit pivots and the swap signs so far
+    for k in range(n):
+        piv = k if a[k][k] in (1, -1) else next(
+            (i for i in range(k + 1, n) if a[i][k] in (1, -1)), None)
+        if piv is None:
+            break
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak = a[k]
+        p = ak[k]
+        sign *= p
+        below = [i for i in range(k + 1, n) if a[i][k]]
+        if below:
+            cols = _support(ak, k + 1)
+            for i in below:
+                ai = a[i]
+                f = ai[k] * p  # the multiplier ai[k] / p, since p * p == 1
+                for j in cols:
+                    ai[j] -= f * ak[j]
+    else:
+        return sign
+    a = [row[k:] for row in a[k:]]
+    n = len(a)
+    lag, prev = [1] * n, 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -201,6 +226,8 @@ def smith_normal_form(M: IntMatrix):
         mins[i], mins[j] = mins[j], mins[i]
 
     def swap_cols(t, j):
+        if j == t:
+            return
         for row in a[t:]:  # rows above t are zero from column t on
             row[t], row[j] = row[j], row[t]
         vt[t], vt[j] = vt[j], vt[t]

@@ -218,14 +218,22 @@ def non_pure_complex():
 
 
 def test_facets_against_pairwise_definition(library):
-    subdivided, _ = barycentric_subdivide(library.complexes["torus7"])
+    torus = library.complexes["torus7"]
+    subdivided, _ = barycentric_subdivide(torus)
     empty = SimplicialComplex(3, [])
-    complexes = list(library.complexes.values()) + [subdivided, non_pure_complex(), empty]
+    # every vertex lies in a triangle, so only the edge level is impure
+    edge_level_only = SimplicialComplex.from_simplices(5, [(0, 1, 2), (2, 3, 4), (0, 4)])
+    stray_vertex = SimplicialComplex.from_simplices(
+        torus.vertex_count + 1, list(torus.simplices(2)) + [(torus.vertex_count,)])
+    complexes = list(library.complexes.values()) + [
+        subdivided, non_pure_complex(), empty, edge_level_only, stray_vertex]
     for K in complexes:
         assert K.facets() == facets_by_pairs(K)
         assert impure_simplex(K) == impure_by_covered_set(K)
     assert non_pure_complex().facets() == [(5,), (2, 3), (3, 4), (0, 1, 2), (1, 2, 6, 7)]
     assert impure_simplex(non_pure_complex()) == (0,)
+    assert impure_simplex(edge_level_only) == (0, 4)
+    assert impure_simplex(stray_vertex) == (torus.vertex_count,)
 
 
 # --- a missing involution ----------------------------------------------------------

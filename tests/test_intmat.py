@@ -263,16 +263,34 @@ def test_int_kernel(rows):
 
 
 @given(square_matrices(5, SPARSE_ENTRIES))
-@example([[-1, 0], [0, 1]])  # first pivot -1 = -prev: the zero row must be rescaled
-@example([[0, 2, 0], [1, 0, 0], [0, 0, 3]])  # zero pivot: swap
-@example([[2, 0, 1], [0, -1, 0], [1, 0, 1]])  # second pivot -2 = -prev
-# the last row lags through two pivots (2, then 3) and is updated at the third
+# Each lag example runs as given, where unit pivots now take all or part of
+# it, and doubled: with no +-1 entry, Bareiss runs on the same zero pattern.
+@example([[-1, 0], [0, 1]])  # units only
+@example([[-2, 0], [0, 2]])  # a negative first pivot: the zero row must be rescaled
+@example([[0, 2, 0], [1, 0, 0], [0, 0, 3]])  # a unit swapped up flips the sign
+@example([[0, 4, 0], [2, 0, 0], [0, 0, 6]])  # zero pivot: swap
+@example([[2, 0, 1], [0, -1, 0], [1, 0, 1]])  # units only, after a swap
+@example([[4, 0, 2], [0, -2, 0], [2, 0, 2]])  # a negative second pivot
+# the last row lags through two pivots and is updated at the third (as given,
+# one unit step leaves a 3 x 3 block whose last row lags once)
 @example([[2, 1, 1, 0], [1, 2, 0, 1], [1, 0, 3, 1], [0, 0, 2, 3]])
-@example([[-3, 1, 0], [0, 2, 1], [1, 0, -2]])  # a row lags behind a negative pivot
+@example([[4, 2, 2, 0], [2, 4, 0, 2], [2, 0, 6, 2], [0, 0, 4, 6]])
+# a row lags behind a negative pivot (as given, units leave a 1 x 1 block)
+@example([[-3, 1, 0], [0, 2, 1], [1, 0, -2]])
+@example([[-6, 2, 0], [0, 4, 2], [2, 0, -4]])
 # row 2 lags behind the pivot 3 and is swapped into the zero pivot position
+# (no unit in column 0, so both reach Bareiss whole)
 @example([[3, 0, -2, -2], [3, 0, 0, 3], [0, -2, 0, 0], [2, 1, 0, 0]])
-@example([[2, 1, 0], [1, 2, 0], [0, 0, 3]])  # the last row lags to the end
-@example([[3, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])  # two lagging rows
+@example([[6, 0, -4, -4], [6, 0, 0, 6], [0, -4, 0, 0], [4, 2, 0, 0]])
+# the last row lags to the end (as given, behind the pivot -3 of a 2 x 2 block)
+@example([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
+@example([[4, 2, 0], [2, 4, 0], [0, 0, 6]])
+# two lagging rows (as given, both lag behind -5 in a 3 x 3 block)
+@example([[3, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])
+@example([[6, 2, 0, 0], [2, 4, 0, 0], [0, 0, 4, 2], [0, 0, 2, 4]])
+# one unit step updates row 3, then column 1 has no unit: in the block
+# [[2, 2, 0], [0, 3, 2], [2, 0, 3]] the middle row lags behind the pivot 2
+@example([[1, 1, 0, 0], [0, 2, 2, 0], [0, 0, 3, 2], [1, 3, 0, 3]])
 @settings(max_examples=300, deadline=None)
 def test_det_against_leibniz(rows):
     assert det(IntMatrix(rows)) == leibniz_det(rows)
@@ -393,14 +411,15 @@ def test_invariant_factors_parity_check(monkeypatch):
     assert err.value.report == {"odd_factors": 1, "rank_mod2": 2}
 
 
-def udv_rows(m, n, seed):
-    """U * D * V with seeded elementary U and V and a divisor chain D."""
+def udv_rows(m, n, seed, rank=None):
+    """U * D * V with seeded elementary U and V and a divisor chain D of
+    ``rank`` nonzero entries (n - 3 by default); returns (rows, D's diagonal)."""
     rng = random.Random(seed)
     rows = [[0] * n for _ in range(m)]
-    d = 1
-    for i in range(n - 3):
+    factors, d = [0] * min(m, n), 1
+    for i in range(n - 3 if rank is None else rank):
         d *= rng.choice((1,) * 20 + (2, 3, 5))
-        rows[i][i] = d
+        rows[i][i] = factors[i] = d
     for _ in range(m):
         i, j = rng.sample(range(m), 2)
         c = rng.choice((-1, 1))
@@ -410,15 +429,28 @@ def udv_rows(m, n, seed):
         c = rng.choice((-1, 1))
         for row in rows:
             row[i] += c * row[j]
-    return rows
+    return rows, factors
 
 
 def test_snf_matches_reference_on_udv_120x90():
-    M = IntMatrix(udv_rows(120, 90, seed=14))
+    M = IntMatrix(udv_rows(120, 90, seed=14)[0])
     D, U, V = smith_normal_form(M)
     ref = ReferenceSNF(M)
     assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
     assert invariant_factors(M) == tuple(d for d in ref.D.diagonal_entries() if d)
+
+
+@pytest.mark.parametrize("n, rank, seed", [(40, 40, 1), (80, 80, 2), (120, 120, 3), (60, 57, 4)])
+def test_det_of_udv_at_bench_scale(n, rank, seed):
+    # elementary additions keep the determinant, so det(U * D * V) = det(D)
+    rows, factors = udv_rows(n, n, seed, rank)
+    assert det(IntMatrix(rows)) == math.prod(factors)
+
+
+def test_det_of_snf_transforms_on_udv_160x120():
+    _, U, V = smith_normal_form(IntMatrix(udv_rows(160, 120, seed=16)[0]))
+    for T in (U, V):
+        assert det(T) == det(T.transpose()) in (1, -1)
 
 
 def test_unimodularity_audit_runs_on_every_call(monkeypatch):
