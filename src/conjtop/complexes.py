@@ -1,15 +1,16 @@
 """Finite abstract simplicial complexes and simplicial maps.
 
-Simplices are strictly increasing tuples of vertex indices; the integer
-order on vertices is the global vertex order that cup products and
-barycentric subdivision rely on.  Complexes and maps are immutable.  The
-public constructors validate their input; complexes and maps derived from
-valid ones are built by the trusted constructors without re-checking.
+Simplices are strictly increasing tuples of vertex indices, whose order
+cup products and barycentric subdivision rely on.  Complexes and maps are
+immutable: public constructors validate, derived ones are trusted.  Checks,
+closure, face indices and map images run in passes over the vertex columns
+of each dimension, one face iterator per ``combinations`` position.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
+from operator import itemgetter, lt
 
 from .errors import InputError
 from .gf2 import Gf2Matrix
@@ -39,6 +40,29 @@ def _normalize_simplex(s):
     return t
 
 
+def _faces(group, n):
+    """Face iterators of n-vertex simplices from their vertex columns, in ``combinations``
+    order.  Columns are itemgetter passes: ``zip(*group)`` would make one iterator per
+    simplex, and so wake the cyclic collector on every large group."""
+    cols = [list(map(itemgetter(i), group)) for i in range(n)]
+    return [zip(*cols[:j], *cols[j + 1:]) for j in reversed(range(n))]
+
+
+def _column_levels(simplices, vertex_count):
+    """Simplices normalised, checked and bucketed by dimension in vertex columns;
+    ValueError or TypeError when one is not increasing integers in range."""
+    lengths = list(map(len, simplices))
+    levels = [set() for _ in range(max(lengths, default=0))]
+    for n in set(lengths) - {0}:
+        group = list(compress(simplices, map(n.__eq__, lengths)))
+        cols = [list(map(int, map(itemgetter(i), group))) for i in range(n)]
+        if min(cols[0]) < 0 or max(cols[-1]) >= vertex_count \
+                or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+            raise ValueError("a generator is not increasing or out of range")
+        levels[n - 1].update(zip(*cols))
+    return levels
+
+
 def _levels(simplices):
     """Normalised nonempty simplices bucketed into one set per dimension."""
     levels = []
@@ -57,16 +81,8 @@ def _close_down(levels):
     of dimension k - 1 deduplicates before they contribute theirs.
     """
     for k in range(len(levels) - 1, 0, -1):
-        levels[k - 1].update(f for s in levels[k] for f in combinations(s, k))
+        levels[k - 1].update(*_faces(levels[k], k + 1))
     return levels
-
-
-def closure(simplices):
-    """All faces of the given simplices, including themselves.
-
-    Each generator is normalised once; faces are then added by dimension.
-    """
-    return set().union(*_close_down(_levels([_normalize_simplex(s) for s in simplices])))
 
 
 class SimplicialComplex:
@@ -137,13 +153,17 @@ class SimplicialComplex:
     def from_simplices(cls, vertex_count: int, generators) -> "SimplicialComplex":
         """Build the closure of the given generating simplices.
 
-        Each generator is normalised and range-checked once; its faces are
-        then closed by dimension and never re-validated.
+        Generators are checked in vertex columns and closed by dimension; a
+        failed check reruns the per-generator route to name the offender.
         """
-        levels = _levels([_normalize_simplex(s) for s in generators])
-        for s in (s for group in levels for s in group):
-            if s[0] < 0 or s[-1] >= vertex_count:
-                raise InputError(f"simplex {s} has a vertex outside 0..{vertex_count - 1}")
+        generators = list(generators)
+        try:
+            levels = _column_levels(generators, vertex_count)
+        except (TypeError, ValueError, OverflowError):
+            levels = _levels([_normalize_simplex(s) for s in generators])
+            for s in chain.from_iterable(levels):
+                if s[0] < 0 or s[-1] >= vertex_count:
+                    raise InputError(f"simplex {s} has a vertex outside 0..{vertex_count - 1}")
         return cls._trusted(vertex_count, _close_down(levels))
 
     @property
@@ -156,8 +176,7 @@ class SimplicialComplex:
         return ()
 
     def all_simplices(self):
-        for group in self._by_dim:
-            yield from group
+        return chain.from_iterable(self._by_dim)
 
     def n_simplices(self, k: int) -> int:
         return len(self.simplices(k))
@@ -191,20 +210,13 @@ class SimplicialComplex:
         """Indices of the codimension-1 faces of each k-simplex, in
         ``combinations`` order (the face without the last vertex first).
 
-        The one pass over the k-simplices that the boundary columns, the
+        One column pass for every k, which the boundary columns, the
         boundary rows and the cofaces one dimension down all read.
         """
         faces = self._faces_cache.get(k)
         if faces is None:
-            index, group = self._index, self.simplices(k)
-            if k == 0:
-                faces = ((),) * len(group)
-            elif k == 1:
-                faces = tuple((index[(a,)], index[(b,)]) for a, b in group)
-            elif k == 2:
-                faces = tuple((index[a, b], index[a, c], index[b, c]) for a, b, c in group)
-            else:
-                faces = tuple(tuple(index[f] for f in combinations(s, k)) for s in group)
+            g, get = self.simplices(k), self._index.__getitem__
+            faces = tuple(zip(*(map(get, f) for f in _faces(g, k + 1)))) if k else ((),) * len(g)
             self._faces_cache[k] = faces
         return faces
 
@@ -360,9 +372,9 @@ class SimplicialMap:
         """Target index of the image of each k-simplex, cached per dimension;
         -1 where the image has a repeated vertex (a lower dimension)."""
         if k not in self._index_cache:
-            get, im = self.target._index.get, self.images
-            self._index_cache[k] = tuple(get(tuple(sorted(map(im.__getitem__, s))), -1)
-                                         for s in self.source.simplices(k))
+            group, im, get = self.source.simplices(k), self.images.__getitem__, self.target._index.get
+            images = map(sorted, zip(*(map(im, map(itemgetter(i), group)) for i in range(k + 1))))
+            self._index_cache[k] = tuple(map(get, map(tuple, images), repeat(-1)))
         return self._index_cache[k]
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":

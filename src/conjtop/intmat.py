@@ -26,7 +26,7 @@ count of odd factors is checked against the rank over GF(2).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import InputError, ModelIntegrityError
 from .gf2 import Gf2Matrix, reduce_columns
@@ -214,8 +214,9 @@ def smith_normal_form(M: IntMatrix):
     """
     m, n = M.nrows, M.ncols
     a = [list(r) for r in M.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # V transposed
+    u, vt = [[0] * m for _ in range(m)], [[0] * n for _ in range(n)]  # vt is V transposed
+    for i, row in chain(enumerate(u), enumerate(vt)):  # zero rows, then the unit diagonal
+        row[i] = 1
     # mins[i] is the smallest nonzero |entry| of a[i][t:] at step t: column
     # swaps keep it, and a finished step leaves column t zero below row t
     mins = [_row_min(row, 0) for row in a]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import SimplicialComplex, SimplicialMap, _levels, barycentric_subdivide, closure
+from .complexes import SimplicialComplex, SimplicialMap, _close_down, _levels, barycentric_subdivide
 from .errors import InputError
 from .gf2 import Gf2Matrix
 
@@ -298,7 +298,8 @@ def double_along_boundary(H: SimplicialComplex, boundary_vertices):
     """
     bset = set(boundary_vertices)
     n = H.dimension
-    rim = closure(f for f, c in zip(H.simplices(n - 1), H.cofaces(n - 1)) if len(c) == 1)
+    boundary = (f for f, c in zip(H.simplices(n - 1), H.cofaces(n - 1)) if len(c) == 1)
+    rim = set().union(*_close_down(_levels(boundary)))
     for s in H.simplices_within(bset):
         if s not in rim:
             raise InputError(f"interior simplex {s} lies on the boundary; subdivide")

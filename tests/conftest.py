@@ -2,7 +2,15 @@ from itertools import combinations
 
 import pytest
 
-from conjtop.complexes import SimplicialMap, check_involution, fundamental_class, impure_simplex
+from conjtop.complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    _levels,
+    _normalize_simplex,
+    check_involution,
+    fundamental_class,
+    impure_simplex,
+)
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
 from conjtop.homology import cohomology, cup_eval, duality_data, homology
@@ -232,6 +240,53 @@ def propagated_lift(cover, tau):
         if proj.compose(lift).images != tau.compose(proj).images:
             raise ModelIntegrityError("constructed lift does not commute with projection")
     return c_plus, c_minus
+
+
+# --- the per-simplex construction routes that vertex columns replaced -------------
+
+
+def per_simplex_close_down(levels):
+    """The former ``complexes._close_down``: the codimension-1 faces of each
+    simplex, one ``combinations`` walk per simplex, top dimension first."""
+    for k in range(len(levels) - 1, 0, -1):
+        levels[k - 1].update(f for s in levels[k] for f in combinations(s, k))
+    return levels
+
+
+def per_simplex_closure(simplices):
+    """The former ``complexes.closure``: every face of the normalised
+    generators, closed one dimension at a time."""
+    return set().union(*per_simplex_close_down(_levels([_normalize_simplex(s) for s in simplices])))
+
+
+def per_generator_from_simplices(vertex_count, generators):
+    """The former ``SimplicialComplex.from_simplices``: each generator
+    normalised in input order, then range-checked by dimension."""
+    levels = _levels([_normalize_simplex(s) for s in generators])
+    for s in (s for group in levels for s in group):
+        if s[0] < 0 or s[-1] >= vertex_count:
+            raise InputError(f"simplex {s} has a vertex outside 0..{vertex_count - 1}")
+    return SimplicialComplex._trusted(vertex_count, per_simplex_close_down(levels))
+
+
+def per_simplex_face_indices(K, k):
+    """The former ``SimplicialComplex.face_indices``, with its k = 1 and
+    k = 2 branches."""
+    index, group = K._index, K.simplices(k)
+    if k == 0:
+        return ((),) * len(group)
+    if k == 1:
+        return tuple((index[(a,)], index[(b,)]) for a, b in group)
+    if k == 2:
+        return tuple((index[a, b], index[a, c], index[b, c]) for a, b, c in group)
+    return tuple(tuple(index[f] for f in combinations(s, k)) for s in group)
+
+
+def per_simplex_index_images(f, k):
+    """The former ``SimplicialMap.index_images``: one sorted image tuple per
+    simplex, looked up in the target's index."""
+    get, im = f.target._index.get, f.images
+    return tuple(get(tuple(sorted(map(im.__getitem__, s))), -1) for s in f.source.simplices(k))
 
 
 def rref(rows, ncols):

@@ -18,7 +18,6 @@ from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivide,
-    closure,
     identity_map,
     impure_simplex,
     quotient_by_involution,
@@ -33,6 +32,8 @@ from conjtop.coverings import (
 )
 from conjtop.errors import InputError
 from conjtop.homology import ChainComplexData
+
+from conftest import per_generator_from_simplices, per_simplex_closure
 
 
 @pytest.fixture
@@ -182,7 +183,64 @@ def test_from_simplices_matches_parent_route(case):
     else:
         assert new == old
     if not isinstance(new, str):
-        assert closure(generators) == set(SimplicialComplex.from_simplices(n, generators)._index)
+        K = SimplicialComplex.from_simplices(n, generators)
+        assert per_simplex_closure(generators) == set(K._index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_lists)
+def test_from_simplices_matches_per_generator_route(case):
+    n, raw, keep_order = case
+    generators = [tuple(g) if keep_order else tuple(sorted(set(g))) for g in raw]
+    new = outcome(SimplicialComplex.from_simplices, n, generators)
+    assert new == outcome(per_generator_from_simplices, n, generators)
+
+
+# inputs the strategy never draws: (vertex count, a maker of fresh generators)
+PARITY_CASES = {
+    "one-shot generator": (5, lambda: (s for s in [(0, 1, 2), (2, 3), (4,)])),
+    "one-shot generator, non-increasing": (5, lambda: (s for s in [(0, 1), (3, 2)])),
+    "one-shot vertex iterators": (5, lambda: (iter(s) for s in [(0, 1, 2), (1, 3)])),
+    "one-shot vertex iterators, non-increasing": (5, lambda: (iter(s) for s in [(0, 1), (2, 1)])),
+    "non-increasing before non-integer": (5, lambda: [(0, 1), (2, 1), ("x", 3)]),
+    "non-integer before non-increasing": (5, lambda: [(0, None), (2, 1)]),
+    "non-iterable behind non-increasing": (5, lambda: [(1, 0), 3]),
+    "non-iterable": (5, lambda: [(0, 1), 3]),
+    "empty generators": (4, lambda: [(), (0, 1), (), (2,)]),
+    "only empty generators": (4, lambda: [(), ()]),
+    "duplicates across dimensions": (5, lambda: [(0, 1, 2), (1,), (0, 1), (0, 1, 2), (3,),
+                                                 (1, 2), (2, 3, 4), (3,)]),
+    "dimension gap": (6, lambda: [(0,), (1, 2, 3, 4)]),
+    "out of range behind non-increasing": (5, lambda: [(3, 1), (0, 9)]),
+    "non-increasing behind out of range": (5, lambda: [(0, 9), (3, 1)]),
+    "several out of range": (5, lambda: [(0, 7), (1, 9), (2, 8), (-1, 3)]),
+    "out of range in a lower dimension": (5, lambda: [(0, 1, 2), (7,)]),
+    "repeated vertex": (5, lambda: [(0, 1), (2, 2)]),
+    "non-increasing before an infinite vertex": (5, lambda: [(2, 1), (0, float("inf"))]),
+    "strings and lists": (5, lambda: [("0", "1"), "34", [2, 4]]),
+    "bools and floats": (5, lambda: [(True, 2.5), (0.0, 3.9), [False]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_from_simplices_error_parity(case):
+    n, make = PARITY_CASES[case]
+
+    def result(build):
+        try:
+            K = build(n, make())
+        except Exception as exc:
+            return type(exc), str(exc)
+        return K._by_dim, K._index
+
+    assert result(SimplicialComplex.from_simplices) == result(per_generator_from_simplices)
+
+
+def test_first_malformed_generator_in_input_order_is_named():
+    for n, generators in ((5, [(0, 1), (2, 1), ("x", 3)]), (5, [(2, 1), (0, 9)]),
+                          (5, [(0, 9), (2, 1)]), (5, [(2, 1), 3])):
+        with pytest.raises(InputError, match=r"^simplex \(2, 1\) is not strictly increasing$"):
+            SimplicialComplex.from_simplices(n, generators)
 
 
 def test_out_of_range_generator_is_named():

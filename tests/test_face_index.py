@@ -12,10 +12,20 @@ from itertools import combinations
 import pytest
 
 from conjtop import models
-from conjtop.complexes import SimplicialComplex, barycentric_subdivide, orbit_chain_boundaries
+from conjtop.complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    barycentric_subdivide,
+    orbit_chain_boundaries,
+    quotient_by_involution,
+    regularize,
+)
+from conjtop.coverings import branched_double_cover, double_cover_unbranched, orientation_cover
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix
 from conjtop.homology import ChainComplexData, cohomology, homology
+
+from conftest import chain_bits, per_simplex_face_indices, per_simplex_index_images
 
 
 def generic_faces(K, k):
@@ -86,6 +96,59 @@ def test_face_pass_matches_generic_definitions(library):
                 assert K.cofaces(k) == generic_cofaces(K, k), (K, k)
         for k in range(K.dimension + 2):
             assert (K.boundary_matrix(k) * K.boundary_matrix(k + 1)).is_zero(), (K, k)
+
+
+def test_face_columns_match_per_simplex_route(library):
+    complexes = oracle_complexes(library) + [models.coned_grid_torus(10)[0]]
+    for K in complexes:
+        for k in range(-1, K.dimension + 3):
+            assert K.face_indices(k) == per_simplex_face_indices(K, k), (K, k)
+
+
+def index_of_images(f, k):
+    """Target index of each k-simplex's image, -1 where it drops dimension."""
+    out = []
+    for s in f.source.simplices(k):
+        img = f.map_simplex(s)
+        out.append(f.target.index_of(img) if len(img) == len(s) else -1)
+    return tuple(out)
+
+
+def oracle_maps(library):
+    """Every library map, the subdivided maps and quotient projections of
+    the surfaces and circles, three cover projections, and two collapses
+    that drop dimension."""
+    maps = []
+    for name in sorted(library.maps):
+        src, _, tau = library.maps[name]
+        K = library.complexes[src]
+        maps.append(tau)
+        if K.dimension <= 2:
+            maps.append(barycentric_subdivide(K, tau)[1])
+            maps.append(quotient_by_involution(*regularize(K, tau))[1])
+    rp2, octa = library.complexes["rp2_6vertex"], library.complexes["sphere_octa_sub"]
+    w1 = chain_bits(rp2, library.cycles["rp2_6vertex"]["w1_cocycle"])
+    arcs = [tuple(s) for s in library.cycles["sphere_octa_sub"]["arcs_both"]]
+    w1dual = [tuple(s) for s in library.cycles["klein_bottle"]["w1dual"]]
+    maps.append(double_cover_unbranched(rp2, w1).projection)
+    maps.append(branched_double_cover(octa, arcs).projection)
+    maps.append(orientation_cover(library.complexes["klein_bottle"], w1dual)[0].projection)
+    K = library.complexes["torus7"]
+    triangle = SimplicialComplex.from_simplices(3, [(0, 1, 2)])
+    maps.append(SimplicialMap(K, triangle, [v % 3 for v in range(K.vertex_count)]))
+    maps.append(SimplicialMap(K, SimplicialComplex(1, [(0,)]), [0] * K.vertex_count))
+    return maps
+
+
+def test_index_images_match_index_of_map_simplex(library):
+    dropped = 0
+    for f in oracle_maps(library):
+        for k in range(-1, f.source.dimension + 2):
+            images = f.index_images(k)
+            assert images == index_of_images(f, k), (f.source, k)
+            assert images == per_simplex_index_images(f, k), (f.source, k)
+            dropped += images.count(-1)
+    assert dropped > 0
 
 
 def test_face_pass_shapes_at_the_ends(library):
