@@ -42,7 +42,7 @@ from .complexes import (
 )
 from .errors import InputError, ModelIntegrityError
 from .gf2 import gf2_solve
-from .homology import is_cocycle
+from .homology import duality_data, intersection_form_matrix, is_cocycle
 from .involutions import TypeVerdict, fixed_subcomplex
 
 
@@ -400,14 +400,9 @@ def _split_along_fixed_curve(K: SimplicialComplex, tau: SimplicialMap):
     if n_comp == 1:
         return DividingVerdict(False, None, 1), F, signs
     if n_comp == 2:
-        # the involution must swap the two components
-        if all(comp[j] != c for c, j in zip(comp, tau.index_images(2))):
-            halves = tuple(frozenset(t for t, c in enumerate(comp) if c == h) for h in (0, 1))
-            return DividingVerdict(True, halves, 2), F, signs
-        raise InputError(
-            "complement has two components but the involution preserves them: "
-            "not a real-structure pattern"
-        )
+        # some fixed edge joins the halves; tau swaps its two tops (F is a curve), hence the halves
+        halves = tuple(frozenset(t for t, c in enumerate(comp) if c == h) for h in (0, 1))
+        return DividingVerdict(True, halves, 2), F, signs
     raise InputError(
         f"complement of the fixed curve has {n_comp} components: "
         "not a real-structure pattern"
@@ -588,8 +583,6 @@ def stiefel_whitney_cocycle(X: SimplicialComplex) -> int:
     The unbranched double cover classified by this cocycle is the
     orientation cover.
     """
-    from .homology import duality_data, intersection_form_matrix
-
     if X.dimension != 2:
         raise InputError("Stiefel-Whitney cocycle implemented for surfaces")
     dd = duality_data(X, 1)

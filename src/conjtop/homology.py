@@ -19,7 +19,8 @@ row echelon form (``gf2.echelon``, the same reduction back-substituted) is
 the canonical basis.  A chain is reduced against the pivot map, lowest
 pivot first, to find its representative.  The intersection form on middle
 homology is read from the cup and evaluation matrices of
-:func:`duality_data`; no Poincare dual cochain is built.
+:func:`duality_data`; no Poincare dual cochain is built, and the cup
+matrix is one pass over the top simplices, whatever the number of classes.
 """
 
 from __future__ import annotations
@@ -399,31 +400,36 @@ def induced_map(f_or_data, k: int, source_basis=None, target_basis=None) -> Gf2M
     return Gf2Matrix(len(cols), dst.betti, cols).transpose()
 
 
-def cup_eval(K: SimplicialComplex, k: int, a: int, b: int, fc: int | None = None) -> int:
-    """Evaluate the front-face/back-face product of cochains on [K].
+def _cup_matrix(K: SimplicialComplex, k: int, left, right) -> list:
+    """Front-face/back-face products on the tops of K in the global vertex
+    order: bit j of row i evaluates ``left[i]`` (degree k) cup ``right[j]``
+    (degree n-k).
 
-    ``a`` has degree k, ``b`` degree n-k; evaluation runs over the top
-    simplices in the fundamental cycle using the global vertex order.
+    Each k-simplex and each (n-k)-simplex gets the bitset of the cochains of
+    its side that contain it; one pass over the tops XORs the back face's
+    bitset into the row of each cochain holding the front face.  Callers
+    check first that the tops form the fundamental cycle.
     """
     n = K.dimension
-    if fc is None:
-        fc = fundamental_class(K)
-    total = 0
-    tops = K.simplices(n)
-    c = fc
-    while c:
-        j = (c & -c).bit_length() - 1
-        c &= c - 1
-        s = tops[j]
-        front = s[: k + 1]
-        back = s[k:]
-        if (a >> K.index_of(front)) & 1 and (b >> K.index_of(back)) & 1:
-            total ^= 1
-    return total
+    front_of, back_of = [0] * K.n_simplices(k), [0] * K.n_simplices(n - k)
+    for holders, cochains in ((front_of, left), (back_of, right)):
+        for j, c in enumerate(cochains):
+            while c:
+                holders[(c & -c).bit_length() - 1] |= 1 << j
+                c &= c - 1
+    rows = [0] * len(left)
+    tops, get = K.simplices(n), K._index.__getitem__
+    for f, b in zip(map(get, [s[: k + 1] for s in tops]), map(get, [s[k:] for s in tops])):
+        a, r = front_of[f], back_of[b]
+        while a and r:
+            rows[(a & -a).bit_length() - 1] ^= r
+            a &= a - 1
+    return rows
 
 
 def cup_pairing(K: SimplicialComplex, k: int, a: int, b: int) -> int:
-    """Cup-product pairing of two cocycles of complementary degrees."""
+    """Cup-product pairing of two cocycles of complementary degrees: the
+    1 x 1 case of the pass that builds the cup matrix of :func:`duality_data`."""
     n = K.dimension
     if not 0 <= k <= n:
         raise InputError(f"degree {k} out of range for a {n}-complex")
@@ -433,7 +439,8 @@ def cup_pairing(K: SimplicialComplex, k: int, a: int, b: int) -> int:
         raise InputError("first argument is not a cocycle")
     if not is_cocycle(K, n - k, b):
         raise InputError("second argument is not a cocycle")
-    return cup_eval(K, k, a, b)
+    fundamental_class(K)
+    return _cup_matrix(K, k, (a,), (b,))[0]
 
 
 class DualityData:
@@ -453,28 +460,20 @@ class DualityData:
 def duality_data(K: SimplicialComplex, k: int) -> DualityData:
     """Duality package in degree k of a closed pseudomanifold.
 
-    Raises when the cup pairing between degrees k and n-k degenerates or
-    the evaluation pairing is singular; such inputs fail the duality audit
-    and the middle-dimension form is not defined for them.
+    The cup matrix C of the canonical H^k and H^(n-k) bases is one pass
+    over the tops (:func:`_cup_matrix`).  Raises when the cup pairing
+    between degrees k and n-k degenerates or the evaluation pairing is
+    singular; such inputs fail the duality audit and the middle-dimension
+    form is not defined for them.
     """
     n = K.dimension
-    fc = fundamental_class(K)
+    fundamental_class(K)
     hom = homology(K, k)
     coh = cohomology(K, k)
     coh_dual = cohomology(K, n - k)
     if hom.betti != coh.betti:
         raise InputError("evaluation pairing is degenerate (betti mismatch)")
-    cup = Gf2Matrix(
-        coh.betti,
-        coh_dual.betti,
-        (
-            sum(
-                cup_eval(K, k, ci, dj, fc) << j
-                for j, dj in enumerate(coh_dual.cycles)
-            )
-            for ci in coh.cycles
-        ),
-    )
+    cup = Gf2Matrix(coh.betti, coh_dual.betti, _cup_matrix(K, k, coh.cycles, coh_dual.cycles))
     eval_matrix = Gf2Matrix(
         coh.betti,
         hom.betti,

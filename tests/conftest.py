@@ -1,4 +1,6 @@
+import random
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -13,8 +15,8 @@ from conjtop.complexes import (
 )
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
-from conjtop.homology import cohomology, cup_eval, duality_data, homology
-from conjtop.models import model_library
+from conjtop.homology import cohomology, duality_data, homology
+from conjtop.models import double_along_boundary, model_library
 from conjtop.qforms import QForm2, QForm4, evaluate_q2, evaluate_q4
 
 
@@ -326,6 +328,66 @@ def cochain_pullback(f, k, cochain):
         if len(img) == len(s) and (cochain >> f.target.index_of(img)) & 1:
             out |= 1 << j
     return out
+
+
+def cup_eval(K, k, a, b, fc=None):
+    """The former ``homology.cup_eval``: the front-face/back-face product of
+    ``a`` (degree k) and ``b`` (degree n-k) evaluated on [K], one pass over
+    the tops of the fundamental cycle per pair with two ``index_of`` calls
+    per top.  The per-pair oracle for the cup matrix of ``duality_data``."""
+    n = K.dimension
+    if fc is None:
+        fc = fundamental_class(K)
+    total = 0
+    tops = K.simplices(n)
+    c = fc
+    while c:
+        j = (c & -c).bit_length() - 1
+        c &= c - 1
+        s = tops[j]
+        if (a >> K.index_of(s[: k + 1])) & 1 and (b >> K.index_of(s[k:])) & 1:
+            total ^= 1
+    return total
+
+
+def cup_eval_matrix(K, k, left, right):
+    """Rows of the per-pair oracle: bit j of row i is cup_eval(left[i], right[j])."""
+    fc = fundamental_class(K)
+    return [sum(cup_eval(K, k, a, b, fc) << j for j, b in enumerate(right)) for a in left]
+
+
+def m_double(g, seed=1):
+    """Genus-g M-double and its mirror: a square grid disk with g seeded
+    square holes, doubled along its g + 1 boundary circles.
+
+    Hole slots lie three squares apart and two from the rim, so no edge
+    joins two circles, and each square is split by the diagonal that does
+    not join two boundary vertices.  The mirror fixes the g + 1 circles,
+    which bound a copy of the disk, so the verdict is I_abs and b1 = 2g.
+    """
+    slots = isqrt(g - 1) + 1 if g else 0
+    side = 3 * slots + 2
+    holes = set(random.Random(seed).sample(
+        [(2 + 3 * a, 2 + 3 * b) for a in range(slots) for b in range(slots)], g))
+
+    def corner(i, j):
+        return i * (side + 1) + j
+
+    rim = {corner(i, j) for i in range(side + 1) for j in range(side + 1)
+           if i in (0, side) or j in (0, side)}
+    rim |= {corner(i + di, j + dj) for i, j in holes for di in (0, 1) for dj in (0, 1)}
+    triangles = []
+    for i in range(side):
+        for j in range(side):
+            if (i, j) in holes:
+                continue
+            a, b, d, e = corner(i, j), corner(i + 1, j), corner(i + 1, j + 1), corner(i, j + 1)
+            if a in rim and d in rim:
+                triangles += [(a, b, e), (b, d, e)]
+            else:
+                triangles += [(a, b, d), (a, d, e)]
+    disk = SimplicialComplex.from_simplices((side + 1) ** 2, map(sorted, triangles))
+    return double_along_boundary(disk, rim)
 
 
 def poincare_dual_cocycle(K, k, hom_coords):

@@ -22,7 +22,7 @@ from conjtop.coverings import (
 )
 from conjtop.errors import ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix, gf2_rank
-from conjtop.homology import betti_numbers, cohomology
+from conjtop.homology import betti_numbers, cohomology, duality_data
 from conjtop.intmat import IntMatrix, invariant_factors
 from conjtop.involutions import (
     BilinearFormGF2,
@@ -51,6 +51,7 @@ from conftest import (
     block_sum_z4,
     induced_edge_direction,
     involution_model,
+    m_double,
     signed_boundary_2,
     top_adjacency,
 )
@@ -128,6 +129,19 @@ def test_acceptance_type_verdicts():
     K, tau, _ = involution_model(lib, "torus_diagonal")
     assert not dividing_test(K, tau).dividing
     _report("type-verdicts", time.perf_counter() - t0, 1.0)
+
+
+def test_acceptance_type_and_characteristic_class_at_genus_32():
+    """The mod-2 middle form at genus scale: the M-double's g + 1 ovals
+    bound a disk, so the verdict is I_abs, and they realise the
+    characteristic class of the 64 x 64 involution form."""
+    t0 = time.perf_counter()
+    K, tau = m_double(32)
+    dd = duality_data(K, 1)
+    assert dd.coh.betti == dd.hom.betti == 64
+    assert classify_type(K, tau).kind == "I_abs"
+    assert verify_fixed_class_is_characteristic(K, tau)["holds"]
+    _report("type-and-characteristic-at-genus-32", time.perf_counter() - t0, 1.0)
 
 
 def test_acceptance_curve_complex_orientations():

@@ -2,14 +2,20 @@ import random
 
 import pytest
 
-from conjtop.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, identity_map
+from conjtop.complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    barycentric_subdivide,
+    identity_map,
+)
+from conjtop.coverings import double_cover_unbranched, orientation_cover, stiefel_whitney_cocycle
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix
 from conjtop.homology import (
     ChainComplexData,
+    _cup_matrix,
     betti_numbers,
     cohomology,
-    cup_eval,
     cup_pairing,
     duality_audit,
     duality_data,
@@ -25,8 +31,9 @@ from conjtop.models import (
     sphere_tetra,
     torus7,
     torus_reflection,
+    torus_with_hole,
 )
-from conftest import cochain_intersection_form
+from conftest import cochain_intersection_form, cup_eval, cup_eval_matrix, m_double
 
 
 def naive_betti(K, k):
@@ -144,8 +151,8 @@ def test_cup_against_coboundary_is_zero():
         u = r.getrandbits(K.n_simplices(0))
         co = cb.mul_vec(u)
         for c in dd.coh.cycles:
-            assert cup_eval(K, 1, c, co) == 0
-            assert cup_eval(K, 1, co, c) == 0
+            assert cup_pairing(K, 1, c, co) == cup_eval(K, 1, c, co) == 0
+            assert cup_pairing(K, 1, co, c) == cup_eval(K, 1, co, c) == 0
 
 
 def test_cup_pairing_rejects_non_cocycle():
@@ -269,3 +276,104 @@ def test_intersection_form_matrix_against_cochain_route(library):
     for name, K in sorted(cases.items()):
         dd = duality_data(K, K.dimension // 2)
         assert intersection_form_matrix(dd) == cochain_intersection_form(K), name
+
+
+def _cup_cases(library):
+    """(name, complex) for the cup-matrix oracle: every library complex (all
+    are closed), the orientation covers of the bundled nonorientable
+    surfaces (the unbranched cover by w1 of all three, and the cut-and-glue
+    cover of the two with a marked w1-dual curve), one subdivision and
+    M-doubles of genus 2 to 16."""
+    cases = sorted(library.complexes.items())
+    w1_dual = {"rp2_6vertex": "generator", "klein_bottle": "w1dual"}
+    for name in ("klein_bottle", "nonorientable_genus3", "rp2_6vertex"):
+        K = library.complexes[name]
+        w1 = stiefel_whitney_cocycle(K)
+        cases.append((name + " w1 cover", double_cover_unbranched(K, w1).total))
+        if name in w1_dual:
+            curve = [tuple(s) for s in library.cycles[name][w1_dual[name]]]
+            cases.append((name + " orientation cover", orientation_cover(K, curve)[0].total))
+    cases.append(("torus7 subdivided", barycentric_subdivide(torus7())[0]))
+    cases += [(f"mdouble g{g}", m_double(g)[0]) for g in (2, 4, 8, 16)]
+    return cases
+
+
+def test_cup_matrix_matches_per_pair_oracle(library):
+    """duality_data's one pass over the tops gives the matrix that per-pair
+    ``cup_eval`` gives, bit for bit, in every degree of every case."""
+    library_degrees = 0
+    for name, K in _cup_cases(library):
+        n = K.dimension
+        for k in range(n + 1):
+            dd = duality_data(K, k)
+            expected = cup_eval_matrix(K, k, dd.coh.cycles, cohomology(K, n - k).cycles)
+            assert list(dd.cup.rows) == expected, (name, k)
+            library_degrees += name in library.complexes
+    assert library_degrees == 45
+
+
+def test_cup_matrix_on_unequal_cochain_lists():
+    """The pass takes any cochains, cocycles or not, and lists of different
+    lengths: row i is left[i], column j is right[j], never the transpose."""
+    rng = random.Random(11)
+    K = m_double(2)[0]
+    for k in range(3):
+        for n_left, n_right in ((3, 5), (5, 2), (1, 4)):
+            left = [rng.getrandbits(K.n_simplices(k)) for _ in range(n_left)]
+            right = [rng.getrandbits(K.n_simplices(2 - k)) for _ in range(n_right)]
+            rows = _cup_matrix(K, k, left, right)
+            assert rows == cup_eval_matrix(K, k, left, right), k
+
+
+def test_cup_pairing_against_oracle_on_seeded_cocycles(library):
+    """Seeded cocycles (a class plus a coboundary) in degrees 0, 1 and n."""
+    rng = random.Random(5)
+    names = ("torus7", "klein_bottle", "rp2_6vertex", "genus2_nondividing_surface", "quadric")
+    for name in names:
+        K = library.complexes[name]
+        n = K.dimension
+        for k in sorted({0, 1, n}):
+            for _ in range(6):
+                a, b = (_seeded_cocycle(K, d, rng) for d in (k, n - k))
+                assert cup_pairing(K, k, a, b) == cup_eval(K, k, a, b), (name, k)
+
+
+def _seeded_cocycle(K, k, rng):
+    """A random sum of the H^k basis cocycles plus a random coboundary."""
+    c = 0
+    for z in cohomology(K, k).cycles:
+        c ^= z if rng.getrandbits(1) else 0
+    if k:
+        c ^= K.boundary_matrix(k).transpose().mul_vec(rng.getrandbits(K.n_simplices(k - 1)))
+    return c
+
+
+def test_duality_refuses_open_and_impure_complexes():
+    """An open surface and two impure ones raise the pseudomanifold check's
+    message from every entry point; cup_pairing checks its arguments first."""
+    T = torus7()
+    v = T.vertex_count
+    cases = [
+        (torus_with_hole()[0], "face (0, 1) has 1 top cofaces, expected 2"),
+        (SimplicialComplex.from_simplices(v + 1, [*T.simplices(2), (v,)]),
+         "simplex (7,) is not a face of any top simplex"),
+        (SimplicialComplex.from_simplices(v + 2, [*T.simplices(2), (v, v + 1)]),
+         "face (7, 8) has 0 top cofaces, expected 2"),
+    ]
+    for K, message in cases:
+        calls = [lambda: duality_data(K, 0), lambda: duality_data(K, 1), lambda: duality_audit(K),
+                 lambda: cup_pairing(K, 0, 0, 0), lambda: cup_pairing(K, 1, 0, 0),
+                 lambda: cup_pairing(K, 1, cohomology(K, 1).cycles[0], 0)]
+        for call in calls:
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == message
+    H = torus_with_hole()[0]
+    for args, message in (((3, 0, 0), "degree 3 out of range for a 2-complex"),
+                          ((1, 1 << H.n_simplices(1), 0),
+                           "cochain width does not match the simplex count"),
+                          ((1, 1 << 3, 0), "first argument is not a cocycle"),
+                          ((1, 0, 1 << 3), "second argument is not a cocycle")):
+        with pytest.raises(InputError) as err:
+            cup_pairing(H, *args)
+        assert str(err.value) == message

@@ -3,7 +3,7 @@ import pytest
 from conjtop.complexes import fundamental_class, identity_map
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
-from conjtop.homology import cup_eval, homology
+from conjtop.homology import homology
 from conjtop.involutions import (
     BilinearFormGF2,
     _smith_verdict,
@@ -20,7 +20,13 @@ from conjtop.involutions import (
     verify_fixed_class_is_characteristic,
 )
 from conjtop.models import factor_swap, product_complex, sphere_tetra
-from conftest import cochain_pullback, involution_model, marked_basis, poincare_dual_cocycle
+from conftest import (
+    cochain_pullback,
+    cup_eval,
+    involution_model,
+    marked_basis,
+    poincare_dual_cocycle,
+)
 
 HYPERBOLIC = Gf2Matrix.from_rows([[0, 1], [1, 0]])
 IDENTITY2 = Gf2Matrix.identity(2)
