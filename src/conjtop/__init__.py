@@ -24,7 +24,7 @@ _EXPORTS = {  # module -> the names it exports, loaded with it on first access (
     "gf2": "Gf2Matrix gf2_kernel_basis gf2_rank gf2_solve",
     "homology": "ChainComplexData HomologyBasis betti_numbers cohomology cup_pairing "
     "duality_audit homology induced_map total_betti",
-    "intmat": "IntMatrix int_kernel_basis int_solve smith_normal_form",
+    "intmat": "IntMatrix int_kernel_basis smith_normal_form",
     "involutions": "BilinearFormGF2 TypeVerdict characteristic_class check_m_variety_even_form "
     "classify_type fixed_subcomplex harnack_audit intersection_form involution_form is_even "
     "parity_obstruction smith_kernel_bound verify_fixed_class_is_characteristic",

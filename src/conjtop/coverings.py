@@ -42,7 +42,7 @@ from .complexes import (
 )
 from .errors import InputError, ModelIntegrityError
 from .gf2 import gf2_solve
-from .homology import duality_data, intersection_form_matrix, is_cocycle
+from .homology import duality_data, is_cocycle
 from .involutions import TypeVerdict, fixed_subcomplex
 
 
@@ -577,18 +577,15 @@ def flip_semiorientation(X: SimplicialComplex, Y) -> SemiOrientation:
 def stiefel_whitney_cocycle(X: SimplicialComplex) -> int:
     """A 1-cocycle representing the first Stiefel-Whitney class of a surface.
 
-    Characterized by evaluating on each 1-homology class as its mod-2
-    self-intersection (the Wu relation); computed by solving against the
-    evaluation pairing between canonical cohomology and homology bases.
-    The unbranched double cover classified by this cocycle is the
-    orientation cover.
+    Characterized by Wu's formula w1 u x = x u x on H^1; the cup matrix C of
+    the canonical H^1 basis is symmetric, so the coordinates of w1 solve
+    C lambda = diag C.  The unbranched double cover classified by this
+    cocycle is the orientation cover.
     """
     if X.dimension != 2:
         raise InputError("Stiefel-Whitney cocycle implemented for surfaces")
     dd = duality_data(X, 1)
-    imat = intersection_form_matrix(dd)
-    d = imat.diagonal_vector()
-    sol = gf2_solve(dd.eval_matrix.transpose(), d)
+    sol = gf2_solve(dd.cup, dd.cup.diagonal_vector())
     if sol is None:
         raise ModelIntegrityError("no cocycle evaluates as the self-intersection form")
     lam, _ = sol

@@ -390,27 +390,6 @@ def invariant_factors(M: IntMatrix):
     return factors
 
 
-def int_solve(M: IntMatrix, b):
-    """One integer solution of Mx = b, or None when unsolvable."""
-    return snf_solve(smith_normal_form(M), b)
-
-
-def snf_solve(snf, b):
-    """``int_solve`` from M's Smith form (D, U, V): one audited SNF, many right-hand sides."""
-    D, U, V = snf
-    b = list(b)
-    if len(b) != D.nrows:
-        raise InputError("right-hand side length mismatch")
-    y = [0] * D.ncols
-    for i, c in enumerate(U.mul_vec(b)):
-        d = D[i, i] if i < D.ncols else 0
-        if (c % d if d else c) != 0:
-            return None
-        if d:
-            y[i] = c // d
-    return V.mul_vec(y)
-
-
 def int_kernel_basis(M: IntMatrix):
     """Basis of the integer kernel of M (columns of V over zero diagonals)."""
     D, _, V = smith_normal_form(M)

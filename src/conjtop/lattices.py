@@ -4,7 +4,10 @@ The lattice side never computes quotient-space homology; push/pull data
 for the quotient projection arrives from the caller and is audited against
 the identities it must satisfy (composition is multiplication by two,
 injectivity, invariance of the image, divisibility of doubled invariant
-classes).
+classes).  Doubling carries the rest: pull x = 0 gives 2x = push(pull x)
+= 0, so pull is injective, and beta = pull(delta) gives push(beta) =
+2 delta, so beta lies in the image of pull exactly when
+pull(push(beta) // 2) = beta.  No Smith form of pull is needed.
 """
 
 from __future__ import annotations
@@ -12,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, ModelIntegrityError
-from .intmat import (
-    IntMatrix,
-    int_kernel_basis,
-    int_solve,
-    invariant_factors,
-    smith_normal_form,
-    snf_solve,
-)
+from .intmat import IntMatrix, int_kernel_basis, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -101,37 +97,37 @@ def conj_form_mod2(L: IntegerLattice) -> "BilinearFormGF2":
     return BilinearFormGF2(twisted.mod2())
 
 
-def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> dict:
-    """Verify the push/pull identities for the quotient projection.
-
-    Checks, each by exact matrix arithmetic: push after pull is doubling,
-    pull is injective, the image of pull is invariant, and twice any
-    invariant class lies in the image of pull.  One audited Smith form of
-    pull serves the injectivity check and every solve.
-    """
-    Q = Q or L.transfer
-    if Q is None:
-        raise InputError("no transfer data supplied")
-    report = {}
+def _check_doubling(Q: QuotientTransferData) -> None:
     comp = Q.p_push * Q.p_pull
     if comp != IntMatrix.identity(Q.quotient_rank).scale(2):
         raise ModelIntegrityError("push after pull is not multiplication by 2",
                                   report={"composition": comp})
-    report["composition_is_doubling"] = True
-    pull_snf = smith_normal_form(Q.p_pull)
-    factors = tuple(d for d in pull_snf[0].diagonal_entries() if d != 0)
-    if len(factors) != Q.quotient_rank:
-        raise ModelIntegrityError("pull map is not injective", report={"factors": factors})
-    report["pull_injective"] = True
-    T = L.isometry
-    fixed = (T - IntMatrix.identity(L.rank)) * Q.p_pull
+
+
+def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> dict:
+    """Verify the push/pull identities for the quotient projection.
+
+    Checks, each by exact matrix arithmetic: push after pull is doubling,
+    the image of pull is invariant, and twice any invariant class alpha lies
+    in the image of pull, which under doubling reads pull(push(alpha)) =
+    2 alpha.  Injectivity of pull follows from doubling.  The only Smith
+    form is that of T - I, for the invariant classes.
+    """
+    Q = Q or L.transfer
+    if Q is None:
+        raise InputError("no transfer data supplied")
+    _check_doubling(Q)
+    report = {"composition_is_doubling": True}
+    report["pull_injective"] = True  # pull x = 0 gives 2x = push(pull x) = 0
+    T_minus_I = L.isometry - IntMatrix.identity(L.rank)
+    fixed = T_minus_I * Q.p_pull
     if any(any(e != 0 for e in row) for row in fixed.rows):
         raise ModelIntegrityError("image of pull is not invariant under the isometry",
                                   report={"defect": fixed})
     report["image_invariant"] = True
-    invariant = int_kernel_basis(T - IntMatrix.identity(L.rank))
+    invariant = int_kernel_basis(T_minus_I)
     for alpha in invariant:
-        if snf_solve(pull_snf, [2 * a for a in alpha]) is None:
+        if Q.p_pull.mul_vec(Q.p_push.mul_vec(alpha)) != tuple(2 * a for a in alpha):
             raise ModelIntegrityError(
                 "twice an invariant class escapes the image of pull",
                 report={"alpha": alpha},
@@ -144,8 +140,10 @@ def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> 
 def orientation_class_check(L: IntegerLattice, Q: QuotientTransferData | None, alpha) -> bool:
     """Is alpha twice a pulled-back class?  Exactly the complex orientations are.
 
-    Solves alpha = 2 * pull(delta) in integers; False is a legitimate
-    verdict, not an error.
+    Once push after pull is checked to be doubling, alpha = 2 pull(delta)
+    forces push(alpha) = 4 delta, so alpha is such a class exactly when
+    2 pull(push(alpha) // 4) = alpha.  False is a legitimate verdict, not
+    an error.
     """
     Q = Q or L.transfer
     if Q is None:
@@ -153,10 +151,9 @@ def orientation_class_check(L: IntegerLattice, Q: QuotientTransferData | None, a
     alpha = [int(a) for a in alpha]
     if len(alpha) != L.rank:
         raise InputError("class vector has the wrong length")
-    if any(a % 2 for a in alpha):
-        return False
-    half = [a // 2 for a in alpha]
-    return int_solve(Q.p_pull, half) is not None
+    _check_doubling(Q)
+    delta = [p // 4 for p in Q.p_push.mul_vec(alpha)]
+    return [2 * b for b in Q.p_pull.mul_vec(delta)] == alpha
 
 
 def order_obstruction(L: IntegerLattice, d: int, beta) -> "ObstructionVerdict":

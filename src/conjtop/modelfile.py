@@ -287,11 +287,11 @@ def _parse_lattice(lines, model, name, header_ln):
             qrank = _int(ln, body[len("transfer"):], "transfer rank")
             ln2, body2 = lines.next_content()
             if body2 != "pull":
-                raise InputError(f"line {ln2}: transfer block expects 'pull'")
+                raise InputError(f"line {ln2 or ln}: transfer block expects 'pull'")
             pull = _read_int_matrix(lines, rank, qrank, "pull")
             ln3, body3 = lines.next_content()
             if body3 != "push":
-                raise InputError(f"line {ln3}: transfer block expects 'push'")
+                raise InputError(f"line {ln3 or ln}: transfer block expects 'push'")
             push = _read_int_matrix(lines, qrank, rank, "push")
             transfer = QuotientTransferData(qrank, pull, push)
         else:

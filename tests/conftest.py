@@ -14,8 +14,9 @@ from conjtop.complexes import (
     impure_simplex,
 )
 from conjtop.errors import InputError, ModelIntegrityError
-from conjtop.gf2 import Gf2Matrix
-from conjtop.homology import cohomology, duality_data, homology
+from conjtop.gf2 import Gf2Matrix, gf2_solve
+from conjtop.homology import cohomology, duality_data, homology, intersection_form_matrix
+from conjtop.intmat import smith_normal_form
 from conjtop.models import double_along_boundary, model_library
 from conjtop.qforms import QForm2, QForm4, evaluate_q2, evaluate_q4
 
@@ -38,6 +39,10 @@ MALFORMED_MODELS = {
     "lattice_presentation_negative": ("[lattice L]\nrank 1\ngram\n1\nisometry\n1\n"
                                       "presentation -1\n", "line 7: presentation rows -1 out"),
     "vertices_negative": ("[complex K]\nvertices -1\n", "line 2: vertex count -1 out"),
+    "transfer_ends_before_pull": ("[lattice L]\nrank 1\ngram\n1\nisometry\n1\ntransfer 1\n",
+                                  "line 7: transfer block expects 'pull'"),
+    "transfer_ends_before_push": ("[lattice L]\nrank 1\ngram\n1\nisometry\n1\ntransfer 1\n"
+                                  "pull\n1\n", "line 7: transfer block expects 'push'"),
 }
 
 
@@ -354,6 +359,43 @@ def cup_eval_matrix(K, k, left, right):
     """Rows of the per-pair oracle: bit j of row i is cup_eval(left[i], right[j])."""
     fc = fundamental_class(K)
     return [sum(cup_eval(K, k, a, b, fc) << j for j, b in enumerate(right)) for a in left]
+
+
+def int_solve(M, b):
+    """The former ``intmat.int_solve``: one integer solution of Mx = b, or
+    None when unsolvable.  The oracle for the transfer identity of the
+    lattice audits."""
+    return snf_solve(smith_normal_form(M), b)
+
+
+def snf_solve(snf, b):
+    """The former ``intmat.snf_solve``: ``int_solve`` from M's Smith form
+    (D, U, V)."""
+    D, U, V = snf
+    b = list(b)
+    if len(b) != D.nrows:
+        raise InputError("right-hand side length mismatch")
+    y = [0] * D.ncols
+    for i, c in enumerate(U.mul_vec(b)):
+        d = D[i, i] if i < D.ncols else 0
+        if (c % d if d else c) != 0:
+            return None
+        if d:
+            y[i] = c // d
+    return V.mul_vec(y)
+
+
+def stiefel_whitney_by_evaluation(X):
+    """The former ``coverings.stiefel_whitney_cocycle``: the cocycle that
+    evaluates on each canonical H_1 class as its self-intersection, solved
+    against the evaluation matrix E.  The oracle for Wu's formula."""
+    dd = duality_data(X, 1)
+    lam, _ = gf2_solve(dd.eval_matrix.transpose(), intersection_form_matrix(dd).diagonal_vector())
+    w = 0
+    for i, c in enumerate(dd.coh.cycles):
+        if (lam >> i) & 1:
+            w ^= c
+    return w
 
 
 def m_double(g, seed=1):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import shlex
 from argparse import Namespace
 from pathlib import Path
 
@@ -27,6 +28,36 @@ def machine_dict(out):
     if "--" in lines:
         lines = lines[lines.index("--") + 1:]
     return dict(l.split("=", 1) for l in lines if "=" in l)
+
+
+README_COMMANDS = [
+    line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    .splitlines() if line.startswith("conjtop ")
+]
+# machine keys that a README command's comment states
+README_RESULTS = {
+    "classify": {"verdict": "I_rel"},
+    "divide": {"dividing": "true", "components": "2"},
+    "cover sphere_octa_sub": {"total_chi": "0"},
+}
+
+
+def test_readme_commands_run_in_process(capsys):
+    """Every ``conjtop`` line of README.md exits 0 and gives the result its
+    comment states; the same unread-flag check as the README's CI step exits 2."""
+    assert len(README_COMMANDS) >= 14
+    stated = set()
+    for line in README_COMMANDS:
+        argv = shlex.split(line, comments=True)[1:]
+        code, out = run_cli(argv, capsys)
+        assert code == 0, line
+        for prefix, keys in README_RESULTS.items():
+            if " ".join(argv).startswith(prefix):
+                stated.add(prefix)
+                got = machine_dict(out)
+                assert {k: got[k] for k in keys} == keys, line
+    assert stated == set(README_RESULTS)
+    assert run_cli(["homology", "klein_bottle", "--cut", "arcs_both"], capsys)[0] == 2
 
 
 def test_classify_quadric(capsys):

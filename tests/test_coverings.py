@@ -8,6 +8,7 @@ from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
     dual_walk,
+    fundamental_class,
     identity_map,
 )
 from conjtop.coverings import (
@@ -32,7 +33,15 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import gf2_solve
 from conjtop.homology import betti_numbers, cohomology
 from conjtop.involutions import fixed_subcomplex
-from conftest import chain_bits, incidence, induced_edge_direction, involution_model
+from conjtop.models import coned_grid_klein, coned_grid_torus
+from conftest import (
+    chain_bits,
+    incidence,
+    induced_edge_direction,
+    involution_model,
+    m_double,
+    stiefel_whitney_by_evaluation,
+)
 
 
 def curve(library, complex_name, mark):
@@ -136,6 +145,29 @@ def test_rp2_orientation_cover_is_sphere(library):
     cover = double_cover_unbranched(K, stiefel_whitney_cocycle(K))
     assert betti_numbers(cover.total) == (1, 0, 1)
     assert cover.total.euler_characteristic() == 2
+
+
+def test_wu_formula_cocycle_matches_evaluation_route(library):
+    """w1 from C lambda = diag C is the cocycle the former route solved for
+    against the evaluation matrix, bit for bit."""
+    closed = []
+    for name, K in sorted(library.complexes.items()):
+        if K.dimension == 2:
+            try:
+                fundamental_class(K)
+            except InputError:
+                continue
+            closed.append((name, K))
+    assert len(closed) >= 10
+    cases = closed + [("klein6", coned_grid_klein(6)[0]), ("klein8", coned_grid_klein(8)[0]),
+                      ("torus5", coned_grid_torus(5)[0])]
+    cases += [(f"mdouble g{g}", m_double(g)[0]) for g in (2, 4, 8)]
+    nonzero = 0
+    for name, K in cases:
+        w = stiefel_whitney_cocycle(K)
+        assert w == stiefel_whitney_by_evaluation(K), name
+        nonzero += w != 0
+    assert nonzero >= 4
 
 
 def test_unbranched_connected_iff_class_nonzero(library):

@@ -15,11 +15,10 @@ from conjtop.intmat import (
     IntMatrix,
     det,
     int_kernel_basis,
-    int_solve,
     invariant_factors,
     smith_normal_form,
 )
-from conftest import signed_boundary_2
+from conftest import int_solve, signed_boundary_2
 
 
 def minors_gcd_invariant_factors(M):

@@ -1,12 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conjtop.intmat
-import conjtop.lattices
+from conftest import int_solve, snf_solve
+from conjtop.cli import main
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix
-from conjtop.intmat import IntMatrix, smith_normal_form
+from conjtop.intmat import IntMatrix, int_kernel_basis, smith_normal_form
 from conjtop.involutions import characteristic_class, is_even
 from conjtop.lattices import (
     QuotientTransferData,
@@ -98,6 +102,15 @@ def test_transfer_audit_rejects_wrong_composition():
     bad = QuotientTransferData(1, IntMatrix([[1], [1]]), IntMatrix([[1, 2]]))
     with pytest.raises(ModelIntegrityError, match="multiplication by 2"):
         transfer_audit(L, bad)
+
+
+def test_orientation_class_check_requires_doubling():
+    """The membership test relies on push after pull being doubling, so it
+    checks that first: without it, (2, 2) = 2 pull(push(2, 2) // 4) here."""
+    L = build_lattice(HYP, SWAP)
+    bad = QuotientTransferData(1, IntMatrix([[1], [1]]), IntMatrix([[1, 2]]))
+    with pytest.raises(ModelIntegrityError, match="multiplication by 2"):
+        orientation_class_check(L, bad, (2, 2))
 
 
 def test_transfer_audit_rejects_non_injective_pull():
@@ -201,9 +214,9 @@ def swap_lattice(k, seed):
     return build_lattice(P.transpose() * gram * P, Pinv * swap * P, transfer=transfer)
 
 
-def test_transfer_audit_factors_pull_once(monkeypatch, library):
-    """One audited Smith form of pull serves the injectivity check and every
-    solve; the only other one is that of T - I, for the invariant classes."""
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """The matrices of every audited Smith form made while the fixture is live."""
     seen = []
 
     def counting_snf(M):
@@ -211,10 +224,15 @@ def test_transfer_audit_factors_pull_once(monkeypatch, library):
         return smith_normal_form(M)
 
     monkeypatch.setattr(conjtop.intmat, "smith_normal_form", counting_snf)
-    monkeypatch.setattr(conjtop.lattices, "smith_normal_form", counting_snf)
+    return seen
+
+
+def test_transfer_audit_factors_only_t_minus_i(snf_calls, library):
+    """Doubling stands in for a Smith form of pull: the only one left is that
+    of T - I, for the invariant classes."""
     cases = [library.lattices["quadric_lattice"]] + [swap_lattice(k, k) for k in (1, 2, 3, 4)]
     for L in cases:
-        seen.clear()
+        snf_calls.clear()
         assert transfer_audit(L) == {
             "composition_is_doubling": True,
             "pull_injective": True,
@@ -222,7 +240,134 @@ def test_transfer_audit_factors_pull_once(monkeypatch, library):
             "doubled_invariants_in_image": True,
             "invariant_rank": L.rank // 2,
         }
-        assert seen == [L.transfer.p_pull, L.isometry - IntMatrix.identity(L.rank)]
+        assert snf_calls == [L.isometry - IntMatrix.identity(L.rank)]
+
+
+def test_lattice_audit_command_makes_three_smith_forms(snf_calls, library, capsys):
+    """T - I and T + I for the invariant sublattices, T - I again in the
+    transfer audit, and none for the orientation candidates."""
+    L = library.lattices["quadric_lattice"]
+    assert any(mark.startswith("cand") for mark in L.marks)
+    assert main(["lattice-audit", "quadric_lattice"]) == 0
+    capsys.readouterr()
+    I = IntMatrix.identity(L.rank)
+    assert snf_calls == [L.isometry - I, L.isometry + I, L.isometry - I]
+
+
+def former_transfer_audit(L, Q=None):
+    """The Smith-form route the transfer identity replaced: one audited
+    Smith form of pull for the injectivity check and every solve."""
+    Q = Q or L.transfer
+    comp = Q.p_push * Q.p_pull
+    if comp != IntMatrix.identity(Q.quotient_rank).scale(2):
+        raise ModelIntegrityError("push after pull is not multiplication by 2",
+                                  report={"composition": comp})
+    report = {"composition_is_doubling": True}
+    pull_snf = smith_normal_form(Q.p_pull)
+    factors = tuple(d for d in pull_snf[0].diagonal_entries() if d != 0)
+    if len(factors) != Q.quotient_rank:
+        raise ModelIntegrityError("pull map is not injective", report={"factors": factors})
+    report["pull_injective"] = True
+    T = L.isometry
+    fixed = (T - IntMatrix.identity(L.rank)) * Q.p_pull
+    if any(any(e != 0 for e in row) for row in fixed.rows):
+        raise ModelIntegrityError("image of pull is not invariant under the isometry",
+                                  report={"defect": fixed})
+    report["image_invariant"] = True
+    invariant = int_kernel_basis(T - IntMatrix.identity(L.rank))
+    for alpha in invariant:
+        if snf_solve(pull_snf, [2 * a for a in alpha]) is None:
+            raise ModelIntegrityError("twice an invariant class escapes the image of pull",
+                                      report={"alpha": alpha})
+    report["doubled_invariants_in_image"] = True
+    report["invariant_rank"] = len(invariant)
+    return report
+
+
+def former_orientation_class_check(L, Q, alpha):
+    Q = Q or L.transfer
+    return all(a % 2 == 0 for a in alpha) and int_solve(Q.p_pull, [a // 2 for a in alpha]) \
+        is not None
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ModelIntegrityError as e:
+        return str(e), e.report
+
+
+def perturbed(L, part, rng):
+    """L with one entry of push, pull or T moved, with T = I, or with push or pull moved
+    along a rank-one term that keeps push after pull doubling: push + u v^T
+    with v^T pull = 0, or pull + x y^T with push x = 0."""
+    Q = L.transfer
+    n, q = L.rank, Q.quotient_rank
+
+    def bump(M):
+        rows = [list(r) for r in M.rows]
+        rows[rng.randrange(M.nrows)][rng.randrange(M.ncols)] += rng.choice((-2, -1, 1, 2))
+        return IntMatrix(rows, M.ncols)
+
+    def outer(u, v):
+        return IntMatrix([[a * b for b in v] for a in u], len(v))
+
+    def kernel_vector(M):
+        terms = [(rng.choice((-1, 1)), c) for c in int_kernel_basis(M)]
+        return [sum(a * c[i] for a, c in terms) for i in range(M.ncols)]
+
+    if part == "T":
+        return replace(L, isometry=bump(L.isometry))
+    if part == "T=I":  # every class invariant: the doubled ones outside the image fail
+        return replace(L, isometry=IntMatrix.identity(n))
+    if part == "push":
+        Q = replace(Q, p_push=bump(Q.p_push))
+    elif part == "pull":
+        Q = replace(Q, p_pull=bump(Q.p_pull))
+    elif part == "push_kernel":
+        u = [rng.randint(-2, 2) for _ in range(q)]
+        Q = replace(Q, p_push=Q.p_push + outer(u, kernel_vector(Q.p_pull.transpose())))
+    elif part == "pull_kernel":
+        y = [rng.randint(-2, 2) for _ in range(q)]
+        Q = replace(Q, p_pull=Q.p_pull + outer(kernel_vector(Q.p_push), y))
+    return replace(L, transfer=Q)
+
+
+@given(st.integers(1, 4), st.integers(0, 10**6),
+       st.sampled_from(("none", "T", "T=I", "push", "pull", "push_kernel", "pull_kernel")))
+@settings(max_examples=150, deadline=None)
+def test_transfer_identity_matches_the_smith_form_route(k, seed, part):
+    rng = random.Random(seed)
+    L = perturbed(swap_lattice(k, seed), part, rng)
+    Q = L.transfer
+    n = L.rank
+    doubling = Q.p_push * Q.p_pull == IntMatrix.identity(k).scale(2)
+    got = outcome(transfer_audit, L)
+    alphas = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+    for _ in range(3):
+        delta = [rng.randint(-3, 3) for _ in range(k)]
+        alpha = [2 * a for a in Q.p_pull.mul_vec(delta)]
+        alphas += [alpha, [a + 2 * rng.randint(-1, 1) for a in alpha]]
+    if doubling:
+        assert got == outcome(former_transfer_audit, L)
+        for alpha in alphas:
+            assert orientation_class_check(L, None, alpha) \
+                == former_orientation_class_check(L, None, alpha)
+    else:
+        assert got[0] == "push after pull is not multiplication by 2"
+        for alpha in alphas:
+            with pytest.raises(ModelIntegrityError, match="not multiplication by 2"):
+                orientation_class_check(L, None, alpha)
+
+
+def test_failing_audit_names_the_same_witness():
+    """T = I, pull = (1, 0)^T, push = (2, 5): doubling and invariance hold, and
+    (0, 1) is the first invariant class whose double escapes the image."""
+    L = build_lattice(HYP, IntMatrix.identity(2), transfer=QuotientTransferData(
+        1, IntMatrix([[1], [0]]), IntMatrix([[2, 5]])))
+    got = outcome(transfer_audit, L)
+    assert got == outcome(former_transfer_audit, L)
+    assert got == ("twice an invariant class escapes the image of pull", {"alpha": (0, 1)})
 
 
 ZERO_TRANSFER_MODEL = """[lattice L]
