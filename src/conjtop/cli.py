@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InputError, ModelIntegrityError
+from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import bits_of, vec_from_bits
 
 
@@ -53,13 +53,11 @@ def _fmt(value) -> str:
 def _trace_lines(report) -> str:
     """An integrity report as sorted ``key=value`` lines.
 
-    A dict reports its keys, nested dicts under dotted keys, and a dataclass
+    A dict reports its keys, nested dicts under dotted keys, and a record
     its fields; any other report is one ``report=<repr>`` line.
     """
-    from dataclasses import fields, is_dataclass
-
-    if is_dataclass(report):
-        report = {f.name: getattr(report, f.name) for f in fields(report)}
+    if isinstance(report, Record):
+        report = report._asdict()
     if not isinstance(report, dict):
         return "" if report is None else f"report={report!r}\n"
 

@@ -26,7 +26,6 @@ unsigned walk for the sheet shift it applies to each top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import (
@@ -40,7 +39,7 @@ from .complexes import (
     impure_simplex,
     pseudomanifold_check,
 )
-from .errors import InputError, ModelIntegrityError
+from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import gf2_solve
 from .homology import duality_data, is_cocycle
 from .involutions import TypeVerdict, fixed_subcomplex
@@ -167,15 +166,14 @@ def pushforward_semiorientation(f: SimplicialMap, semi: SemiOrientation) -> tupl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverComplex:
+class CoverComplex(Record):
     """Double cover with projection, deck involution, and sheet labels."""
 
-    total: SimplicialComplex
-    projection: SimplicialMap
-    deck: SimplicialMap
-    sheet_labels: tuple  # per total top simplex: (base top index, sheet bit)
-    branch: SimplicialComplex | None = None
+    # sheet_labels: per total top simplex, (base top index, sheet bit)
+    __slots__ = ("total", "projection", "deck", "sheet_labels", "branch")
+
+    def __init__(self, total, projection, deck, sheet_labels, branch=None):
+        super().__init__(total, projection, deck, sheet_labels, branch)
 
 
 def _validate_cover(cover: CoverComplex, base: SimplicialComplex):
@@ -367,11 +365,8 @@ def _check_branch_preimage(cover: CoverComplex, K):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DividingVerdict:
-    dividing: bool
-    halves: tuple | None  # two frozensets of top indices when dividing
-    component_count: int
+class DividingVerdict(Record):
+    __slots__ = ("dividing", "halves", "component_count")  # halves: two top sets, or None
 
 
 def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
@@ -717,14 +712,10 @@ def lift_involution(cover: CoverComplex, tau: SimplicialMap):
     return c_plus, c_minus
 
 
-@dataclass(frozen=True)
-class KharlamovTrace:
-    chi: int
-    self_intersection_ambient: int  # -chi
-    self_intersection_quotient: int  # doubled, per the covering argument
-    divisible_by_16: bool
-    applicable: bool
-    passes: bool
+class KharlamovTrace(Record):
+    # self_intersection_ambient is -chi; the quotient's doubles it, per the covering argument
+    __slots__ = ("chi", "self_intersection_ambient", "self_intersection_quotient",
+                 "divisible_by_16", "applicable", "passes")
 
 
 def kharlamov_congruence(chi: int, kind, h1_trivial: bool) -> KharlamovTrace:

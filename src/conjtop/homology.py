@@ -26,7 +26,7 @@ matrix is one pass over the top simplices, whatever the number of classes.
 from __future__ import annotations
 
 from .complexes import SimplicialComplex, SimplicialMap, fundamental_class
-from .errors import InputError
+from .errors import InputError, Record
 from .gf2 import Gf2Matrix, dot, echelon, gf2_invert, reduce_by_pivots, reduce_columns
 
 
@@ -443,18 +443,11 @@ def cup_pairing(K: SimplicialComplex, k: int, a: int, b: int) -> int:
     return _cup_matrix(K, k, (a,), (b,))[0]
 
 
-class DualityData:
+class DualityData(Record):
     """Canonical bases in degree k with the cup matrix C of H^k against
     H^(n-k), its inverse, and the evaluation matrix E of H^k on H_k."""
 
     __slots__ = ("hom", "coh", "cup", "cup_inv", "eval_matrix")
-
-    def __init__(self, hom, coh, cup, cup_inv, eval_matrix):
-        self.hom = hom
-        self.coh = coh
-        self.cup = cup
-        self.cup_inv = cup_inv
-        self.eval_matrix = eval_matrix
 
 
 def duality_data(K: SimplicialComplex, k: int) -> DualityData:

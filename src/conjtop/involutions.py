@@ -14,8 +14,6 @@ that reported coordinates match classical conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -25,7 +23,7 @@ from .complexes import (
     orbit_chain_boundaries,
     pseudomanifold_check,
 )
-from .errors import InputError, ModelIntegrityError
+from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import Gf2Matrix, bits_of, gf2_invert, gf2_solve, reduce_columns
 from .homology import (
     ChainComplexData,
@@ -92,19 +90,13 @@ def characteristic_class(B: BilinearFormGF2) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class FixedComponent:
-    dimension: int
-    cycle: int | None  # fundamental cycle in the ambient middle chain group
+class FixedComponent(Record):
+    __slots__ = ("dimension", "cycle")  # cycle: fundamental cycle in the ambient middle chains
 
 
-@dataclass(frozen=True)
-class FixedSetData:
-    subcomplex: SimplicialComplex
-    components: tuple
-    mid_dimension: int | None
-    mid_cycle: int
-    mid_class: int | None  # coordinates, None when ambient dimension is odd
+class FixedSetData(Record):
+    # mid_class: coordinates, None when the ambient dimension is odd
+    __slots__ = ("subcomplex", "components", "mid_dimension", "mid_cycle", "mid_class")
 
 
 class _Basis:
@@ -269,11 +261,9 @@ def verify_fixed_class_is_characteristic(space, tau=None, basis_cycles=None):
     }
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
-    kind: str  # "I_abs" | "I_rel" | "II"
-    witness: int  # class of the fixed set, bit-packed coordinates
-    compared_against: int | None  # h when the I_rel test was available
+class TypeVerdict(Record):
+    # kind: "I_abs" | "I_rel" | "II"; witness: the fixed-set class; compared_against: h, or None
+    __slots__ = ("kind", "witness", "compared_against")
 
     def __str__(self):
         return self.kind
@@ -295,11 +285,8 @@ def classify_type(space, tau=None, h: int | None = None, basis_cycles=None) -> T
     return TypeVerdict("II", fixed_class, h)
 
 
-@dataclass(frozen=True)
-class HarnackReport:
-    fixed_total_betti: int
-    space_total_betti: int
-    is_m: bool
+class HarnackReport(Record):
+    __slots__ = ("fixed_total_betti", "space_total_betti", "is_m")
 
 
 def harnack_audit(space, tau=None) -> HarnackReport:
@@ -320,12 +307,16 @@ def harnack_audit(space, tau=None) -> HarnackReport:
     return HarnackReport(fix_total, space_total, fix_total == space_total)
 
 
-@dataclass(frozen=True)
-class SmithReport:
-    kernel_dimension: int
-    h1_trivial: bool
-    asserted: bool
-    quotient_table: dict = field(compare=False)
+class SmithReport(Record):
+    __slots__ = ("kernel_dimension", "h1_trivial", "asserted", "quotient_table")
+
+    def __eq__(self, other):  # the quotient table is reported but not compared
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() | {"quotient_table": 0} == other._asdict() | {"quotient_table": 0}
+
+    def __hash__(self):
+        return hash((self.kernel_dimension, self.h1_trivial, self.asserted))
 
 
 def _smith_verdict(kernel_dimension: int, h1_trivial: bool, table=None) -> bool:
@@ -371,11 +362,8 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
     return SmithReport(kernel_dim, h1_trivial, asserted, table)
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    obstructed: bool
-    reason: str
-    witness: int | None
+class ObstructionVerdict(Record):
+    __slots__ = ("obstructed", "reason", "witness")
 
 
 def parity_obstruction(d: int, B: BilinearFormGF2, invariant_class: int) -> ObstructionVerdict:

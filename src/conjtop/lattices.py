@@ -12,32 +12,26 @@ pull(push(beta) // 2) = beta.  No Smith form of pull is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import InputError, ModelIntegrityError
+from .errors import InputError, ModelIntegrityError, Record
 from .intmat import IntMatrix, int_kernel_basis, invariant_factors
 
 
-@dataclass(frozen=True)
-class QuotientTransferData:
+class QuotientTransferData(Record):
     """Push/pull matrices along the double projection, caller-supplied."""
 
-    quotient_rank: int
-    p_pull: IntMatrix  # quotient -> ambient, the transfer (inverse Hopf) map
-    p_push: IntMatrix  # ambient -> quotient
+    # p_pull: quotient -> ambient, the transfer (inverse Hopf) map; p_push the other way
+    __slots__ = ("quotient_rank", "p_pull", "p_push")
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(Record):
     """Unimodular-free integer lattice with an involutive isometry."""
 
-    rank: int
-    gram: IntMatrix
-    isometry: IntMatrix
-    marks: dict = field(default_factory=dict)
-    presentation: IntMatrix | None = None
-    chi_real: int | None = None
-    transfer: QuotientTransferData | None = None
+    __slots__ = ("rank", "gram", "isometry", "marks", "presentation", "chi_real", "transfer")
+
+    def __init__(self, rank, gram, isometry, marks=None, presentation=None, chi_real=None,
+                 transfer=None):
+        super().__init__(rank, gram, isometry, {} if marks is None else marks, presentation,
+                         chi_real, transfer)
 
     def pairing(self, x, y) -> int:
         gx = self.gram.mul_vec(list(y))

@@ -10,9 +10,7 @@ two closed formulas that produce such forms on the real part of a surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InputError
+from .errors import InputError, Record
 from .gf2 import Gf2Matrix, bits_of
 
 
@@ -188,16 +186,13 @@ def brown(q: QForm4) -> int:
     return total % 8
 
 
-@dataclass(frozen=True)
-class LoopData:
+class LoopData(Record):
     """Loop count, per-loop linking numbers, and crossing count with RC."""
 
-    k: int
-    lambdas: tuple
-    rc_intersections: int = 0
+    __slots__ = ("k", "lambdas", "rc_intersections")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(int(x) & 1 for x in self.lambdas))
+    def __init__(self, k, lambdas, rc_intersections=0):
+        super().__init__(k, tuple(int(x) & 1 for x in lambdas), rc_intersections)
         if len(self.lambdas) != self.k:
             raise InputError(f"expected {self.k} linking numbers, got {len(self.lambdas)}")
         if self.rc_intersections < 0:
@@ -214,16 +209,14 @@ def pin_value_from_loops(d: LoopData) -> int:
     return (2 * sum(d.lambdas) + 2 * d.k + d.rc_intersections) % 4
 
 
-@dataclass(frozen=True)
-class LoopTable:
+class LoopTable(Record):
     """Per-basis loop data plus optional redundant entries for cross-checks."""
 
-    kind: str  # "spin" | "pin"
-    gram: Gf2Matrix
-    entries: tuple
-    checks: tuple = ()  # pairs (class bits, LoopData)
+    # kind: "spin" | "pin"; checks: pairs (class bits, LoopData)
+    __slots__ = ("kind", "gram", "entries", "checks")
 
-    def __post_init__(self):
+    def __init__(self, kind, gram, entries, checks=()):
+        super().__init__(kind, gram, entries, checks)
         if self.kind not in ("spin", "pin"):
             raise InputError(f"unknown loop table kind {self.kind!r}")
         if len(self.entries) != self.gram.nrows:

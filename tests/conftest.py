@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 
@@ -16,7 +17,7 @@ from conjtop.complexes import (
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix, gf2_solve
 from conjtop.homology import cohomology, duality_data, homology, intersection_form_matrix
-from conjtop.intmat import smith_normal_form
+from conjtop.intmat import IntMatrix, smith_normal_form
 from conjtop.models import double_along_boundary, model_library
 from conjtop.qforms import QForm2, QForm4, evaluate_q2, evaluate_q4
 
@@ -522,3 +523,147 @@ def block_sum_z2(n, rng):
         invariant ^= a & b
     q = QForm2(Gf2Matrix(n, n, rows), values)
     return rebased(q, random_basis(n, rng)), invariant
+
+
+# --- the frozen dataclasses that conjtop.errors.Record replaced -----------------
+# Kept under their own names, so their reprs are the ones the records must match.
+
+
+@dataclass(frozen=True)
+class FixedComponent:
+    dimension: int
+    cycle: int | None  # fundamental cycle in the ambient middle chain group
+
+
+@dataclass(frozen=True)
+class FixedSetData:
+    subcomplex: SimplicialComplex
+    components: tuple
+    mid_dimension: int | None
+    mid_cycle: int
+    mid_class: int | None  # coordinates, None when ambient dimension is odd
+
+
+@dataclass(frozen=True)
+class TypeVerdict:
+    kind: str  # "I_abs" | "I_rel" | "II"
+    witness: int  # class of the fixed set, bit-packed coordinates
+    compared_against: int | None  # h when the I_rel test was available
+
+    def __str__(self):
+        return self.kind
+
+
+@dataclass(frozen=True)
+class HarnackReport:
+    fixed_total_betti: int
+    space_total_betti: int
+    is_m: bool
+
+
+@dataclass(frozen=True)
+class SmithReport:
+    kernel_dimension: int
+    h1_trivial: bool
+    asserted: bool
+    quotient_table: dict = field(compare=False)
+
+
+@dataclass(frozen=True)
+class ObstructionVerdict:
+    obstructed: bool
+    reason: str
+    witness: int | None
+
+
+@dataclass(frozen=True)
+class CoverComplex:
+    """Double cover with projection, deck involution, and sheet labels."""
+
+    total: SimplicialComplex
+    projection: SimplicialMap
+    deck: SimplicialMap
+    sheet_labels: tuple  # per total top simplex: (base top index, sheet bit)
+    branch: SimplicialComplex | None = None
+
+
+@dataclass(frozen=True)
+class DividingVerdict:
+    dividing: bool
+    halves: tuple | None  # two frozensets of top indices when dividing
+    component_count: int
+
+
+@dataclass(frozen=True)
+class KharlamovTrace:
+    chi: int
+    self_intersection_ambient: int  # -chi
+    self_intersection_quotient: int  # doubled, per the covering argument
+    divisible_by_16: bool
+    applicable: bool
+    passes: bool
+
+
+@dataclass(frozen=True)
+class QuotientTransferData:
+    """Push/pull matrices along the double projection, caller-supplied."""
+
+    quotient_rank: int
+    p_pull: IntMatrix  # quotient -> ambient, the transfer (inverse Hopf) map
+    p_push: IntMatrix  # ambient -> quotient
+
+
+@dataclass(frozen=True)
+class IntegerLattice:
+    """Unimodular-free integer lattice with an involutive isometry."""
+
+    rank: int
+    gram: IntMatrix
+    isometry: IntMatrix
+    marks: dict = field(default_factory=dict)
+    presentation: IntMatrix | None = None
+    chi_real: int | None = None
+    transfer: QuotientTransferData | None = None
+
+    def pairing(self, x, y) -> int:
+        gx = self.gram.mul_vec(list(y))
+        return sum(a * b for a, b in zip(x, gx))
+
+
+@dataclass(frozen=True)
+class LoopData:
+    """Loop count, per-loop linking numbers, and crossing count with RC."""
+
+    k: int
+    lambdas: tuple
+    rc_intersections: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "lambdas", tuple(int(x) & 1 for x in self.lambdas))
+        if len(self.lambdas) != self.k:
+            raise InputError(f"expected {self.k} linking numbers, got {len(self.lambdas)}")
+        if self.rc_intersections < 0:
+            raise InputError("crossing count cannot be negative")
+
+
+@dataclass(frozen=True)
+class LoopTable:
+    """Per-basis loop data plus optional redundant entries for cross-checks."""
+
+    kind: str  # "spin" | "pin"
+    gram: Gf2Matrix
+    entries: tuple
+    checks: tuple = ()  # pairs (class bits, LoopData)
+
+    def __post_init__(self):
+        if self.kind not in ("spin", "pin"):
+            raise InputError(f"unknown loop table kind {self.kind!r}")
+        if len(self.entries) != self.gram.nrows:
+            raise InputError("need one loop entry per basis class")
+
+
+FORMER_RECORDS = {cls.__name__: cls for cls in (
+    FixedComponent, FixedSetData, TypeVerdict, HarnackReport, SmithReport, ObstructionVerdict,
+    CoverComplex, DividingVerdict, KharlamovTrace, QuotientTransferData, IntegerLattice,
+    LoopData, LoopTable,
+)}

@@ -115,6 +115,12 @@ def test_integrity_trace_on_machine_request(capsys):
     assert d["chi"] == "4"
     assert d["passes"] == "false"
     assert d["self_intersection_quotient"] == "-8"
+    # the whole report: every KharlamovTrace field, one sorted line each
+    assert out == (
+        "model integrity violation: Euler characteristic 4 is not divisible by 8 for a "
+        "bounding surface\napplicable=true\nchi=4\ndivisible_by_16=false\npasses=false\n"
+        "self_intersection_ambient=-4\nself_intersection_quotient=-8\n"
+    )
     code, out = run_cli(argv, capsys)
     assert code == 1 and out.count("\n") == 1
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -239,9 +238,9 @@ def test_branch_preimage_audit_refuses_corrupted_covers(library):
     off = next(s for s in K.simplices(0) if s not in cover.branch.simplices(0))
     wide = SimplicialComplex.from_simplices(K.vertex_count, cover.branch.simplices(0) + (off,))
     with pytest.raises(ModelIntegrityError, match="has 2 preimages, expected 1"):
-        _check_branch_preimage(replace(cover, branch=wide), K)
+        _check_branch_preimage(cover._replace(branch=wide), K)
     with pytest.raises(ModelIntegrityError, match="deck-fixed simplices differ"):
-        _check_branch_preimage(replace(cover, deck=identity_map(cover.total)), K)
+        _check_branch_preimage(cover._replace(deck=identity_map(cover.total)), K)
 
 
 def test_chi_law_on_many_covers(library):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -317,20 +316,20 @@ def perturbed(L, part, rng):
         return [sum(a * c[i] for a, c in terms) for i in range(M.ncols)]
 
     if part == "T":
-        return replace(L, isometry=bump(L.isometry))
+        return L._replace(isometry=bump(L.isometry))
     if part == "T=I":  # every class invariant: the doubled ones outside the image fail
-        return replace(L, isometry=IntMatrix.identity(n))
+        return L._replace(isometry=IntMatrix.identity(n))
     if part == "push":
-        Q = replace(Q, p_push=bump(Q.p_push))
+        Q = Q._replace(p_push=bump(Q.p_push))
     elif part == "pull":
-        Q = replace(Q, p_pull=bump(Q.p_pull))
+        Q = Q._replace(p_pull=bump(Q.p_pull))
     elif part == "push_kernel":
         u = [rng.randint(-2, 2) for _ in range(q)]
-        Q = replace(Q, p_push=Q.p_push + outer(u, kernel_vector(Q.p_pull.transpose())))
+        Q = Q._replace(p_push=Q.p_push + outer(u, kernel_vector(Q.p_pull.transpose())))
     elif part == "pull_kernel":
         y = [rng.randint(-2, 2) for _ in range(q)]
-        Q = replace(Q, p_pull=Q.p_pull + outer(kernel_vector(Q.p_push), y))
-    return replace(L, transfer=Q)
+        Q = Q._replace(p_pull=Q.p_pull + outer(kernel_vector(Q.p_push), y))
+    return L._replace(transfer=Q)
 
 
 @given(st.integers(1, 4), st.integers(0, 10**6),

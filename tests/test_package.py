@@ -108,6 +108,24 @@ def test_homology_command_loads_no_invariant_modules():
         assert f"conjtop.{module}" not in loaded, module
 
 
+COLD_RECORD_COMMANDS = ["classify quadric --h (1,1)", "cover rp2_6vertex --cocycle w1_cocycle",
+                        "lattice-audit quadric_lattice", "qform rp2_loops"]
+
+
+@pytest.mark.parametrize("command", COLD_RECORD_COMMANDS)
+def test_record_commands_load_neither_dataclasses_nor_inspect(command):
+    """Result records are plain slotted classes: a cold command that builds
+    them imports no ``dataclasses``, which would pull in ``inspect``."""
+    out = fresh("import contextlib, io, sys\nbefore = set(sys.modules)\n"
+                "from conjtop.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({command.split(' ')!r}) == 0\n"
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = set(out.split())
+    assert "conjtop.models" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Record the names of the library groups built."""
