@@ -272,10 +272,7 @@ def _cmd_cover(model, args, report):
         branch_chi = cover.branch.euler_characteristic() if cover.branch else 0
         report.item("branch_chi", branch_chi, "branch locus Euler characteristic")
     else:
-        chain = _resolve_chain_arg(model, args.object, K, args.cocycle)
-        w = 0
-        for e in chain:
-            w |= 1 << K.index_of(e)
+        w = _chain_bits(K, _resolve_chain_arg(model, args.object, K, args.cocycle))
         cover = double_cover_unbranched(K, w)
     report.item("base_chi", K.euler_characteristic(), "base Euler characteristic")
     report.item("total_chi", cover.total.euler_characteristic(),

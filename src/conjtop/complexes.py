@@ -563,10 +563,10 @@ def barycentric_subdivide(K: SimplicialComplex, f: SimplicialMap | None = None):
     return Kp, fp
 
 
-def regularize(K: SimplicialComplex, tau: SimplicialMap, max_rounds: int = 2):
-    """Subdivide (at most twice) until the involution admits a quotient."""
+def regularize(K: SimplicialComplex, tau: SimplicialMap):
+    """Subdivide at most twice until the involution admits a quotient."""
     check_involution(K, tau)
-    for _ in range(max_rounds + 1):
+    for _ in range(3):
         try:
             quotient_by_involution(K, tau)
             return K, tau

@@ -26,8 +26,6 @@ unsigned walk for the sheet shift it applies to each top.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -61,7 +59,7 @@ def _perm_parity(seq) -> int:
     return parity
 
 
-class SemiOrientation:
+class SemiOrientation(Record):
     """Pair of mutually opposite orientations of a pure-top-dimension carrier.
 
     ``signs[t]`` orients top simplex number ``t`` relative to its sorted
@@ -87,18 +85,7 @@ class SemiOrientation:
             raise InputError(f"carrier is not pure: {bad} is not a face of a top simplex")
         if signs and signs[0] == -1:
             signs = tuple(-s for s in signs)
-        self.carrier = carrier
-        self.signs = signs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemiOrientation)
-            and self.carrier == other.carrier
-            and self.signs == other.signs
-        )
-
-    def __hash__(self):
-        return hash((self.carrier, self.signs))
+        super().__init__(carrier, signs)
 
     def __repr__(self):
         return f"SemiOrientation({''.join('+' if s > 0 else '-' for s in self.signs)})"
@@ -248,12 +235,10 @@ def double_cover_unbranched(K: SimplicialComplex, w: int) -> CoverComplex:
 
 
 def _boundary_support(K: SimplicialComplex, chain_simplices, k: int):
-    """Support of the mod-2 boundary of a k-chain given as simplex list."""
-    count = {}
-    for s in chain_simplices:
-        for f in combinations(s, k):
-            count[f] = count.get(f, 0) ^ 1
-    return [f for f, c in count.items() if c]
+    """Support of the mod-2 boundary of a k-chain given by its distinct
+    simplices, read from the complex's cached boundary rows."""
+    b = K.boundary_matrix(k).mul_vec(sum(1 << K.index_of(s) for s in chain_simplices))
+    return [f for i, f in enumerate(K.simplices(k - 1)) if b >> i & 1]
 
 
 def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
@@ -522,8 +507,6 @@ def orientation_cover(X: SimplicialComplex, Y):
             "not an orientation cover datum"
         )
     cover = branched_double_cover(X, y_edges)
-    if cover.branch is not None:
-        raise ModelIntegrityError("closed cutting curve produced a branch locus")
 
     # orient sheet 0 by the cut orientation and sheet 1 by its reverse; a
     # lift whose vertices project in odd order onto its base top turns it over

@@ -4,6 +4,9 @@ Two failure modes are kept apart on purpose: bad input data (malformed
 files, contract violations, dimension mismatches) versus inputs that are
 well formed but contradict a theorem the library enforces.  The CLI maps
 them to exit codes 2 and 1 respectively.
+
+Results and validated values derive from :class:`Record`; a value checks
+its constructor arguments, which are its fields, in its own ``__init__``.
 """
 
 

@@ -375,12 +375,12 @@ def chain_map_image(f: SimplicialMap, k: int, chain: int) -> int:
     return out
 
 
-def induced_map(f_or_data, k: int, source_basis=None, target_basis=None) -> Gf2Matrix:
+def induced_map(f_or_data, k: int) -> Gf2Matrix:
     """Matrix of the induced map on mod-2 homology in dimension k.
 
     Accepts a SimplicialMap, or ChainComplexData carrying an involution
-    chain map.  Columns are coordinates of the images of the source basis
-    cycles in the target basis.
+    chain map.  Columns are coordinates of the images of the canonical
+    source basis cycles in the canonical target basis.
     """
     if isinstance(f_or_data, ChainComplexData):
         if f_or_data.involution is None:
@@ -394,8 +394,7 @@ def induced_map(f_or_data, k: int, source_basis=None, target_basis=None) -> Gf2M
 
         def push(z):
             return chain_map_image(f_or_data, k, z)
-    src = source_basis or homology(source, k)
-    dst = target_basis or homology(target, k)
+    src, dst = homology(source, k), homology(target, k)
     cols = [dst.coordinates_of(push(z)) for z in src.cycles]
     return Gf2Matrix(len(cols), dst.betti, cols).transpose()
 

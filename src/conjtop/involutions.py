@@ -36,27 +36,27 @@ from .homology import (
 )
 
 
-class BilinearFormGF2:
+class BilinearFormGF2(Record):
     """Symmetric bilinear form on a finite GF(2) space, given by its Gram."""
 
-    __slots__ = ("dimension", "gram")
+    __slots__ = ("gram",)
 
     def __init__(self, gram: Gf2Matrix):
         if gram.nrows != gram.ncols:
             raise InputError("Gram matrix must be square")
         if not gram.is_symmetric():
             raise InputError("Gram matrix must be symmetric")
-        self.dimension = gram.nrows
-        self.gram = gram
+        super().__init__(gram)
+
+    @property
+    def dimension(self) -> int:
+        return self.gram.nrows
 
     def value(self, x: int, y: int) -> int:
         return (self.gram.mul_vec(y) & x).bit_count() & 1
 
     def self_value(self, x: int) -> int:
         return self.value(x, x)
-
-    def __eq__(self, other):
-        return isinstance(other, BilinearFormGF2) and self.gram == other.gram
 
     def __repr__(self):
         return f"BilinearFormGF2({self.gram!r})"

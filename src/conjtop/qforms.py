@@ -21,14 +21,14 @@ def _check_gram(gram: Gf2Matrix):
         raise InputError("intersection Gram matrix must be symmetric")
 
 
-class QForm2:
+class QForm2(Record):
     """Z2-valued quadratic form on a GF(2) space with a fixed pairing.
 
     The law q(x+y) = q(x) + q(y) + x.y is consistent only over an even
     pairing (substitute y = x), so the Gram diagonal must vanish.
     """
 
-    __slots__ = ("dimension", "gram", "values")
+    __slots__ = ("gram", "values")
 
     def __init__(self, gram: Gf2Matrix, values):
         _check_gram(gram)
@@ -39,18 +39,20 @@ class QForm2:
             raise InputError("need one basis value per dimension")
         if any(v not in (0, 1) for v in values):
             raise InputError("Z2 form values must be 0 or 1")
-        self.dimension = gram.nrows
-        self.gram = gram
-        self.values = values
+        super().__init__(gram, values)
+
+    @property
+    def dimension(self) -> int:
+        return self.gram.nrows
 
     def pairing(self, x: int, y: int) -> int:
         return (self.gram.mul_vec(y) & x).bit_count() & 1
 
 
-class QForm4:
+class QForm4(Record):
     """Z4-valued quadratic form; basis values must refine the pairing."""
 
-    __slots__ = ("dimension", "gram", "values")
+    __slots__ = ("gram", "values")
 
     def __init__(self, gram: Gf2Matrix, values):
         _check_gram(gram)
@@ -63,12 +65,10 @@ class QForm4:
                     f"parity violation at basis vector {i}: q = {v} but self-pairing "
                     f"is {gram[i, i]}"
                 )
-        self.dimension = gram.nrows
-        self.gram = gram
-        self.values = values
+        super().__init__(gram, values)
 
-    def pairing(self, x: int, y: int) -> int:
-        return (self.gram.mul_vec(y) & x).bit_count() & 1
+    dimension = QForm2.dimension
+    pairing = QForm2.pairing
 
 
 def _expand(q, x: int, scale: int) -> int:
@@ -138,30 +138,17 @@ def _orthogonal_blocks(gram: Gf2Matrix, values):
                 qs[j] = (qs[j] + s * qa + t * qc + 2 * (s & t)) & 3
 
 
-def _symplectic_blocks(gram: Gf2Matrix, values):
-    """The hyperbolic pairs of an even nondegenerate pairing, with values."""
-    if gram.diagonal_vector() != 0:
-        raise InputError("pairing is odd: no symplectic basis exists")
-    for block in _orthogonal_blocks(gram, values):
-        if not block[2]:
-            raise InputError("pairing is degenerate: no symplectic partner found")
-        yield block
-
-
-def symplectic_basis(gram: Gf2Matrix):
-    """Symplectic basis (a_1, b_1, ..., a_g, b_g) of an even nondegenerate form.
-
-    Greedy pivoting with lowest-index tie-breaks; raises on odd or
-    degenerate pairings.
-    """
-    return [(a, c) for a, _, c, _ in _symplectic_blocks(gram, [0] * gram.nrows)]
-
-
 def arf(q: QForm2) -> int:
     """Arf invariant: sum of q(a_i) q(b_i) over a symplectic basis, read
-    off the splitting pass, where a pair counts when both doubled values are 2."""
-    doubled = [2 * v for v in q.values]
-    return (sum(qa & qc for _, qa, _, qc in _symplectic_blocks(q.gram, doubled)) >> 1) & 1
+    off the splitting pass, where a pair counts when both doubled values are 2.
+    A ``QForm2`` Gram is even and cannot be reassigned, so no odd check is
+    needed: a vector without a partner means the pairing is degenerate."""
+    total = 0
+    for _, qa, c, qc in _orthogonal_blocks(q.gram, [2 * v for v in q.values]):
+        if not c:
+            raise InputError("pairing is degenerate: no symplectic partner found")
+        total += qa & qc
+    return (total >> 1) & 1
 
 
 def brown(q: QForm4) -> int:

@@ -19,7 +19,7 @@ from conjtop.gf2 import Gf2Matrix, gf2_solve
 from conjtop.homology import cohomology, duality_data, homology, intersection_form_matrix
 from conjtop.intmat import IntMatrix, smith_normal_form
 from conjtop.models import double_along_boundary, model_library
-from conjtop.qforms import QForm2, QForm4, evaluate_q2, evaluate_q4
+from conjtop.qforms import QForm2, QForm4, _check_gram, evaluate_q2, evaluate_q4
 
 
 # malformed model files, each with the fragment of the one-line reason it must give
@@ -667,3 +667,125 @@ FORMER_RECORDS = {cls.__name__: cls for cls in (
     CoverComplex, DividingVerdict, KharlamovTrace, QuotientTransferData, IntegerLattice,
     LoopData, LoopTable,
 )}
+
+
+# --- the hand-written value classes that became conjtop.errors.Record subclasses ---
+# The former bodies under Former* names (only their own isinstance tests are renamed);
+# the reprs of SemiOrientation and BilinearFormGF2 spell their class names.
+
+
+class FormerSemiOrientation:
+    __slots__ = ("carrier", "signs")
+
+    def __init__(self, carrier: SimplicialComplex, signs):
+        try:
+            signs = tuple(int(s) for s in signs)
+        except (TypeError, ValueError):
+            raise InputError("signs must be +1 or -1") from None
+        n = carrier.dimension
+        if len(signs) != carrier.n_simplices(n):
+            raise InputError("need one sign per top simplex")
+        if any(s not in (1, -1) for s in signs):
+            raise InputError("signs must be +1 or -1")
+        bad = impure_simplex(carrier)
+        if bad is not None:
+            raise InputError(f"carrier is not pure: {bad} is not a face of a top simplex")
+        if signs and signs[0] == -1:
+            signs = tuple(-s for s in signs)
+        self.carrier = carrier
+        self.signs = signs
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FormerSemiOrientation)
+            and self.carrier == other.carrier
+            and self.signs == other.signs
+        )
+
+    def __hash__(self):
+        return hash((self.carrier, self.signs))
+
+    def __repr__(self):
+        return f"SemiOrientation({''.join('+' if s > 0 else '-' for s in self.signs)})"
+
+
+class FormerBilinearFormGF2:
+    __slots__ = ("dimension", "gram")
+
+    def __init__(self, gram: Gf2Matrix):
+        if gram.nrows != gram.ncols:
+            raise InputError("Gram matrix must be square")
+        if not gram.is_symmetric():
+            raise InputError("Gram matrix must be symmetric")
+        self.dimension = gram.nrows
+        self.gram = gram
+
+    def value(self, x: int, y: int) -> int:
+        return (self.gram.mul_vec(y) & x).bit_count() & 1
+
+    def self_value(self, x: int) -> int:
+        return self.value(x, x)
+
+    def __eq__(self, other):
+        return isinstance(other, FormerBilinearFormGF2) and self.gram == other.gram
+
+    def __repr__(self):
+        return f"BilinearFormGF2({self.gram!r})"
+
+
+class FormerQForm2:
+    __slots__ = ("dimension", "gram", "values")
+
+    def __init__(self, gram: Gf2Matrix, values):
+        _check_gram(gram)
+        if gram.diagonal_vector() != 0:
+            raise InputError("Z2 quadratic refinements require an even pairing")
+        values = tuple(int(v) for v in values)
+        if len(values) != gram.nrows:
+            raise InputError("need one basis value per dimension")
+        if any(v not in (0, 1) for v in values):
+            raise InputError("Z2 form values must be 0 or 1")
+        self.dimension = gram.nrows
+        self.gram = gram
+        self.values = values
+
+    def pairing(self, x: int, y: int) -> int:
+        return (self.gram.mul_vec(y) & x).bit_count() & 1
+
+
+class FormerQForm4:
+    __slots__ = ("dimension", "gram", "values")
+
+    def __init__(self, gram: Gf2Matrix, values):
+        _check_gram(gram)
+        values = tuple(int(v) % 4 for v in values)
+        if len(values) != gram.nrows:
+            raise InputError("need one basis value per dimension")
+        for i, v in enumerate(values):
+            if v % 2 != gram[i, i]:
+                raise InputError(
+                    f"parity violation at basis vector {i}: q = {v} but self-pairing "
+                    f"is {gram[i, i]}"
+                )
+        self.dimension = gram.nrows
+        self.gram = gram
+        self.values = values
+
+    def pairing(self, x: int, y: int) -> int:
+        return (self.gram.mul_vec(y) & x).bit_count() & 1
+
+
+FORMER_VALUES = {
+    "SemiOrientation": FormerSemiOrientation, "BilinearFormGF2": FormerBilinearFormGF2,
+    "QForm2": FormerQForm2, "QForm4": FormerQForm4,
+}
+
+
+def former_boundary_support(K, chain_simplices, k):
+    """The per-simplex boundary count that coverings._boundary_support replaced
+    (k is the vertex count of a face)."""
+    count = {}
+    for s in chain_simplices:
+        for f in combinations(s, k):
+            count[f] = count.get(f, 0) ^ 1
+    return [f for f, c in count.items() if c]

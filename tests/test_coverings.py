@@ -12,6 +12,7 @@ from conjtop.complexes import (
 )
 from conjtop.coverings import (
     SemiOrientation,
+    _boundary_support,
     _check_branch_preimage,
     branched_double_cover,
     compare_mod_curves,
@@ -35,6 +36,7 @@ from conjtop.involutions import fixed_subcomplex
 from conjtop.models import coned_grid_klein, coned_grid_torus
 from conftest import (
     chain_bits,
+    former_boundary_support,
     incidence,
     induced_edge_direction,
     involution_model,
@@ -227,6 +229,30 @@ def test_branched_cover_fullness_rejected(library):
     # arc between adjacent vertices: branch points are adjacent, not full
     with pytest.raises(InputError, match="full"):
         branched_double_cover(K, [(0, 1)])
+
+
+@pytest.mark.parametrize("mark", ["arc1", "arc2", "arcs_both"])
+def test_branch_locus_from_boundary_rows_matches_face_count(library, mark):
+    """The boundary read from the cached rows has the support of the former
+    per-simplex count, and the cover is branched over its closure."""
+    K = library.complexes["sphere_octa_sub"]
+    cut = curve(library, "sphere_octa_sub", mark)
+    support = _boundary_support(K, cut, 1)
+    assert support == sorted(former_boundary_support(K, cut, 1)) and len(support) in (2, 4)
+    branch = branched_double_cover(K, cut).branch
+    assert branch == SimplicialComplex.from_simplices(K.vertex_count, support)
+    assert sorted(branch.simplices(0)) == support
+
+
+def test_open_cutting_curve_names_the_same_boundary(library):
+    K = library.complexes["torus_grid"]
+    path = curve(library, "torus_grid", "col0")[:-1]
+    ends = sorted(former_boundary_support(K, path, 1))
+    assert len(ends) == 2 and _boundary_support(K, path, 1) == ends
+    for build in (orientation_cover, complement_semiorientation, flip_semiorientation):
+        with pytest.raises(InputError) as err:
+            build(K, path)
+        assert str(err.value) == f"cutting curve is not closed: boundary at {ends[:3]}"
 
 
 def test_branch_preimage_audit_refuses_corrupted_covers(library):

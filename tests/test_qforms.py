@@ -19,7 +19,6 @@ from conjtop.qforms import (
     pin_value_from_loops,
     qform_from_loop_table,
     spin_value_from_loops,
-    symplectic_basis,
 )
 
 HYP = Gf2Matrix.from_rows([[0, 1], [1, 0]])
@@ -162,15 +161,16 @@ def test_arf_basis_independent():
         assert arf(q2) == arf(q)
 
 
-def test_symplectic_basis_rejects_odd():
-    with pytest.raises(InputError, match="odd"):
-        symplectic_basis(Gf2Matrix.identity(2))
-
-
-def test_symplectic_basis_rejects_degenerate():
+def test_arf_rejects_degenerate():
     gram = Gf2Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    with pytest.raises(InputError, match="degenerate"):
-        symplectic_basis(gram)
+    for values in ([0, 0, 0], [1, 1, 1]):
+        with pytest.raises(InputError, match="pairing is degenerate: no symplectic partner found"):
+            arf(QForm2(gram, values))
+
+
+def test_q2_rejects_odd_pairing():
+    with pytest.raises(InputError, match="Z2 quadratic refinements require an even pairing"):
+        QForm2(Gf2Matrix.identity(2), [0, 0])
 
 
 def test_brown_rank_one():

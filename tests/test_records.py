@@ -5,6 +5,11 @@ names.  Every record and its oracle are built from the same values, with
 the defaults omitted and with them given, and must agree on repr, str,
 equality, hashing, field order, immutability, ``_replace`` (against
 ``dataclasses.replace``) and the errors their constructors raise.
+
+``conftest`` also keeps the four hand-written value classes that became
+records (``FORMER_VALUES``): each record must raise the same messages,
+keep its fields and sizes, and match the former repr, equality and hash
+where the former class defined them.
 """
 
 import copy
@@ -14,7 +19,7 @@ import pickle
 
 import pytest
 
-from conftest import FORMER_RECORDS
+from conftest import FORMER_RECORDS, FORMER_VALUES
 from conjtop.complexes import SimplicialComplex, identity_map
 from conjtop.errors import InputError, Record
 from conjtop.gf2 import Gf2Matrix
@@ -172,3 +177,112 @@ def test_records_pickle():
     for record in (KharlamovTrace(4, -4, -8, False, True, False), TypeVerdict("II", 1, None),
                    LoopData(2, (1, 1), 3)):
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+# --- validated values: the hand-written classes that became records ----------
+
+IMPURE = SimplicialComplex.from_simplices(5, [(0, 1, 2), (3, 4)])
+HYP = Gf2Matrix.from_rows([[0, 1], [1, 0]])
+ODD = Gf2Matrix.from_rows([[1, 1], [1, 0]])
+SKEW = Gf2Matrix.from_rows([[0, 1], [0, 0]])
+WIDE = Gf2Matrix.zeros(2, 3)
+
+# name -> (module, fields, valid argument tuples, refused argument tuples)
+VALUE_CASES = {
+    "SemiOrientation": ("coverings", ("carrier", "signs"), [
+        (K, (1, -1)), (K, (-1, 1)), (K, [1, 1]), (K, ("-1", "-1")), (K2, (1, -1)),
+    ], [
+        (K, (1,)), (K, (1, 2)), (K, ("x", 1)), (K, None), (K, (1, 0)),
+        (IMPURE, (1,)),
+    ]),
+    "BilinearFormGF2": ("involutions", ("gram",), [
+        (HYP,), (Gf2Matrix.from_rows([[0, 1], [1, 0]]),), (ODD,), (Gf2Matrix.identity(3),),
+    ], [(WIDE,), (SKEW,)]),
+    "QForm2": ("qforms", ("gram", "values"), [
+        (HYP, (0, 0)), (HYP, [0, 0]), (HYP, (1, True)), (Gf2Matrix.zeros(1, 1), (1,)),
+    ], [(WIDE, (0, 0)), (SKEW, (0, 0)), (ODD, (1, 0)), (HYP, (0,)), (HYP, (0, 2))]),
+    "QForm4": ("qforms", ("gram", "values"), [
+        (HYP, (0, 2)), (HYP, [4, -2]), (ODD, (1, 2)), (ODD, (3, 0)),
+    ], [(WIDE, (0, 0)), (SKEW, (0, 0)), (HYP, (0,)), (ODD, (2, 2)), (HYP, (1, 0))]),
+}
+
+
+def value_classes(name):
+    module = importlib.import_module(f"conjtop.{VALUE_CASES[name][0]}")
+    return getattr(module, name), FORMER_VALUES[name]
+
+
+def test_every_former_value_class_has_a_case():
+    assert set(VALUE_CASES) == set(FORMER_VALUES) and len(VALUE_CASES) == 4
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CASES))
+def test_value_record_matches_its_former_class(name):
+    new_cls, old_cls = value_classes(name)
+    _, fields, valid, refused = VALUE_CASES[name]
+    assert issubclass(new_cls, Record) and new_cls.__slots__ == fields
+    assert "__eq__" not in vars(new_cls) and "__hash__" not in vars(new_cls)
+    pairs = [(new_cls(*args), old_cls(*args)) for args in valid]
+    for new, old in pairs:
+        assert not hasattr(new, "__dict__")
+        assert new._asdict() == {n: getattr(old, n) for n in fields}
+        if name in ("SemiOrientation", "BilinearFormGF2"):
+            assert repr(new) == repr(old)
+        if name != "SemiOrientation":
+            assert new.dimension == old.dimension == new.gram.nrows
+            method = "value" if name == "BilinearFormGF2" else "pairing"
+            vectors = range(1 << new.dimension)
+            assert all(getattr(new, method)(x, y) == getattr(old, method)(x, y)
+                       for x in vectors for y in vectors)
+    # equality and hash as the former class defined them, per pair of values
+    for (a, a_old), (b, b_old) in ((p, q) for p in pairs for q in pairs):
+        if name in ("SemiOrientation", "BilinearFormGF2"):
+            assert (a == b) == (a_old == b_old) and (a != b) == (a_old != b_old)
+        else:  # the former forms compared by identity; the records compare values
+            assert (a == b) == (a._asdict() == b._asdict())
+        if name == "SemiOrientation":
+            assert hash(a) == hash(a_old)
+        if a == b:
+            assert hash(a) == hash(b)
+    for args in refused:
+        assert outcome(lambda: new_cls(*args)) == outcome(lambda: old_cls(*args)), args
+        assert outcome(lambda: new_cls(*args))[0] is InputError
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CASES))
+def test_value_records_copy_pickle_and_refuse_mutation(name):
+    new_cls, _ = value_classes(name)
+    _, fields, valid, _ = VALUE_CASES[name]
+    for args in valid:
+        value = new_cls(*args)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            assert type(twin) is new_cls
+        before = value._asdict()
+        for n in fields + ("dimension",):
+            with pytest.raises(AttributeError):
+                setattr(value, n, before.get(n))
+            with pytest.raises(AttributeError):
+                delattr(value, n)
+        assert value._asdict() == before
+
+
+def test_changed_values_go_through_validation():
+    """``_replace`` rebuilds through the validating constructor, and a field
+    can no longer be reassigned past it."""
+    from conjtop.coverings import SemiOrientation
+    from conjtop.qforms import QForm2, QForm4, brown
+
+    q = QForm4(HYP, [0, 2])
+    with pytest.raises(AttributeError):
+        q.values = (1, 2)  # breaks the parity law, and brown(q) would read 2
+    assert q.values == (0, 2) and brown(q) == 0
+    with pytest.raises(InputError, match="parity violation at basis vector 0"):
+        q._replace(values=(1, 2))
+    with pytest.raises(InputError, match="require an even pairing"):
+        QForm2(HYP, (0, 0))._replace(gram=ODD)
+    semi = SemiOrientation(K, (1, -1))
+    with pytest.raises(AttributeError):
+        semi.signs = (-1, 1)  # would break the canonical representative
+    assert semi._replace(signs=(-1, 1)) == semi
+    assert semi._replace(signs=(-1, 1)).signs == (1, -1)
