@@ -10,7 +10,21 @@ quadratic refinements.  All arithmetic is exact (GF(2) bit vectors and
 arbitrary-precision integers); no floating point anywhere.
 """
 
-from .homology import homology  # eager: lazily, importing conjtop.homology would rebind it
+import sys
+from types import ModuleType
+
+
+class _Root(ModuleType):
+    """The package.  Importing the submodule ``homology`` binds its function here
+    instead, so ``conjtop.homology`` is the function without an eager import."""
+
+    def __setattr__(self, name, value):
+        if name == "homology" and isinstance(value, ModuleType):
+            value = value.homology
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Root
 
 __version__ = "0.1.0"
 _EXPORTS = {  # module -> the names it exports, loaded with it on first access (PEP 562)
@@ -18,18 +32,20 @@ _EXPORTS = {  # module -> the names it exports, loaded with it on first access (
     "identity_map orbit_chain_boundaries pseudomanifold_check quotient_by_involution regularize",
     "coverings": "CoverComplex SemiOrientation branched_double_cover compare_mod_curves "
     "complement_semiorientation curve_complex_semiorientation dividing_test "
-    "double_cover_unbranched extendibility_check flip_semiorientation kharlamov_congruence "
-    "lift_involution orientation_cover stiefel_whitney_cocycle",
+    "double_cover_unbranched extendibility_check flip_semiorientation lift_involution "
+    "orientation_cover stiefel_whitney_cocycle",
     "errors": "InputError ModelIntegrityError",
-    "gf2": "Gf2Matrix gf2_kernel_basis gf2_rank gf2_solve",
+    "gf2": "BilinearFormGF2 Gf2Matrix characteristic_class gf2_kernel_basis gf2_rank gf2_solve "
+    "is_even",
     "homology": "ChainComplexData HomologyBasis betti_numbers cohomology cup_pairing "
     "duality_audit homology induced_map total_betti",
     "intmat": "IntMatrix int_kernel_basis smith_normal_form",
-    "involutions": "BilinearFormGF2 TypeVerdict characteristic_class check_m_variety_even_form "
-    "classify_type fixed_subcomplex harnack_audit intersection_form involution_form is_even "
-    "parity_obstruction smith_kernel_bound verify_fixed_class_is_characteristic",
+    "involutions": "TypeVerdict check_m_variety_even_form classify_type fixed_subcomplex "
+    "harnack_audit intersection_form involution_form parity_obstruction smith_kernel_bound "
+    "verify_fixed_class_is_characteristic",
     "lattices": "IntegerLattice QuotientTransferData build_lattice conj_form_mod2 "
-    "invariant_sublattices order_obstruction orientation_class_check torsion_audit transfer_audit",
+    "invariant_sublattices kharlamov_congruence order_obstruction orientation_class_check "
+    "torsion_audit transfer_audit",
     "modelfile": "format_model parse_model",
     "models": "ModelFile model_library",
     "qforms": "LoopData LoopTable QForm2 QForm4 arf brown evaluate_q2 evaluate_q4 "

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import InputError, ModelIntegrityError, Record
-from .gf2 import bits_of, vec_from_bits
+from .gf2 import bits_of, characteristic_class, is_even, vec_from_bits
 
 
 class Report:
@@ -85,11 +85,10 @@ def _parse_vector(text: str):
 def _coords_bits(vec, width):
     if len(vec) != width:
         raise InputError(f"vector has length {len(vec)}, expected {width}")
-    return vec_from_bits(v & 1 if v in (0, 1) else _reject(v) for v in vec)
-
-
-def _reject(v):
-    raise InputError(f"coordinate {v} is not a bit")
+    bad = [v for v in vec if v not in (0, 1)]
+    if bad:
+        raise InputError(f"coordinate {bad[0]} is not a bit")
+    return vec_from_bits(vec)
 
 
 def _lookup(table: dict, name: str, kind: str):
@@ -196,9 +195,7 @@ def _cmd_fixed_set(model, args, report):
 
 
 def _cmd_conj_form(model, args, report):
-    from .involutions import (
-        characteristic_class, involution_form, is_even, verify_fixed_class_is_characteristic,
-    )
+    from .involutions import involution_form, verify_fixed_class_is_characteristic
 
     K, tau, basis = _resolve_form_space(model, args.object)
     B = involution_form(K, tau, basis_cycles=basis)
@@ -318,7 +315,7 @@ def _cmd_compare(model, args, report):
 
 
 def _cmd_congruence(model, args, report):
-    from .coverings import kharlamov_congruence
+    from .lattices import kharlamov_congruence
 
     if args.chi is None or args.type is None:
         raise InputError("congruence needs --chi and --type")
@@ -334,7 +331,6 @@ def _cmd_congruence(model, args, report):
 
 
 def _cmd_lattice_audit(model, args, report):
-    from .involutions import characteristic_class, is_even
     from .lattices import (
         alpha_chi_cross_check, conj_form_mod2, invariant_sublattices, orientation_class_check,
         torsion_audit, transfer_audit,
@@ -479,12 +475,12 @@ def main(argv=None) -> int:
 
             with open(args.model, "r", encoding="utf-8") as fh:
                 model = parse_model(fh.read())
-        else:
+        elif hasattr(args, "object"):
             from .models import model_library
 
-            # only the group that defines the object; congruence reads none,
-            # and "" names no model
-            model = model_library(getattr(args, "object", ""))
+            model = model_library(args.object)  # only the group that defines it
+        else:
+            model = None  # congruence reads no object
         report = run(args.command, model, args)
     except InputError as e:
         sys.stdout.write(f"input error: {e}\n")

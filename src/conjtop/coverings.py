@@ -26,6 +26,8 @@ unsigned walk for the sheet shift it applies to each top.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -40,7 +42,6 @@ from .complexes import (
 from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import gf2_solve
 from .homology import duality_data, is_cocycle
-from .involutions import TypeVerdict, fixed_subcomplex
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +235,13 @@ def double_cover_unbranched(K: SimplicialComplex, w: int) -> CoverComplex:
     return cover
 
 
-def _boundary_support(K: SimplicialComplex, chain_simplices, k: int):
-    """Support of the mod-2 boundary of a k-chain given by its distinct
-    simplices, read from the complex's cached boundary rows."""
-    b = K.boundary_matrix(k).mul_vec(sum(1 << K.index_of(s) for s in chain_simplices))
-    return [f for i, f in enumerate(K.simplices(k - 1)) if b >> i & 1]
+def _boundary_support(chain_simplices, k: int):
+    """Support of the mod-2 boundary of a k-chain given by its distinct simplices:
+    the faces met an odd number of times, in index order (a complex sorts them)."""
+    odd = set()
+    for s in chain_simplices:
+        odd.symmetric_difference_update(combinations(s, k))
+    return sorted(odd)
 
 
 def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
@@ -257,7 +260,7 @@ def branched_double_cover(K: SimplicialComplex, cut_simplices) -> CoverComplex:
             raise InputError(f"cut chain entry {s} is not a codimension-1 simplex")
         cut.symmetric_difference_update({s})
 
-    branch = SimplicialComplex.from_simplices(K.vertex_count, _boundary_support(K, cut, n - 1))
+    branch = SimplicialComplex.from_simplices(K.vertex_count, _boundary_support(cut, n - 1))
     branch_simplices = set(branch.all_simplices())
     branch_vertices = {v for s in branch_simplices for v in s}
     within = set(map(tuple, K.simplices_within(branch_vertices)))
@@ -368,6 +371,8 @@ def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
 
 def _split_along_fixed_curve(K: SimplicialComplex, tau: SimplicialMap):
     """(dividing verdict, fixed curve, signs of the walk cut along it)."""
+    from .involutions import fixed_subcomplex  # here: covers and curve cuts never read it
+
     if K.dimension != 2:
         raise InputError("dividing test runs on surface complexes")
     pseudomanifold_check(K)
@@ -475,9 +480,9 @@ def _as_curve_subcomplex(X, Y):
         sub = X.subcomplex([tuple(s) for s in Y])
     if sub.dimension > 1:
         raise InputError("cutting locus must be one-dimensional")
-    b = _boundary_support(X, sub.simplices(1), 1)
+    b = _boundary_support(sub.simplices(1), 1)
     if b:
-        raise InputError(f"cutting curve is not closed: boundary at {sorted(b)[:3]}")
+        raise InputError(f"cutting curve is not closed: boundary at {b[:3]}")
     return sub
 
 
@@ -693,36 +698,3 @@ def lift_involution(cover: CoverComplex, tau: SimplicialMap):
         if proj.compose(lift).images != tau.compose(proj).images:
             raise ModelIntegrityError("constructed lift does not commute with projection")
     return c_plus, c_minus
-
-
-class KharlamovTrace(Record):
-    # self_intersection_ambient is -chi; the quotient's doubles it, per the covering argument
-    __slots__ = ("chi", "self_intersection_ambient", "self_intersection_quotient",
-                 "divisible_by_16", "applicable", "passes")
-
-
-def kharlamov_congruence(chi: int, kind, h1_trivial: bool) -> KharlamovTrace:
-    """Euler characteristic congruence mod 8 for bounding real surfaces.
-
-    Applicable to type I_abs with trivial first mod-2 homology of the
-    complexification.  The trace follows the 4-fold covering argument:
-    the self-intersection downstairs is -chi, doubling into the quotient,
-    where divisibility by 16 is forced; hence chi = 0 mod 8.  A violation
-    is a model-integrity error carrying the trace.
-    """
-    if isinstance(kind, TypeVerdict):
-        kind = kind.kind
-    if kind not in ("I_abs", "I_rel", "II"):
-        raise InputError(f"unknown type {kind!r}")
-    applicable = kind == "I_abs" and h1_trivial
-    s_ca = -chi
-    s_quot = 2 * s_ca
-    divisible = s_quot % 16 == 0
-    passes = (not applicable) or chi % 8 == 0
-    trace = KharlamovTrace(chi, s_ca, s_quot, divisible, applicable, passes)
-    if applicable and not passes:
-        raise ModelIntegrityError(
-            f"Euler characteristic {chi} is not divisible by 8 for a bounding surface",
-            report=trace,
-        )
-    return trace

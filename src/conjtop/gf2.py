@@ -7,12 +7,13 @@ Vectors use the same encoding.  One elimination serves every caller:
 A rank is its pivot count; kernels, solutions and inverses take the
 reduced row echelon form from :func:`echelon`, which back-substitutes its
 pivot rows.  The reduced echelon form of a span is unique, so every
-echelon basis is reproducible across runs.
+echelon basis is reproducible across runs.  Symmetric bilinear forms, with
+their evenness and characteristic class, are GF(2) linear algebra too.
 """
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, Record
 
 
 def vec_from_bits(bits) -> int:
@@ -284,3 +285,54 @@ def gf2_invert(M: Gf2Matrix) -> Gf2Matrix:
         raise InputError("matrix is singular over GF(2)")
     mask = (1 << n) - 1
     return Gf2Matrix(n, n, ((row >> n) & mask for row in rows))
+
+
+class BilinearFormGF2(Record):
+    """Symmetric bilinear form on a finite GF(2) space, given by its Gram."""
+
+    __slots__ = ("gram",)
+
+    def __init__(self, gram: Gf2Matrix):
+        if gram.nrows != gram.ncols:
+            raise InputError("Gram matrix must be square")
+        if not gram.is_symmetric():
+            raise InputError("Gram matrix must be symmetric")
+        super().__init__(gram)
+
+    @property
+    def dimension(self) -> int:
+        return self.gram.nrows
+
+    def value(self, x: int, y: int) -> int:
+        return dot(self.gram.mul_vec(y), x)
+
+    def __repr__(self):
+        return f"BilinearFormGF2({self.gram!r})"
+
+
+def is_even(B: BilinearFormGF2) -> bool:
+    """True when the form vanishes on every diagonal value.
+
+    Over GF(2) the diagonal of the Gram matrix determines all values
+    B(x, x), so evenness is a diagonal check.
+    """
+    return B.gram.diagonal_vector() == 0
+
+
+def characteristic_class(B: BilinearFormGF2) -> int:
+    """The unique vector with B(chi, x) = B(x, x) for all x.
+
+    Exists and is unique exactly when B is nondegenerate; degenerate
+    inputs are refused with a kernel witness when one exists.
+    """
+    d = B.gram.diagonal_vector()
+    sol = gf2_solve(B.gram, d)
+    if sol is None:
+        raise InputError("degenerate form: no characteristic vector exists")
+    x, kernel = sol
+    if kernel:
+        raise InputError(
+            "degenerate form: characteristic vector not unique "
+            f"(kernel witness {bits_of(kernel[0], B.dimension)})"
+        )
+    return x

@@ -24,7 +24,9 @@ from .complexes import (
     pseudomanifold_check,
 )
 from .errors import InputError, ModelIntegrityError, Record
-from .gf2 import Gf2Matrix, bits_of, gf2_invert, gf2_solve, reduce_columns
+from .gf2 import (
+    BilinearFormGF2, Gf2Matrix, characteristic_class, gf2_invert, is_even, reduce_columns,
+)
 from .homology import (
     ChainComplexData,
     duality_data,
@@ -34,60 +36,6 @@ from .homology import (
     middle_dimension,
     total_betti,
 )
-
-
-class BilinearFormGF2(Record):
-    """Symmetric bilinear form on a finite GF(2) space, given by its Gram."""
-
-    __slots__ = ("gram",)
-
-    def __init__(self, gram: Gf2Matrix):
-        if gram.nrows != gram.ncols:
-            raise InputError("Gram matrix must be square")
-        if not gram.is_symmetric():
-            raise InputError("Gram matrix must be symmetric")
-        super().__init__(gram)
-
-    @property
-    def dimension(self) -> int:
-        return self.gram.nrows
-
-    def value(self, x: int, y: int) -> int:
-        return (self.gram.mul_vec(y) & x).bit_count() & 1
-
-    def self_value(self, x: int) -> int:
-        return self.value(x, x)
-
-    def __repr__(self):
-        return f"BilinearFormGF2({self.gram!r})"
-
-
-def is_even(B: BilinearFormGF2) -> bool:
-    """True when the form vanishes on every diagonal value.
-
-    Over GF(2) the diagonal of the Gram matrix determines all values
-    B(x, x), so evenness is a diagonal check.
-    """
-    return B.gram.diagonal_vector() == 0
-
-
-def characteristic_class(B: BilinearFormGF2) -> int:
-    """The unique vector with B(chi, x) = B(x, x) for all x.
-
-    Exists and is unique exactly when B is nondegenerate; degenerate
-    inputs are refused with a kernel witness when one exists.
-    """
-    d = B.gram.diagonal_vector()
-    sol = gf2_solve(B.gram, d)
-    if sol is None:
-        raise InputError("degenerate form: no characteristic vector exists")
-    x, kernel = sol
-    if kernel:
-        raise InputError(
-            "degenerate form: characteristic vector not unique "
-            f"(kernel witness {bits_of(kernel[0], B.dimension)})"
-        )
-    return x
 
 
 class FixedComponent(Record):
@@ -375,7 +323,7 @@ def parity_obstruction(d: int, B: BilinearFormGF2, invariant_class: int) -> Obst
     """
     if invariant_class >> B.dimension:
         raise InputError("witness class has too many coordinates")
-    self_val = B.self_value(invariant_class)
+    self_val = B.value(invariant_class, invariant_class)
     if self_val != d % 2:
         raise InputError(
             f"witness validation failed: self-pairing {self_val} does not match order {d}"

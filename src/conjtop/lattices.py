@@ -8,11 +8,15 @@ classes).  Doubling carries the rest: pull x = 0 gives 2x = push(pull x)
 = 0, so pull is injective, and beta = pull(delta) gives push(beta) =
 2 delta, so beta lies in the image of pull exactly when
 pull(push(beta) // 2) = beta.  No Smith form of pull is needed.
+
+Kharlamov's congruence (section 2.3: chi = 0 mod 8 for a bounding type I_abs
+surface with trivial H_1) is Euler-characteristic arithmetic, so it is here.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, ModelIntegrityError, Record
+from .gf2 import BilinearFormGF2
 from .intmat import IntMatrix, int_kernel_basis, invariant_factors
 
 
@@ -83,10 +87,8 @@ def invariant_sublattices(L: IntegerLattice):
     return tuple(plus), tuple(minus)
 
 
-def conj_form_mod2(L: IntegerLattice) -> "BilinearFormGF2":
+def conj_form_mod2(L: IntegerLattice) -> BilinearFormGF2:
     """Reduction mod 2 of the twisted pairing (x, y) -> x . T(y)."""
-    from .involutions import BilinearFormGF2
-
     twisted = L.gram * L.isometry
     return BilinearFormGF2(twisted.mod2())
 
@@ -207,3 +209,38 @@ def alpha_chi_cross_check(L: IntegerLattice) -> dict | None:
             report={"alpha": alpha, "chi": L.chi_real},
         )
     return {"self_pairing": self_pairing, "chi": L.chi_real}
+
+
+class KharlamovTrace(Record):
+    # self_intersection_ambient is -chi; the quotient's doubles it, per the covering argument
+    __slots__ = ("chi", "self_intersection_ambient", "self_intersection_quotient",
+                 "divisible_by_16", "applicable", "passes")
+
+
+def kharlamov_congruence(chi: int, kind, h1_trivial: bool) -> KharlamovTrace:
+    """Euler characteristic congruence mod 8 for bounding real surfaces.
+
+    Applicable to type I_abs with trivial first mod-2 homology of the
+    complexification.  The trace follows the 4-fold covering argument:
+    the self-intersection downstairs is -chi, doubling into the quotient,
+    where divisibility by 16 is forced; hence chi = 0 mod 8.  A violation
+    is a model-integrity error carrying the trace.
+    """
+    if not isinstance(kind, str):
+        from .involutions import TypeVerdict
+
+        kind = kind.kind if isinstance(kind, TypeVerdict) else kind
+    if kind not in ("I_abs", "I_rel", "II"):
+        raise InputError(f"unknown type {kind!r}")
+    applicable = kind == "I_abs" and h1_trivial
+    s_ca = -chi
+    s_quot = 2 * s_ca
+    divisible = s_quot % 16 == 0
+    passes = (not applicable) or chi % 8 == 0
+    trace = KharlamovTrace(chi, s_ca, s_quot, divisible, applicable, passes)
+    if applicable and not passes:
+        raise ModelIntegrityError(
+            f"Euler characteristic {chi} is not divisible by 8 for a bounding surface",
+            report=trace,
+        )
+    return trace

@@ -45,9 +45,6 @@ class QForm2(Record):
     def dimension(self) -> int:
         return self.gram.nrows
 
-    def pairing(self, x: int, y: int) -> int:
-        return (self.gram.mul_vec(y) & x).bit_count() & 1
-
 
 class QForm4(Record):
     """Z4-valued quadratic form; basis values must refine the pairing."""
@@ -68,7 +65,6 @@ class QForm4(Record):
         super().__init__(gram, values)
 
     dimension = QForm2.dimension
-    pairing = QForm2.pairing
 
 
 def _expand(q, x: int, scale: int) -> int:

@@ -15,25 +15,21 @@ from conjtop.coverings import (
     curve_complex_semiorientation,
     dividing_test,
     double_cover_unbranched,
-    kharlamov_congruence,
     orient_surface,
     orientation_cover,
     pushforward_semiorientation,
 )
 from conjtop.errors import ModelIntegrityError
-from conjtop.gf2 import Gf2Matrix, gf2_rank
+from conjtop.gf2 import BilinearFormGF2, Gf2Matrix, characteristic_class, gf2_rank, is_even
 from conjtop.homology import betti_numbers, cohomology, duality_data
 from conjtop.intmat import IntMatrix, invariant_factors
 from conjtop.involutions import (
-    BilinearFormGF2,
-    characteristic_class,
     classify_type,
     fixed_subcomplex,
-    is_even,
     smith_kernel_bound,
     verify_fixed_class_is_characteristic,
 )
-from conjtop.lattices import orientation_class_check, transfer_audit
+from conjtop.lattices import kharlamov_congruence, orientation_class_check, transfer_audit
 from conjtop.models import coned_grid_klein, coned_grid_torus, model_library
 from conjtop.qforms import (
     LoopData,
@@ -301,10 +297,11 @@ def test_acceptance_quadratic_form_suite():
         gram4 = random_symmetric(n)
         q4 = QForm4(gram4, [2 * r.randint(0, 1) + gram4[i, i] for i in range(n)])
         vals4 = [evaluate_q4(q4, x) for x in range(1 << n)]
+        b2, b4 = BilinearFormGF2(q2.gram).value, BilinearFormGF2(q4.gram).value
         for x in range(1 << n):
             for y in range(1 << n):
-                assert vals2[x ^ y] == (vals2[x] + vals2[y] + q2.pairing(x, y)) % 2
-                assert vals4[x ^ y] == (vals4[x] + vals4[y] + 2 * q4.pairing(x, y)) % 4
+                assert vals2[x ^ y] == (vals2[x] + vals2[y] + b2(x, y)) % 2
+                assert vals4[x ^ y] == (vals4[x] + vals4[y] + 2 * b4(x, y)) % 4
 
     hyp = Gf2Matrix.from_rows([[0, 1], [1, 0]])
     assert arf(QForm2(hyp, [0, 0])) == 0

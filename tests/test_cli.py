@@ -125,6 +125,21 @@ def test_integrity_trace_on_machine_request(capsys):
     assert code == 1 and out.count("\n") == 1
 
 
+def test_conj_form_guard_reports_the_lemma(monkeypatch, capsys):
+    """A fixed set that does not realize the characteristic class is exit 1,
+    and --machine prints the lemma's report after the one-line message."""
+    import conjtop.involutions
+
+    lemma = conjtop.involutions.verify_fixed_class_is_characteristic
+    monkeypatch.setattr(conjtop.involutions, "verify_fixed_class_is_characteristic",
+                        lambda *args, **kwargs: {**lemma(*args, **kwargs), "holds": False})
+    message = "model integrity violation: fixed set does not realize the characteristic class\n"
+    code, out = run_cli(["conj-form", "quadric", "--machine"], capsys)
+    assert code == 1
+    assert out == message + "characteristic_class=3\ndimension=2\nfixed_class=3\nholds=false\n"
+    assert run_cli(["conj-form", "quadric"], capsys) == (1, message)
+
+
 def test_trace_lines_flatten_reports():
     from conjtop.cli import _trace_lines
     from conjtop.gf2 import Gf2Matrix

@@ -1,17 +1,19 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
+    barycentric_subdivide,
     dual_walk,
     fundamental_class,
     identity_map,
 )
 from conjtop.coverings import (
     SemiOrientation,
+    _as_curve_subcomplex,
     _boundary_support,
     _check_branch_preimage,
     branched_double_cover,
@@ -23,7 +25,6 @@ from conjtop.coverings import (
     extendibility_check,
     flip_semiorientation,
     is_coherent,
-    kharlamov_congruence,
     lift_involution,
     orientation_cover,
     pushforward_semiorientation,
@@ -33,7 +34,8 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import gf2_solve
 from conjtop.homology import betti_numbers, cohomology
 from conjtop.involutions import fixed_subcomplex
-from conjtop.models import coned_grid_klein, coned_grid_torus
+from conjtop.lattices import kharlamov_congruence
+from conjtop.models import coned_grid_klein, coned_grid_torus, torus7
 from conftest import (
     chain_bits,
     former_boundary_support,
@@ -233,11 +235,11 @@ def test_branched_cover_fullness_rejected(library):
 
 @pytest.mark.parametrize("mark", ["arc1", "arc2", "arcs_both"])
 def test_branch_locus_from_boundary_rows_matches_face_count(library, mark):
-    """The boundary read from the cached rows has the support of the former
-    per-simplex count, and the cover is branched over its closure."""
+    """The boundary support is the former per-simplex count in index order,
+    and the cover is branched over its closure."""
     K = library.complexes["sphere_octa_sub"]
     cut = curve(library, "sphere_octa_sub", mark)
-    support = _boundary_support(K, cut, 1)
+    support = _boundary_support(cut, 1)
     assert support == sorted(former_boundary_support(K, cut, 1)) and len(support) in (2, 4)
     branch = branched_double_cover(K, cut).branch
     assert branch == SimplicialComplex.from_simplices(K.vertex_count, support)
@@ -248,11 +250,44 @@ def test_open_cutting_curve_names_the_same_boundary(library):
     K = library.complexes["torus_grid"]
     path = curve(library, "torus_grid", "col0")[:-1]
     ends = sorted(former_boundary_support(K, path, 1))
-    assert len(ends) == 2 and _boundary_support(K, path, 1) == ends
+    assert len(ends) == 2 and _boundary_support(path, 1) == ends
     for build in (orientation_cover, complement_semiorientation, flip_semiorientation):
         with pytest.raises(InputError) as err:
             build(K, path)
         assert str(err.value) == f"cutting curve is not closed: boundary at {ends[:3]}"
+
+
+def subdivided_chain(K, chain):
+    """A chain of K carried onto its barycentric subdivision, whose vertices
+    are the simplices of K in (dimension, tuple) order."""
+    order = sorted(K.all_simplices(), key=lambda s: (len(s), s))
+    rank = {s: i for i, s in enumerate(order)}
+    return sorted({tuple(sorted(rank[tuple(sorted(p[:i]))] for i in range(1, len(s) + 1)))
+                   for s in chain for p in permutations(s)})
+
+
+def test_boundary_support_counts_the_chain_alone():
+    """On the subdivided 7-vertex torus, the support is the former per-simplex
+    count in index order, for closed and open curves and a 2-chain, and
+    checking a curve builds no face indices or boundary rows of the surface."""
+    K = torus7()
+    chains = {"closed": [tuple(sorted((i, (i + 1) % 7))) for i in range(7)],
+              "open": [(0, 1), (1, 2), (2, 3)],
+              "triangles": [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]}
+    for _ in range(2):
+        chains = {name: subdivided_chain(K, chain) for name, chain in chains.items()}
+        K = barycentric_subdivide(K)[0]
+        for chain in chains.values():
+            k = len(chain[0]) - 1
+            assert _boundary_support(chain, k) == sorted(former_boundary_support(K, chain, k))
+        assert _boundary_support(chains["closed"], 1) == []
+        assert len(_boundary_support(chains["open"], 1)) == 2
+        assert len(_boundary_support(chains["triangles"], 2)) > 0
+        assert not K._faces_cache and not K._boundary_cache
+        assert _as_curve_subcomplex(K, chains["closed"]).n_simplices(1) == len(chains["closed"])
+        with pytest.raises(InputError, match="cutting curve is not closed"):
+            _as_curve_subcomplex(K, chains["open"])
+        assert not K._faces_cache and not K._boundary_cache
 
 
 def test_branch_preimage_audit_refuses_corrupted_covers(library):

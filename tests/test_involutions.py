@@ -2,19 +2,16 @@ import pytest
 
 from conjtop.complexes import fundamental_class, identity_map
 from conjtop.errors import InputError, ModelIntegrityError
-from conjtop.gf2 import Gf2Matrix
+from conjtop.gf2 import BilinearFormGF2, Gf2Matrix, characteristic_class, is_even
 from conjtop.homology import homology
 from conjtop.involutions import (
-    BilinearFormGF2,
     _smith_verdict,
-    characteristic_class,
     check_m_variety_even_form,
     classify_type,
     fixed_subcomplex,
     harnack_audit,
     intersection_form,
     involution_form,
-    is_even,
     parity_obstruction,
     smith_kernel_bound,
     verify_fixed_class_is_characteristic,

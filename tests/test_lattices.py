@@ -8,9 +8,8 @@ import conjtop.intmat
 from conftest import int_solve, snf_solve
 from conjtop.cli import main
 from conjtop.errors import InputError, ModelIntegrityError
-from conjtop.gf2 import Gf2Matrix
+from conjtop.gf2 import Gf2Matrix, characteristic_class, is_even
 from conjtop.intmat import IntMatrix, int_kernel_basis, smith_normal_form
-from conjtop.involutions import characteristic_class, is_even
 from conjtop.lattices import (
     QuotientTransferData,
     alpha_chi_cross_check,

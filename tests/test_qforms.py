@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import block_sum_z2, block_sum_z4, direct_sum, random_basis, rebased
 from conjtop.errors import InputError
-from conjtop.gf2 import Gf2Matrix, gf2_rank
+from conjtop.gf2 import BilinearFormGF2, Gf2Matrix, gf2_rank
 from conjtop.qforms import (
     LoopData,
     LoopTable,
@@ -82,7 +82,7 @@ def test_q2_quadratic_law(n, seed, x, y):
     x &= (1 << n) - 1
     y &= (1 << n) - 1
     lhs = evaluate_q2(q, x ^ y)
-    rhs = (evaluate_q2(q, x) + evaluate_q2(q, y) + q.pairing(x, y)) % 2
+    rhs = (evaluate_q2(q, x) + evaluate_q2(q, y) + BilinearFormGF2(q.gram).value(x, y)) % 2
     assert lhs == rhs
 
 
@@ -96,7 +96,7 @@ def test_q4_quadratic_law(n, seed, x, y):
     x &= (1 << n) - 1
     y &= (1 << n) - 1
     lhs = evaluate_q4(q, x ^ y)
-    rhs = (evaluate_q4(q, x) + evaluate_q4(q, y) + 2 * q.pairing(x, y)) % 4
+    rhs = (evaluate_q4(q, x) + evaluate_q4(q, y) + 2 * BilinearFormGF2(q.gram).value(x, y)) % 4
     assert lhs == rhs
 
 
@@ -111,8 +111,9 @@ def test_q4_parity_of_values():
         n = r.randint(1, 5)
         gram = random_symmetric(r, n)
         q = QForm4(gram, [2 * r.randint(0, 1) + gram[i, i] for i in range(n)])
+        b = BilinearFormGF2(q.gram)
         for x in range(1 << n):
-            assert evaluate_q4(q, x) % 2 == q.pairing(x, x)
+            assert evaluate_q4(q, x) % 2 == b.value(x, x)
 
 
 def test_arf_standard_forms():
@@ -151,10 +152,11 @@ def test_arf_basis_independent():
         cols = [sum(((P.rows[i] >> j) & 1) << i for i in range(n)) for j in range(n)]
         for j in range(n):
             new_vals.append(evaluate_q2(q, cols[j]))
+        b = BilinearFormGF2(q.gram)
         for i in range(n):
             row = 0
             for j in range(n):
-                if q.pairing(cols[i], cols[j]):
+                if b.value(cols[i], cols[j]):
                     row |= 1 << j
             new_gram_rows.append(row)
         q2 = QForm2(Gf2Matrix(n, n, new_gram_rows), new_vals)
@@ -363,10 +365,11 @@ def test_brown_basis_independent():
         cols = [sum(((P.rows[i] >> j) & 1) << i for i in range(n)) for j in range(n)]
         new_vals = [evaluate_q4(q, c) for c in cols]
         new_rows = []
+        b = BilinearFormGF2(q.gram)
         for i in range(n):
             row = 0
             for j in range(n):
-                if q.pairing(cols[i], cols[j]):
+                if b.value(cols[i], cols[j]):
                     row |= 1 << j
             new_rows.append(row)
         q_based = QForm4(Gf2Matrix(n, n, new_rows), new_vals)

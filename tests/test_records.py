@@ -22,7 +22,7 @@ import pytest
 from conftest import FORMER_RECORDS, FORMER_VALUES
 from conjtop.complexes import SimplicialComplex, identity_map
 from conjtop.errors import InputError, Record
-from conjtop.gf2 import Gf2Matrix
+from conjtop.gf2 import BilinearFormGF2, Gf2Matrix
 from conjtop.intmat import IntMatrix
 
 K = SimplicialComplex.from_simplices(4, [(0, 1, 2), (1, 2, 3)])
@@ -56,7 +56,7 @@ CASES = {
         (K, TAU, TAU, ((0, 0), (1, 1))), (K2,), (K2, TAU2, TAU2, ((0, 1),), None))),
     "DividingVerdict": ("coverings", lambda m: (
         (True, (frozenset({0}), frozenset({1})), 2), (), (False, None, 1))),
-    "KharlamovTrace": ("coverings", lambda m: (
+    "KharlamovTrace": ("lattices", lambda m: (
         (4, -4, -8, False, True, False), (), (8, -8, -16, True, True, True))),
     "QuotientTransferData": ("lattices", lambda m: ((1, PULL, PUSH), (), (2, M, M2))),
     "IntegerLattice": ("lattices", lambda m: (
@@ -170,8 +170,8 @@ def test_loop_records_normalise_and_refuse_alike():
 
 
 def test_records_pickle():
-    from conjtop.coverings import KharlamovTrace
     from conjtop.involutions import TypeVerdict
+    from conjtop.lattices import KharlamovTrace
     from conjtop.qforms import LoopData
 
     for record in (KharlamovTrace(4, -4, -8, False, True, False), TypeVerdict("II", 1, None),
@@ -195,7 +195,7 @@ VALUE_CASES = {
         (K, (1,)), (K, (1, 2)), (K, ("x", 1)), (K, None), (K, (1, 0)),
         (IMPURE, (1,)),
     ]),
-    "BilinearFormGF2": ("involutions", ("gram",), [
+    "BilinearFormGF2": ("gf2", ("gram",), [
         (HYP,), (Gf2Matrix.from_rows([[0, 1], [1, 0]]),), (ODD,), (Gf2Matrix.identity(3),),
     ], [(WIDE,), (SKEW,)]),
     "QForm2": ("qforms", ("gram", "values"), [
@@ -230,10 +230,11 @@ def test_value_record_matches_its_former_class(name):
             assert repr(new) == repr(old)
         if name != "SemiOrientation":
             assert new.dimension == old.dimension == new.gram.nrows
-            method = "value" if name == "BilinearFormGF2" else "pairing"
+            # the forms read their pairing from the one GF(2) form on their Gram
+            value = new.value if name == "BilinearFormGF2" else BilinearFormGF2(new.gram).value
+            old_value = old.value if name == "BilinearFormGF2" else old.pairing
             vectors = range(1 << new.dimension)
-            assert all(getattr(new, method)(x, y) == getattr(old, method)(x, y)
-                       for x in vectors for y in vectors)
+            assert all(value(x, y) == old_value(x, y) for x in vectors for y in vectors)
     # equality and hash as the former class defined them, per pair of values
     for (a, a_old), (b, b_old) in ((p, q) for p in pairs for q in pairs):
         if name in ("SemiOrientation", "BilinearFormGF2"):
