@@ -29,7 +29,7 @@ sys.modules[__name__].__class__ = _Root
 __version__ = "0.1.0"
 _EXPORTS = {  # module -> the names it exports, loaded with it on first access (PEP 562)
     "complexes": "SimplicialComplex SimplicialMap barycentric_subdivide fundamental_class "
-    "identity_map orbit_chain_boundaries pseudomanifold_check quotient_by_involution regularize",
+    "identity_map pseudomanifold_check",
     "coverings": "CoverComplex SemiOrientation branched_double_cover compare_mod_curves "
     "complement_semiorientation curve_complex_semiorientation dividing_test "
     "double_cover_unbranched extendibility_check flip_semiorientation lift_involution "
@@ -41,8 +41,8 @@ _EXPORTS = {  # module -> the names it exports, loaded with it on first access (
     "duality_audit homology induced_map total_betti",
     "intmat": "IntMatrix int_kernel_basis smith_normal_form",
     "involutions": "TypeVerdict check_m_variety_even_form classify_type fixed_subcomplex "
-    "harnack_audit intersection_form involution_form parity_obstruction smith_kernel_bound "
-    "verify_fixed_class_is_characteristic",
+    "harnack_audit intersection_form involution_form orbit_chain_boundaries parity_obstruction "
+    "quotient_by_involution regularize smith_kernel_bound verify_fixed_class_is_characteristic",
     "lattices": "IntegerLattice QuotientTransferData build_lattice conj_form_mod2 "
     "invariant_sublattices kharlamov_congruence order_obstruction orientation_class_check "
     "torsion_audit transfer_audit",

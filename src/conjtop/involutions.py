@@ -1,11 +1,12 @@
 """Analysis of involutions on closed even-dimensional complexes.
 
-Covers the homological side of a real structure: the fixed point set and
-its middle-dimensional class, the mod-2 bilinear form (x, y) -> x . t(y),
-its characteristic class and evenness, type classification of the fixed
-set's class, the Harnack-style Betti bound with M-detection, the Smith
-sequence kernel bound in dimension four, and parity obstructions to
-bounding.
+Covers the geometry and the homological side of a real structure:
+regularity, the quotient and the orbit chain complex that the Smith
+sequence reads, the fixed point set and its middle-dimensional class, the
+mod-2 bilinear form (x, y) -> x . t(y), its characteristic class and
+evenness, type classification of the fixed set's class, the Harnack-style
+Betti bound with M-detection, the Smith sequence kernel bound in dimension
+four, and parity obstructions to bounding.
 
 All class coordinates refer to the canonical homology basis unless a
 marked basis of cycles is supplied; bundled models mark geometric bases so
@@ -15,12 +16,7 @@ that reported coordinates match classical conventions.
 from __future__ import annotations
 
 from .complexes import (
-    SimplicialComplex,
-    SimplicialMap,
-    _levels,
-    check_involution,
-    check_regular_involution,
-    orbit_chain_boundaries,
+    SimplicialComplex, SimplicialMap, _levels, barycentric_subdivide, check_involution,
     pseudomanifold_check,
 )
 from .errors import InputError, ModelIntegrityError, Record
@@ -36,6 +32,126 @@ from .homology import (
     middle_dimension,
     total_betti,
 )
+
+
+def regularity_offender(K: SimplicialComplex, tau: SimplicialMap):
+    """First simplex mapped onto itself without being fixed pointwise."""
+    im = tau.images
+    for k in range(K.dimension + 1):
+        group = K.simplices(k)
+        for i, j in enumerate(tau.index_images(k)):
+            if i == j and any(im[v] != v for v in group[i]):
+                return group[i]
+    return None
+
+
+def is_regular(K: SimplicialComplex, tau: SimplicialMap) -> bool:
+    return regularity_offender(K, tau) is None
+
+
+def check_regular_involution(K: SimplicialComplex, tau: SimplicialMap):
+    """Refuse a map that is not a regular involution of K.
+
+    The regularity scan runs once per map: a map that carries a cached
+    fixed set (see :func:`fixed_subcomplex`) has already passed it.
+    """
+    check_involution(K, tau)
+    if tau._fixed is None:
+        bad = regularity_offender(K, tau)
+        if bad is not None:
+            raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
+
+
+def quotient_by_involution(K: SimplicialComplex, tau: SimplicialMap):
+    """Orbit complex of a regular involution, with the projection map.
+
+    Simplices of the quotient are the orbit images of simplices of K.  The
+    construction refuses when the involution is not regular, and also when
+    two simplices that are not exchanged by the involution would collapse
+    to the same orbit image (the classical failure that one or two
+    barycentric subdivisions repair; see :func:`regularize`).
+    """
+    check_regular_involution(K, tau)
+
+    reps = sorted({min(v, tau(v)) for v in range(K.vertex_count)})
+    rep_rank = {v: i for i, v in enumerate(reps)}
+
+    def orbit_vertex(v):
+        return rep_rank[min(v, tau(v))]
+
+    # the orbit image of a face is a face of the orbit image: closed
+    image_to_source = {}
+    for s in K.all_simplices():
+        img = tuple(sorted(orbit_vertex(v) for v in s))
+        if len(set(img)) < len(img):
+            raise InputError(f"simplex {s} contains a vertex orbit twice")
+        prev = image_to_source.get(img)
+        if prev is not None and prev != s and prev != tau.map_simplex(s):
+            raise InputError(
+                "quotient collision: simplices "
+                f"{prev} and {s} share an orbit image; subdivide first"
+            )
+        if prev is None or s < prev:
+            image_to_source[img] = s
+
+    Q = SimplicialComplex._trusted(len(reps), _levels(image_to_source))
+    proj = SimplicialMap._trusted(K, Q, (orbit_vertex(v) for v in range(K.vertex_count)))
+    return Q, proj
+
+
+def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):
+    """Mod-2 chain complex of the orbit space of a regular involution.
+
+    Basis in each dimension: orbits of simplices (fixed simplices are
+    singleton orbits).  This is the Delta-complex chain model of the
+    quotient space; it stays valid when two non-exchanged simplices share
+    an orbit image, the situation where the simplicial quotient refuses.
+    Returns (boundaries, fixed_flags): boundary matrices indexed by orbit
+    bases and, per dimension, a bit mask of the orbit classes lying in the
+    fixed subcomplex.
+    """
+    check_regular_involution(K, tau)
+
+    reps = []  # per dimension: the index in K of each orbit's first simplex
+    orbit_of = []  # per dimension: the orbit number of each simplex of K
+    fixed_flags = []
+    for k in range(K.dimension + 1):
+        lst, of, mask = [], [0] * K.n_simplices(k), 0
+        # simplices are indexed in sorted order, so i <= j is s <= tau(s)
+        for i, j in enumerate(tau.index_images(k)):
+            if i <= j:
+                if i == j:  # fixed pointwise, as the involution is regular
+                    mask |= 1 << len(lst)
+                of[i] = of[j] = len(lst)
+                lst.append(i)
+        reps.append(lst)
+        orbit_of.append(of)
+        fixed_flags.append(mask)
+
+    boundaries = []
+    for k in range(1, K.dimension + 1):
+        faces, of = K.face_indices(k), orbit_of[k - 1]
+        rows = [0] * len(reps[k - 1])
+        bit = 1
+        for i in reps[k]:
+            for f in faces[i]:
+                rows[of[f]] ^= bit
+            bit <<= 1
+        boundaries.append(Gf2Matrix._trusted(len(rows), len(reps[k]), tuple(rows)))
+    return boundaries, fixed_flags
+
+
+def regularize(K: SimplicialComplex, tau: SimplicialMap):
+    """Subdivide at most twice until the involution admits a quotient."""
+    check_involution(K, tau)
+    for _ in range(3):
+        try:
+            quotient_by_involution(K, tau)
+            return K, tau
+        except InputError:
+            pass
+        K, tau = barycentric_subdivide(K, tau)
+    raise InputError("involution still irregular after two barycentric subdivisions")
 
 
 class FixedComponent(Record):

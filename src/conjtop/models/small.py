@@ -82,12 +82,11 @@ def _small_complexes(model):
 
 
 def _rp2(model):
-    from ..coverings import stiefel_whitney_cocycle
-
-    rp2 = rp2_6vertex()
-    w = stiefel_whitney_cocycle(rp2)
-    w_edges = tuple(e for i, e in enumerate(rp2.simplices(1)) if (w >> i) & 1)
-    _add(model, "rp2_6vertex", rp2, {"generator": RP2_GENERATOR_CYCLE, "w1_cocycle": w_edges})
+    # w1: the edges of coverings.stiefel_whitney_cocycle(rp2_6vertex()), as a literal (a test
+    # recomputes it) so that building the group does not load coverings
+    w1 = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
+    _add(model, "rp2_6vertex", rp2_6vertex(),
+         {"generator": RP2_GENERATOR_CYCLE, "w1_cocycle": w1})
 
 
 def _sphere_octa_sub(model):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjtop.cli import Report, _build_parser, main, run
+from conjtop.cli import _build_parser, _read, main, run
+from conjtop.commands import Report
 from conjtop.errors import InputError
 from conjtop.modelfile import format_model, parse_model
 from conftest import MALFORMED_MODELS
@@ -140,8 +142,24 @@ def test_conj_form_guard_reports_the_lemma(monkeypatch, capsys):
     assert run_cli(["conj-form", "quadric"], capsys) == (1, message)
 
 
+def test_asymmetric_conj_form_reports_the_gram(monkeypatch, capsys):
+    """An asymmetric involution form is exit 1, and --machine prints its Gram
+    after the one-line message."""
+    import conjtop.involutions
+    from conjtop.gf2 import Gf2Matrix
+
+    action = conjtop.involutions.induced_map
+    monkeypatch.setattr(conjtop.involutions, "induced_map", lambda actor, k: action(actor, k)
+                        + Gf2Matrix.from_rows([[1, 0], [0, 0]]))
+    message = "model integrity violation: involution form is not symmetric\n"
+    code, out = run_cli(["conj-form", "quadric", "--machine"], capsys)
+    assert code == 1
+    assert out == message + "report=Gf2Matrix(2x2: 10; 11)\n"
+    assert run_cli(["conj-form", "quadric"], capsys) == (1, message)
+
+
 def test_trace_lines_flatten_reports():
-    from conjtop.cli import _trace_lines
+    from conjtop.commands import _trace_lines
     from conjtop.gf2 import Gf2Matrix
 
     report = {"kernel": 2, "table": {4: 1, 2: 0}, "holds": False, "part": [3, 5]}
@@ -447,20 +465,85 @@ def test_subcommand_help_lists_exactly_its_flags(command, capsys):
     assert ("positional arguments:" in out) == (command != "congruence")
 
 
-def test_top_level_parser_does_not_depend_on_the_command():
-    """Only the named command's subparser gets its arguments; the top-level
-    usage, help and choices are the same whichever command is named."""
-    expected = _build_parser().format_help()
-    for command in (*COMMAND_FLAGS, "nosuch"):
-        assert _build_parser(command).format_help() == expected, command
-
-
 def test_abbreviated_flags_exit_2(capsys):
     """Flags after the command are spelled in full: prefix matching would
     read a stray --h as --help on every command without --h."""
     for argv in (["homology", "torus7", "--mach"], ["congruence", "--ch", "8", "--type", "II"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().out == ""
+
+
+# --- the plain reader against argparse ----------------------------------------
+
+EDGE_TOKENS = ("", "-", "--", "-8", "08", "²", "--chi=8", "-h", "--help", "--mach", "(1,1)")
+LINE_WORDS = st.one_of(
+    st.sampled_from(EDGE_TOKENS + ("torus7", "quadric", "8", "I_abs", "II", "bogus", "x y")),
+    st.tuples(st.sampled_from((*FLAG_VALUES, "--model", "--machine")),
+              st.sampled_from(EDGE_TOKENS + tuple(v for v in FLAG_VALUES.values() if v))),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def argparse_reference():
+    return _build_parser()
+
+
+def assert_reader_agrees(argv):
+    """Whenever the reader accepts a line, argparse builds an equal namespace."""
+    read = _read(argv)
+    if read is None:
+        return False
+    try:
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            parsed = argparse_reference().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the reader accepts {argv}, which argparse refuses")
+    assert vars(read) == vars(parsed), argv
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(command=st.sampled_from((*COMMAND_FLAGS, "nosuch", "--h", "-h")),
+       words=st.lists(LINE_WORDS, max_size=6))
+def test_reader_matches_argparse(command, words):
+    argv = [command]
+    for word in words:
+        argv += [word] if isinstance(word, str) else list(word)
+    assert_reader_agrees(argv)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_reader_reads_each_command_in_any_order(command):
+    """A valid line as given, and with --machine and --model first and its
+    object and flags (each with its value) in reverse order."""
+    argv = VALID_ARGV[command].split(" ")
+    assert assert_reader_agrees(argv)
+    words, groups = argv[1:], []
+    while words:
+        n = 2 if words[0].startswith("-") and FLAG_VALUES[words[0]] else 1
+        groups.insert(0, words[:n])
+        words = words[n:]
+    assert assert_reader_agrees([command, "--machine", "--model", "m.cjt", *sum(groups, [])])
+
+
+@pytest.mark.parametrize("command", sorted(CLI_EXPECTED))
+def test_reader_reads_every_benchmark_line(command):
+    """Every cold command the benchmark times is read without argparse."""
+    assert assert_reader_agrees(command.split(" "))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["homology"], ["homology", "torus7", "extra"], ["homology", "--machine"],
+    ["homology", "torus7", "--machine", "--machine"], ["homology", "torus7", "--mach"],
+    ["homology", "torus7", "--model=m.cjt"], ["homology", "torus7", "--model"],
+    ["homology", "torus7", "--model", "-"], ["homology", "-"], ["homology", "torus7", "--"],
+    ["congruence", "--chi", "x", "--type", "II"], ["congruence", "--chi", "-8", "--type", "II"],
+    ["congruence", "--chi", "²", "--type", "II"], ["congruence", "--chi", "8", "--type", "bogus"],
+    ["congruence", "--chi", "8", "--chi", "8", "--type", "II"], ["congruence", "torus7"],
+    ["classify", "quadric", "--h", "-1,1"], ["classify", "quadric", "--help"],
+])
+def test_reader_leaves_other_lines_to_argparse(argv):
+    assert _read(argv) is None
 
 
 def test_report_echoes_flags_in_table_order(library, capsys):

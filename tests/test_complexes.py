@@ -10,12 +10,10 @@ from conjtop.complexes import (
     check_involution,
     fundamental_class,
     identity_map,
-    orbit_chain_boundaries,
     pseudomanifold_check,
-    quotient_by_involution,
-    regularize,
 )
 from conjtop.errors import InputError
+from conjtop.involutions import orbit_chain_boundaries, quotient_by_involution, regularize
 from conjtop.homology import betti_numbers
 from conjtop.models import (
     coned_grid_klein,

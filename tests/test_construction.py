@@ -20,8 +20,6 @@ from conjtop.complexes import (
     barycentric_subdivide,
     identity_map,
     impure_simplex,
-    quotient_by_involution,
-    regularize,
 )
 from conjtop.coverings import (
     branched_double_cover,
@@ -32,6 +30,7 @@ from conjtop.coverings import (
 )
 from conjtop.errors import InputError
 from conjtop.homology import ChainComplexData
+from conjtop.involutions import quotient_by_involution, regularize
 
 from conftest import per_generator_from_simplices, per_simplex_closure
 

@@ -246,7 +246,8 @@ def test_boundary_squared_zero_on_all_models():
 
 
 def test_antipodal_composed_is_identity_on_homology():
-    from conjtop.complexes import SimplicialMap, quotient_by_involution
+    from conjtop.complexes import SimplicialMap
+    from conjtop.involutions import quotient_by_involution
     from conjtop.models import hexagon_circle
 
     hexa = hexagon_circle()

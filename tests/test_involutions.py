@@ -101,6 +101,20 @@ def test_quadric_identity_form_is_intersection_form(library):
     assert is_even(B)
 
 
+def test_involution_form_refuses_an_asymmetric_gram(library, monkeypatch):
+    """An action on H_2 with its (0, 0) entry flipped makes the Gram of the
+    quadric's form asymmetric: the guard raises with that Gram as its report."""
+    from conjtop import involutions
+
+    K, tau, basis = involution_model(library, "quadric")
+    action = involutions.induced_map
+    monkeypatch.setattr(involutions, "induced_map", lambda actor, k: action(actor, k)
+                        + Gf2Matrix.from_rows([[1, 0], [0, 0]]))
+    with pytest.raises(ModelIntegrityError, match="involution form is not symmetric") as err:
+        involution_form(K, tau, basis_cycles=basis)
+    assert isinstance(err.value.report, Gf2Matrix) and not err.value.report.is_symmetric()
+
+
 def test_torus_reflection_form_and_fixed_class(library):
     K, tau, _ = involution_model(library, "torus_reflection")
     data = fixed_subcomplex(K, tau)
@@ -155,7 +169,7 @@ def test_irregular_involution_rejected(library):
 
 
 def test_fixed_set_is_computed_once_per_map(library, monkeypatch):
-    from conjtop import complexes, involutions
+    from conjtop import involutions
     from conjtop.complexes import SimplicialMap
     from conjtop.coverings import curve_complex_semiorientation, dividing_test
 
@@ -168,7 +182,7 @@ def test_fixed_set_is_computed_once_per_map(library, monkeypatch):
         raise AssertionError("fixed set recomputed")
 
     monkeypatch.setattr(involutions, "_fixed_set", recomputed)
-    monkeypatch.setattr(complexes, "regularity_offender", recomputed)
+    monkeypatch.setattr(involutions, "regularity_offender", recomputed)
     assert dividing_test(K, tau).dividing
     assert harnack_audit(K, tau).is_m
     assert curve_complex_semiorientation(K, tau).carrier is data.subcomplex

@@ -188,3 +188,15 @@ def test_library_builds_deterministically():
     from conjtop.models import model_library
 
     assert model_library() == model_library()
+
+
+def test_rp2_w1_mark_is_the_stiefel_whitney_cocycle(library):
+    """The ``w1_cocycle`` mark is a literal, so that building the group loads no
+    cover code; it must stay the edges of the computed cocycle."""
+    from conjtop.coverings import stiefel_whitney_cocycle
+    from conjtop.models import rp2_6vertex
+
+    rp2 = rp2_6vertex()
+    w = stiefel_whitney_cocycle(rp2)
+    edges = tuple(e for i, e in enumerate(rp2.simplices(1)) if (w >> i) & 1)
+    assert library.cycles["rp2_6vertex"]["w1_cocycle"] == edges

@@ -28,8 +28,7 @@ ENV = {**os.environ, "PYTHONPATH": str(Path(conjtop.__file__).resolve().parents[
 # eagerly, under the module that now owns each
 EXPORTED = {
     "complexes": ("SimplicialComplex", "SimplicialMap", "barycentric_subdivide",
-                  "fundamental_class", "identity_map", "orbit_chain_boundaries",
-                  "pseudomanifold_check", "quotient_by_involution", "regularize"),
+                  "fundamental_class", "identity_map", "pseudomanifold_check"),
     "coverings": ("CoverComplex", "SemiOrientation", "branched_double_cover",
                   "compare_mod_curves", "complement_semiorientation",
                   "curve_complex_semiorientation", "dividing_test", "double_cover_unbranched",
@@ -43,8 +42,8 @@ EXPORTED = {
     "intmat": ("IntMatrix", "int_kernel_basis", "smith_normal_form"),
     "involutions": ("TypeVerdict", "check_m_variety_even_form", "classify_type",
                     "fixed_subcomplex", "harnack_audit", "intersection_form", "involution_form",
-                    "parity_obstruction", "smith_kernel_bound",
-                    "verify_fixed_class_is_characteristic"),
+                    "orbit_chain_boundaries", "parity_obstruction", "quotient_by_involution",
+                    "regularize", "smith_kernel_bound", "verify_fixed_class_is_characteristic"),
     "lattices": ("IntegerLattice", "QuotientTransferData", "build_lattice", "conj_form_mod2",
                  "invariant_sublattices", "kharlamov_congruence", "order_obstruction",
                  "orientation_class_check", "torsion_audit", "transfer_audit"),
@@ -100,9 +99,25 @@ def test_homology_stays_the_function(first):
 
 
 def test_cli_import_loads_four_modules():
+    """The reader, the tables and the Report; no handler group, no GF(2) and
+    no argparse until a line needs them."""
     out = fresh("import sys, conjtop.cli\n"
-                "print(' '.join(sorted(m for m in sys.modules if m.startswith('conjtop'))))")
-    assert out.split() == ["conjtop", "conjtop.cli", "conjtop.errors", "conjtop.gf2"]
+                "print(' '.join(sorted(m for m in sys.modules if m.startswith('conjtop'))))\n"
+                "print('argparse' in sys.modules)")
+    assert out.split() == ["conjtop", "conjtop.cli", "conjtop.commands", "conjtop.errors",
+                           "False"]
+
+
+def test_moved_involution_geometry_still_resolves_from_complexes():
+    """The benchmark reads two of the names that moved to ``involutions``
+    from ``complexes``; nothing else resolves there."""
+    from conjtop import complexes, involutions
+
+    assert complexes.is_regular is involutions.is_regular
+    assert complexes.orbit_chain_boundaries is involutions.orbit_chain_boundaries
+    for name in ("quotient_by_involution", "regularize", "check_regular_involution",
+                 "regularity_offender"):
+        assert not hasattr(complexes, name), name
 
 
 def test_homology_command_loads_no_invariant_modules():
@@ -193,28 +208,28 @@ def test_library_command_bytes_cold(command):
 
 
 # command -> the most conjtop source lines its cold run may compile: the
-# lines of every conjtop module loaded once ``cli.main`` returns, cli.py
-# included.  Each ceiling is the count it pins, so a line added to a module
-# a command loads shows here; lower a ceiling when its count drops.
+# lines of every conjtop module its ``python -m conjtop.cli`` run loads,
+# cli.py counted once.  Each ceiling is the count it pins, so a line added to
+# a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 3086,
-    "classify quadric --h (1,1)": 2809,
-    "classify tetra2 --model .bench_work/cli_models.txt": 3086,
-    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 3067,
-    "congruence --chi 8 --type I_abs --h1-trivial": 1615,
-    "conj-form quadric": 2809,
-    "cover rp2_6vertex --cocycle w1_cocycle": 3041,
-    "cover sphere_octa_sub --cut arcs_both": 3041,
-    "divide torus_reflection": 3439,
-    "fixed-set quadric": 2809,
-    "homology klein6 --model .bench_work/cli_models.txt": 2714,
-    "homology klein_bottle": 2367,
-    "homology torus6 --model .bench_work/cli_models.txt": 2714,
-    "homology torus7": 2341,
-    "lattice-audit quadric_lattice": 1814,
-    "orient torus_reflection": 3439,
-    "orient-cover klein_bottle --curve w1dual": 3067,
-    "qform rp2_loops": 1407,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2962,
+    "classify quadric --h (1,1)": 2684,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2962,
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 2843,
+    "congruence --chi 8 --type I_abs --h1-trivial": 1465,
+    "conj-form quadric": 2684,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2816,
+    "cover sphere_octa_sub --cut arcs_both": 2816,
+    "divide torus_reflection": 3331,
+    "fixed-set quadric": 2684,
+    "homology klein6 --model .bench_work/cli_models.txt": 2474,
+    "homology klein_bottle": 2127,
+    "homology torus6 --model .bench_work/cli_models.txt": 2474,
+    "homology torus7": 2100,
+    "lattice-audit quadric_lattice": 1664,
+    "orient torus_reflection": 3331,
+    "orient-cover klein_bottle --curve w1dual": 2843,
+    "qform rp2_loops": 1257,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",
                        "lattice-audit quadric_lattice"]
@@ -235,13 +250,17 @@ def bench_root(tmp_path_factory):
 
 @functools.lru_cache(maxsize=None)
 def cold_run(command, cwd):
-    """(exit code, summed source lines, sorted names) of the conjtop modules that
-    one command loads in a new interpreter."""
-    code = ("import contextlib, io, sys\nfrom conjtop.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
-            "mods = sorted(m for m in sys.modules if m.startswith('conjtop'))\n"
-            "print(code, sum(sum(1 for _ in open(sys.modules[m].__file__, encoding='utf-8'))"
-            " for m in mods), *mods)")
+    """(exit code, summed conjtop source lines, sorted module names) of one command
+    in a new interpreter, started as the benchmark starts it: ``cli.py`` runs as
+    ``__main__`` (``python -m conjtop.cli``) and counts once."""
+    code = ("import contextlib, io, runpy, sys\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n    try:\n"
+            "        runpy.run_module('conjtop.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as stop:\n        code = stop.code\n"
+            "files = [sys.modules[m].__file__ for m in sys.modules if m.startswith('conjtop')]\n"
+            "files.append(sys.modules['conjtop'].__path__[0] + '/cli.py')\n"
+            "print(code, sum(sum(1 for _ in open(f, encoding='utf-8')) for f in files),"
+            " *sorted(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code, *command.split(" ")], env=ENV, cwd=cwd,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
@@ -251,10 +270,28 @@ def cold_run(command, cwd):
 
 @pytest.mark.parametrize("command", sorted(CLI_EXPECTED))
 def test_cold_command_lines_stay_under_ceiling(command, bench_root):
-    exit_code, lines, _ = cold_run(command, str(bench_root))
+    exit_code, lines, modules = cold_run(command, str(bench_root))
     print(f"COLD {command} lines={lines} ceiling={COLD_CEILINGS[command]}")
     assert exit_code == CLI_EXPECTED[command]["exit"]
     assert lines <= COLD_CEILINGS[command]
+    # the handlers never import the cli, which would compile cli.py a second time
+    assert "conjtop.cli" not in modules
+
+
+@pytest.mark.parametrize("command", sorted(CLI_EXPECTED))
+def test_plain_commands_skip_argparse(command, bench_root):
+    """Every benchmark command line is plain, so none loads argparse or the
+    gettext and locale modules it brings."""
+    _, _, modules = cold_run(command, str(bench_root))
+    assert not {"argparse", "gettext", "locale"} & set(modules)
+
+
+def test_rp2_homology_loads_no_coverings(bench_root):
+    """The w1 mark of ``rp2_6vertex`` is a literal: building its group loads
+    no cover code."""
+    exit_code, _, modules = cold_run("homology rp2_6vertex", str(bench_root))
+    assert exit_code == 0
+    assert "conjtop.models.small" in modules and "conjtop.coverings" not in modules
 
 
 @pytest.mark.parametrize("command", ARITHMETIC_COMMANDS)
