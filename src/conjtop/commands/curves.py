@@ -30,7 +30,7 @@ def _resolve_chain_arg(model, complex_name: str, K, text: str):
 
 
 def _cmd_divide(model, args, report):
-    from ..coverings import dividing_test
+    from ..orientations import dividing_test
 
     K, tau, basis = _resolve_involution(model, args.object)
     verdict = dividing_test(K, tau)
@@ -43,7 +43,7 @@ def _cmd_divide(model, args, report):
 
 
 def _cmd_orient(model, args, report):
-    from ..coverings import curve_complex_semiorientation
+    from ..orientations import curve_complex_semiorientation
 
     K, tau, basis = _resolve_involution(model, args.object)
     semi = curve_complex_semiorientation(K, tau)
@@ -98,7 +98,7 @@ def _cmd_orient_cover(model, args, report):
 
 
 def _cmd_compare(model, args, report):
-    from ..coverings import compare_mod_curves, flip_semiorientation
+    from ..orientations import compare_mod_curves, flip_semiorientation
 
     K = _lookup(model.complexes, args.object, "complex")
     if args.y1 is None or args.y2 is None:

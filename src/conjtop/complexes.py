@@ -85,6 +85,15 @@ def _close_down(levels):
     return levels
 
 
+def _boundary_support(chain_simplices, k: int):
+    """Support of the mod-2 boundary of a k-chain given by its distinct simplices:
+    the faces met an odd number of times, in index order (a complex sorts them)."""
+    odd = set()
+    for s in chain_simplices:
+        odd.symmetric_difference_update(combinations(s, k))
+    return sorted(odd)
+
+
 class SimplicialComplex:
     """Finite simplicial complex with a fixed vertex order.
 
@@ -553,7 +562,7 @@ def fundamental_class(K: SimplicialComplex) -> int:
 
 
 def __getattr__(name):
-    # the involution geometry lives in involutions; the benchmark imports two of its names here
+    # the involution geometry lives in involutions and smith; the benchmark imports two names here
     if name in ("is_regular", "orbit_chain_boundaries"):
         from . import involutions
 

@@ -1,11 +1,11 @@
-"""Mod-2 homology and cohomology of complexes, induced maps, cup products.
+"""Mod-2 homology and cohomology of complexes.
 
 Works over two kinds of carrier: a :class:`SimplicialComplex`, or abstract
-:class:`ChainComplexData` for spaces whose triangulations are too large to
-write down, such as the orbit complex of an involution.  Both carriers run
-the same code for absolute and relative homology, cohomology, induced maps
-and the middle-dimensional forms; only geometric operations (quotients,
-covers, fixed sets) and cup products on cochains require an actual complex.
+chain data (``conjtop.chains``) for spaces whose triangulations are too
+large to write down, such as the orbit complex of an involution.  Both run
+the same code for absolute and relative homology and cohomology.  Induced
+maps, cup products and forms live in ``conjtop.duality``.  A cold command
+compiles every module it loads, so both live apart; their names resolve here.
 
 Homology bases are echelon-canonical, so cycles and coordinates are
 reproducible.  Every path (absolute, relative, orbit, cohomology) feeds
@@ -17,170 +17,21 @@ cycles with distinct lowest bits; those whose lowest bit is not a pivot of
 B are such representatives, one per class of a basis, and their reduced
 row echelon form (``gf2.echelon``, the same reduction back-substituted) is
 the canonical basis.  A chain is reduced against the pivot map, lowest
-pivot first, to find its representative.  The intersection form on middle
-homology is read from the cup and evaluation matrices of
-:func:`duality_data`; no Poincare dual cochain is built, and the cup
-matrix is one pass over the top simplices, whatever the number of classes.
+pivot first, to find its representative.
 """
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex, SimplicialMap, fundamental_class
-from .errors import InputError, Record
-from .gf2 import Gf2Matrix, dot, echelon, gf2_invert, reduce_by_pivots, reduce_columns
+from .complexes import SimplicialComplex
+from .errors import InputError
+from .gf2 import Gf2Matrix, echelon, reduce_by_pivots, reduce_columns
 
 
-class ChainComplexData:
-    """Abstract GF(2) chain complex, optionally with involution data.
+class ChainCarrier:
+    """Base of ``ChainComplexData``, which is told from a complex by this class
+    without loading ``conjtop.chains``."""
 
-    ``boundaries[k]`` is the boundary from k-chains to (k-1)-chains for
-    k = 1..n; ``ranks`` fixes the chain ranks in dimensions 0..n.  Optional
-    fields: integer boundary matrices, an involution chain map per
-    dimension, the Gram matrix of the intersection pairing on the
-    canonical middle homology basis, the middle-dimension class of the
-    fixed point set in those coordinates, and the total mod-2 Betti number
-    of the fixed point set.
-    """
-
-    __slots__ = (
-        "ranks",
-        "boundaries",
-        "int_boundaries",
-        "involution",
-        "pairing",
-        "fixed_class",
-        "fixed_betti_total",
-        "_cols_cache",
-        "_faces_cache",
-        "_red_cache",
-        "_hom_cache",
-        "_coh_cache",
-    )
-
-    def __init__(
-        self,
-        ranks,
-        boundaries,
-        int_boundaries=None,
-        involution=None,
-        pairing=None,
-        fixed_class=None,
-        fixed_betti_total=None,
-    ):
-        ranks = tuple(int(r) for r in ranks)
-        n = len(ranks) - 1
-        boundaries = tuple(boundaries)
-        if len(boundaries) != n:
-            raise InputError(f"expected {n} boundary matrices, got {len(boundaries)}")
-        for k, M in enumerate(boundaries, start=1):
-            if (M.nrows, M.ncols) != (ranks[k - 1], ranks[k]):
-                raise InputError(f"boundary {k} has shape {M.nrows}x{M.ncols}")
-        for k in range(1, n):
-            if not (boundaries[k - 1] * boundaries[k]).is_zero():
-                raise InputError(f"boundary composition in dimension {k + 1} is nonzero")
-        int_boundaries = tuple(int_boundaries) if int_boundaries else None
-        if int_boundaries:
-            for k, (M, B) in enumerate(zip(int_boundaries, boundaries), start=1):
-                if (M.nrows, M.ncols) != (B.nrows, B.ncols):
-                    raise InputError(f"integer boundary {k} shape mismatch")
-                if M.mod2() != B:
-                    raise InputError(f"integer boundary {k} does not reduce to the GF(2) one")
-        if involution is not None:
-            involution = tuple(involution)
-            if len(involution) != n + 1:
-                raise InputError("involution needs one chain map per dimension")
-            for k, T in enumerate(involution):
-                if (T.nrows, T.ncols) != (ranks[k], ranks[k]):
-                    raise InputError(f"involution chain map {k} has the wrong shape")
-                if T * T != Gf2Matrix.identity(ranks[k]):
-                    raise InputError(f"involution chain map {k} does not square to identity")
-            for k in range(1, n + 1):
-                if involution[k - 1] * boundaries[k - 1] != boundaries[k - 1] * involution[k]:
-                    raise InputError(f"involution does not commute with boundary {k}")
-        self._setup(ranks, boundaries, int_boundaries, involution, pairing, fixed_class,
-                    fixed_betti_total)
-        if pairing is not None:
-            b = homology(self, middle_dimension(self)).betti
-            if (pairing.nrows, pairing.ncols) != (b, b):
-                raise InputError(
-                    f"pairing is {pairing.nrows}x{pairing.ncols}, middle Betti is {b}"
-                )
-            if not pairing.is_symmetric():
-                raise InputError("intersection pairing must be symmetric")
-        if fixed_class is not None and pairing is not None:
-            if fixed_class >> self.pairing.nrows:
-                raise InputError("fixed class has more coordinates than the middle Betti")
-
-    @classmethod
-    def _trusted(cls, ranks, boundaries) -> "ChainComplexData":
-        """Chain complex from boundaries of the stated shapes that compose to
-        zero by construction (orbit chains of a simplicial involution);
-        nothing is re-checked."""
-        C = cls.__new__(cls)
-        C._setup(tuple(ranks), tuple(boundaries))
-        return C
-
-    def _setup(self, ranks, boundaries, int_boundaries=None, involution=None, pairing=None,
-               fixed_class=None, fixed_betti_total=None):
-        self.ranks = ranks
-        self.boundaries = boundaries
-        self.int_boundaries = int_boundaries
-        self.involution = involution
-        self.pairing = pairing
-        self.fixed_class = fixed_class
-        self.fixed_betti_total = fixed_betti_total
-        self._cols_cache = {}
-        self._faces_cache = {}
-        self._red_cache = {}
-        self._hom_cache = {}
-        self._coh_cache = {}
-
-    @property
-    def dimension(self):
-        return len(self.ranks) - 1
-
-    def boundary_matrix(self, k):
-        if 1 <= k <= self.dimension:
-            return self.boundaries[k - 1]
-        rows = self.ranks[k - 1] if 0 <= k - 1 <= self.dimension else 0
-        cols = self.ranks[k] if 0 <= k <= self.dimension else 0
-        return Gf2Matrix.zeros(rows, cols)
-
-    def boundary_columns(self, k):
-        """Columns of the boundary out of dimension k, as bit vectors."""
-        if k not in self._cols_cache:
-            self._cols_cache[k] = tuple(sum(1 << i for i in f) for f in self.face_indices(k))
-        return self._cols_cache[k]
-
-    def face_indices(self, k):
-        """Rows of the set bits of each boundary column out of dimension k,
-        ascending, scattered from the set bits of the rows in one pass; the
-        columns and the relative restrictions are read from them."""
-        if k not in self._faces_cache:
-            M = self.boundary_matrix(k)
-            faces = [[] for _ in range(M.ncols)]
-            for i, r in enumerate(M.rows):
-                while r:
-                    low = r & -r
-                    faces[low.bit_length() - 1].append(i)
-                    r ^= low
-            self._faces_cache[k] = tuple(map(tuple, faces))
-        return self._faces_cache[k]
-
-    def n_simplices(self, k):
-        return self.ranks[k] if 0 <= k <= self.dimension else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainComplexData)
-            and self.ranks == other.ranks
-            and self.boundaries == other.boundaries
-            and self.int_boundaries == other.int_boundaries
-            and self.involution == other.involution
-            and self.pairing == other.pairing
-            and self.fixed_class == other.fixed_class
-            and self.fixed_betti_total == other.fixed_betti_total
-        )
+    __slots__ = ()
 
 
 class HomologyBasis:
@@ -271,7 +122,7 @@ def _restrict_columns(space, k, keep_cols, keep_rows):
 def _rel_masks(space, rel):
     """The cells of ``rel`` as one bit mask per dimension 0..n, checked to be closed."""
     n = space.dimension
-    if isinstance(space, ChainComplexData):
+    if isinstance(space, ChainCarrier):
         masks = list(rel) if isinstance(rel, (list, tuple)) else []
         if len(masks) != n + 1 or any(
             not isinstance(m, int) or m < 0 or m >> r for m, r in zip(masks, space.ranks)
@@ -308,7 +159,7 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
     reduced.  Relative bases carry a ``chart`` listing which cells of the
     ambient space index their coordinates.
     """
-    if not isinstance(space, (SimplicialComplex, ChainComplexData)):
+    if not isinstance(space, (SimplicialComplex, ChainCarrier)):
         raise InputError(f"unsupported space type {type(space).__name__}")
     if rel is None:
         cache = space._hom_cache
@@ -326,15 +177,6 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
     boundaries = reduce_columns(_restrict_columns(space, k + 1, keep_kp1, keep_k))
     cycles = reduce_columns(_restrict_columns(space, k, keep_k, keep_km1), boundaries[0])
     return _quotient_basis(k, len(keep_k), boundaries, cycles, chart=tuple(keep_k))
-
-
-def middle_dimension(space) -> int:
-    """Half the dimension of an even-dimensional carrier; odd ones are refused."""
-    if space.dimension % 2 == 0:
-        return space.dimension // 2
-    raise InputError("middle dimension undefined for odd-dimensional data"
-                     if isinstance(space, ChainComplexData)
-                     else "operation requires an even-dimensional space")
 
 
 def betti_numbers(space):
@@ -363,148 +205,12 @@ def is_cocycle(space, k: int, cochain: int) -> bool:
     return row.rows[0] == 0
 
 
-def chain_map_image(f: SimplicialMap, k: int, chain: int) -> int:
-    """Push a k-chain through a simplicial map; degenerate images drop out."""
-    images = f.index_images(k)
-    out = 0
-    while chain:
-        i = images[(chain & -chain).bit_length() - 1]
-        chain &= chain - 1
-        if i >= 0:
-            out ^= 1 << i
-    return out
+def __getattr__(name):
+    # ChainComplexData moved to chains and the duality layer to duality; they resolve here
+    if not name.startswith("__"):  # an import probes ``__path__``
+        from . import chains, duality
 
-
-def induced_map(f_or_data, k: int) -> Gf2Matrix:
-    """Matrix of the induced map on mod-2 homology in dimension k.
-
-    Accepts a SimplicialMap, or ChainComplexData carrying an involution
-    chain map.  Columns are coordinates of the images of the canonical
-    source basis cycles in the canonical target basis.
-    """
-    if isinstance(f_or_data, ChainComplexData):
-        if f_or_data.involution is None:
-            raise InputError("chain data carries no involution chain map")
-        source = target = f_or_data
-
-        def push(z):
-            return f_or_data.involution[k].mul_vec(z)
-    else:
-        source, target = f_or_data.source, f_or_data.target
-
-        def push(z):
-            return chain_map_image(f_or_data, k, z)
-    src, dst = homology(source, k), homology(target, k)
-    cols = [dst.coordinates_of(push(z)) for z in src.cycles]
-    return Gf2Matrix(len(cols), dst.betti, cols).transpose()
-
-
-def _cup_matrix(K: SimplicialComplex, k: int, left, right) -> list:
-    """Front-face/back-face products on the tops of K in the global vertex
-    order: bit j of row i evaluates ``left[i]`` (degree k) cup ``right[j]``
-    (degree n-k).
-
-    Each k-simplex and each (n-k)-simplex gets the bitset of the cochains of
-    its side that contain it; one pass over the tops XORs the back face's
-    bitset into the row of each cochain holding the front face.  Callers
-    check first that the tops form the fundamental cycle.
-    """
-    n = K.dimension
-    front_of, back_of = [0] * K.n_simplices(k), [0] * K.n_simplices(n - k)
-    for holders, cochains in ((front_of, left), (back_of, right)):
-        for j, c in enumerate(cochains):
-            while c:
-                holders[(c & -c).bit_length() - 1] |= 1 << j
-                c &= c - 1
-    rows = [0] * len(left)
-    tops, get = K.simplices(n), K._index.__getitem__
-    for f, b in zip(map(get, [s[: k + 1] for s in tops]), map(get, [s[k:] for s in tops])):
-        a, r = front_of[f], back_of[b]
-        while a and r:
-            rows[(a & -a).bit_length() - 1] ^= r
-            a &= a - 1
-    return rows
-
-
-def cup_pairing(K: SimplicialComplex, k: int, a: int, b: int) -> int:
-    """Cup-product pairing of two cocycles of complementary degrees: the
-    1 x 1 case of the pass that builds the cup matrix of :func:`duality_data`."""
-    n = K.dimension
-    if not 0 <= k <= n:
-        raise InputError(f"degree {k} out of range for a {n}-complex")
-    if a >> K.n_simplices(k) or b >> K.n_simplices(n - k):
-        raise InputError("cochain width does not match the simplex count")
-    if not is_cocycle(K, k, a):
-        raise InputError("first argument is not a cocycle")
-    if not is_cocycle(K, n - k, b):
-        raise InputError("second argument is not a cocycle")
-    fundamental_class(K)
-    return _cup_matrix(K, k, (a,), (b,))[0]
-
-
-class DualityData(Record):
-    """Canonical bases in degree k with the cup matrix C of H^k against
-    H^(n-k), its inverse, and the evaluation matrix E of H^k on H_k."""
-
-    __slots__ = ("hom", "coh", "cup", "cup_inv", "eval_matrix")
-
-
-def duality_data(K: SimplicialComplex, k: int) -> DualityData:
-    """Duality package in degree k of a closed pseudomanifold.
-
-    The cup matrix C of the canonical H^k and H^(n-k) bases is one pass
-    over the tops (:func:`_cup_matrix`).  Raises when the cup pairing
-    between degrees k and n-k degenerates or the evaluation pairing is
-    singular; such inputs fail the duality audit and the middle-dimension
-    form is not defined for them.
-    """
-    n = K.dimension
-    fundamental_class(K)
-    hom = homology(K, k)
-    coh = cohomology(K, k)
-    coh_dual = cohomology(K, n - k)
-    if hom.betti != coh.betti:
-        raise InputError("evaluation pairing is degenerate (betti mismatch)")
-    cup = Gf2Matrix(coh.betti, coh_dual.betti, _cup_matrix(K, k, coh.cycles, coh_dual.cycles))
-    eval_matrix = Gf2Matrix(
-        coh.betti,
-        hom.betti,
-        (
-            sum(dot(ci, zj) << j for j, zj in enumerate(hom.cycles))
-            for ci in coh.cycles
-        ),
-    )
-    if coh.betti != coh_dual.betti:
-        raise InputError(
-            f"duality audit failed: betti {coh.betti} in degree {k} vs "
-            f"{coh_dual.betti} in degree {n - k}"
-        )
-    try:
-        cup_inv = gf2_invert(cup)
-    except InputError:
-        raise InputError(
-            f"duality audit failed: cup pairing degenerate in degree {k}"
-        ) from None
-    try:
-        gf2_invert(eval_matrix)
-    except InputError:
-        raise InputError("evaluation pairing between cohomology and homology is singular")
-    return DualityData(hom, coh, cup, cup_inv, eval_matrix)
-
-
-def duality_audit(K: SimplicialComplex) -> bool:
-    """Cup-pairing nondegeneracy check in every degree; True or raises."""
-    n = K.dimension
-    for k in range(n + 1):
-        duality_data(K, k)
-    return True
-
-
-def intersection_form_matrix(dd: DualityData) -> Gf2Matrix:
-    """Mod-2 intersection form on the canonical basis of middle homology.
-
-    In the middle degree C pairs the H^k basis with itself.  The Poincare
-    dual of class j has coordinates L e_j with L = C^-1 E, so the form is
-    L^T C L, which is L^T E because C L = E.
-    """
-    return (dd.cup_inv * dd.eval_matrix).transpose() * dd.eval_matrix
+        for module in (chains, duality):
+            if name in vars(module):
+                return vars(module)[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

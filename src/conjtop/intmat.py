@@ -12,21 +12,16 @@ one row pass and one column pass, both over supports read once: the pivot
 row's nonzero columns, the nonzero entries of its row of U, and the rows
 with a nonzero in the pivot column.  V is kept transposed, so its column
 operations are sparse row operations and a column swap exchanges two rows.
-Every call audits U and V exactly with ``det``, which pivots on +-1 entries
-while a column has one, since U and V are sparse and full of units, and
-hands the block left without a unit to Bareiss elimination that rescales a
-row only when it next has a nonzero in the pivot column.
-
-``invariant_factors`` needs no U or V.  It first eliminates unit pivots on
-sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do for
-boundary matrices, and hands what is left to the audited Smith form; the
-count of odd factors is checked against the rank over GF(2).
+Every call audits U and V exactly with ``det``.  ``invariant_factors``
+needs no U or V: it first eliminates unit pivots on sparse columns, as
+Dumas, Heckenbach, Saunders and Welker (2003) do for boundary matrices.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
+from operator import index
 
 from .errors import InputError, ModelIntegrityError
 from .gf2 import Gf2Matrix, reduce_columns
@@ -39,7 +34,12 @@ class IntMatrix:
 
     def __init__(self, rows, ncols=None):
         """``ncols`` declares the width, which a matrix without rows needs."""
-        rows = tuple(tuple(map(int, r)) for r in rows)
+        rows = tuple(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:  # no 2.5 or "3"; True is 1
+            try:
+                rows = tuple(tuple(map(index, r)) for r in rows)
+            except TypeError as e:
+                raise InputError(f"integer matrix entry: {e}") from None
         widths = {len(r) for r in rows} | ({ncols} if ncols is not None else set())
         if len(widths) > 1:
             raise InputError("ragged rows in integer matrix")

@@ -157,7 +157,7 @@ def order_obstruction(L: IntegerLattice, d: int, beta) -> "ObstructionVerdict":
 
     ``beta`` must be invariant under the isometry with self-pairing d.
     """
-    from .involutions import ObstructionVerdict
+    from .smith import ObstructionVerdict
 
     beta = [int(b) for b in beta]
     if len(beta) != L.rank:

@@ -78,14 +78,14 @@ def __getattr__(name):
 
 
 def model_library(name=None) -> ModelFile:
-    """The bundled models, named as the command line expects them: all of
-    them, or only the group that defines ``name``.
-
-    Involutions are maps whose name doubles as the model name; marked
-    cycles provide geometric homology bases and cutting curves.
+    """The bundled models, named as the command line expects them: all of them,
+    or only the group that defines ``name``.  An involution is a map named as
+    its model; marked cycles are geometric homology bases and cutting curves.
     """
     model = ModelFile()
+    model._shared = {}  # the surfaces of groups built on one, for this call (grids._shared)
     for (module, build), names in _LIBRARY.items():
         if name is None or name in names:
             getattr(import_module(f".{module}", __name__), build)(model)
+    del model._shared
     return model

@@ -11,7 +11,7 @@ def t4_chain_data():
     with two real circles on each factor acts trivially on mod-2 homology;
     the real part is four tori, an M-object, with class zero.
     """
-    from ..homology import ChainComplexData
+    from ..chains import ChainComplexData
     from ..intmat import IntMatrix
 
     ranks = (1, 4, 6, 4, 1)

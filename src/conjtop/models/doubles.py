@@ -3,13 +3,13 @@
 from ..complexes import SimplicialComplex, SimplicialMap, _close_down, _levels
 from ..errors import InputError
 from . import _add
-from .grids import coned_grid_torus
+from .grids import _shared, coned_grid_torus
 
 
-def torus_with_hole():
-    """Coned grid torus minus one square cone; boundary is a 4-cycle."""
+def torus_with_hole(grid=None):
+    """Coned grid torus (``grid`` if given) minus one square cone; boundary is a 4-cycle."""
     n = 4
-    K, wrap, center_of = coned_grid_torus(n)
+    K, wrap, center_of = grid or coned_grid_torus(n)
     removed_center = center_of[(0, 0)]
     triangles = [t for t in K.simplices(2) if removed_center not in t]
     H = SimplicialComplex.from_simplices(K.vertex_count, triangles)
@@ -50,9 +50,9 @@ def double_along_boundary(H: SimplicialComplex, boundary_vertices):
     return K, tau
 
 
-def genus2_dividing():
+def genus2_dividing(hole=None):
     """Double of the torus with a hole: one separating fixed circle."""
-    H, boundary = torus_with_hole()
+    H, boundary = hole or torus_with_hole()
     K, tau = double_along_boundary(H, boundary)
     return K, tau
 
@@ -67,9 +67,9 @@ def mobius_band_small() -> SimplicialComplex:
     return SimplicialComplex.from_simplices(6, [tuple(sorted(t)) for t in triangles])
 
 
-def nonorientable_genus3():
+def nonorientable_genus3(hole=None):
     """Torus with a crosscap: the Moebius band glued into the torus hole."""
-    H, boundary = torus_with_hole()
+    H, boundary = hole or torus_with_hole()
     A, B, C, D = boundary
     mob = mobius_band_small()
     base = H.vertex_count
@@ -79,29 +79,37 @@ def nonorientable_genus3():
     return SimplicialComplex.from_simplices(base + 2, simplices)
 
 
-def genus2_nondividing():
-    """Orientation double cover of the nonorientable genus-3 surface.
+def genus2_nondividing(N=None):
+    """Orientation double cover of the nonorientable genus-3 surface ``N``.
 
     The deck involution is free and orientation-reversing: the picture of
     a genus-2 real curve without real points.
     """
     from ..coverings import double_cover_unbranched, stiefel_whitney_cocycle
 
-    N = nonorientable_genus3()
+    N = N or nonorientable_genus3()
     w = stiefel_whitney_cocycle(N)
     cover = double_cover_unbranched(N, w)
     return cover.total, cover.deck
 
 
+def _hole(model):  # the torus with a hole, on the grid torus the torus group shares
+    return _shared(model, "hole", lambda: torus_with_hole(_shared(model, "grid", coned_grid_torus)))
+
+
+def _genus3(model):  # shared by its own group and its orientation cover
+    return _shared(model, "genus3", lambda: nonorientable_genus3(_hole(model)))
+
+
 def _genus2_dividing(model):
-    G, tau = genus2_dividing()
+    G, tau = genus2_dividing(_hole(model))
     _add(model, "genus2_dividing_surface", G, involution=("genus2_dividing", tau))
 
 
 def _nonorientable_genus3(model):
-    _add(model, "nonorientable_genus3", nonorientable_genus3())
+    _add(model, "nonorientable_genus3", _genus3(model))
 
 
 def _genus2_nondividing(model):
-    G, tau = genus2_nondividing()
+    G, tau = genus2_nondividing(_genus3(model))
     _add(model, "genus2_nondividing_surface", G, involution=("genus2_nondividing", tau))

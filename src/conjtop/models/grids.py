@@ -38,15 +38,15 @@ def coned_grid_torus(n=4):
     return K, wrap, center_of
 
 
-def torus_reflection():
+def torus_reflection(grid=None):
     """Coned grid torus with the reflection x -> -x.
 
     The reflection fixes the two vertical circles x = 0 and x = n/2; it is
     an M-curve-style real structure on the torus, dividing it into two
-    annuli.
+    annuli.  ``grid`` is a ``coned_grid_torus(4)`` to build on.
     """
     n = 4
-    K, wrap, center_of = coned_grid_torus(n)
+    K, wrap, center_of = grid or coned_grid_torus(n)
     images = [0] * K.vertex_count
     for i in range(n):
         for j in range(n):
@@ -64,10 +64,10 @@ def torus_reflection():
     return K, tau, marks
 
 
-def torus_free_shift():
-    """Coned grid torus with the free half-turn x -> x + n/2."""
+def torus_free_shift(grid=None):
+    """Coned grid torus with the free half-turn x -> x + n/2, on ``grid`` if given."""
     n = 4
-    K, wrap, center_of = coned_grid_torus(n)
+    K, wrap, center_of = grid or coned_grid_torus(n)
     images = [0] * K.vertex_count
     for i in range(n):
         for j in range(n):
@@ -109,10 +109,18 @@ def coned_grid_klein(n=4):
     return K, marks, shift
 
 
+def _shared(model, key, build):
+    """``build()``, made once per model_library call for every group built on it."""
+    if key not in model._shared:
+        model._shared[key] = build()
+    return model._shared[key]
+
+
 def _torus_grids(model):
-    K, tau, marks = torus_reflection()
+    grid = _shared(model, "grid", coned_grid_torus)
+    K, tau, marks = torus_reflection(grid)
     _add(model, "torus_grid", K, marks, ("torus_reflection", tau))
-    Kf, tauf = torus_free_shift()
+    Kf, tauf = torus_free_shift(grid)
     _add(model, "torus_grid_free", Kf, involution=("torus_free", tauf))
 
 

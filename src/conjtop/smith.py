@@ -1,0 +1,251 @@
+"""Smith theory of an involution: the orbit space and the audits built on it.
+
+The quotient, the orbit chain complex and regularization by subdivision;
+the Harnack-style Betti bound with M-detection, the Smith kernel bound in
+dimension four, parity obstructions and the even-form check of M-objects.
+No ``conjtop`` command runs them, so they live apart from
+``conjtop.involutions``; their names still resolve there.
+"""
+
+from .chains import ChainComplexData
+from .complexes import (
+    SimplicialComplex, SimplicialMap, _levels, barycentric_subdivide, check_involution,
+)
+from .duality import induced_map
+from .errors import InputError, ModelIntegrityError, Record
+from .gf2 import BilinearFormGF2, Gf2Matrix, is_even, reduce_columns
+from .homology import homology, total_betti
+from .involutions import (
+    _Basis, _fixed_facts, _middle_forms, check_regular_involution, fixed_subcomplex,
+)
+
+
+def quotient_by_involution(K: SimplicialComplex, tau: SimplicialMap):
+    """Orbit complex of a regular involution, with the projection map.
+
+    Simplices of the quotient are the orbit images of simplices of K.  The
+    construction refuses when the involution is not regular, and also when
+    two simplices that are not exchanged by the involution would collapse
+    to the same orbit image (the classical failure that one or two
+    barycentric subdivisions repair; see :func:`regularize`).
+    """
+    check_regular_involution(K, tau)
+
+    reps = sorted({min(v, tau(v)) for v in range(K.vertex_count)})
+    rep_rank = {v: i for i, v in enumerate(reps)}
+
+    def orbit_vertex(v):
+        return rep_rank[min(v, tau(v))]
+
+    # the orbit image of a face is a face of the orbit image: closed
+    image_to_source = {}
+    for s in K.all_simplices():
+        img = tuple(sorted(orbit_vertex(v) for v in s))
+        if len(set(img)) < len(img):
+            raise InputError(f"simplex {s} contains a vertex orbit twice")
+        prev = image_to_source.get(img)
+        if prev is not None and prev != s and prev != tau.map_simplex(s):
+            raise InputError(
+                "quotient collision: simplices "
+                f"{prev} and {s} share an orbit image; subdivide first"
+            )
+        if prev is None or s < prev:
+            image_to_source[img] = s
+
+    Q = SimplicialComplex._trusted(len(reps), _levels(image_to_source))
+    proj = SimplicialMap._trusted(K, Q, (orbit_vertex(v) for v in range(K.vertex_count)))
+    return Q, proj
+
+
+def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):
+    """Mod-2 chain complex of the orbit space of a regular involution.
+
+    Basis in each dimension: orbits of simplices (fixed simplices are
+    singleton orbits).  This is the Delta-complex chain model of the
+    quotient space; it stays valid when two non-exchanged simplices share
+    an orbit image, the situation where the simplicial quotient refuses.
+    Returns (boundaries, fixed_flags): boundary matrices indexed by orbit
+    bases and, per dimension, a bit mask of the orbit classes lying in the
+    fixed subcomplex.
+    """
+    check_regular_involution(K, tau)
+
+    reps = []  # per dimension: the index in K of each orbit's first simplex
+    orbit_of = []  # per dimension: the orbit number of each simplex of K
+    fixed_flags = []
+    for k in range(K.dimension + 1):
+        lst, of, mask = [], [0] * K.n_simplices(k), 0
+        # simplices are indexed in sorted order, so i <= j is s <= tau(s)
+        for i, j in enumerate(tau.index_images(k)):
+            if i <= j:
+                if i == j:  # fixed pointwise, as the involution is regular
+                    mask |= 1 << len(lst)
+                of[i] = of[j] = len(lst)
+                lst.append(i)
+        reps.append(lst)
+        orbit_of.append(of)
+        fixed_flags.append(mask)
+
+    boundaries = []
+    for k in range(1, K.dimension + 1):
+        faces, of = K.face_indices(k), orbit_of[k - 1]
+        rows = [0] * len(reps[k - 1])
+        bit = 1
+        for i in reps[k]:
+            for f in faces[i]:
+                rows[of[f]] ^= bit
+            bit <<= 1
+        boundaries.append(Gf2Matrix._trusted(len(rows), len(reps[k]), tuple(rows)))
+    return boundaries, fixed_flags
+
+
+def regularize(K: SimplicialComplex, tau: SimplicialMap):
+    """Subdivide at most twice until the involution admits a quotient."""
+    check_involution(K, tau)
+    for _ in range(3):
+        try:
+            quotient_by_involution(K, tau)
+            return K, tau
+        except InputError:
+            pass
+        K, tau = barycentric_subdivide(K, tau)
+    raise InputError("involution still irregular after two barycentric subdivisions")
+
+
+class HarnackReport(Record):
+    __slots__ = ("fixed_total_betti", "space_total_betti", "is_m")
+
+
+def harnack_audit(space, tau=None) -> HarnackReport:
+    """Total mod-2 Betti comparison between fixed set and ambient space.
+
+    Equality means an M-object; a fixed set with larger total Betti number
+    violates the Smith-theoretic bound and cannot arise from an involution,
+    so it is flagged as a model-integrity failure.
+    """
+    fix_total, _ = _fixed_facts(space, tau, total=True)
+    space_total = total_betti(space)
+    if fix_total > space_total:
+        raise ModelIntegrityError(
+            "fixed set total Betti exceeds the ambient total: "
+            "not realizable as a conjugation involution",
+            report={"fixed": fix_total, "space": space_total},
+        )
+    return HarnackReport(fix_total, space_total, fix_total == space_total)
+
+
+class SmithReport(Record):
+    __slots__ = ("kernel_dimension", "h1_trivial", "asserted", "quotient_table")
+
+    def __eq__(self, other):  # the quotient table is reported but not compared
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() | {"quotient_table": 0} == other._asdict() | {"quotient_table": 0}
+
+    def __hash__(self):
+        return hash((self.kernel_dimension, self.h1_trivial, self.asserted))
+
+
+def _smith_verdict(kernel_dimension: int, h1_trivial: bool, table=None) -> bool:
+    """Assert the kernel bound when the hypothesis holds."""
+    if h1_trivial and kernel_dimension > 1:
+        raise ModelIntegrityError(
+            f"inclusion kernel has dimension {kernel_dimension} > 1 "
+            "despite trivial first homology",
+            report={"kernel": kernel_dimension, "table": table},
+        )
+    return h1_trivial
+
+
+def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
+    """Kernel of H_2(Fix) -> H_2(K) for a 4-dimensional carrier.
+
+    When H_1(K) vanishes the kernel dimension is asserted to be at most 1;
+    otherwise the number is only reported.  The report carries the ranks
+    of the relative homology of (K/tau, Fix) in dimensions 4, 3, 2, the
+    groups appearing in the Smith sequence argument.
+    """
+    if isinstance(K, ChainComplexData):
+        raise InputError("the Smith kernel bound needs a geometric complex")
+    if K.dimension != 4:
+        raise InputError(f"expected a 4-dimensional complex, got dimension {K.dimension}")
+    h1_trivial = homology(K, 1).betti == 0
+    F = fixed_subcomplex(K, tau).subcomplex
+    fix_h2 = homology(F, 2)
+    amb = homology(K, 2)
+    # reindex fixed 2-cycles into the ambient chain group
+    ambient_bit = [1 << K.index_of(s) for s in F.simplices(2)]
+    images = [
+        amb.coordinates_of(sum(b for j, b in enumerate(ambient_bit) if (z >> j) & 1))
+        for z in fix_h2.cycles
+    ]
+    kernel_dim = fix_h2.betti - len(reduce_columns(images)[0])
+
+    boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
+    orbits = ChainComplexData._trusted([boundaries[0].nrows] + [b.ncols for b in boundaries],
+                                       boundaries)
+    table = {k: homology(orbits, k, rel=fixed_flags).betti for k in (4, 3, 2)}
+    asserted = _smith_verdict(kernel_dim, h1_trivial, table)
+    return SmithReport(kernel_dim, h1_trivial, asserted, table)
+
+
+class ObstructionVerdict(Record):
+    __slots__ = ("obstructed", "reason", "witness")
+
+
+def parity_obstruction(d: int, B: BilinearFormGF2, invariant_class: int) -> ObstructionVerdict:
+    """Odd order or degree obstructs bounding in the complexification.
+
+    The caller supplies a conjugation-invariant class whose self-pairing
+    must equal d mod 2; with odd d the form takes a nonzero value on it,
+    so the form is not even and the fixed set cannot bound.
+    """
+    if invariant_class >> B.dimension:
+        raise InputError("witness class has too many coordinates")
+    self_val = B.value(invariant_class, invariant_class)
+    if self_val != d % 2:
+        raise InputError(
+            f"witness validation failed: self-pairing {self_val} does not match order {d}"
+        )
+    if d % 2 == 1:
+        return ObstructionVerdict(True, "odd order cannot bound in complexification",
+                                  invariant_class)
+    return ObstructionVerdict(False, "no obstruction from parity", None)
+
+
+def check_m_variety_even_form(space, tau=None, basis_cycles=None) -> dict:
+    """M-object with even intersection form must have a bounding fixed set.
+
+    Evaluates the three predicates, asserts the implication, and when the
+    input is an M-object additionally asserts the mechanism behind it: the
+    involution acts as the identity on mod-2 homology in every dimension.
+    """
+    harnack = harnack_audit(space, tau)
+    hom, pairing, actor = _middle_forms(space, tau, act=False)
+    even = is_even(BilinearFormGF2(_Basis(hom, basis_cycles).transform_form(pairing)))
+    fixed_class, _ = _fixed_facts(space, tau, basis_cycles)
+    report = {
+        "is_m": harnack.is_m,
+        "even_intersection_form": even,
+        "fixed_class": fixed_class,
+        "vacuous": not (harnack.is_m and even),
+        "trivial_action_checked": False,
+    }
+    if harnack.is_m:
+        n = space.dimension
+        for k in range(n + 1):
+            hk = homology(space, k)
+            if hk.betti == 0:
+                continue
+            if induced_map(actor, k) != Gf2Matrix.identity(hk.betti):
+                raise ModelIntegrityError(
+                    f"M-object whose involution acts nontrivially on H_{k}",
+                    report=report,
+                )
+        report["trivial_action_checked"] = True
+    if harnack.is_m and even and fixed_class != 0:
+        raise ModelIntegrityError(
+            "M-object with even intersection form whose fixed set does not bound",
+            report=report,
+        )
+    return report

@@ -145,11 +145,11 @@ def test_conj_form_guard_reports_the_lemma(monkeypatch, capsys):
 def test_asymmetric_conj_form_reports_the_gram(monkeypatch, capsys):
     """An asymmetric involution form is exit 1, and --machine prints its Gram
     after the one-line message."""
-    import conjtop.involutions
+    import conjtop.duality
     from conjtop.gf2 import Gf2Matrix
 
-    action = conjtop.involutions.induced_map
-    monkeypatch.setattr(conjtop.involutions, "induced_map", lambda actor, k: action(actor, k)
+    action = conjtop.duality.induced_map
+    monkeypatch.setattr(conjtop.duality, "induced_map", lambda actor, k: action(actor, k)
                         + Gf2Matrix.from_rows([[1, 0], [0, 0]]))
     message = "model integrity violation: involution form is not symmetric\n"
     code, out = run_cli(["conj-form", "quadric", "--machine"], capsys)

@@ -576,3 +576,88 @@ def test_cut_and_glue_runs_in_dimension_four(library):
     assert cover.branch is None  # the chain is closed
     assert cover.total.euler_characteristic() == 2 * K.euler_characteristic()
     assert len(cover.total.components()) == 2  # trivial class
+
+
+# Fault injection for the five guards of ``coverings._validate_cover``: the
+# construction assembles a correct cover, and ``corrupt`` changes one of its
+# fields before the validator sees it.  rp2_6vertex has 6 vertices, so the
+# unbranched cover's deck swaps v and v + 6.
+RP2_COVER = ["cover", "rp2_6vertex", "--cocycle", "w1_cocycle"]
+OCTA_COVER = ["cover", "sphere_octa_sub", "--cut", "arcs_both"]
+
+
+def moved_deck(cover, images):
+    """The cover with the deck images of some vertices replaced (vertex -> image)."""
+    up = list(cover.deck.images)
+    for v, u in images.items():
+        up[v] = u
+    return cover._replace(deck=SimplicialMap._trusted(cover.total, cover.total, up))
+
+
+def extra_branch(cover, simplices):
+    """The cover with the given simplices as its branch locus."""
+    base = cover.projection.target
+    return cover._replace(branch=SimplicialComplex.from_simplices(base.vertex_count, simplices))
+
+
+def arcs_branch_plus_an_edge(cover):
+    """The branch points of the arcs' cover, with an edge joining two of them."""
+    points = [s for (s,) in cover.branch.simplices(0)]
+    return extra_branch(cover, [(v,) for v in points] + [tuple(points[:2])])
+
+
+COVER_FAULTS = {
+    # guard: (command, corruption, message, --machine trace after the message)
+    "absorbs": (RP2_COVER, lambda c: moved_deck(c, {0: 7, 1: 6}),
+                "projection does not absorb the deck transformation", ""),
+    "involution": (RP2_COVER, lambda c: moved_deck(c, {0: 0}),
+                   "deck transformation is not an involution", ""),
+    "fibers": (RP2_COVER, lambda c: extra_branch(c, [(0,)]),
+               "fiber over vertex 0 has 2 points, expected 1",
+               "expected=1\npoints=2\nvertex=0\n"),
+    "fixed": (RP2_COVER, lambda c: moved_deck(c, {0: 0, 6: 6}),
+              "deck fixes vertex 0 iff it should lie over the branch locus",
+              "deck_fixed=true\nover_branch=false\nvertex=0\n"),
+    "euler": (OCTA_COVER, arcs_branch_plus_an_edge,
+              "Euler characteristic law violated: 0 != 2*2 - 3",  # a torus over four points
+              "chi_base=2\nchi_branch=3\nchi_total=0\n"),
+}
+
+
+def corrupt_covers(monkeypatch, corrupt):
+    from conjtop import coverings
+
+    build = coverings.CoverComplex
+    monkeypatch.setattr(coverings, "CoverComplex", lambda *fields: corrupt(build(*fields)))
+
+
+@pytest.mark.parametrize("guard", sorted(COVER_FAULTS))
+def test_cover_validation_refuses_a_corrupted_cover(guard, library, monkeypatch):
+    command, corrupt, message, _ = COVER_FAULTS[guard]
+    K = library.complexes[command[1]]
+    if command is RP2_COVER:
+        w = chain_bits(K, library.cycles["rp2_6vertex"]["w1_cocycle"])
+        double_cover_unbranched(K, w)  # the uncorrupted cover passes
+        corrupt_covers(monkeypatch, corrupt)
+        with pytest.raises(ModelIntegrityError) as err:
+            double_cover_unbranched(K, w)
+    else:
+        arcs = curve(library, "sphere_octa_sub", "arcs_both")
+        branched_double_cover(K, arcs)
+        corrupt_covers(monkeypatch, corrupt)
+        with pytest.raises(ModelIntegrityError) as err:
+            branched_double_cover(K, arcs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("guard", sorted(COVER_FAULTS))
+def test_cover_command_reports_a_corrupted_cover(guard, monkeypatch, capsys):
+    """Through ``cover``: exit 1, the one-line reason, and with --machine the
+    guard's numeric trace after it (none for the two deck guards)."""
+    from conjtop.cli import main
+
+    command, corrupt, message, trace = COVER_FAULTS[guard]
+    corrupt_covers(monkeypatch, corrupt)
+    line = f"model integrity violation: {message}\n"
+    assert main(command) == 1 and capsys.readouterr().out == line
+    assert main(command + ["--machine"]) == 1 and capsys.readouterr().out == line + trace

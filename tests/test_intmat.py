@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -493,3 +494,19 @@ def test_empty_matrices_keep_their_width():
 def test_mod2_reduction():
     M = IntMatrix([[2, 3], [-1, 4]])
     assert M.mod2().rows == (0b10, 0b01)
+
+
+@pytest.mark.parametrize("entry", [2.5, 3.0, "3", Fraction(3), Fraction(1, 2), None])
+def test_entries_that_are_not_integers_are_refused(entry):
+    """No entry is truncated or parsed: a float, a string or a Fraction, even
+    one with an integer value, is a one-line InputError."""
+    with pytest.raises(InputError, match="integer matrix entry") as err:
+        IntMatrix([[1, 2], [entry, 4]])
+    assert "\n" not in str(err.value)
+
+
+def test_bool_entries_read_as_zero_and_one():
+    M = IntMatrix([[True, False], [2, True]])
+    assert M.rows == ((1, 0), (2, 1)) and M == IntMatrix([[1, 0], [2, 1]])
+    assert all(type(e) is int for row in M.rows for e in row)
+    assert IntMatrix(iter([iter([3, -4])])).rows == ((3, -4),)

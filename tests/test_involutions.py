@@ -104,11 +104,11 @@ def test_quadric_identity_form_is_intersection_form(library):
 def test_involution_form_refuses_an_asymmetric_gram(library, monkeypatch):
     """An action on H_2 with its (0, 0) entry flipped makes the Gram of the
     quadric's form asymmetric: the guard raises with that Gram as its report."""
-    from conjtop import involutions
+    from conjtop import duality
 
     K, tau, basis = involution_model(library, "quadric")
-    action = involutions.induced_map
-    monkeypatch.setattr(involutions, "induced_map", lambda actor, k: action(actor, k)
+    action = duality.induced_map
+    monkeypatch.setattr(duality, "induced_map", lambda actor, k: action(actor, k)
                         + Gf2Matrix.from_rows([[1, 0], [0, 0]]))
     with pytest.raises(ModelIntegrityError, match="involution form is not symmetric") as err:
         involution_form(K, tau, basis_cycles=basis)

@@ -200,3 +200,33 @@ def test_rp2_w1_mark_is_the_stiefel_whitney_cocycle(library):
     w = stiefel_whitney_cocycle(rp2)
     edges = tuple(e for i, e in enumerate(rp2.simplices(1)) if (w >> i) & 1)
     assert library.cycles["rp2_6vertex"]["w1_cocycle"] == edges
+
+
+def test_full_library_builds_each_shared_surface_once(monkeypatch):
+    """The grid torus under the two torus groups and the three genus-2 groups,
+    and the genus-3 surface under its own group and its orientation cover, are
+    each built once per call."""
+    from conjtop import models
+    from conjtop.models import doubles, grids
+
+    built = []
+
+    def counted(name, build):
+        def run(*args):
+            built.append(name)
+            return build(*args)
+        return run
+
+    # every coned grid (torus or Klein bottle) and every crosscap
+    monkeypatch.setattr(grids, "_coned_grid", counted("grid", grids._coned_grid))
+    monkeypatch.setattr(doubles, "mobius_band_small",
+                        counted("crosscap", doubles.mobius_band_small))
+    for _ in range(2):  # and built again by the next call
+        built.clear()
+        library = models.model_library()
+        assert sorted(built) == ["crosscap", "grid", "grid"]  # the torus grid, the Klein grid
+        assert library.complexes["torus_grid"] is library.complexes["torus_grid_free"]
+        assert not hasattr(library, "_shared")  # the model holds only its objects
+    built.clear()
+    models.model_library("genus2_nondividing")
+    assert sorted(built) == ["crosscap", "grid"]

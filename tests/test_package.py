@@ -56,7 +56,6 @@ EXPORTED = {
 CLI_EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json").read_text("utf-8")
 )
-LIBRARY_COMMANDS = sorted(k for k in CLI_EXPECTED if "--model" not in k.split(" "))
 
 
 def fresh(code):
@@ -197,39 +196,29 @@ def test_unknown_object_message_unchanged(capsys):
     assert capsys.readouterr().out == "input error: no complex or chain data named 'nosuch'\n"
 
 
-@pytest.mark.parametrize("command", LIBRARY_COMMANDS)
-def test_library_command_bytes_cold(command):
-    """Each library command in a new interpreter, where only the modules it
-    imports are loaded, so an import-order dependence shows."""
-    proc = subprocess.run([sys.executable, "-m", "conjtop.cli", *command.split(" ")], env=ENV,
-                          capture_output=True, timeout=120, check=False)
-    assert proc.returncode == CLI_EXPECTED[command]["exit"], proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == CLI_EXPECTED[command]["sha256"]
-
-
 # command -> the most conjtop source lines its cold run may compile: the
 # lines of every conjtop module its ``python -m conjtop.cli`` run loads,
 # cli.py counted once.  Each ceiling is the count it pins, so a line added to
 # a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2962,
-    "classify quadric --h (1,1)": 2684,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2962,
-    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 2843,
-    "congruence --chi 8 --type I_abs --h1-trivial": 1465,
-    "conj-form quadric": 2684,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2816,
-    "cover sphere_octa_sub --cut arcs_both": 2816,
-    "divide torus_reflection": 3331,
-    "fixed-set quadric": 2684,
-    "homology klein6 --model .bench_work/cli_models.txt": 2474,
-    "homology klein_bottle": 2127,
-    "homology torus6 --model .bench_work/cli_models.txt": 2474,
-    "homology torus7": 2100,
-    "lattice-audit quadric_lattice": 1664,
-    "orient torus_reflection": 3331,
-    "orient-cover klein_bottle --curve w1dual": 2843,
-    "qform rp2_loops": 1257,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2158,
+    "classify quadric --h (1,1)": 2170,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2158,
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1975,
+    "congruence --chi 8 --type I_abs --h1-trivial": 1464,
+    "conj-form quadric": 2337,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2183,
+    "cover sphere_octa_sub --cut arcs_both": 2183,
+    "divide torus_reflection": 2451,
+    "fixed-set quadric": 2170,
+    "homology klein6 --model .bench_work/cli_models.txt": 1898,
+    "homology klein_bottle": 1849,
+    "homology torus6 --model .bench_work/cli_models.txt": 1898,
+    "homology torus7": 1814,
+    "lattice-audit quadric_lattice": 1663,
+    "orient torus_reflection": 2451,
+    "orient-cover klein_bottle --curve w1dual": 2544,
+    "qform rp2_loops": 1256,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",
                        "lattice-audit quadric_lattice"]
@@ -269,6 +258,17 @@ def cold_run(command, cwd):
 
 
 @pytest.mark.parametrize("command", sorted(CLI_EXPECTED))
+def test_library_command_bytes_cold(command, bench_root):
+    """Each benchmark command, the ``--model`` ones reading the benchmark's
+    file, in a new interpreter where only the modules it imports are loaded,
+    so an import-order dependence shows."""
+    proc = subprocess.run([sys.executable, "-m", "conjtop.cli", *command.split(" ")], env=ENV,
+                          cwd=bench_root, capture_output=True, timeout=120, check=False)
+    assert proc.returncode == CLI_EXPECTED[command]["exit"], proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == CLI_EXPECTED[command]["sha256"]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_EXPECTED))
 def test_cold_command_lines_stay_under_ceiling(command, bench_root):
     exit_code, lines, modules = cold_run(command, str(bench_root))
     print(f"COLD {command} lines={lines} ceiling={COLD_CEILINGS[command]}")
@@ -292,6 +292,68 @@ def test_rp2_homology_loads_no_coverings(bench_root):
     exit_code, _, modules = cold_run("homology rp2_6vertex", str(bench_root))
     assert exit_code == 0
     assert "conjtop.models.small" in modules and "conjtop.coverings" not in modules
+
+
+# command -> (a module it loads, the modules split off what it loads that it never runs)
+SPLIT_LOADS = {
+    "homology torus7": ("homology", ("chains", "duality")),
+    "fixed-set quadric": ("involutions", ("duality", "smith", "chains")),
+    "classify quadric --h (1,1)": ("involutions", ("duality", "smith", "chains")),
+    "conj-form quadric": ("duality", ("smith", "chains")),
+    "divide torus_reflection": ("orientations", ("coverings", "duality", "smith")),
+    "orient torus_reflection": ("orientations", ("coverings", "duality", "smith")),
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": ("orientations", ("coverings",)),
+    "cover rp2_6vertex --cocycle w1_cocycle": ("coverings", ("orientations", "duality")),
+    "cover sphere_octa_sub --cut arcs_both": ("coverings", ("orientations", "duality")),
+    "homology torus6 --model .bench_work/cli_models.txt": ("modelfile", ("modelsections",)),
+    "classify tetra2 --model .bench_work/cli_models.txt": ("modelfile", ("modelsections",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPLIT_LOADS))
+def test_commands_load_no_split_off_module_they_never_run(command, bench_root):
+    """The chain carrier, the duality layer, the Smith audits, the curve cuts,
+    cover construction and the rarer model-file sections each load only with
+    a command that runs them; a complex/map model file loads no section
+    reader or writer."""
+    loaded, never = SPLIT_LOADS[command]
+    exit_code, _, modules = cold_run(command, str(bench_root))
+    assert exit_code == 0 and f"conjtop.{loaded}" in modules
+    assert not {f"conjtop.{m}" for m in never} & set(modules)
+
+
+# the modules split in two, and the modules that took part of each
+SPLITS = {"homology": ("chains", "duality"), "involutions": ("smith",),
+          "coverings": ("orientations",), "modelfile": ("modelsections",)}
+
+
+def test_every_moved_name_still_resolves_from_its_old_module():
+    """Every function and class defined in a split-off module, private ones
+    included, is the same object read from the module it left (PEP 562)."""
+    for old, owners in SPLITS.items():
+        source = importlib.import_module(f"conjtop.{old}")
+        for owner in owners:
+            target = importlib.import_module(f"conjtop.{owner}")
+            moved = [name for name, value in vars(target).items()
+                     if getattr(value, "__module__", None) == target.__name__]
+            assert moved, owner
+            for name in moved:
+                assert getattr(source, name) is getattr(target, name), (old, name)
+        with pytest.raises(AttributeError, match="nosuch"):
+            source.nosuch  # noqa: B018
+
+
+def test_import_probes_load_no_split_off_module():
+    """Importing a name from a split module probes its ``__path__``, which must
+    not load the modules split off it."""
+    out = fresh("import sys\nfrom conjtop.homology import homology\n"
+                "from conjtop.coverings import double_cover_unbranched\n"
+                "from conjtop.involutions import fixed_subcomplex\n"
+                "from conjtop.modelfile import parse_model\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('conjtop')))")
+    for owners in SPLITS.values():
+        for owner in owners:
+            assert f"conjtop.{owner}" not in out.split(), owner
 
 
 @pytest.mark.parametrize("command", ARITHMETIC_COMMANDS)
