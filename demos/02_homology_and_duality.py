@@ -1,7 +1,7 @@
 """Mod-2 homology, cup products, and the duality audit on bundled models."""
 
 from conjtop import betti_numbers, cup_pairing, duality_audit, model_library
-from conjtop.homology import duality_data, intersection_form_matrix
+from conjtop.duality import duality_data, intersection_form_matrix
 
 lib = model_library()
 

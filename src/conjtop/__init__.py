@@ -27,29 +27,32 @@ class _Root(ModuleType):
 sys.modules[__name__].__class__ = _Root
 
 __version__ = "0.1.0"
-_EXPORTS = {  # module -> the names it exports, loaded with it on first access (PEP 562)
+_EXPORTS = {  # module -> the names it defines, loaded with it on first access (PEP 562)
+    "chains": "ChainComplexData",
     "complexes": "SimplicialComplex SimplicialMap barycentric_subdivide fundamental_class "
     "identity_map pseudomanifold_check",
-    "coverings": "CoverComplex SemiOrientation branched_double_cover compare_mod_curves "
-    "complement_semiorientation curve_complex_semiorientation dividing_test "
-    "double_cover_unbranched extendibility_check flip_semiorientation lift_involution "
+    "coverings": "CoverComplex branched_double_cover double_cover_unbranched lift_involution "
     "orientation_cover stiefel_whitney_cocycle",
+    "duality": "cup_pairing duality_audit induced_map",
     "errors": "InputError ModelIntegrityError",
     "gf2": "BilinearFormGF2 Gf2Matrix characteristic_class gf2_kernel_basis gf2_rank gf2_solve "
     "is_even",
-    "homology": "ChainComplexData HomologyBasis betti_numbers cohomology cup_pairing "
-    "duality_audit homology induced_map total_betti",
+    "homology": "HomologyBasis betti_numbers cohomology homology total_betti",
     "intmat": "IntMatrix int_kernel_basis smith_normal_form",
-    "involutions": "TypeVerdict check_m_variety_even_form classify_type fixed_subcomplex "
-    "harnack_audit intersection_form involution_form orbit_chain_boundaries parity_obstruction "
-    "quotient_by_involution regularize smith_kernel_bound verify_fixed_class_is_characteristic",
+    "involutions": "TypeVerdict classify_type fixed_subcomplex intersection_form involution_form "
+    "verify_fixed_class_is_characteristic",
     "lattices": "IntegerLattice QuotientTransferData build_lattice conj_form_mod2 "
     "invariant_sublattices kharlamov_congruence order_obstruction orientation_class_check "
     "torsion_audit transfer_audit",
-    "modelfile": "format_model parse_model",
+    "modelfile": "parse_model",
+    "modelsections": "format_model",
     "models": "ModelFile model_library",
+    "orientations": "SemiOrientation compare_mod_curves complement_semiorientation "
+    "curve_complex_semiorientation dividing_test extendibility_check flip_semiorientation",
     "qforms": "LoopData LoopTable QForm2 QForm4 arf brown evaluate_q2 evaluate_q4 "
     "pin_value_from_loops qform_from_loop_table spin_value_from_loops",
+    "smith": "check_m_variety_even_form harnack_audit orbit_chain_boundaries parity_obstruction "
+    "quotient_by_involution regularize smith_kernel_bound",
 }
 
 

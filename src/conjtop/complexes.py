@@ -562,9 +562,9 @@ def fundamental_class(K: SimplicialComplex) -> int:
 
 
 def __getattr__(name):
-    # the involution geometry lives in involutions and smith; the benchmark imports two names here
+    # the benchmark imports is_regular (of involutions) and orbit_chain_boundaries (of smith) here
     if name in ("is_regular", "orbit_chain_boundaries"):
-        from . import involutions
+        from . import involutions, smith
 
-        return getattr(involutions, name)
+        return getattr(smith if name == "orbit_chain_boundaries" else involutions, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

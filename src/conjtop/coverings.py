@@ -11,7 +11,7 @@ sheet shift it applies to each top.
 
 The curve cuts live in ``conjtop.orientations``, with the sign rule: a
 cover command loads none of them, a curve command none of this, and only
-the orientation cover reads both.  Their names still resolve here.
+the orientation cover reads both.  The benchmark reads two of them from here.
 """
 
 from .complexes import (
@@ -344,10 +344,9 @@ def lift_involution(cover: CoverComplex, tau: SimplicialMap):
 
 
 def __getattr__(name):
-    # the curve cuts moved to orientations; their names resolve here
-    if not name.startswith("__"):  # an import probes ``__path__``
+    # the curve cuts live in orientations; the benchmark imports two of them here
+    if name in ("curve_complex_semiorientation", "dividing_test"):
         from . import orientations
 
-        if name in vars(orientations):
-            return vars(orientations)[name]
+        return getattr(orientations, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

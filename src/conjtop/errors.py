@@ -51,9 +51,6 @@ class Record:
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
-
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return type(self), tuple(self._asdict().values())
 

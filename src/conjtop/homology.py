@@ -4,8 +4,8 @@ Works over two kinds of carrier: a :class:`SimplicialComplex`, or abstract
 chain data (``conjtop.chains``) for spaces whose triangulations are too
 large to write down, such as the orbit complex of an involution.  Both run
 the same code for absolute and relative homology and cohomology.  Induced
-maps, cup products and forms live in ``conjtop.duality``.  A cold command
-compiles every module it loads, so both live apart; their names resolve here.
+maps, cup products and forms live in ``conjtop.duality``, apart, because a cold
+command compiles every module it loads; the benchmark reads ``duality_data`` here.
 
 Homology bases are echelon-canonical, so cycles and coordinates are
 reproducible.  Every path (absolute, relative, orbit, cohomology) feeds
@@ -206,11 +206,9 @@ def is_cocycle(space, k: int, cochain: int) -> bool:
 
 
 def __getattr__(name):
-    # ChainComplexData moved to chains and the duality layer to duality; they resolve here
-    if not name.startswith("__"):  # an import probes ``__path__``
-        from . import chains, duality
+    # the duality layer lives in duality; the benchmark imports one name of it here
+    if name == "duality_data":
+        from .duality import duality_data
 
-        for module in (chains, duality):
-            if name in vars(module):
-                return vars(module)[name]
+        return duality_data
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,8 +8,8 @@ field for field and reports built from files are byte-stable.
 
 This module reads complexes and maps, all that most model files hold.  The
 readers of the other sections and the writer, ``format_model``, live in
-``conjtop.modelsections``, loaded by the first such section or write; their
-names still resolve here.
+``conjtop.modelsections``, loaded by the first such section or write; the
+benchmark reads the writer from here.
 """
 
 from __future__ import annotations
@@ -169,10 +169,9 @@ def _parse_map(lines, model, name, src, dst, header_ln):
 
 
 def __getattr__(name):
-    # the other section readers and the writer moved to modelsections; they resolve here
-    if not name.startswith("__"):  # an import probes ``__path__``
-        from . import modelsections
+    # the writer lives in modelsections; the benchmark imports it here
+    if name == "format_model":
+        from .modelsections import format_model
 
-        if name in vars(modelsections):
-            return vars(modelsections)[name]
+        return format_model
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

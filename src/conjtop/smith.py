@@ -4,7 +4,7 @@ The quotient, the orbit chain complex and regularization by subdivision;
 the Harnack-style Betti bound with M-detection, the Smith kernel bound in
 dimension four, parity obstructions and the even-form check of M-objects.
 No ``conjtop`` command runs them, so they live apart from
-``conjtop.involutions``; their names still resolve there.
+``conjtop.involutions``, from which the benchmark reads two of the audits.
 """
 
 from .chains import ChainComplexData

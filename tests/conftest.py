@@ -14,9 +14,10 @@ from conjtop.complexes import (
     fundamental_class,
     impure_simplex,
 )
+from conjtop.duality import duality_data, intersection_form_matrix
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix, gf2_solve
-from conjtop.homology import cohomology, duality_data, homology, intersection_form_matrix
+from conjtop.homology import cohomology, homology
 from conjtop.intmat import IntMatrix, smith_normal_form
 from conjtop.models import double_along_boundary, model_library
 from conjtop.qforms import QForm2, QForm4, _check_gram, evaluate_q2, evaluate_q4

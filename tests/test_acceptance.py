@@ -10,27 +10,25 @@ import time
 
 import pytest
 
-from conjtop.coverings import (
-    branched_double_cover,
-    curve_complex_semiorientation,
-    dividing_test,
-    double_cover_unbranched,
-    orient_surface,
-    orientation_cover,
-    pushforward_semiorientation,
-)
+from conjtop.coverings import branched_double_cover, double_cover_unbranched, orientation_cover
+from conjtop.duality import duality_data
 from conjtop.errors import ModelIntegrityError
 from conjtop.gf2 import BilinearFormGF2, Gf2Matrix, characteristic_class, gf2_rank, is_even
-from conjtop.homology import betti_numbers, cohomology, duality_data
+from conjtop.homology import betti_numbers, cohomology
 from conjtop.intmat import IntMatrix, invariant_factors
 from conjtop.involutions import (
     classify_type,
     fixed_subcomplex,
-    smith_kernel_bound,
     verify_fixed_class_is_characteristic,
 )
 from conjtop.lattices import kharlamov_congruence, orientation_class_check, transfer_audit
 from conjtop.models import coned_grid_klein, coned_grid_torus, model_library
+from conjtop.orientations import (
+    curve_complex_semiorientation,
+    dividing_test,
+    orient_surface,
+    pushforward_semiorientation,
+)
 from conjtop.qforms import (
     LoopData,
     QForm2,
@@ -42,6 +40,7 @@ from conjtop.qforms import (
     pin_value_from_loops,
     spin_value_from_loops,
 )
+from conjtop.smith import smith_kernel_bound
 from conftest import (
     block_sum_z2,
     block_sum_z4,

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conjtop.cli import _build_parser, _read, main, run
 from conjtop.commands import Report
 from conjtop.errors import InputError
-from conjtop.modelfile import format_model, parse_model
+from conjtop.modelfile import parse_model
+from conjtop.modelsections import format_model
 from conftest import MALFORMED_MODELS
 
 
@@ -350,8 +351,8 @@ def test_qform_commands(capsys):
 
 
 def test_model_file_loading(tmp_path, capsys):
-    from conjtop.modelfile import format_model
     from conjtop.models import model_library
+    from conjtop.modelsections import format_model
 
     path = tmp_path / "library.cjt"
     path.write_text(format_model(model_library()), encoding="utf-8")

@@ -13,7 +13,6 @@ from conjtop.complexes import (
     pseudomanifold_check,
 )
 from conjtop.errors import InputError
-from conjtop.involutions import orbit_chain_boundaries, quotient_by_involution, regularize
 from conjtop.homology import betti_numbers
 from conjtop.models import (
     coned_grid_klein,
@@ -26,6 +25,7 @@ from conjtop.models import (
     square_circle,
     torus7,
 )
+from conjtop.smith import orbit_chain_boundaries, quotient_by_involution, regularize
 
 
 def test_validation_rejects_open_complex():

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjtop import involutions, models
+from conjtop import involutions, models, smith
+from conjtop.chains import ChainComplexData
 from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -29,8 +30,7 @@ from conjtop.coverings import (
     stiefel_whitney_cocycle,
 )
 from conjtop.errors import InputError
-from conjtop.homology import ChainComplexData
-from conjtop.involutions import quotient_by_involution, regularize
+from conjtop.smith import quotient_by_involution, regularize
 
 from conftest import per_generator_from_simplices, per_simplex_closure
 
@@ -121,7 +121,7 @@ def test_audited_orbit_chain_complex(audited, library):
             if library.complexes[K].dimension == 4]
     assert maps
     for K, tau in maps:
-        involutions.smith_kernel_bound(library.complexes[K], tau)
+        smith.smith_kernel_bound(library.complexes[K], tau)
     assert audited["chains"] == len(maps)
 
 
@@ -299,12 +299,12 @@ def test_facets_against_pairwise_definition(library):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda K: involutions.harnack_audit(K, None),
+        lambda K: smith.harnack_audit(K, None),
         lambda K: involutions.classify_type(K),
         lambda K: involutions.fixed_subcomplex(K, None),
-        lambda K: involutions.smith_kernel_bound(K, None),
+        lambda K: smith.smith_kernel_bound(K, None),
         lambda K: involutions.verify_fixed_class_is_characteristic(K),
-        lambda K: involutions.check_m_variety_even_form(K),
+        lambda K: smith.check_m_variety_even_form(K),
     ],
     ids=[
         "harnack_audit",
@@ -323,4 +323,4 @@ def test_missing_involution_is_an_input_error(library, call):
 def test_non_map_involution_is_an_input_error(library):
     K = library.complexes["torus_grid"]
     with pytest.raises(InputError, match="a simplicial involution is required"):
-        involutions.harnack_audit(K, list(range(K.vertex_count)))
+        smith.harnack_audit(K, list(range(K.vertex_count)))

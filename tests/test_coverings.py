@@ -6,36 +6,39 @@ import pytest
 from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
+    _boundary_support,
     barycentric_subdivide,
     dual_walk,
     fundamental_class,
     identity_map,
 )
 from conjtop.coverings import (
-    SemiOrientation,
-    _as_curve_subcomplex,
-    _boundary_support,
+    CoverComplex,
     _check_branch_preimage,
     branched_double_cover,
-    compare_mod_curves,
-    complement_semiorientation,
-    curve_complex_semiorientation,
-    dividing_test,
     double_cover_unbranched,
-    extendibility_check,
-    flip_semiorientation,
-    is_coherent,
     lift_involution,
     orientation_cover,
-    pushforward_semiorientation,
     stiefel_whitney_cocycle,
 )
 from conjtop.errors import InputError, ModelIntegrityError
-from conjtop.gf2 import gf2_solve
+from conjtop.gf2 import Gf2Matrix, gf2_solve
 from conjtop.homology import betti_numbers, cohomology
 from conjtop.involutions import fixed_subcomplex
 from conjtop.lattices import kharlamov_congruence
 from conjtop.models import coned_grid_klein, coned_grid_torus, torus7
+from conjtop.orientations import (
+    SemiOrientation,
+    _as_curve_subcomplex,
+    compare_mod_curves,
+    complement_semiorientation,
+    curve_complex_semiorientation,
+    dividing_test,
+    extendibility_check,
+    flip_semiorientation,
+    is_coherent,
+    pushforward_semiorientation,
+)
 from conftest import (
     chain_bits,
     former_boundary_support,
@@ -298,10 +301,12 @@ def test_branch_preimage_audit_refuses_corrupted_covers(library):
     _check_branch_preimage(cover, K)
     off = next(s for s in K.simplices(0) if s not in cover.branch.simplices(0))
     wide = SimplicialComplex.from_simplices(K.vertex_count, cover.branch.simplices(0) + (off,))
+    total, proj, labels = cover.total, cover.projection, cover.sheet_labels
     with pytest.raises(ModelIntegrityError, match="has 2 preimages, expected 1"):
-        _check_branch_preimage(cover._replace(branch=wide), K)
+        _check_branch_preimage(CoverComplex(total, proj, cover.deck, labels, wide), K)
     with pytest.raises(ModelIntegrityError, match="deck-fixed simplices differ"):
-        _check_branch_preimage(cover._replace(deck=identity_map(cover.total)), K)
+        fixing = CoverComplex(total, proj, identity_map(total), labels, cover.branch)
+        _check_branch_preimage(fixing, K)
 
 
 def test_chi_law_on_many_covers(library):
@@ -502,6 +507,42 @@ def test_compare_rejects_non_homologous(library):
         compare_mod_curves(K, Y1, curve(library, "torus_grid", "row0"), s1, s1)
 
 
+COMPARE = ["compare", "torus_grid", "--y1", "col0,col2", "--y2", "col1,col3"]
+
+
+def test_compare_refuses_a_chain_that_does_not_bound_the_curves(monkeypatch, capsys):
+    """A solver answer with one triangle toggled bounds neither Y1 + Y2 nor a
+    part on which the two semi-orientations agree throughout: the agreement
+    check fires, and ``compare`` exits 1 with the part as its trace."""
+    from conjtop import orientations
+    from conjtop.cli import main
+
+    def off_by_one_triangle(M, b):
+        h_chain, kernel = gf2_solve(M, b)
+        return h_chain ^ 1, kernel
+
+    monkeypatch.setattr(orientations, "gf2_solve", off_by_one_triangle)
+    line = "model integrity violation: agreement is not constant on a bounding part\n"
+    assert main(COMPARE) == 1 and capsys.readouterr().out == line
+    assert main(COMPARE + ["--machine"]) == 1
+    first, trace, end = capsys.readouterr().out.split("\n")
+    # the checked part: the 32 triangles of one annulus, and the triangle moved into it
+    assert first + "\n" == line and end == "" and trace.startswith("part=(0,")
+    assert len(trace.split(",")) == 33
+
+
+def test_stiefel_whitney_refuses_a_cup_matrix_without_a_wu_class(library, monkeypatch):
+    """The Wu class solves C lambda = diag C.  An asymmetric cup matrix whose
+    diagonal lies outside its column space has no solution."""
+    from conjtop import duality
+
+    cup = Gf2Matrix.from_rows([[1, 0], [1, 0]])
+    monkeypatch.setattr(duality, "duality_data",
+                        lambda K, k: duality.DualityData(None, None, cup, None, None))
+    with pytest.raises(ModelIntegrityError, match="no cocycle evaluates as the self-intersection"):
+        stiefel_whitney_cocycle(library.complexes["klein_bottle"])
+
+
 # --- lifted involutions ----------------------------------------------------------------
 
 
@@ -591,13 +632,15 @@ def moved_deck(cover, images):
     up = list(cover.deck.images)
     for v, u in images.items():
         up[v] = u
-    return cover._replace(deck=SimplicialMap._trusted(cover.total, cover.total, up))
+    deck = SimplicialMap._trusted(cover.total, cover.total, up)
+    return CoverComplex(cover.total, cover.projection, deck, cover.sheet_labels, cover.branch)
 
 
 def extra_branch(cover, simplices):
     """The cover with the given simplices as its branch locus."""
     base = cover.projection.target
-    return cover._replace(branch=SimplicialComplex.from_simplices(base.vertex_count, simplices))
+    branch = SimplicialComplex.from_simplices(base.vertex_count, simplices)
+    return CoverComplex(cover.total, cover.projection, cover.deck, cover.sheet_labels, branch)
 
 
 def arcs_branch_plus_an_edge(cover):

@@ -23,21 +23,23 @@ from conjtop.complexes import (
     identity_map,
 )
 from conjtop.coverings import (
-    SemiOrientation,
-    _perm_parity,
     branched_double_cover,
-    curve_complex_semiorientation,
-    dividing_test,
     double_cover_unbranched,
-    is_coherent,
     lift_involution,
     orientation_cover,
-    pushforward_semiorientation,
     stiefel_whitney_cocycle,
 )
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.homology import cohomology
 from conjtop.involutions import fixed_subcomplex
+from conjtop.orientations import (
+    SemiOrientation,
+    _perm_parity,
+    curve_complex_semiorientation,
+    dividing_test,
+    is_coherent,
+    pushforward_semiorientation,
+)
 from conftest import (
     face_tuple_dual_walk,
     incidence,

@@ -12,12 +12,13 @@ from itertools import combinations
 import pytest
 
 from conjtop import models
+from conjtop.chains import ChainComplexData
 from conjtop.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide
 from conjtop.coverings import branched_double_cover, double_cover_unbranched, orientation_cover
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix
-from conjtop.homology import ChainComplexData, cohomology, homology
-from conjtop.involutions import orbit_chain_boundaries, quotient_by_involution, regularize
+from conjtop.homology import cohomology, homology
+from conjtop.smith import orbit_chain_boundaries, quotient_by_involution, regularize
 
 from conftest import chain_bits, per_simplex_face_indices, per_simplex_index_images
 

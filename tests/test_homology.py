@@ -2,27 +2,20 @@ import random
 
 import pytest
 
-from conjtop.complexes import (
-    SimplicialComplex,
-    SimplicialMap,
-    barycentric_subdivide,
-    identity_map,
-)
+from conjtop.chains import ChainComplexData
+from conjtop.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, identity_map
 from conjtop.coverings import double_cover_unbranched, orientation_cover, stiefel_whitney_cocycle
-from conjtop.errors import InputError
-from conjtop.gf2 import Gf2Matrix
-from conjtop.homology import (
-    ChainComplexData,
+from conjtop.duality import (
     _cup_matrix,
-    betti_numbers,
-    cohomology,
     cup_pairing,
     duality_audit,
     duality_data,
-    homology,
     induced_map,
     intersection_form_matrix,
 )
+from conjtop.errors import InputError
+from conjtop.gf2 import Gf2Matrix
+from conjtop.homology import betti_numbers, cohomology, homology
 from conjtop.intmat import IntMatrix
 from conjtop.models import (
     coned_grid_klein,
@@ -247,8 +240,8 @@ def test_boundary_squared_zero_on_all_models():
 
 def test_antipodal_composed_is_identity_on_homology():
     from conjtop.complexes import SimplicialMap
-    from conjtop.involutions import quotient_by_involution
     from conjtop.models import hexagon_circle
+    from conjtop.smith import quotient_by_involution
 
     hexa = hexagon_circle()
     anti = SimplicialMap(hexa, hexa, [(v + 3) % 6 for v in range(6)])

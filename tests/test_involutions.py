@@ -5,18 +5,20 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import BilinearFormGF2, Gf2Matrix, characteristic_class, is_even
 from conjtop.homology import homology
 from conjtop.involutions import (
-    _smith_verdict,
-    check_m_variety_even_form,
     classify_type,
     fixed_subcomplex,
-    harnack_audit,
     intersection_form,
     involution_form,
-    parity_obstruction,
-    smith_kernel_bound,
     verify_fixed_class_is_characteristic,
 )
 from conjtop.models import factor_swap, product_complex, sphere_tetra
+from conjtop.smith import (
+    _smith_verdict,
+    check_m_variety_even_form,
+    harnack_audit,
+    parity_obstruction,
+    smith_kernel_bound,
+)
 from conftest import (
     cochain_pullback,
     cup_eval,
@@ -171,7 +173,7 @@ def test_irregular_involution_rejected(library):
 def test_fixed_set_is_computed_once_per_map(library, monkeypatch):
     from conjtop import involutions
     from conjtop.complexes import SimplicialMap
-    from conjtop.coverings import curve_complex_semiorientation, dividing_test
+    from conjtop.orientations import curve_complex_semiorientation, dividing_test
 
     K, shared, _ = involution_model(library, "torus_reflection")
     tau = SimplicialMap(K, K, shared.images)  # fresh map, nothing cached yet
@@ -422,7 +424,7 @@ def test_involution_form_against_cup_pullback_route(library):
 def _forged_surface_data(fixed_betti, fixed_class, involution_swap=False):
     """Chain data shaped like a closed surface, with adjustable fixed-set
     numbers: the path for exercising the enforcement branches."""
-    from conjtop.homology import ChainComplexData
+    from conjtop.chains import ChainComplexData
 
     ranks = (1, 2, 1)
     boundaries = [Gf2Matrix.zeros(1, 2), Gf2Matrix.zeros(2, 1)]

@@ -11,6 +11,7 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import Gf2Matrix, characteristic_class, is_even
 from conjtop.intmat import IntMatrix, int_kernel_basis, smith_normal_form
 from conjtop.lattices import (
+    IntegerLattice,
     QuotientTransferData,
     alpha_chi_cross_check,
     build_lattice,
@@ -21,7 +22,8 @@ from conjtop.lattices import (
     torsion_audit,
     transfer_audit,
 )
-from conjtop.modelfile import format_model, parse_model
+from conjtop.modelfile import parse_model
+from conjtop.modelsections import format_model
 
 HYP = IntMatrix([[0, 1], [1, 0]])
 SWAP = IntMatrix([[0, 1], [1, 0]])
@@ -299,7 +301,7 @@ def perturbed(L, part, rng):
     """L with one entry of push, pull or T moved, with T = I, or with push or pull moved
     along a rank-one term that keeps push after pull doubling: push + u v^T
     with v^T pull = 0, or pull + x y^T with push x = 0."""
-    Q = L.transfer
+    T, Q = L.isometry, L.transfer
     n, q = L.rank, Q.quotient_rank
 
     def bump(M):
@@ -315,20 +317,22 @@ def perturbed(L, part, rng):
         return [sum(a * c[i] for a, c in terms) for i in range(M.ncols)]
 
     if part == "T":
-        return L._replace(isometry=bump(L.isometry))
-    if part == "T=I":  # every class invariant: the doubled ones outside the image fail
-        return L._replace(isometry=IntMatrix.identity(n))
-    if part == "push":
-        Q = Q._replace(p_push=bump(Q.p_push))
+        T = bump(T)
+    elif part == "T=I":  # every class invariant: the doubled ones outside the image fail
+        T = IntMatrix.identity(n)
+    elif part == "push":
+        Q = QuotientTransferData(q, Q.p_pull, bump(Q.p_push))
     elif part == "pull":
-        Q = Q._replace(p_pull=bump(Q.p_pull))
+        Q = QuotientTransferData(q, bump(Q.p_pull), Q.p_push)
     elif part == "push_kernel":
         u = [rng.randint(-2, 2) for _ in range(q)]
-        Q = Q._replace(p_push=Q.p_push + outer(u, kernel_vector(Q.p_pull.transpose())))
+        push = Q.p_push + outer(u, kernel_vector(Q.p_pull.transpose()))
+        Q = QuotientTransferData(q, Q.p_pull, push)
     elif part == "pull_kernel":
         y = [rng.randint(-2, 2) for _ in range(q)]
-        Q = Q._replace(p_pull=Q.p_pull + outer(kernel_vector(Q.p_push), y))
-    return L._replace(transfer=Q)
+        Q = QuotientTransferData(q, Q.p_pull + outer(kernel_vector(Q.p_push), y), Q.p_push)
+    # built through the constructor, as a changed record must be
+    return IntegerLattice(L.rank, L.gram, T, L.marks, L.presentation, L.chi_real, Q)
 
 
 @given(st.integers(1, 4), st.integers(0, 10**6),

@@ -1,7 +1,9 @@
 import pytest
 
 from conjtop.errors import InputError
-from conjtop.modelfile import ModelFile, format_model, parse_model
+from conjtop.modelfile import parse_model
+from conjtop.models import ModelFile
+from conjtop.modelsections import format_model
 from conftest import MALFORMED_MODELS
 
 
@@ -102,8 +104,8 @@ def test_round_trip_preserves_chain_data(library):
 
 def test_round_trip_chain_with_zero_ranks():
     """Boundaries without columns are written without row lines and read back."""
+    from conjtop.chains import ChainComplexData
     from conjtop.gf2 import Gf2Matrix
-    from conjtop.homology import ChainComplexData
 
     z, one = Gf2Matrix.zeros, Gf2Matrix.identity
     model = ModelFile()

@@ -2,15 +2,13 @@
 theorem-level assertion (the audit suite the operations enforce)."""
 
 from conjtop.complexes import pseudomanifold_check
-from conjtop.coverings import dividing_test, orient_surface
-from conjtop.homology import betti_numbers, duality_audit, homology, total_betti
-from conjtop.involutions import (
-    fixed_subcomplex,
-    harnack_audit,
-    verify_fixed_class_is_characteristic,
-)
+from conjtop.duality import duality_audit
+from conjtop.homology import betti_numbers, homology, total_betti
+from conjtop.involutions import fixed_subcomplex, verify_fixed_class_is_characteristic
 from conjtop.lattices import alpha_chi_cross_check, torsion_audit, transfer_audit
+from conjtop.orientations import dividing_test, orient_surface
 from conjtop.qforms import qform_from_loop_table
+from conjtop.smith import harnack_audit
 from conftest import involution_model
 
 EXPECTED_BETTI = {

@@ -25,33 +25,36 @@ from conjtop.cli import main
 ENV = {**os.environ, "PYTHONPATH": str(Path(conjtop.__file__).resolve().parents[1])}
 
 # the names ``conjtop`` exported when its root imported every module
-# eagerly, under the module that now owns each
+# eagerly, under the module that defines each
 EXPORTED = {
+    "chains": ("ChainComplexData",),
     "complexes": ("SimplicialComplex", "SimplicialMap", "barycentric_subdivide",
                   "fundamental_class", "identity_map", "pseudomanifold_check"),
-    "coverings": ("CoverComplex", "SemiOrientation", "branched_double_cover",
-                  "compare_mod_curves", "complement_semiorientation",
-                  "curve_complex_semiorientation", "dividing_test", "double_cover_unbranched",
-                  "extendibility_check", "flip_semiorientation", "lift_involution",
-                  "orientation_cover", "stiefel_whitney_cocycle"),
+    "coverings": ("CoverComplex", "branched_double_cover", "double_cover_unbranched",
+                  "lift_involution", "orientation_cover", "stiefel_whitney_cocycle"),
+    "duality": ("cup_pairing", "duality_audit", "induced_map"),
     "errors": ("InputError", "ModelIntegrityError"),
     "gf2": ("BilinearFormGF2", "Gf2Matrix", "characteristic_class", "gf2_kernel_basis",
             "gf2_rank", "gf2_solve", "is_even"),
-    "homology": ("ChainComplexData", "HomologyBasis", "betti_numbers", "cohomology",
-                 "cup_pairing", "duality_audit", "homology", "induced_map", "total_betti"),
+    "homology": ("HomologyBasis", "betti_numbers", "cohomology", "homology", "total_betti"),
     "intmat": ("IntMatrix", "int_kernel_basis", "smith_normal_form"),
-    "involutions": ("TypeVerdict", "check_m_variety_even_form", "classify_type",
-                    "fixed_subcomplex", "harnack_audit", "intersection_form", "involution_form",
-                    "orbit_chain_boundaries", "parity_obstruction", "quotient_by_involution",
-                    "regularize", "smith_kernel_bound", "verify_fixed_class_is_characteristic"),
+    "involutions": ("TypeVerdict", "classify_type", "fixed_subcomplex", "intersection_form",
+                    "involution_form", "verify_fixed_class_is_characteristic"),
     "lattices": ("IntegerLattice", "QuotientTransferData", "build_lattice", "conj_form_mod2",
                  "invariant_sublattices", "kharlamov_congruence", "order_obstruction",
                  "orientation_class_check", "torsion_audit", "transfer_audit"),
-    "modelfile": ("ModelFile", "format_model", "parse_model"),
-    "models": ("model_library",),
+    "modelfile": ("parse_model",),
+    "modelsections": ("format_model",),
+    "models": ("ModelFile", "model_library"),
+    "orientations": ("SemiOrientation", "compare_mod_curves", "complement_semiorientation",
+                     "curve_complex_semiorientation", "dividing_test", "extendibility_check",
+                     "flip_semiorientation"),
     "qforms": ("LoopData", "LoopTable", "QForm2", "QForm4", "arf", "brown", "evaluate_q2",
                "evaluate_q4", "pin_value_from_loops", "qform_from_loop_table",
                "spin_value_from_loops"),
+    "smith": ("check_m_variety_even_form", "harnack_audit", "orbit_chain_boundaries",
+              "parity_obstruction", "quotient_by_involution", "regularize",
+              "smith_kernel_bound"),
 }
 CLI_EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json").read_text("utf-8")
@@ -75,7 +78,14 @@ def test_every_former_export_is_its_module_attribute():
             namespace = {}
             exec(f"from conjtop import {name}", namespace)
             assert namespace[name] is getattr(conjtop, name) is getattr(owner, name), name
+            assert getattr(owner, name).__module__ == owner.__name__, name
             assert name in listed, name
+
+
+def test_a_root_export_loads_only_its_owner():
+    out = fresh("import sys\nfrom conjtop import dividing_test\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('conjtop')))")
+    assert "conjtop.orientations" in out.split() and "conjtop.coverings" not in out.split()
 
 
 def test_unknown_root_name_raises():
@@ -105,18 +115,6 @@ def test_cli_import_loads_four_modules():
                 "print('argparse' in sys.modules)")
     assert out.split() == ["conjtop", "conjtop.cli", "conjtop.commands", "conjtop.errors",
                            "False"]
-
-
-def test_moved_involution_geometry_still_resolves_from_complexes():
-    """The benchmark reads two of the names that moved to ``involutions``
-    from ``complexes``; nothing else resolves there."""
-    from conjtop import complexes, involutions
-
-    assert complexes.is_regular is involutions.is_regular
-    assert complexes.orbit_chain_boundaries is involutions.orbit_chain_boundaries
-    for name in ("quotient_by_involution", "regularize", "check_regular_involution",
-                 "regularity_offender"):
-        assert not hasattr(complexes, name), name
 
 
 def test_homology_command_loads_no_invariant_modules():
@@ -201,23 +199,23 @@ def test_unknown_object_message_unchanged(capsys):
 # cli.py counted once.  Each ceiling is the count it pins, so a line added to
 # a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2158,
-    "classify quadric --h (1,1)": 2170,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2158,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2154,
+    "classify quadric --h (1,1)": 2167,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2154,
     "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1975,
     "congruence --chi 8 --type I_abs --h1-trivial": 1464,
-    "conj-form quadric": 2337,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2183,
-    "cover sphere_octa_sub --cut arcs_both": 2183,
-    "divide torus_reflection": 2451,
-    "fixed-set quadric": 2170,
-    "homology klein6 --model .bench_work/cli_models.txt": 1898,
-    "homology klein_bottle": 1849,
-    "homology torus6 --model .bench_work/cli_models.txt": 1898,
-    "homology torus7": 1814,
+    "conj-form quadric": 2334,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2180,
+    "cover sphere_octa_sub --cut arcs_both": 2180,
+    "divide torus_reflection": 2448,
+    "fixed-set quadric": 2167,
+    "homology klein6 --model .bench_work/cli_models.txt": 1895,
+    "homology klein_bottle": 1847,
+    "homology torus6 --model .bench_work/cli_models.txt": 1895,
+    "homology torus7": 1812,
     "lattice-audit quadric_lattice": 1663,
-    "orient torus_reflection": 2451,
-    "orient-cover klein_bottle --curve w1dual": 2544,
+    "orient torus_reflection": 2448,
+    "orient-cover klein_bottle --curve w1dual": 2541,
     "qform rp2_loops": 1256,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",
@@ -327,20 +325,41 @@ SPLITS = {"homology": ("chains", "duality"), "involutions": ("smith",),
           "coverings": ("orientations",), "modelfile": ("modelsections",)}
 
 
-def test_every_moved_name_still_resolves_from_its_old_module():
-    """Every function and class defined in a split-off module, private ones
-    included, is the same object read from the module it left (PEP 562)."""
+# the names the benchmark reads from a module that does not define them:
+# that module -> {name: the module defining it}
+FORWARDED = {
+    "complexes": {"is_regular": "involutions", "orbit_chain_boundaries": "smith"},
+    "coverings": {"curve_complex_semiorientation": "orientations",
+                  "dividing_test": "orientations"},
+    "homology": {"duality_data": "duality"},
+    "involutions": {"harnack_audit": "smith", "is_even": "gf2", "smith_kernel_bound": "smith"},
+    "modelfile": {"format_model": "modelsections"},
+}
+
+
+def test_only_the_benchmark_names_resolve_from_a_module_they_left():
+    """Each of the nine names is its defining module's object.  No other name
+    of a split-off module, its own or one it imports, resolves from the module
+    it left."""
+    assert sum(map(len, FORWARDED.values())) == 9
+    for former, names in FORWARDED.items():
+        source = importlib.import_module(f"conjtop.{former}")
+        for name, owner in names.items():
+            defining = importlib.import_module(f"conjtop.{owner}")
+            assert getattr(source, name) is getattr(defining, name), (former, name)
     for old, owners in SPLITS.items():
         source = importlib.import_module(f"conjtop.{old}")
         for owner in owners:
-            target = importlib.import_module(f"conjtop.{owner}")
-            moved = [name for name, value in vars(target).items()
-                     if getattr(value, "__module__", None) == target.__name__]
-            assert moved, owner
-            for name in moved:
-                assert getattr(source, name) is getattr(target, name), (old, name)
+            for name in vars(importlib.import_module(f"conjtop.{owner}")):
+                if name not in vars(source) and name not in FORWARDED.get(old, ()):
+                    with pytest.raises(AttributeError):
+                        getattr(source, name)
         with pytest.raises(AttributeError, match="nosuch"):
             source.nosuch  # noqa: B018
+    for old, name in [("involutions", "regularize"), ("involutions", "reduce_columns"),
+                      ("homology", "ChainComplexData"), ("coverings", "SemiOrientation"),
+                      ("modelfile", "parse_section"), ("complexes", "quotient_by_involution")]:
+        assert not hasattr(importlib.import_module(f"conjtop.{old}"), name), (old, name)
 
 
 def test_import_probes_load_no_split_off_module():

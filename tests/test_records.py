@@ -3,8 +3,9 @@
 ``conftest`` keeps the 13 former dataclass definitions under their own
 names.  Every record and its oracle are built from the same values, with
 the defaults omitted and with them given, and must agree on repr, str,
-equality, hashing, field order, immutability, ``_replace`` (against
-``dataclasses.replace``) and the errors their constructors raise.
+equality, hashing, field order, immutability, a field changed through the
+constructor (against ``dataclasses.replace``) and the errors their
+constructors raise.
 
 ``conftest`` also keeps the four hand-written value classes that became
 records (``FORMER_VALUES``): each record must raise the same messages,
@@ -47,14 +48,14 @@ CASES = {
     "FixedSetData": ("involutions", lambda m: (
         (K, (m.FixedComponent(1, 3),), 1, 0b11, 0b1), (), (K2, (), None, 0, None))),
     "TypeVerdict": ("involutions", lambda m: (("I_rel", 0b10, 0b10), (), ("II", 0b01, None))),
-    "HarnackReport": ("involutions", lambda m: ((3, 4, False), (), (4, 4, True))),
-    "SmithReport": ("involutions", lambda m: (
+    "HarnackReport": ("smith", lambda m: ((3, 4, False), (), (4, 4, True))),
+    "SmithReport": ("smith", lambda m: (
         (1, True, True, {4: 0, 3: 1, 2: 2}), (), (0, False, False, {4: 1}))),
-    "ObstructionVerdict": ("involutions", lambda m: (
+    "ObstructionVerdict": ("smith", lambda m: (
         (True, "odd order", (1, 0)), (), (False, "no obstruction from parity", None))),
     "CoverComplex": ("coverings", lambda m: (
         (K, TAU, TAU, ((0, 0), (1, 1))), (K2,), (K2, TAU2, TAU2, ((0, 1),), None))),
-    "DividingVerdict": ("coverings", lambda m: (
+    "DividingVerdict": ("orientations", lambda m: (
         (True, (frozenset({0}), frozenset({1})), 2), (), (False, None, 1))),
     "KharlamovTrace": ("lattices", lambda m: (
         (4, -4, -8, False, True, False), (), (8, -8, -16, True, True, True))),
@@ -109,9 +110,10 @@ def test_record_matches_its_former_dataclass(name):
         assert (new == twin) == (old == old_cls(*other))
         assert copy.copy(new) == new and repr(copy.copy(new)) == repr(new)
         for n, value in zip(names, other):
-            assert outcome(lambda: new._replace(**{n: value})) \
+            fields = {**new._asdict(), n: value}
+            assert outcome(lambda: new_cls(**fields)) \
                 == outcome(lambda: dataclasses.replace(old, **{n: value})), n
-            changed = outcome(lambda: new._replace(**{n: value}) == new)
+            changed = outcome(lambda: new_cls(**fields) == new)
             assert changed == outcome(lambda: dataclasses.replace(old, **{n: value}) == old), n
         for record in (new, old):
             for n in names + ("other",):
@@ -136,7 +138,7 @@ def test_record_matches_its_former_dataclass(name):
 
 
 def test_smith_reports_differing_only_in_the_quotient_table_are_equal():
-    from conjtop.involutions import SmithReport
+    from conjtop.smith import SmithReport
 
     for cls in (SmithReport, FORMER_RECORDS["SmithReport"]):
         a, b = cls(1, True, True, {4: 0}), cls(1, True, True, {4: 1, 2: 5})
@@ -189,7 +191,7 @@ WIDE = Gf2Matrix.zeros(2, 3)
 
 # name -> (module, fields, valid argument tuples, refused argument tuples)
 VALUE_CASES = {
-    "SemiOrientation": ("coverings", ("carrier", "signs"), [
+    "SemiOrientation": ("orientations", ("carrier", "signs"), [
         (K, (1, -1)), (K, (-1, 1)), (K, [1, 1]), (K, ("-1", "-1")), (K2, (1, -1)),
     ], [
         (K, (1,)), (K, (1, 2)), (K, ("x", 1)), (K, None), (K, (1, 0)),
@@ -269,9 +271,9 @@ def test_value_records_copy_pickle_and_refuse_mutation(name):
 
 
 def test_changed_values_go_through_validation():
-    """``_replace`` rebuilds through the validating constructor, and a field
-    can no longer be reassigned past it."""
-    from conjtop.coverings import SemiOrientation
+    """A changed value is built through the validating constructor, and a
+    field can no longer be reassigned past it."""
+    from conjtop.orientations import SemiOrientation
     from conjtop.qforms import QForm2, QForm4, brown
 
     q = QForm4(HYP, [0, 2])
@@ -279,11 +281,11 @@ def test_changed_values_go_through_validation():
         q.values = (1, 2)  # breaks the parity law, and brown(q) would read 2
     assert q.values == (0, 2) and brown(q) == 0
     with pytest.raises(InputError, match="parity violation at basis vector 0"):
-        q._replace(values=(1, 2))
+        QForm4(q.gram, (1, 2))
     with pytest.raises(InputError, match="require an even pairing"):
-        QForm2(HYP, (0, 0))._replace(gram=ODD)
+        QForm2(ODD, (0, 0))
     semi = SemiOrientation(K, (1, -1))
     with pytest.raises(AttributeError):
         semi.signs = (-1, 1)  # would break the canonical representative
-    assert semi._replace(signs=(-1, 1)) == semi
-    assert semi._replace(signs=(-1, 1)).signs == (1, -1)
+    assert SemiOrientation(semi.carrier, (-1, 1)) == semi
+    assert SemiOrientation(semi.carrier, (-1, 1)).signs == (1, -1)

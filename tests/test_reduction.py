@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjtop.chains import ChainComplexData
 from conjtop.complexes import SimplicialComplex, barycentric_subdivide
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix, gf2_kernel_basis, reduce_columns
-from conjtop.homology import ChainComplexData, betti_numbers, cohomology, homology
-from conjtop.involutions import fixed_subcomplex, orbit_chain_boundaries
+from conjtop.homology import betti_numbers, cohomology, homology
+from conjtop.involutions import fixed_subcomplex
+from conjtop.smith import orbit_chain_boundaries
 from conftest import rref
 
 
