@@ -117,6 +117,18 @@ def test_cli_import_loads_four_modules():
                            "False"]
 
 
+def test_moved_involution_geometry_still_resolves_from_complexes():
+    """The benchmark reads two of the names that moved out of ``complexes``
+    from it; nothing else resolves there."""
+    from conjtop import complexes, involutions, smith
+
+    assert complexes.is_regular is involutions.is_regular
+    assert complexes.orbit_chain_boundaries is smith.orbit_chain_boundaries
+    for name in ("quotient_by_involution", "regularize", "check_regular_involution",
+                 "regularity_offender"):
+        assert not hasattr(complexes, name), name
+
+
 def test_homology_command_loads_no_invariant_modules():
     out = fresh("import contextlib, io, sys\nfrom conjtop.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
