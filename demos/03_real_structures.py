@@ -7,6 +7,7 @@ every invariant the involution analysis extracts.
 
 from conjtop import (
     characteristic_class,
+    check_m_variety_even_form,
     classify_type,
     fixed_subcomplex,
     harnack_audit,
@@ -69,3 +70,11 @@ trace = kharlamov_congruence(8, "I_abs", True)
 print(f"  self-intersection downstairs: {trace.self_intersection_ambient}")
 print(f"  doubled in the quotient:      {trace.self_intersection_quotient}")
 print(f"  divisible by 16:              {trace.divisible_by_16}  -> passes")
+
+print()
+print("an M-object with an even intersection form has a bounding fixed set:")
+src, _, reflection = lib.maps["torus_reflection"]
+for name, rep in (("quadric", check_m_variety_even_form(K, tau, basis_cycles=basis)),
+                  ("torus_reflection", check_m_variety_even_form(lib.complexes[src], reflection))):
+    print(f"  {name}: M-object {rep['is_m']}, even form {rep['even_intersection_form']}, "
+          f"vacuous {rep['vacuous']}")

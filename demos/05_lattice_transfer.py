@@ -6,6 +6,7 @@ from conjtop import (
     invariant_sublattices,
     is_even,
     model_library,
+    order_obstruction,
     orientation_class_check,
     transfer_audit,
 )
@@ -34,6 +35,9 @@ print()
 print("which classes are twice a pulled-back class (the orientation classes)?")
 for alpha in ((1, 1), (2, 2), (-2, -2), (2, 0)):
     print(f"  alpha={alpha}: {orientation_class_check(L, None, alpha)}")
+verdict = order_obstruction(L, 2, (1, 1))
+print(f"order 2, witnessed by the hyperplane class (1, 1): obstructed={verdict.obstructed} "
+      f"({verdict.reason})")
 
 print()
 print("== The abelian-surface lattice ==")

@@ -30,16 +30,16 @@ __version__ = "0.1.0"
 _EXPORTS = {  # module -> the names it defines, loaded with it on first access (PEP 562)
     "chains": "ChainComplexData",
     "complexes": "SimplicialComplex SimplicialMap barycentric_subdivide fundamental_class "
-    "identity_map pseudomanifold_check",
-    "coverings": "CoverComplex branched_double_cover double_cover_unbranched lift_involution "
-    "orientation_cover stiefel_whitney_cocycle",
+    "pseudomanifold_check",
+    "coverings": "CoverComplex branched_double_cover double_cover_unbranched orientation_cover "
+    "stiefel_whitney_cocycle",
     "duality": "cup_pairing duality_audit induced_map",
     "errors": "InputError ModelIntegrityError",
     "gf2": "BilinearFormGF2 Gf2Matrix characteristic_class gf2_kernel_basis gf2_rank gf2_solve "
     "is_even",
     "homology": "HomologyBasis betti_numbers cohomology homology total_betti",
     "intmat": "IntMatrix int_kernel_basis smith_normal_form",
-    "involutions": "TypeVerdict classify_type fixed_subcomplex intersection_form involution_form "
+    "involutions": "TypeVerdict classify_type fixed_subcomplex involution_form "
     "verify_fixed_class_is_characteristic",
     "lattices": "IntegerLattice QuotientTransferData build_lattice conj_form_mod2 "
     "invariant_sublattices kharlamov_congruence order_obstruction orientation_class_check "
@@ -51,7 +51,7 @@ _EXPORTS = {  # module -> the names it defines, loaded with it on first access (
     "curve_complex_semiorientation dividing_test extendibility_check flip_semiorientation",
     "qforms": "LoopData LoopTable QForm2 QForm4 arf brown evaluate_q2 evaluate_q4 "
     "pin_value_from_loops qform_from_loop_table spin_value_from_loops",
-    "smith": "check_m_variety_even_form harnack_audit orbit_chain_boundaries parity_obstruction "
+    "smith": "check_m_variety_even_form harnack_audit orbit_chain_boundaries "
     "quotient_by_involution regularize smith_kernel_bound",
 }
 

@@ -411,10 +411,6 @@ class SimplicialMap:
         return f"SimplicialMap({self.images!r})"
 
 
-def identity_map(K: SimplicialComplex) -> SimplicialMap:
-    return SimplicialMap(K, K, range(K.vertex_count))
-
-
 def check_involution(K: SimplicialComplex, tau: SimplicialMap):
     if not isinstance(tau, SimplicialMap):
         raise InputError("a simplicial involution is required")
@@ -477,7 +473,7 @@ def impure_simplex(K: SimplicialComplex):
     return next(s for k, group in enumerate(K._by_dim) for s in group if s not in covered[k])
 
 
-def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset(), signed=True):
+def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset()):
     """Flood the top simplices of K across the codim-1 faces not in ``cut``.
 
     ``cut`` and ``flip`` are sets of (n-1)-simplex indices.  Returns
@@ -485,9 +481,7 @@ def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset(), signed=Tr
     order of each component's lowest top.  ``signs`` orients every top so
     that glued tops are coherent across ordinary faces and anti-coherent
     across ``flip`` faces, with the lowest top of each component positive;
-    it is None when no such signs exist.  Unsigned, the walk ignores the
-    orientation signs of :meth:`SimplicialComplex.dual_graph`: ``signs``
-    then solves for a sign that changes exactly across ``flip`` faces.
+    it is None when no such signs exist.
     """
     adjacency = K.dual_graph()[1]
     m = len(adjacency)
@@ -507,9 +501,7 @@ def dual_walk(K: SimplicialComplex, cut=frozenset(), flip=frozenset(), signed=Tr
             for f, u, rel in adjacency[t]:
                 if f in cut:
                     continue
-                want = st * rel if signed else st
-                if f in flip:
-                    want = -want
+                want = -st * rel if f in flip else st * rel
                 if comp[u] < 0:
                     comp[u] = n_comp
                     signs[u] = want

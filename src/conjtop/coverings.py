@@ -6,8 +6,7 @@ chain flips the sheet.  Vertices of the total space are equivalence
 classes of (top simplex, sheet, vertex) triples under the gluing; over the
 branch locus the classes merge into a single sheet, which is exactly the
 branching behaviour.  Covers glue vertex slots by face position in the
-signed dual graph, and a lifted involution is one unsigned walk for the
-sheet shift it applies to each top.
+signed dual graph.
 
 The curve cuts live in ``conjtop.orientations``, with the sign rule: a
 cover command loads none of them, a curve command none of this, and only
@@ -16,7 +15,7 @@ the orientation cover reads both.  The benchmark reads two of them from here.
 
 from .complexes import (
     SimplicialComplex, SimplicialMap, _boundary_support, _close_down, _levels, _roots,
-    check_involution, dual_walk, impure_simplex, pseudomanifold_check,
+    pseudomanifold_check,
 )
 from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import gf2_solve
@@ -36,9 +35,15 @@ class CoverComplex(Record):
 def _validate_cover(cover: CoverComplex, base: SimplicialComplex):
     total, proj, deck = cover.total, cover.projection, cover.deck
     if proj.compose(deck).images != proj.images:
-        raise ModelIntegrityError("projection does not absorb the deck transformation")
+        v = next(v for v in range(total.vertex_count) if proj(deck(v)) != proj(v))
+        raise ModelIntegrityError(
+            "projection does not absorb the deck transformation",
+            report={"vertex": v, "image": deck(v), "base": proj(v), "image_base": proj(deck(v))})
     if not deck.is_involution():
-        raise ModelIntegrityError("deck transformation is not an involution")
+        v = next(v for v in range(total.vertex_count) if deck(deck(v)) != v)
+        raise ModelIntegrityError(
+            "deck transformation is not an involution",
+            report={"vertex": v, "image": deck(v), "square": deck(deck(v))})
     branch_vertices = {v for (v,) in cover.branch.simplices(0)} if cover.branch else set()
     fibers = {}
     for v in range(total.vertex_count):
@@ -199,13 +204,17 @@ def _check_branch_preimage(cover: CoverComplex, K):
         for i, pre in preimages.items():
             if len(pre) != 1:
                 raise ModelIntegrityError(
-                    f"branch simplex {K.simplices(k)[i]} has {len(pre)} preimages, expected 1"
-                )
+                    f"branch simplex {K.simplices(k)[i]} has {len(pre)} preimages, expected 1",
+                    report={"simplex": K.simplices(k)[i], "preimages": len(pre), "expected": 1})
         # the deck fixes a simplex only pointwise: v and deck(v) project to
         # one base vertex, and every total simplex projects injectively
         fixed = [t for t, s in enumerate(total.simplices(k)) if still.issuperset(s)]
-        if fixed != sorted(pre[0] for pre in preimages.values()):
-            raise ModelIntegrityError("deck-fixed simplices differ from the branch preimage")
+        over = sorted(pre[0] for pre in preimages.values())
+        if fixed != over:
+            raise ModelIntegrityError(
+                "deck-fixed simplices differ from the branch preimage",
+                report={"dimension": k, "deck_fixed": len(fixed), "branch_preimage": len(over),
+                        "first_difference": total.simplices(k)[min(set(fixed) ^ set(over))]})
 
 
 def orientation_cover(X: SimplicialComplex, Y):
@@ -218,8 +227,8 @@ def orientation_cover(X: SimplicialComplex, Y):
     it, which is asserted.
     """
     from .orientations import (
-        SemiOrientation, _as_curve_subcomplex, extendibility_check, is_coherent, orient_surface,
-        pushforward_semiorientation,
+        SemiOrientation, _as_curve_subcomplex, complement_semiorientation, extendibility_check,
+        is_coherent, orient_surface, pushforward_semiorientation,
     )
 
     if X.dimension != 2:
@@ -229,10 +238,7 @@ def orientation_cover(X: SimplicialComplex, Y):
     signs = orient_surface(X, flip_edges=y_edges)
     if signs is None:
         # diagnose: non-orientable complement, or an extending component
-        cut = orient_surface(X, y_edges)
-        if cut is None:
-            raise InputError("complement of the curve is not orientable")
-        verdicts = extendibility_check(X, Y, SemiOrientation(X, cut))
+        verdicts = extendibility_check(X, Y, complement_semiorientation(X, Y))
         extending = sorted(c for c, v in verdicts.items() if v == "extends")
         raise InputError(
             f"orientation extends across curve component(s) {extending}: "
@@ -250,11 +256,19 @@ def orientation_cover(X: SimplicialComplex, Y):
         odd = sheet ^ (x > y) ^ (x > z) ^ (y > z)
         total_signs.append(-signs[bt] if odd else signs[bt])
     total_semi = SemiOrientation(total, total_signs)
+    up = total_semi.signs
     if not is_coherent(total_semi):
-        raise ModelIntegrityError("orientation cover total space failed coherence")
+        pairs = total.dual_graph()[0]
+        f = next(f for f, p in enumerate(pairs) if p and up[p[2]] != up[p[0]] * p[4])
+        a, _, b, _, rel = pairs[f]
+        raise ModelIntegrityError(
+            "orientation cover total space failed coherence",
+            report={"edge": total.simplices(1)[f], "signs": (up[a], up[b]), "relative_sign": rel})
     pushed = pushforward_semiorientation(cover.deck, total_semi)
-    if pushed != tuple(-s for s in total_semi.signs):
-        raise ModelIntegrityError("deck transformation does not reverse the orientation")
+    if pushed != tuple(-s for s in up):
+        t = next(t for t, s in enumerate(up) if pushed[t] != -s)
+        raise ModelIntegrityError("deck transformation does not reverse the orientation",
+                                  report={"top": t, "sign": up[t], "pushed_sign": pushed[t]})
     return cover, total_semi
 
 
@@ -273,74 +287,14 @@ def stiefel_whitney_cocycle(X: SimplicialComplex) -> int:
     dd = duality_data(X, 1)
     sol = gf2_solve(dd.cup, dd.cup.diagonal_vector())
     if sol is None:
-        raise ModelIntegrityError("no cocycle evaluates as the self-intersection form")
+        raise ModelIntegrityError("no cocycle evaluates as the self-intersection form",
+                                  report={"cup": dd.cup})
     lam, _ = sol
     w = 0
-    ll = lam
-    while ll:
-        i = (ll & -ll).bit_length() - 1
-        ll &= ll - 1
-        w ^= dd.coh.cycles[i]
+    for i, z in enumerate(dd.coh.cycles):
+        if lam >> i & 1:
+            w ^= z
     return w
-
-
-def lift_involution(cover: CoverComplex, tau: SimplicialMap):
-    """Both lifts of a base involution to the total space.
-
-    A lift sends the copy (t, s) of base top t to (tau t, s + h), where the
-    0-cochain h on the dual graph of the total changes exactly across the
-    lifts of the faces where the sheet cocycle c of the cover (1 across a
-    face where the sheet changes) and tau*c differ.  h is one unsigned walk,
-    zero on the lowest top of each component: roots keep their sheet (the
-    c+ convention).  An inconsistent walk means the covering class is not
-    invariant under the involution.  The second lift is deck composed with
-    the first.  Each vertex goes to the vertex of its top's image that lies
-    over its image downstairs.
-    """
-    total, proj = cover.total, cover.projection
-    base = proj.target
-    check_involution(base, tau)
-    bad = impure_simplex(total)
-    if bad is not None:
-        raise InputError(f"cover total is not pure: {bad} is not a face of a top simplex")
-    n = total.dimension
-    labels, tau_top = cover.sheet_labels, tau.index_images(n)
-    glued = [(f, labels[p[0]], labels[p[2]]) for f, p in enumerate(total.dual_graph()[0]) if p]
-    change = {}
-    for _, (a, sa), (b, sb) in glued:
-        change[a, b] = change[b, a] = sa ^ sb
-    moved = {f for f, (a, _), (b, _) in glued if change[a, b] != change[tau_top[a], tau_top[b]]}
-    _, h = dual_walk(total, flip=moved, signed=False)
-    if h is None:
-        raise InputError("cover class not invariant under the involution: propagation conflict")
-
-    by_label = {label: j for j, label in enumerate(labels)}
-    tops, down, tau_im = total.simplices(n), proj.images, tau.images
-    images = [-1] * total.vertex_count
-    for i, (t, s) in enumerate(labels):
-        img = tops[by_label[tau_top[t], s ^ (h[i] < 0)]]
-        over = dict(zip(map(down.__getitem__, img), img))
-        for v in tops[i]:
-            w = over[tau_im[down[v]]]
-            if images[v] >= 0 and images[v] != w:
-                raise InputError(
-                    "cover class not invariant under the involution: "
-                    f"vertex {v} receives two images"
-                )
-            images[v] = w
-    # a vertex id in no simplex keeps its place in its fiber
-    fibers = {}
-    for v, x in enumerate(down):
-        fibers.setdefault(x, []).append(v)
-    for v in (v for v, w in enumerate(images) if w < 0):
-        images[v] = fibers[tau_im[down[v]]][fibers[down[v]].index(v)]
-    # every top went onto a top vertex by vertex, so every simplex does
-    c_plus = SimplicialMap._trusted(total, total, images)
-    c_minus = cover.deck.compose(c_plus)
-    for lift in (c_plus, c_minus):
-        if proj.compose(lift).images != tau.compose(proj).images:
-            raise ModelIntegrityError("constructed lift does not commute with projection")
-    return c_plus, c_minus
 
 
 def __getattr__(name):

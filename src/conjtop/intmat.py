@@ -260,15 +260,10 @@ def smith_normal_form(M: IntMatrix):
 
     r = min(m, n)
     for t in range(r):
-        prev = 0
         while (pos := find_pivot(t)) is not None:
             swap_rows(t, pos[0])
             swap_cols(t, pos[1])
             at, p = a[t], a[t][t]
-            if prev and abs(p) >= prev:
-                raise ModelIntegrityError("a repeated pivot search found no smaller pivot",
-                                          report={"step": t, "pivot": p, "previous": prev})
-            prev = abs(p)
             cols, ucols, vcols = _support(at, t), _support(u[t]), _support(vt[t])
             below = [i for i in range(t + 1, m) if a[i][t]]
             for i in below:
@@ -280,7 +275,8 @@ def smith_normal_form(M: IntMatrix):
                 mins[i] = _row_min(a[i], t)
             if len(rows) == 1 and not any(at[j] for j in cols[1:]):
                 break
-            # residues smaller than |p| remain, so the next pivot is smaller
+            # residues smaller than |p| remain, in rows whose minimum was just
+            # recomputed: the next pivot is strictly smaller, so the search ends
 
     def fix_pair(t, s):
         # replace diag entries (a_t, a_s) by (gcd, +-lcm); only rows/cols

@@ -182,12 +182,6 @@ def involution_form(space, tau: SimplicialMap | None = None,
     return BilinearFormGF2(gram)
 
 
-def intersection_form(space, basis_cycles=None) -> BilinearFormGF2:
-    """Mod-2 intersection form on middle homology."""
-    hom, pairing, _ = _middle_forms(space, act=False)
-    return BilinearFormGF2(_Basis(hom, basis_cycles).transform_form(pairing))
-
-
 def _fixed_facts(space, tau, basis_cycles=None, total=False):
     """Middle class of the fixed set plus its top dimension (None for chain
     data), or with ``total`` its total Betti number in place of the class.

@@ -153,9 +153,10 @@ def orientation_class_check(L: IntegerLattice, Q: QuotientTransferData | None, a
 
 
 def order_obstruction(L: IntegerLattice, d: int, beta) -> "ObstructionVerdict":
-    """Odd order forbids bounding; the witness is validated exactly.
+    """Odd order forbids bounding, as a witness validated exactly over Z shows.
 
-    ``beta`` must be invariant under the isometry with self-pairing d.
+    ``beta`` must be invariant under the isometry with self-pairing d; then
+    beta . tau(beta) = d, so for odd d the form ``conj_form_mod2(L)`` is odd.
     """
     from .smith import ObstructionVerdict
 

@@ -181,7 +181,9 @@ def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
     if not verdict.dividing:
         raise InputError("complex semi-orientation needs a dividing involution")
     if signs is None:
-        raise ModelIntegrityError("surface is non-orientable: halves cannot induce orientations")
+        raise ModelIntegrityError(
+            "surface is non-orientable: halves cannot induce orientations",
+            report={"fixed_edges": F.n_simplices(1), "half_sizes": tuple(map(len, verdict.halves))})
     half0 = verdict.halves[0]
     pairs = K.dual_graph()[0]
     glue = None
@@ -192,7 +194,8 @@ def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):
         turn = signs[a] * signs[b] * rel
         glue = glue or turn
         if turn != glue:
-            raise ModelIntegrityError(f"halves induce the same direction on fixed edge {e}")
+            raise ModelIntegrityError(f"halves induce the same direction on fixed edge {e}",
+                                      report={"edge": e, "turn": turn, "glue": glue})
         # the edge sign is the one the half-0 side induces
         if a not in half0:
             a, ja = b, jb

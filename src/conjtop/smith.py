@@ -2,9 +2,9 @@
 
 The quotient, the orbit chain complex and regularization by subdivision;
 the Harnack-style Betti bound with M-detection, the Smith kernel bound in
-dimension four, parity obstructions and the even-form check of M-objects.
-No ``conjtop`` command runs them, so they live apart from
-``conjtop.involutions``, from which the benchmark reads two of the audits.
+dimension four and the even-form check of M-objects.  No ``conjtop``
+command runs them, so they live apart from ``conjtop.involutions``, from
+which the benchmark reads two of the audits.
 """
 
 from .chains import ChainComplexData
@@ -191,26 +191,6 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
 
 class ObstructionVerdict(Record):
     __slots__ = ("obstructed", "reason", "witness")
-
-
-def parity_obstruction(d: int, B: BilinearFormGF2, invariant_class: int) -> ObstructionVerdict:
-    """Odd order or degree obstructs bounding in the complexification.
-
-    The caller supplies a conjugation-invariant class whose self-pairing
-    must equal d mod 2; with odd d the form takes a nonzero value on it,
-    so the form is not even and the fixed set cannot bound.
-    """
-    if invariant_class >> B.dimension:
-        raise InputError("witness class has too many coordinates")
-    self_val = B.value(invariant_class, invariant_class)
-    if self_val != d % 2:
-        raise InputError(
-            f"witness validation failed: self-pairing {self_val} does not match order {d}"
-        )
-    if d % 2 == 1:
-        return ObstructionVerdict(True, "odd order cannot bound in complexification",
-                                  invariant_class)
-    return ObstructionVerdict(False, "no obstruction from parity", None)
 
 
 def check_m_variety_even_form(space, tau=None, basis_cycles=None) -> dict:

@@ -10,12 +10,11 @@ from conjtop.complexes import (
     SimplicialMap,
     _levels,
     _normalize_simplex,
-    check_involution,
     fundamental_class,
     impure_simplex,
 )
 from conjtop.duality import duality_data, intersection_form_matrix
-from conjtop.errors import InputError, ModelIntegrityError
+from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix, gf2_solve
 from conjtop.homology import cohomology, homology
 from conjtop.intmat import IntMatrix, smith_normal_form
@@ -69,6 +68,11 @@ def marked_basis(library, name):
         basis.append(chain_bits(K, marks[f"basis{i}"]))
         i += 1
     return basis or None
+
+
+def identity_map(K):
+    """The identity of K, the map every test that needs one builds."""
+    return SimplicialMap(K, K, range(K.vertex_count))
 
 
 def involution_model(library, name):
@@ -181,74 +185,6 @@ def sheet_labels_from_projection(total, base, proj):
         seen[bi] = sheet + 1
         labels.append((bi, sheet))
     return tuple(labels)
-
-
-def propagated_lift(cover, tau):
-    """Both lifts of a base involution, propagated top by top over the dual
-    graph of the total space from face images: the oracle for
-    ``coverings.lift_involution``.  Roots of components keep their sheet."""
-    total, proj = cover.total, cover.projection
-    base = proj.target
-    check_involution(base, tau)
-    bad = impure_simplex(total)
-    if bad is not None:
-        raise InputError(f"cover total is not pure: {bad} is not a face of a top simplex")
-    n = total.dimension
-    tops = total.simplices(n)
-    cofaces = total.cofaces(n - 1)
-    by_label = {label: j for j, label in enumerate(cover.sheet_labels)}
-    base_tops = base.simplices(n)
-    vertex_image = {}
-    assigned = [None] * len(tops)
-
-    def assign(t, img_t):
-        assigned[t] = img_t
-        dst_by_proj = {}
-        for w in tops[img_t]:
-            dst_by_proj.setdefault(proj(w), []).append(w)
-        for v in tops[t]:
-            cands = dst_by_proj.get(tau(proj(v)), [])
-            if len(cands) != 1:
-                raise InputError("cover class not invariant under the involution: "
-                                 "ambiguous vertex image")
-            if vertex_image.setdefault(v, cands[0]) != cands[0]:
-                raise InputError("cover class not invariant under the involution: "
-                                 f"vertex {v} receives two images")
-
-    for root in range(len(tops)):
-        if assigned[root] is not None:
-            continue
-        root_base, root_sheet = cover.sheet_labels[root]
-        img_base = tuple(sorted(tau(v) for v in base_tops[root_base]))
-        assign(root, by_label[(base.index_of(img_base), root_sheet)])
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            for face in combinations(tops[t], n):
-                cof = cofaces[total.index_of(face)]
-                if len(cof) != 2:
-                    continue
-                u = cof[0] if cof[1] == t else cof[1]
-                img_cof = cofaces[total.index_of(tuple(sorted(vertex_image[v] for v in face)))]
-                img_t = assigned[t]
-                if img_t not in img_cof:
-                    raise InputError("cover class not invariant under the involution: "
-                                     "image face misses the image simplex")
-                img_u = img_cof[0] if img_cof[1] == img_t else img_cof[1]
-                if assigned[u] is None:
-                    assign(u, img_u)
-                    stack.append(u)
-                elif assigned[u] != img_u:
-                    raise InputError("cover class not invariant under the involution: "
-                                     "propagation conflict")
-
-    images = [vertex_image[v] for v in range(total.vertex_count)]
-    c_plus = SimplicialMap._trusted(total, total, images)
-    c_minus = cover.deck.compose(c_plus)
-    for lift in (c_plus, c_minus):
-        if proj.compose(lift).images != tau.compose(proj).images:
-            raise ModelIntegrityError("constructed lift does not commute with projection")
-    return c_plus, c_minus
 
 
 # --- the per-simplex construction routes that vertex columns replaced -------------

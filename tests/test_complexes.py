@@ -9,7 +9,6 @@ from conjtop.complexes import (
     barycentric_subdivide,
     check_involution,
     fundamental_class,
-    identity_map,
     pseudomanifold_check,
 )
 from conjtop.errors import InputError
@@ -26,6 +25,7 @@ from conjtop.models import (
     torus7,
 )
 from conjtop.smith import orbit_chain_boundaries, quotient_by_involution, regularize
+from conftest import identity_map
 
 
 def test_validation_rejects_open_complex():

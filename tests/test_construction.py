@@ -19,13 +19,11 @@ from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivide,
-    identity_map,
     impure_simplex,
 )
 from conjtop.coverings import (
     branched_double_cover,
     double_cover_unbranched,
-    lift_involution,
     orientation_cover,
     stiefel_whitney_cocycle,
 )
@@ -88,18 +86,16 @@ def test_audited_model_builders(audited):
     assert library.complexes["quadric"] == models.quadric_complex()[0]
 
 
-def test_audited_double_covers_and_lifts(audited, library):
+def test_audited_double_covers(audited, library):
     rp2 = library.complexes["rp2_6vertex"]
-    cover = double_cover_unbranched(rp2, stiefel_whitney_cocycle(rp2))
-    lift_involution(cover, identity_map(rp2))
-    K, _, tau = library.maps["torus_reflection"]
-    lift_involution(double_cover_unbranched(library.complexes[K], 0), tau)
+    double_cover_unbranched(rp2, stiefel_whitney_cocycle(rp2))
+    K, _, _ = library.maps["torus_reflection"]
+    double_cover_unbranched(library.complexes[K], 0)
     octa = library.complexes["sphere_octa_sub"]
     branched = branched_double_cover(octa, curve(library, "sphere_octa_sub", "arcs_both"))
     assert branched.branch is not None
     klein = library.complexes["klein_bottle"]
-    cover, _ = orientation_cover(klein, curve(library, "klein_bottle", "w1dual"))
-    lift_involution(cover, library.maps["klein_shift"][2])
+    orientation_cover(klein, curve(library, "klein_bottle", "w1dual"))
     assert audited["complexes"] >= 5 and audited["maps"] >= 10
 
 
@@ -123,13 +119,6 @@ def test_audited_orbit_chain_complex(audited, library):
     for K, tau in maps:
         smith.smith_kernel_bound(library.complexes[K], tau)
     assert audited["chains"] == len(maps)
-
-
-def test_lift_refuses_impure_cover():
-    K = SimplicialComplex.from_simplices(6, list(combinations(range(4), 3)) + [(3, 4), (4, 5)])
-    cover = double_cover_unbranched(K, 0)
-    with pytest.raises(InputError, match=r"cover total is not pure: \(4,\) is not a face"):
-        lift_involution(cover, identity_map(K))
 
 
 # --- from_simplices against the parent route --------------------------------------

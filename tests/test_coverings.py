@@ -10,20 +10,18 @@ from conjtop.complexes import (
     barycentric_subdivide,
     dual_walk,
     fundamental_class,
-    identity_map,
 )
 from conjtop.coverings import (
     CoverComplex,
     _check_branch_preimage,
     branched_double_cover,
     double_cover_unbranched,
-    lift_involution,
     orientation_cover,
     stiefel_whitney_cocycle,
 )
 from conjtop.errors import InputError, ModelIntegrityError
-from conjtop.gf2 import Gf2Matrix, gf2_solve
-from conjtop.homology import betti_numbers, cohomology
+from conjtop.gf2 import Gf2Matrix, gf2_rank, gf2_solve
+from conjtop.homology import betti_numbers, cohomology, homology
 from conjtop.involutions import fixed_subcomplex
 from conjtop.lattices import kharlamov_congruence
 from conjtop.models import coned_grid_klein, coned_grid_torus, torus7
@@ -42,6 +40,7 @@ from conjtop.orientations import (
 from conftest import (
     chain_bits,
     former_boundary_support,
+    identity_map,
     incidence,
     induced_edge_direction,
     involution_model,
@@ -302,11 +301,15 @@ def test_branch_preimage_audit_refuses_corrupted_covers(library):
     off = next(s for s in K.simplices(0) if s not in cover.branch.simplices(0))
     wide = SimplicialComplex.from_simplices(K.vertex_count, cover.branch.simplices(0) + (off,))
     total, proj, labels = cover.total, cover.projection, cover.sheet_labels
-    with pytest.raises(ModelIntegrityError, match="has 2 preimages, expected 1"):
+    with pytest.raises(ModelIntegrityError, match="has 2 preimages, expected 1") as err:
         _check_branch_preimage(CoverComplex(total, proj, cover.deck, labels, wide), K)
-    with pytest.raises(ModelIntegrityError, match="deck-fixed simplices differ"):
+    assert err.value.report == {"simplex": off, "preimages": 2, "expected": 1}
+    # the identity fixes all 48 total vertices, the branch preimage is 4 of them
+    with pytest.raises(ModelIntegrityError, match="deck-fixed simplices differ") as err:
         fixing = CoverComplex(total, proj, identity_map(total), labels, cover.branch)
         _check_branch_preimage(fixing, K)
+    assert err.value.report == {"dimension": 0, "deck_fixed": 48, "branch_preimage": 4,
+                                "first_difference": (1,)}
 
 
 def test_chi_law_on_many_covers(library):
@@ -379,6 +382,35 @@ def test_dividing_matches_class_for_nonempty_fixed_curves(library):
         assert dividing_test(K, tau).dividing == (data.mid_class == 0), name
 
 
+# (fixed circles l, rank of their classes in H_1) for each surface map of the library
+CIRCLE_RANKS = {"torus_reflection": (2, 1), "genus2_dividing": (1, 0), "torus_diagonal": (1, 1),
+                "torus_free": (0, 0), "klein_shift": (0, 0), "genus2_nondividing": (0, 0)}
+
+
+def circle_rank(K, tau):
+    """(l, rank): the fixed circles, and the rank of their classes in H_1(K; Z/2)."""
+    h1 = homology(K, 1)
+    coords = [h1.coordinates_of(c.cycle) for c in fixed_subcomplex(K, tau).components
+              if c.dimension == 1]
+    return len(coords), gf2_rank(Gf2Matrix(len(coords), h1.betti, coords))
+
+
+def test_fixed_circles_relate_exactly_when_the_curve_divides(library):
+    """Section 1.3: the classes of the l fixed circles have rank l - 1 when the
+    curve divides and l otherwise.  Circles that sum to zero separate the
+    surface, and each borders both halves, so the only possible relation is
+    the sum of all l, which holds exactly for a dividing curve.  The rank is
+    read through homology, apart from the dual-graph cut of ``dividing_test``,
+    on every surface map of the library and a genus-3 M-double (4 circles)."""
+    cases = {name: involution_model(library, name)[:2] for name, (src, _, _) in
+             library.maps.items() if library.complexes[src].dimension == 2}
+    assert set(cases) == set(CIRCLE_RANKS)
+    for name, (K, tau) in [*cases.items(), ("m_double", m_double(3))]:
+        circles, rank = circle_rank(K, tau)
+        assert rank == circles - dividing_test(K, tau).dividing, name
+        assert (circles, rank) == CIRCLE_RANKS.get(name, (4, 3)), name
+
+
 # --- complex semi-orientations ---------------------------------------------------
 
 
@@ -437,6 +469,13 @@ def test_orientation_cover_rejects_extending_curve(library):
     K = library.complexes["torus_grid"]
     with pytest.raises(InputError, match="extends"):
         orientation_cover(K, curve(library, "torus_grid", "col0"))
+
+
+def test_orientation_cover_rejects_a_non_orientable_complement(library):
+    """The Klein bottle cut along nothing: the diagnosis refuses through
+    ``complement_semiorientation``, with its message."""
+    with pytest.raises(InputError, match="^complement of the curve is not orientable$"):
+        orientation_cover(library.complexes["klein_bottle"], [])
 
 
 # --- extendibility ------------------------------------------------------------------
@@ -507,6 +546,48 @@ def test_compare_rejects_non_homologous(library):
         compare_mod_curves(K, Y1, curve(library, "torus_grid", "row0"), s1, s1)
 
 
+def walk_without_signs(K, cut=frozenset(), flip=frozenset()):
+    """The dual walk with its signs lost, as on a non-orientable surface."""
+    return dual_walk(K, cut, flip)[0], None
+
+
+def walk_with_a_flipped_top(K, cut=frozenset(), flip=frozenset()):
+    """The dual walk with the sign negated on the half-1 top at the last cut face."""
+    comp, signs = dual_walk(K, cut, flip)
+    a, _, b, _, _ = K.dual_graph()[0][max(cut)]
+    t = a if comp[a] == 1 else b
+    return comp, signs[:t] + (-signs[t],) + signs[t + 1:]
+
+
+ORIENT = ["orient", "torus_reflection"]
+# guard: (corrupted walk, message, --machine trace after the message)
+ORIENT_FAULTS = {
+    "non_orientable": (walk_without_signs,
+                       "surface is non-orientable: halves cannot induce orientations",
+                       "fixed_edges=8\nhalf_sizes=(32,32)\n"),
+    "same_direction": (walk_with_a_flipped_top,
+                       "halves induce the same direction on fixed edge (10, 11)",
+                       "edge=(10,11)\nglue=-1\nturn=1\n"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(ORIENT_FAULTS))
+def test_orient_refuses_halves_from_a_corrupted_walk(guard, monkeypatch, capsys):
+    """``curve_complex_semiorientation`` reads the signs of the walk cut along
+    the fixed curve.  Without signs, or with one top of half 1 turned over,
+    ``orient`` exits 1 with the one-line reason and, with --machine, the
+    numbers the guard compared: the curve and half sizes, or the edge with
+    the sign that glues it against the sign of the first edge."""
+    from conjtop import orientations
+    from conjtop.cli import main
+
+    walk, message, trace = ORIENT_FAULTS[guard]
+    monkeypatch.setattr(orientations, "dual_walk", walk)
+    line = f"model integrity violation: {message}\n"
+    assert main(ORIENT) == 1 and capsys.readouterr().out == line
+    assert main(ORIENT + ["--machine"]) == 1 and capsys.readouterr().out == line + trace
+
+
 COMPARE = ["compare", "torus_grid", "--y1", "col0,col2", "--y2", "col1,col3"]
 
 
@@ -539,41 +620,9 @@ def test_stiefel_whitney_refuses_a_cup_matrix_without_a_wu_class(library, monkey
     cup = Gf2Matrix.from_rows([[1, 0], [1, 0]])
     monkeypatch.setattr(duality, "duality_data",
                         lambda K, k: duality.DualityData(None, None, cup, None, None))
-    with pytest.raises(ModelIntegrityError, match="no cocycle evaluates as the self-intersection"):
+    with pytest.raises(ModelIntegrityError, match="no cocycle evaluates as the self-inter") as err:
         stiefel_whitney_cocycle(library.complexes["klein_bottle"])
-
-
-# --- lifted involutions ----------------------------------------------------------------
-
-
-def test_lift_on_two_copies_cover(library):
-    K, tau, _ = involution_model(library, "torus_reflection")
-    cover = double_cover_unbranched(K, 0)
-    c_plus, c_minus = lift_involution(cover, tau)
-    nv = K.vertex_count
-    assert all(c_plus(v) < nv for v in range(nv))  # tau x id
-    assert all(c_minus(v) >= nv for v in range(nv))  # tau x swap
-    proj = cover.projection
-    assert proj.compose(c_plus).images == tau.compose(proj).images
-    assert proj.compose(c_minus).images == tau.compose(proj).images
-
-
-def test_lift_identity_on_orientation_cover(library):
-    K = library.complexes["rp2_6vertex"]
-    cover = double_cover_unbranched(K, stiefel_whitney_cocycle(K))
-    c_plus, c_minus = lift_involution(cover, identity_map(K))
-    assert c_plus.images == tuple(range(cover.total.vertex_count))
-    assert c_minus.images == cover.deck.images
-
-
-def test_lift_klein_shift_through_torus_cover(library):
-    K = library.complexes["klein_bottle"]
-    _, _, shift = library.maps["klein_shift"]
-    cover, _ = orientation_cover(K, curve(library, "klein_bottle", "w1dual"))
-    c_plus, c_minus = lift_involution(cover, shift)
-    proj = cover.projection
-    assert proj.compose(c_plus).images == shift.compose(proj).images
-    assert c_minus.images == cover.deck.compose(c_plus).images
+    assert err.value.report == {"cup": cup}
 
 
 # --- congruence --------------------------------------------------------------------------
@@ -652,9 +701,10 @@ def arcs_branch_plus_an_edge(cover):
 COVER_FAULTS = {
     # guard: (command, corruption, message, --machine trace after the message)
     "absorbs": (RP2_COVER, lambda c: moved_deck(c, {0: 7, 1: 6}),
-                "projection does not absorb the deck transformation", ""),
+                "projection does not absorb the deck transformation",
+                "base=0\nimage=7\nimage_base=1\nvertex=0\n"),
     "involution": (RP2_COVER, lambda c: moved_deck(c, {0: 0}),
-                   "deck transformation is not an involution", ""),
+                   "deck transformation is not an involution", "image=0\nsquare=0\nvertex=6\n"),
     "fibers": (RP2_COVER, lambda c: extra_branch(c, [(0,)]),
                "fiber over vertex 0 has 2 points, expected 1",
                "expected=1\npoints=2\nvertex=0\n"),
@@ -696,7 +746,7 @@ def test_cover_validation_refuses_a_corrupted_cover(guard, library, monkeypatch)
 @pytest.mark.parametrize("guard", sorted(COVER_FAULTS))
 def test_cover_command_reports_a_corrupted_cover(guard, monkeypatch, capsys):
     """Through ``cover``: exit 1, the one-line reason, and with --machine the
-    guard's numeric trace after it (none for the two deck guards)."""
+    guard's numeric trace after it."""
     from conjtop.cli import main
 
     command, corrupt, message, trace = COVER_FAULTS[guard]

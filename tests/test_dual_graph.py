@@ -1,13 +1,13 @@
 """The cached signed dual graph against the vertex-level rules it replaced.
 
-Walks, coherence, covers, semi-orientations, dividing halves and lifts
-read ``SimplicialComplex.dual_graph`` by face index.  Each is compared
-here, exactly, with the former construction spelled out by face tuples and
-vertex incidences (``conftest.incidence``, ``top_adjacency``,
-``face_tuple_dual_walk`` and ``propagated_lift``), on every library map,
-both covers of each bundled surface and one barycentric subdivision.  The
-mutation tests show that the checks reading the graph and the fixed set
-catch a flipped sign and a dropped fixed component.
+Walks, coherence, covers, semi-orientations and dividing halves read
+``SimplicialComplex.dual_graph`` by face index.  Each is compared here,
+exactly, with the former construction spelled out by face tuples and
+vertex incidences (``conftest.incidence``, ``top_adjacency`` and
+``face_tuple_dual_walk``), on every library map, both covers of each
+bundled surface and one barycentric subdivision.  The mutation tests show
+that the checks reading the graph and the fixed set catch a flipped sign
+and a dropped fixed component.
 """
 
 import random
@@ -20,17 +20,14 @@ from conjtop.complexes import (
     _roots,
     barycentric_subdivide,
     dual_walk,
-    identity_map,
 )
 from conjtop.coverings import (
     branched_double_cover,
     double_cover_unbranched,
-    lift_involution,
     orientation_cover,
     stiefel_whitney_cocycle,
 )
 from conjtop.errors import InputError, ModelIntegrityError
-from conjtop.homology import cohomology
 from conjtop.involutions import fixed_subcomplex
 from conjtop.orientations import (
     SemiOrientation,
@@ -42,9 +39,9 @@ from conjtop.orientations import (
 )
 from conftest import (
     face_tuple_dual_walk,
+    identity_map,
     incidence,
     involution_model,
-    propagated_lift,
     sheet_labels_from_projection,
     top_adjacency,
 )
@@ -265,61 +262,6 @@ def test_orientation_cover_signs_match_transport(library):
         assert pushforward_semiorientation(cover.deck, semi) == tuple(-s for s in semi.signs)
 
 
-def test_lifts_match_propagated_lifts(library):
-    """Both covers of each surface, and the w1 cover again from a seeded
-    cohomologous cocycle, so that the involution moves the sheet cocycle."""
-    rng = random.Random(53)
-    lifted = 0
-    for name, K, maps in surface_cases(library):
-        w1 = stiefel_whitney_cocycle(K) ^ K.boundary_matrix(1).transpose().mul_vec(
-            rng.getrandbits(K.vertex_count))
-        covers = [cover for _, cover, _ in covers_of(library, name, K)]
-        for cover in covers + [double_cover_unbranched(K, w1)]:
-            for tau in maps:
-                if len(cover.total.simplices(0)) < cover.total.vertex_count:
-                    continue  # the oracle needs every vertex id in a top
-                try:
-                    want = propagated_lift(cover, tau)
-                except InputError:
-                    with pytest.raises(InputError, match="cover class not invariant"):
-                        lift_involution(cover, tau)
-                    continue
-                got = lift_involution(cover, tau)
-                assert [f.images for f in got] == [f.images for f in want], name
-                lifted += 1
-    assert lifted >= 30
-
-
-def test_lift_fixes_vertex_ids_outside_the_complex(library):
-    """Vertex ids in no simplex keep their place in their fiber; the former
-    propagation had no image for them and failed with a KeyError."""
-    K, tau, _ = involution_model(library, "genus2_dividing")
-    assert K.n_simplices(0) < K.vertex_count
-    cover = double_cover_unbranched(K, 0)
-    c_plus, c_minus = lift_involution(cover, identity_map(K))
-    assert c_plus.images == tuple(range(cover.total.vertex_count))
-    assert c_minus.images == cover.deck.images
-    for lift in lift_involution(cover, tau):
-        assert lift.is_involution()
-        assert cover.projection.compose(lift).images == tau.compose(cover.projection).images
-
-
-def test_lift_refuses_class_the_involution_moves(library):
-    K, tau, _ = involution_model(library, "torus_diagonal")
-    refused = 0
-    for w in cohomology(K, 1).cycles:
-        cover = double_cover_unbranched(K, w)
-        try:
-            want = propagated_lift(cover, tau)
-        except InputError:
-            with pytest.raises(InputError, match="cover class not invariant"):
-                lift_involution(cover, tau)
-            refused += 1
-            continue
-        assert [f.images for f in lift_involution(cover, tau)] == [f.images for f in want]
-    assert refused >= 1
-
-
 # --- seeded mutations -------------------------------------------------------------
 
 
@@ -360,8 +302,10 @@ def test_flipped_sign_breaks_coherence_and_orientation_cover(library, monkeypatc
                         lambda self: mutated(self) if self.vertex_count != klein.vertex_count
                         else original(self))
     base = SimplicialComplex.from_simplices(klein.vertex_count, klein.simplices(2))
-    with pytest.raises(ModelIntegrityError, match="coherence"):
+    with pytest.raises(ModelIntegrityError, match="coherence") as err:
         orientation_cover(base, curve)
+    # the mutated face, the first edge of the total, with the signs its flipped relation rejects
+    assert err.value.report == {"edge": (0, 1), "signs": (1, -1), "relative_sign": 1}
 
 
 @pytest.mark.parametrize("name", ["torus_reflection", "genus2_dividing"])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conjtop.chains import ChainComplexData
-from conjtop.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, identity_map
+from conjtop.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide
 from conjtop.coverings import double_cover_unbranched, orientation_cover, stiefel_whitney_cocycle
 from conjtop.duality import (
     _cup_matrix,
@@ -26,7 +26,7 @@ from conjtop.models import (
     torus_reflection,
     torus_with_hole,
 )
-from conftest import cochain_intersection_form, cup_eval, cup_eval_matrix, m_double
+from conftest import cochain_intersection_form, cup_eval, cup_eval_matrix, identity_map, m_double
 
 
 def naive_betti(K, k):

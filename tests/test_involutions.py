@@ -1,13 +1,12 @@
 import pytest
 
-from conjtop.complexes import fundamental_class, identity_map
+from conjtop.complexes import fundamental_class
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import BilinearFormGF2, Gf2Matrix, characteristic_class, is_even
 from conjtop.homology import homology
 from conjtop.involutions import (
     classify_type,
     fixed_subcomplex,
-    intersection_form,
     involution_form,
     verify_fixed_class_is_characteristic,
 )
@@ -16,12 +15,12 @@ from conjtop.smith import (
     _smith_verdict,
     check_m_variety_even_form,
     harnack_audit,
-    parity_obstruction,
     smith_kernel_bound,
 )
 from conftest import (
     cochain_pullback,
     cup_eval,
+    identity_map,
     involution_model,
     marked_basis,
     poincare_dual_cocycle,
@@ -299,29 +298,6 @@ def test_smith_requires_dimension_four(library):
         smith_kernel_bound(K, tau)
 
 
-# --- parity obstruction ----------------------------------------------------------
-
-
-def test_parity_obstruction_odd_degree(library):
-    K, tau, basis = involution_model(library, "quadric")
-    B = involution_form(K, tau, basis_cycles=basis)
-    verdict = parity_obstruction(3, B, 0b01)
-    assert verdict.obstructed and verdict.witness == 0b01
-
-
-def test_parity_obstruction_even_degree(library):
-    K, tau, basis = involution_model(library, "quadric")
-    B = involution_form(K, tau, basis_cycles=basis)
-    assert not parity_obstruction(2, B, 0b11).obstructed
-
-
-def test_parity_obstruction_bad_witness(library):
-    K, tau, basis = involution_model(library, "quadric")
-    B = involution_form(K, tau, basis_cycles=basis)
-    with pytest.raises(InputError, match="witness"):
-        parity_obstruction(3, B, 0b11)
-
-
 # --- M-variety with even form bounds ------------------------------------------------
 
 
@@ -343,12 +319,6 @@ def test_m_variety_check_t4(library):
     rep = check_m_variety_even_form(library.chains["t4_chain"])
     assert rep["is_m"] and rep["even_intersection_form"] and not rep["vacuous"]
     assert rep["trivial_action_checked"]
-
-
-def test_intersection_form_helper(library):
-    K, tau, basis = involution_model(library, "quadric")
-    assert intersection_form(K, basis_cycles=basis).gram == HYPERBOLIC
-    assert intersection_form(library.chains["t4_chain"]).gram.is_symmetric()
 
 
 def test_characteristic_class_second_solver_oracle(library):

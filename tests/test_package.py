@@ -7,6 +7,7 @@ benchmark's cold commands has a ceiling on the source lines it loads.  Run
 command.
 """
 
+import ast
 import functools
 import hashlib
 import importlib
@@ -25,21 +26,22 @@ from conjtop.cli import main
 ENV = {**os.environ, "PYTHONPATH": str(Path(conjtop.__file__).resolve().parents[1])}
 
 # the names ``conjtop`` exported when its root imported every module
-# eagerly, under the module that defines each
+# eagerly, under the module that defines each, less the four it dropped
+# for having no reader outside the tests (DROPPED)
 EXPORTED = {
     "chains": ("ChainComplexData",),
     "complexes": ("SimplicialComplex", "SimplicialMap", "barycentric_subdivide",
-                  "fundamental_class", "identity_map", "pseudomanifold_check"),
+                  "fundamental_class", "pseudomanifold_check"),
     "coverings": ("CoverComplex", "branched_double_cover", "double_cover_unbranched",
-                  "lift_involution", "orientation_cover", "stiefel_whitney_cocycle"),
+                  "orientation_cover", "stiefel_whitney_cocycle"),
     "duality": ("cup_pairing", "duality_audit", "induced_map"),
     "errors": ("InputError", "ModelIntegrityError"),
     "gf2": ("BilinearFormGF2", "Gf2Matrix", "characteristic_class", "gf2_kernel_basis",
             "gf2_rank", "gf2_solve", "is_even"),
     "homology": ("HomologyBasis", "betti_numbers", "cohomology", "homology", "total_betti"),
     "intmat": ("IntMatrix", "int_kernel_basis", "smith_normal_form"),
-    "involutions": ("TypeVerdict", "classify_type", "fixed_subcomplex", "intersection_form",
-                    "involution_form", "verify_fixed_class_is_characteristic"),
+    "involutions": ("TypeVerdict", "classify_type", "fixed_subcomplex", "involution_form",
+                    "verify_fixed_class_is_characteristic"),
     "lattices": ("IntegerLattice", "QuotientTransferData", "build_lattice", "conj_form_mod2",
                  "invariant_sublattices", "kharlamov_congruence", "order_obstruction",
                  "orientation_class_check", "torsion_audit", "transfer_audit"),
@@ -53,9 +55,10 @@ EXPORTED = {
                "evaluate_q4", "pin_value_from_loops", "qform_from_loop_table",
                "spin_value_from_loops"),
     "smith": ("check_m_variety_even_form", "harnack_audit", "orbit_chain_boundaries",
-              "parity_obstruction", "quotient_by_involution", "regularize",
-              "smith_kernel_bound"),
+              "quotient_by_involution", "regularize", "smith_kernel_bound"),
 }
+DROPPED = {"complexes": "identity_map", "coverings": "lift_involution",
+           "involutions": "intersection_form", "smith": "parity_obstruction"}
 CLI_EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json").read_text("utf-8")
 )
@@ -70,7 +73,7 @@ def fresh(code):
 
 
 def test_every_former_export_is_its_module_attribute():
-    assert sum(map(len, EXPORTED.values())) == 78
+    assert sum(map(len, EXPORTED.values())) == 74
     listed = dir(conjtop)
     for module, names in EXPORTED.items():
         owner = importlib.import_module(f"conjtop.{module}")
@@ -80,6 +83,15 @@ def test_every_former_export_is_its_module_attribute():
             assert namespace[name] is getattr(conjtop, name) is getattr(owner, name), name
             assert getattr(owner, name).__module__ == owner.__name__, name
             assert name in listed, name
+
+
+@pytest.mark.parametrize("module", sorted(DROPPED))
+def test_a_dropped_export_is_gone_from_the_root_and_its_module(module):
+    name = DROPPED[module]
+    assert name not in dir(conjtop)
+    for owner in (conjtop, importlib.import_module(f"conjtop.{module}")):
+        with pytest.raises(AttributeError, match=name):
+            getattr(owner, name)
 
 
 def test_a_root_export_loads_only_its_owner():
@@ -105,6 +117,19 @@ def test_homology_stays_the_function(first):
     ``conjtop.homology`` first: the root itself or a module that needs it."""
     assert fresh(f"{first}\nimport conjtop\nprint(type(conjtop.homology).__name__)") \
         == "function\n"
+
+
+def test_every_integrity_guard_reports_its_numbers():
+    """Each ``ModelIntegrityError(...)`` in the package passes ``report=``, so an
+    exit-1 ``--machine`` run prints what its check compared."""
+    guards, bare = 0, []
+    for path in sorted(Path(conjtop.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ModelIntegrityError":
+                guards += 1
+                if not any(k.arg == "report" for k in node.keywords):
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert guards >= 27 and bare == []
 
 
 def test_cli_import_loads_four_modules():
@@ -211,23 +236,23 @@ def test_unknown_object_message_unchanged(capsys):
 # cli.py counted once.  Each ceiling is the count it pins, so a line added to
 # a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2154,
-    "classify quadric --h (1,1)": 2167,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2154,
-    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1975,
-    "congruence --chi 8 --type I_abs --h1-trivial": 1464,
-    "conj-form quadric": 2334,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2180,
-    "cover sphere_octa_sub --cut arcs_both": 2180,
-    "divide torus_reflection": 2448,
-    "fixed-set quadric": 2167,
-    "homology klein6 --model .bench_work/cli_models.txt": 1895,
-    "homology klein_bottle": 1847,
-    "homology torus6 --model .bench_work/cli_models.txt": 1895,
-    "homology torus7": 1812,
-    "lattice-audit quadric_lattice": 1663,
-    "orient torus_reflection": 2448,
-    "orient-cover klein_bottle --curve w1dual": 2541,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2140,
+    "classify quadric --h (1,1)": 2153,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2140,
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1970,
+    "congruence --chi 8 --type I_abs --h1-trivial": 1461,
+    "conj-form quadric": 2320,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2126,
+    "cover sphere_octa_sub --cut arcs_both": 2126,
+    "divide torus_reflection": 2437,
+    "fixed-set quadric": 2153,
+    "homology klein6 --model .bench_work/cli_models.txt": 1887,
+    "homology klein_bottle": 1839,
+    "homology torus6 --model .bench_work/cli_models.txt": 1887,
+    "homology torus7": 1804,
+    "lattice-audit quadric_lattice": 1660,
+    "orient torus_reflection": 2437,
+    "orient-cover klein_bottle --curve w1dual": 2490,
     "qform rp2_loops": 1256,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",

@@ -20,8 +20,8 @@ import pickle
 
 import pytest
 
-from conftest import FORMER_RECORDS, FORMER_VALUES
-from conjtop.complexes import SimplicialComplex, identity_map
+from conftest import FORMER_RECORDS, FORMER_VALUES, identity_map
+from conjtop.complexes import SimplicialComplex
 from conjtop.errors import InputError, Record
 from conjtop.gf2 import BilinearFormGF2, Gf2Matrix
 from conjtop.intmat import IntMatrix
