@@ -7,17 +7,16 @@ the same code for absolute and relative homology and cohomology.  Induced
 maps, cup products and forms live in ``conjtop.duality``, apart, because a cold
 command compiles every module it loads; the benchmark reads ``duality_data`` here.
 
-Homology bases are echelon-canonical, so cycles and coordinates are
-reproducible.  Every path (absolute, relative, orbit, cohomology) feeds
-boundary columns to one lowest-bit column reduction, ``reduce_columns``.
-The boundary into dimension k yields a pivot map of the boundaries B whose
-pivots are those a row echelon form of B picks; each class of Z/B has one
-representative vanishing on them.  The boundary out of dimension k yields
-cycles with distinct lowest bits; those whose lowest bit is not a pivot of
-B are such representatives, one per class of a basis, and their reduced
-row echelon form (``gf2.echelon``, the same reduction back-substituted) is
-the canonical basis.  A chain is reduced against the pivot map, lowest
-pivot first, to find its representative.
+Every path (absolute, relative, orbit, cohomology) feeds boundary columns
+to one lowest-bit column reduction, ``reduce_columns``; Betti numbers are
+its pivot counts.  The boundary into dimension k yields a pivot map of the
+boundaries B whose pivots are those a row echelon form of B picks; each
+class of Z/B has one representative vanishing on them.  The boundary out
+of dimension k yields cycles with distinct lowest bits; those whose lowest
+bit is not a pivot of B are such representatives, one per class, and
+their reduced row echelon form (``gf2.echelon``, the same reduction
+back-substituted) is the echelon-canonical basis, reproducible across
+runs.  A chain finds its representative by the pivot map, lowest pivot first.
 """
 
 from __future__ import annotations
@@ -180,8 +179,9 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
 
 
 def betti_numbers(space):
-    n = space.dimension
-    return tuple(homology(space, k).betti for k in range(n + 1))
+    """Betti numbers 0..n: n_k less the pivot counts of the cached reductions into and out of k."""
+    rank = [len(_reduction(space, k)[0]) for k in range(space.dimension + 2)]
+    return tuple(space.n_simplices(k) - rank[k] - rank[k + 1] for k in range(len(rank) - 1))
 
 
 def total_betti(space) -> int:

@@ -66,8 +66,7 @@ class IntMatrix:
     @classmethod
     def diagonal(cls, entries):
         entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[0] * i + [e] + [0] * (len(entries) - 1 - i) for i, e in enumerate(entries)])
 
     def __getitem__(self, ij):
         i, j = ij

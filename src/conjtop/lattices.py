@@ -10,14 +10,14 @@ classes).  Doubling carries the rest: pull x = 0 gives 2x = push(pull x)
 pull(push(beta) // 2) = beta.  No Smith form of pull is needed.
 
 Kharlamov's congruence (section 2.3: chi = 0 mod 8 for a bounding type I_abs
-surface with trivial H_1) is Euler-characteristic arithmetic, so it is here.
+surface with trivial H_1) is Euler-characteristic arithmetic, so it is here;
+``conjtop.intmat`` is imported where it is used, which the congruence never is.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import BilinearFormGF2
-from .intmat import IntMatrix, int_kernel_basis, invariant_factors
 
 
 class QuotientTransferData(Record):
@@ -51,6 +51,8 @@ def build_lattice(
     transfer: QuotientTransferData | None = None,
 ) -> IntegerLattice:
     """Validate and assemble lattice data; every failed identity is named."""
+    from .intmat import IntMatrix
+
     n = gram.nrows
     if gram.ncols != n:
         raise InputError("Gram matrix must be square")
@@ -79,12 +81,10 @@ def build_lattice(
 
 def invariant_sublattices(L: IntegerLattice):
     """Integer bases of ker(T - I) and ker(T + I)."""
-    T = L.isometry
-    n = L.rank
-    I = IntMatrix.identity(n)
-    plus = int_kernel_basis(T - I)
-    minus = int_kernel_basis(T + I)
-    return tuple(plus), tuple(minus)
+    from .intmat import IntMatrix, int_kernel_basis
+
+    T, I = L.isometry, IntMatrix.identity(L.rank)
+    return tuple(int_kernel_basis(T - I)), tuple(int_kernel_basis(T + I))
 
 
 def conj_form_mod2(L: IntegerLattice) -> BilinearFormGF2:
@@ -94,6 +94,8 @@ def conj_form_mod2(L: IntegerLattice) -> BilinearFormGF2:
 
 
 def _check_doubling(Q: QuotientTransferData) -> None:
+    from .intmat import IntMatrix
+
     comp = Q.p_push * Q.p_pull
     if comp != IntMatrix.identity(Q.quotient_rank).scale(2):
         raise ModelIntegrityError("push after pull is not multiplication by 2",
@@ -109,28 +111,24 @@ def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> 
     2 alpha.  Injectivity of pull follows from doubling.  The only Smith
     form is that of T - I, for the invariant classes.
     """
+    from .intmat import IntMatrix, int_kernel_basis
+
     Q = Q or L.transfer
     if Q is None:
         raise InputError("no transfer data supplied")
     _check_doubling(Q)
-    report = {"composition_is_doubling": True}
-    report["pull_injective"] = True  # pull x = 0 gives 2x = push(pull x) = 0
     T_minus_I = L.isometry - IntMatrix.identity(L.rank)
     fixed = T_minus_I * Q.p_pull
     if any(any(e != 0 for e in row) for row in fixed.rows):
         raise ModelIntegrityError("image of pull is not invariant under the isometry",
                                   report={"defect": fixed})
-    report["image_invariant"] = True
     invariant = int_kernel_basis(T_minus_I)
     for alpha in invariant:
         if Q.p_pull.mul_vec(Q.p_push.mul_vec(alpha)) != tuple(2 * a for a in alpha):
-            raise ModelIntegrityError(
-                "twice an invariant class escapes the image of pull",
-                report={"alpha": alpha},
-            )
-    report["doubled_invariants_in_image"] = True
-    report["invariant_rank"] = len(invariant)
-    return report
+            raise ModelIntegrityError("twice an invariant class escapes the image of pull",
+                                      report={"alpha": alpha})
+    return {"composition_is_doubling": True, "pull_injective": True, "image_invariant": True,
+            "doubled_invariants_in_image": True, "invariant_rank": len(invariant)}
 
 
 def orientation_class_check(L: IntegerLattice, Q: QuotientTransferData | None, alpha) -> bool:
@@ -184,6 +182,8 @@ def torsion_audit(L: IntegerLattice) -> dict:
     passes; an even invariant factor flags every transfer-based check as
     unsound for this input.
     """
+    from .intmat import invariant_factors
+
     if L.presentation is None:
         return {"checked": False, "assumption": "no 2-torsion (presentation not supplied)"}
     factors = invariant_factors(L.presentation)

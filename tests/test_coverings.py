@@ -478,6 +478,30 @@ def test_orientation_cover_rejects_a_non_orientable_complement(library):
         orientation_cover(library.complexes["klein_bottle"], [])
 
 
+def test_orientation_cover_refuses_a_deck_that_keeps_the_orientation(library, monkeypatch,
+                                                                      capsys):
+    """A pushforward that returns the signs without negating them reaches the
+    deck-reversal guard: the exception carries the first top whose pushed
+    sign is not reversed, and ``orient-cover`` exits 1 with that trace."""
+    from conjtop import orientations
+    from conjtop.cli import main
+
+    K = library.complexes["klein_bottle"]
+    Y = curve(library, "klein_bottle", "w1dual")
+    orientation_cover(K, Y)  # the true pushforward passes
+    monkeypatch.setattr(orientations, "pushforward_semiorientation", lambda deck, semi: semi.signs)
+    with pytest.raises(ModelIntegrityError) as err:
+        orientation_cover(K, Y)
+    message = "deck transformation does not reverse the orientation"
+    assert str(err.value) == message
+    assert err.value.report == {"top": 0, "sign": 1, "pushed_sign": 1}
+    line = f"model integrity violation: {message}\n"
+    command = ["orient-cover", "klein_bottle", "--curve", "w1dual"]
+    assert main(command) == 1 and capsys.readouterr().out == line
+    assert main(command + ["--machine"]) == 1
+    assert capsys.readouterr().out == line + "pushed_sign=1\nsign=1\ntop=0\n"
+
+
 # --- extendibility ------------------------------------------------------------------
 
 

@@ -240,7 +240,7 @@ COLD_CEILINGS = {
     "classify quadric --h (1,1)": 2153,
     "classify tetra2 --model .bench_work/cli_models.txt": 2140,
     "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1970,
-    "congruence --chi 8 --type I_abs --h1-trivial": 1461,
+    "congruence --chi 8 --type I_abs --h1-trivial": 1069,
     "conj-form quadric": 2320,
     "cover rp2_6vertex --cocycle w1_cocycle": 2126,
     "cover sphere_octa_sub --cut arcs_both": 2126,
@@ -250,7 +250,7 @@ COLD_CEILINGS = {
     "homology klein_bottle": 1839,
     "homology torus6 --model .bench_work/cli_models.txt": 1887,
     "homology torus7": 1804,
-    "lattice-audit quadric_lattice": 1660,
+    "lattice-audit quadric_lattice": 1659,
     "orient torus_reflection": 2437,
     "orient-cover klein_bottle --curve w1dual": 2490,
     "qform rp2_loops": 1256,

@@ -18,8 +18,9 @@ from conjtop.complexes import SimplicialComplex, barycentric_subdivide
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix, gf2_kernel_basis, reduce_columns
 from conjtop.homology import betti_numbers, cohomology, homology
-from conjtop.involutions import fixed_subcomplex
-from conjtop.smith import orbit_chain_boundaries
+from conjtop.involutions import fixed_subcomplex, is_regular
+from conjtop.models import factor_swap, model_library, product_complex, sphere_octa, sphere_tetra
+from conjtop.smith import _relative_betti, orbit_chain_boundaries
 from conftest import rref
 
 
@@ -178,6 +179,57 @@ def test_relative_masks_are_validated():
     for bad in ([1, 0b11], [1, 0b111, 0], [0, 0b01, 0], [1, 0, 1], [1, -1, 0], 5):
         with pytest.raises(InputError):
             homology(data, 1, rel=bad)
+
+
+def relative_bettis_agree(space, rel):
+    """The rank-only relative Betti numbers against the ranks of the bases."""
+    want = tuple(homology(space, k, rel=rel).betti for k in range(space.dimension + 1))
+    assert _relative_betti(space, rel) == want
+    return want
+
+
+def test_relative_betti_matches_bases_on_orbit_complexes_and_fixed_sets(library):
+    """On the orbit complex of every regular library map and of the S^2 x S^2
+    swaps relative to their fixed flags, and on every library map's complex
+    relative to its fixed subcomplex."""
+    swaps = []
+    for S in (sphere_tetra(), sphere_octa()):
+        P = product_complex(S, S)
+        swaps.append((P, factor_swap(P, S.vertex_count)))
+    maps = [(library.complexes[src], tau) for src, _, tau in library.maps.values()]
+    assert len(maps) == 9 and all(is_regular(K, tau) for K, tau in maps)
+    tables = []
+    for K, tau in maps + swaps:
+        boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
+        orbits = ChainComplexData._trusted([boundaries[0].nrows] + [b.ncols for b in boundaries],
+                                           boundaries)
+        tables.append(relative_bettis_agree(orbits, fixed_flags))
+    for K, tau in maps:
+        relative_bettis_agree(K, fixed_subcomplex(K, tau).subcomplex)
+    # (CP^2, conic) for the quadric and both swaps: the Smith table's groups
+    assert [t[2:] for t in tables if len(t) == 5] == [(1, 1, 1)] * 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_relative_betti_matches_bases_on_random_subcomplexes(library, data):
+    """Relative to the closure of at most 12 random simplices of a library complex."""
+    K = library.complexes[data.draw(st.sampled_from(sorted(library.complexes)))]
+    simplices = list(K.all_simplices())
+    picks = data.draw(st.lists(st.integers(0, len(simplices) - 1), max_size=12))
+    relative_bettis_agree(K, K.subcomplex(simplices[i] for i in picks))
+
+
+def test_betti_numbers_are_the_ranks_of_the_bases():
+    """Pivot counts against basis sizes on fresh library carriers, before the
+    bases are cached and after."""
+    fresh = model_library()
+    spaces = [*fresh.complexes.values(), *fresh.chains.values()]
+    assert len(spaces) == 16
+    for X in spaces:
+        before = betti_numbers(X)
+        assert before == tuple(homology(X, k).betti for k in range(X.dimension + 1))
+        assert betti_numbers(X) == before
 
 
 def test_betti_numbers_survive_subdivision(library):
