@@ -6,6 +6,8 @@ every invariant the involution analysis extracts.
 """
 
 from conjtop import (
+    SimplicialMap,
+    betti_numbers,
     characteristic_class,
     check_m_variety_even_form,
     classify_type,
@@ -15,10 +17,13 @@ from conjtop import (
     is_even,
     kharlamov_congruence,
     model_library,
+    quotient_by_involution,
+    regularize,
     smith_kernel_bound,
     verify_fixed_class_is_characteristic,
 )
 from conjtop.gf2 import bits_of
+from conjtop.models import sphere_octa
 
 lib = model_library()
 K = lib.complexes["quadric"]
@@ -78,3 +83,11 @@ for name, rep in (("quadric", check_m_variety_even_form(K, tau, basis_cycles=bas
                   ("torus_reflection", check_m_variety_even_form(lib.complexes[src], reflection))):
     print(f"  {name}: M-object {rep['is_m']}, even form {rep['even_intersection_form']}, "
           f"vacuous {rep['vacuous']}")
+
+print()
+print("the antipodal map of the octahedron has no simplicial quotient until regularized:")
+octa = sphere_octa()
+K2, antipodal = regularize(octa, SimplicialMap(octa, octa, [5, 4, 3, 2, 1, 0]))
+Q, _ = quotient_by_involution(K2, antipodal)
+print(f"  regularized: {K2}")
+print(f"  quotient: chi {Q.euler_characteristic()}, betti {betti_numbers(Q)} (RP^2)")

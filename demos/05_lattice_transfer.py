@@ -34,7 +34,7 @@ for key, val in report.items():
 print()
 print("which classes are twice a pulled-back class (the orientation classes)?")
 for alpha in ((1, 1), (2, 2), (-2, -2), (2, 0)):
-    print(f"  alpha={alpha}: {orientation_class_check(L, None, alpha)}")
+    print(f"  alpha={alpha}: {orientation_class_check(L, alpha)}")
 verdict = order_obstruction(L, 2, (1, 1))
 print(f"order 2, witnessed by the hyperplane class (1, 1): obstructed={verdict.obstructed} "
       f"({verdict.reason})")

@@ -62,9 +62,9 @@ class ChainComplexData(ChainCarrier):
         self._setup(ranks, boundaries, int_boundaries, involution, pairing, fixed_class,
                     fixed_betti_total)
         if pairing is not None:
-            from .duality import middle_dimension
-
-            b = homology(self, middle_dimension(self)).betti
+            if n % 2:  # duality.middle_dimension's check, without loading duality
+                raise InputError("middle dimension undefined for odd-dimensional data")
+            b = homology(self, n // 2).betti
             if (pairing.nrows, pairing.ncols) != (b, b):
                 raise InputError(f"pairing is {pairing.nrows}x{pairing.ncols}, middle Betti is {b}")
             if not pairing.is_symmetric():

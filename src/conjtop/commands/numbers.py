@@ -54,7 +54,7 @@ def _cmd_lattice_audit(model, args, report):
                     "doubled invariant classes lie in the image")
         for mark, vec in sorted(L.marks.items()):
             if mark.startswith("cand"):
-                ok = orientation_class_check(L, None, vec)
+                ok = orientation_class_check(L, vec)
                 report.item(f"orientation_class.{mark}", ok,
                             f"candidate {mark} {_fmt(vec)} is twice a pulled class")
     cross = alpha_chi_cross_check(L)

@@ -2,7 +2,8 @@
 
 Simplices are strictly increasing tuples of vertex indices, whose order
 cup products and barycentric subdivision rely on.  Complexes and maps are
-immutable: public constructors validate, derived ones are trusted.  Checks,
+immutable.  A complex has one checked way in, ``from_simplices``, which
+closes its generators; derived complexes and maps are trusted.  Checks,
 closure, face indices and map images run in passes over the vertex columns
 of each dimension, one face iterator per ``combinations`` position.
 """
@@ -97,9 +98,10 @@ def _boundary_support(chain_simplices, k: int):
 class SimplicialComplex:
     """Finite simplicial complex with a fixed vertex order.
 
-    The public constructor checks normalisation, vertex range and closure
-    under faces.  Complexes derived from valid ones are closed and
-    normalised by construction; :meth:`_trusted` builds them unchecked.
+    :meth:`from_simplices` is the one checked constructor: it normalises and
+    range-checks its generators and closes them under faces.  Complexes
+    derived from valid ones are closed and normalised by construction;
+    :meth:`_trusted` builds them unchecked.
     """
 
     __slots__ = (
@@ -117,46 +119,26 @@ class SimplicialComplex:
         "_closed",
     )
 
-    def __init__(self, vertex_count: int, simplices):
-        all_s = {_normalize_simplex(s) for s in simplices}
-        all_s.discard(())
-        by_dim = {}
-        for s in all_s:
-            if s[0] < 0 or s[-1] >= vertex_count:
-                raise InputError(f"simplex {s} has a vertex outside 0..{vertex_count - 1}")
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        for k, group in by_dim.items():
-            if k == 0:
-                continue
-            for s in group:
-                for f in combinations(s, k):
-                    if f not in all_s:
-                        raise InputError(f"complex not closed under faces: {s} misses {f}")
-        self._setup(vertex_count, [by_dim[k] for k in range(len(by_dim))])
-
     @classmethod
     def _trusted(cls, vertex_count: int, levels) -> "SimplicialComplex":
         """Complex from per-dimension sets of normalised simplices that are
         already closed under faces and in range; nothing is re-checked."""
         K = cls.__new__(cls)
-        K._setup(vertex_count, levels)
-        return K
-
-    def _setup(self, vertex_count, levels):
-        self.vertex_count = vertex_count
-        self._by_dim = tuple(tuple(sorted(group)) for group in levels)
-        self._index = index = {}
-        for group in self._by_dim:
+        K.vertex_count = vertex_count
+        K._by_dim = tuple(tuple(sorted(group)) for group in levels)
+        K._index = index = {}
+        for group in K._by_dim:
             index.update(zip(group, range(len(group))))
-        self._faces_cache = {}
-        self._boundary_cache = {}
-        self._columns_cache = {}
-        self._cofaces_cache = {}
-        self._dual_cache = None
-        self._red_cache = {}
-        self._hom_cache = {}
-        self._coh_cache = {}
-        self._closed = False
+        K._faces_cache = {}
+        K._boundary_cache = {}
+        K._columns_cache = {}
+        K._cofaces_cache = {}
+        K._dual_cache = None
+        K._red_cache = {}
+        K._hom_cache = {}
+        K._coh_cache = {}
+        K._closed = False
+        return K
 
     @classmethod
     def from_simplices(cls, vertex_count: int, generators) -> "SimplicialComplex":

@@ -21,6 +21,8 @@ runs.  A chain finds its representative by the pivot map, lowest pivot first.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .complexes import SimplicialComplex
 from .errors import InputError
 from .gf2 import Gf2Matrix, echelon, reduce_by_pivots, reduce_columns
@@ -118,6 +120,12 @@ def _restrict_columns(space, k, keep_cols, keep_rows):
     return [sum(map(pos.__getitem__, faces[j])) for j in keep_cols]
 
 
+def _cells_off(masks, k, n):
+    """Cells 0..n-1 outside ``masks[k]`` (all if k is out of range), in one pass over it."""
+    mask = masks[k] if 0 <= k < len(masks) else 0
+    return list(compress(range(n), map("0".__eq__, format(mask | 1 << n, "b")[:0:-1])))
+
+
 def _rel_masks(space, rel):
     """The cells of ``rel`` as one bit mask per dimension 0..n, checked to be closed."""
     n = space.dimension
@@ -129,31 +137,22 @@ def _rel_masks(space, rel):
             raise InputError(f"rel must be {n + 1} cell masks within the chain ranks")
         for k in range(1, n + 1):
             rows = space.boundaries[k - 1].rows
-            if any(r & masks[k] for i, r in enumerate(rows) if not (masks[k - 1] >> i) & 1):
+            outside = map(rows.__getitem__, _cells_off(masks, k - 1, len(rows)))
+            if any(map(masks[k].__and__, outside)):
                 raise InputError(f"rel cells are not closed under the boundary {k}")
         return masks
-    if isinstance(rel, SimplicialComplex):
-        if not space.contains_subcomplex(rel):
-            raise InputError("rel is not a subcomplex of the ambient complex")
-        rel_simplices = rel.all_simplices()
-    else:
-        rel_simplices = set(tuple(s) for s in rel)
-        sub = space.subcomplex(rel_simplices)
-        if set(sub.all_simplices()) != rel_simplices:
-            raise InputError("rel simplices are not closed under faces")
-    masks = [0] * (n + 1)
-    for s in rel_simplices:
-        masks[len(s) - 1] |= 1 << space.index_of(s)
-    return masks
+    if not isinstance(rel, SimplicialComplex) or not space.contains_subcomplex(rel):
+        raise InputError("rel must be a subcomplex of the ambient complex")
+    return [sum(1 << space.index_of(s) for s in rel.simplices(k)) for k in range(n + 1)]
 
 
 def homology(space, k: int, rel=None) -> HomologyBasis:
     """Canonical mod-2 homology basis in dimension k.
 
     ``space`` is a SimplicialComplex or ChainComplexData.  ``rel`` switches
-    to relative homology of the pair: for a complex, a subcomplex or a list
-    of simplices closed under faces; for chain data, one bit mask of cells
-    per dimension 0..n, closed under the boundaries.  Both become the same
+    to relative homology of the pair: for a complex, a subcomplex; for chain
+    data, one bit mask of cells per dimension 0..n, closed under the
+    boundaries.  Anything else is an InputError.  Both become the same
     masks, and the chain complex spanned by the cells outside them is
     reduced.  Relative bases carry a ``chart`` listing which cells of the
     ambient space index their coordinates.
@@ -170,8 +169,7 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
 
     masks = _rel_masks(space, rel)
     keep_km1, keep_k, keep_kp1 = (
-        [j for j in range(space.n_simplices(kk)) if not (masks[kk] >> j) & 1]
-        for kk in (k - 1, k, k + 1)
+        _cells_off(masks, kk, space.n_simplices(kk)) for kk in (k - 1, k, k + 1)
     )
     boundaries = reduce_columns(_restrict_columns(space, k + 1, keep_kp1, keep_k))
     cycles = reduce_columns(_restrict_columns(space, k, keep_k, keep_km1), boundaries[0])

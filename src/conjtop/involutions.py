@@ -142,23 +142,21 @@ def _fixed_set(K: SimplicialComplex, tau: SimplicialMap):
     return F, tuple(components), mid, mid_cycle
 
 
-def _middle_forms(space, tau=None, act=True):
+def _middle_forms(space, tau=None):
     """(H_mid basis, intersection Gram, actor) of a carrier.
 
     The actor is what :func:`induced_map` takes for the involution: the
-    chain data itself or ``tau``.  With ``act`` the involution is checked
-    first, and odd chain data is refused before a missing pairing.
+    chain data itself or ``tau``, which is checked first.  Odd chain data is
+    refused for its dimension before a missing pairing.
     """
     from .duality import duality_data, intersection_form_matrix, middle_dimension
 
     if isinstance(space, ChainCarrier):
-        if act:
-            middle_dimension(space)
+        mid = middle_dimension(space)
         if space.pairing is None:
             raise InputError("chain data has no intersection pairing")
-        return homology(space, middle_dimension(space)), space.pairing, space
-    if act:
-        check_involution(space, tau)
+        return homology(space, mid), space.pairing, space
+    check_involution(space, tau)
     dd = duality_data(space, middle_dimension(space))
     return dd.hom, intersection_form_matrix(dd), tau
 

@@ -1,7 +1,7 @@
 """Integer middle-homology data of a surface: lattice, isometry, transfer.
 
 The lattice side never computes quotient-space homology; push/pull data
-for the quotient projection arrives from the caller and is audited against
+for the quotient projection comes with the lattice and is audited against
 the identities it must satisfy (composition is multiplication by two,
 injectivity, invariance of the image, divisibility of doubled invariant
 classes).  Doubling carries the rest: pull x = 0 gives 2x = push(pull x)
@@ -21,7 +21,7 @@ from .gf2 import BilinearFormGF2
 
 
 class QuotientTransferData(Record):
-    """Push/pull matrices along the double projection, caller-supplied."""
+    """Push/pull matrices along the double projection, carried by a lattice."""
 
     # p_pull: quotient -> ambient, the transfer (inverse Hopf) map; p_push the other way
     __slots__ = ("quotient_rank", "p_pull", "p_push")
@@ -93,17 +93,22 @@ def conj_form_mod2(L: IntegerLattice) -> BilinearFormGF2:
     return BilinearFormGF2(twisted.mod2())
 
 
-def _check_doubling(Q: QuotientTransferData) -> None:
+def _doubling_transfer(L: IntegerLattice) -> QuotientTransferData:
+    """The lattice's transfer data, once push after pull is checked to be doubling."""
     from .intmat import IntMatrix
 
+    Q = L.transfer
+    if Q is None:
+        raise InputError("the lattice carries no transfer data")
     comp = Q.p_push * Q.p_pull
     if comp != IntMatrix.identity(Q.quotient_rank).scale(2):
         raise ModelIntegrityError("push after pull is not multiplication by 2",
                                   report={"composition": comp})
+    return Q
 
 
-def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> dict:
-    """Verify the push/pull identities for the quotient projection.
+def transfer_audit(L: IntegerLattice) -> dict:
+    """Verify the push/pull identities of the lattice's transfer data.
 
     Checks, each by exact matrix arithmetic: push after pull is doubling,
     the image of pull is invariant, and twice any invariant class alpha lies
@@ -113,10 +118,7 @@ def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> 
     """
     from .intmat import IntMatrix, int_kernel_basis
 
-    Q = Q or L.transfer
-    if Q is None:
-        raise InputError("no transfer data supplied")
-    _check_doubling(Q)
+    Q = _doubling_transfer(L)
     T_minus_I = L.isometry - IntMatrix.identity(L.rank)
     fixed = T_minus_I * Q.p_pull
     if any(any(e != 0 for e in row) for row in fixed.rows):
@@ -131,7 +133,7 @@ def transfer_audit(L: IntegerLattice, Q: QuotientTransferData | None = None) -> 
             "doubled_invariants_in_image": True, "invariant_rank": len(invariant)}
 
 
-def orientation_class_check(L: IntegerLattice, Q: QuotientTransferData | None, alpha) -> bool:
+def orientation_class_check(L: IntegerLattice, alpha) -> bool:
     """Is alpha twice a pulled-back class?  Exactly the complex orientations are.
 
     Once push after pull is checked to be doubling, alpha = 2 pull(delta)
@@ -139,13 +141,10 @@ def orientation_class_check(L: IntegerLattice, Q: QuotientTransferData | None, a
     2 pull(push(alpha) // 4) = alpha.  False is a legitimate verdict, not
     an error.
     """
-    Q = Q or L.transfer
-    if Q is None:
-        raise InputError("no transfer data supplied")
+    Q = _doubling_transfer(L)
     alpha = [int(a) for a in alpha]
     if len(alpha) != L.rank:
         raise InputError("class vector has the wrong length")
-    _check_doubling(Q)
     delta = [p // 4 for p in Q.p_push.mul_vec(alpha)]
     return [2 * b for b in Q.p_pull.mul_vec(delta)] == alpha
 

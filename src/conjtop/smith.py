@@ -16,7 +16,7 @@ from .complexes import (
 from .duality import induced_map
 from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import BilinearFormGF2, Gf2Matrix, is_even, reduce_columns
-from .homology import _rel_masks, homology, total_betti
+from .homology import _cells_off, _rel_masks, homology, total_betti
 from .involutions import (
     _Basis, _fixed_facts, _middle_forms, check_regular_involution, fixed_subcomplex,
 )
@@ -139,17 +139,16 @@ def harnack_audit(space, tau=None) -> HarnackReport:
 def _relative_betti(space, rel):
     """Mod-2 Betti numbers of the pair (space, rel) in dimensions 0..n, from ranks only.
 
-    The rows of the boundary into k, those of rel cells zeroed, are the relative
-    coboundary out of degree k - 1 (the other rows miss the closed rel's columns).
+    The rows of the boundary into k, those of rel cells skipped like cleared ones, are
+    the relative coboundary out of degree k - 1 (the others miss the closed rel's columns).
     Degrees reduce lowest first, each clearing with the pivots of the one below.
     """
     masks = _rel_masks(space, rel)
     rank, pivots = [0], {}
     for k in range(1, space.dimension + 1):
-        rel_rows = masks[k - 1]
-        rows = [0 if (rel_rows >> i) & 1 else r
-                for i, r in enumerate(space.boundary_matrix(k).rows)]
-        pivots = reduce_columns(rows, pivots)[0]
+        rows = space.boundary_matrix(k).rows
+        rel_rows = set(range(len(rows))).difference(_cells_off(masks, k - 1, len(rows)))
+        pivots = reduce_columns(rows, rel_rows.union(pivots))[0]
         rank.append(len(pivots))
     rank.append(0)
     return tuple(space.n_simplices(k) - m.bit_count() - rank[k] - rank[k + 1]
@@ -225,7 +224,7 @@ def check_m_variety_even_form(space, tau=None, basis_cycles=None) -> dict:
     involution acts as the identity on mod-2 homology in every dimension.
     """
     harnack = harnack_audit(space, tau)
-    hom, pairing, actor = _middle_forms(space, tau, act=False)
+    hom, pairing, actor = _middle_forms(space, tau)
     even = is_even(BilinearFormGF2(_Basis(hom, basis_cycles).transform_form(pairing)))
     fixed_class, _ = _fixed_facts(space, tau, basis_cycles)
     report = {

@@ -16,7 +16,7 @@ from conjtop.complexes import (
 from conjtop.duality import duality_data, intersection_form_matrix
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix, gf2_solve
-from conjtop.homology import cohomology, homology
+from conjtop.homology import cohomology, homology, total_betti
 from conjtop.intmat import IntMatrix, smith_normal_form
 from conjtop.models import double_along_boundary, model_library
 from conjtop.qforms import QForm2, QForm4, _check_gram, evaluate_q2, evaluate_q4
@@ -78,6 +78,28 @@ def identity_map(K):
 def involution_model(library, name):
     src, _, tau = library.maps[name]
     return library.complexes[src], tau, marked_basis(library, src)
+
+
+def chain_export(K, tau):
+    """(K, tau) as ChainComplexData, the carrier of spaces too large to
+    triangulate: the boundaries of K, tau's chain map in each dimension read
+    from ``index_images``, the middle intersection Gram of ``duality_data`` on
+    the canonical basis, and the fixed set's middle class and total Betti
+    number."""
+    from conjtop.chains import ChainComplexData
+    from conjtop.involutions import fixed_subcomplex
+
+    n = K.dimension
+    fixed = fixed_subcomplex(K, tau)
+    return ChainComplexData(
+        [K.n_simplices(k) for k in range(n + 1)],
+        [K.boundary_matrix(k) for k in range(1, n + 1)],
+        involution=[Gf2Matrix(K.n_simplices(k), K.n_simplices(k),
+                              [1 << j for j in tau.index_images(k)]) for k in range(n + 1)],
+        pairing=intersection_form_matrix(duality_data(K, n // 2)),
+        fixed_class=fixed.mid_class,
+        fixed_betti_total=total_betti(fixed.subcomplex),
+    )
 
 
 def signed_boundary_2(K):

@@ -258,7 +258,7 @@ def test_acceptance_transfer_identities():
     assert report["composition_is_doubling"]
     assert report["pull_injective"]
     accepted = {
-        alpha: orientation_class_check(L, None, alpha)
+        alpha: orientation_class_check(L, alpha)
         for alpha in ((1, 1), (2, 2), (-2, -2), (2, 0))
     }
     assert accepted == {

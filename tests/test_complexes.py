@@ -28,9 +28,11 @@ from conjtop.smith import orbit_chain_boundaries, quotient_by_involution, regula
 from conftest import identity_map
 
 
-def test_validation_rejects_open_complex():
-    with pytest.raises(InputError):
-        SimplicialComplex(3, [(0, 1, 2)])  # faces missing
+def test_from_simplices_is_the_one_way_in():
+    # the open triangle is closed, not refused; the class itself takes no simplices
+    assert SimplicialComplex.from_simplices(3, [(0, 1, 2)]).n_simplices(1) == 3
+    with pytest.raises(TypeError):
+        SimplicialComplex(3, [])
 
 
 def test_validation_rejects_bad_vertex():

@@ -37,11 +37,14 @@ from conftest import per_generator_from_simplices, per_simplex_closure
 def audited(monkeypatch):
     """Trusted constructors that also check their result the public way.
 
-    A complex must equal ``SimplicialComplex(vc, all its simplices)``,
-    index included; a map must pass the ``SimplicialMap`` checks; a chain
-    complex must equal ``ChainComplexData(ranks, boundaries)``, which checks
-    the shapes and that consecutive boundaries compose to zero.  Returns
-    the number of trusted constructions of each kind.
+    A complex must be normalised and closed under faces, by conftest's
+    ``per_simplex_closure`` (not the column path ``from_simplices`` runs, which
+    ends in the patched ``_trusted``), in range, bucketed by dimension in
+    sorted order and indexed in that order; a map must pass the
+    ``SimplicialMap`` checks; a chain complex must equal
+    ``ChainComplexData(ranks, boundaries)``, which checks the shapes and
+    that consecutive boundaries compose to zero.  Returns the number of
+    trusted constructions of each kind.
     """
     built = {"complexes": 0, "maps": 0, "chains": 0}
     trusted_complex = SimplicialComplex._trusted.__func__
@@ -50,8 +53,12 @@ def audited(monkeypatch):
 
     def complex_checked(cls, vertex_count, levels):
         K = trusted_complex(cls, vertex_count, levels)
-        ref = SimplicialComplex(vertex_count, list(K.all_simplices()))
-        assert K == ref and K._index == ref._index
+        simplices = list(K.all_simplices())
+        assert per_simplex_closure(simplices) == set(simplices)
+        assert all(0 <= s[0] and s[-1] < vertex_count for s in simplices)
+        assert all(len(s) == k + 1 for k, group in enumerate(K._by_dim) for s in group)
+        assert all(group and list(group) == sorted(set(group)) for group in K._by_dim)
+        assert K._index == {s: i for group in K._by_dim for i, s in enumerate(group)}
         built["complexes"] += 1
         return K
 
@@ -126,7 +133,7 @@ def test_audited_orbit_chain_complex(audited, library):
 
 def parent_route(vertex_count, generators):
     """The former ``from_simplices``: every face of every generator, then
-    the validating constructor."""
+    the constructor (now ``from_simplices`` of the closed set)."""
     faces = set()
     for s in generators:
         t = tuple(int(v) for v in s)
@@ -134,7 +141,7 @@ def parent_route(vertex_count, generators):
             raise InputError(f"simplex {t} is not strictly increasing")
         for k in range(1, len(t) + 1):
             faces.update(combinations(t, k))
-    return SimplicialComplex(vertex_count, faces)
+    return SimplicialComplex.from_simplices(vertex_count, faces)
 
 
 def outcome(build, vertex_count, generators):
@@ -266,7 +273,7 @@ def non_pure_complex():
 def test_facets_against_pairwise_definition(library):
     torus = library.complexes["torus7"]
     subdivided, _ = barycentric_subdivide(torus)
-    empty = SimplicialComplex(3, [])
+    empty = SimplicialComplex.from_simplices(3, [])
     # every vertex lies in a triangle, so only the edge level is impure
     edge_level_only = SimplicialComplex.from_simplices(5, [(0, 1, 2), (2, 3, 4), (0, 4)])
     stray_vertex = SimplicialComplex.from_simplices(

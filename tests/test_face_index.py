@@ -71,8 +71,8 @@ def oracle_complexes(library):
     subdivided, _ = barycentric_subdivide(library.complexes["torus7"])
     three = models.product_complex(models.sphere_octa(), models.square_circle())
     four = models.product_complex(models.sphere_octa(), models.rp2_6vertex())
-    points = SimplicialComplex(5, [(0,), (2,), (4,)])
-    empty = SimplicialComplex(3, [])
+    points = SimplicialComplex.from_simplices(5, [(0,), (2,), (4,)])
+    empty = SimplicialComplex.from_simplices(3, [])
     return list(library.complexes.values()) + [subdivided, three, four, points, empty]
 
 
@@ -131,7 +131,7 @@ def oracle_maps(library):
     K = library.complexes["torus7"]
     triangle = SimplicialComplex.from_simplices(3, [(0, 1, 2)])
     maps.append(SimplicialMap(K, triangle, [v % 3 for v in range(K.vertex_count)]))
-    maps.append(SimplicialMap(K, SimplicialComplex(1, [(0,)]), [0] * K.vertex_count))
+    maps.append(SimplicialMap(K, SimplicialComplex.from_simplices(1, [(0,)]), [0] * K.vertex_count))
     return maps
 
 
@@ -188,8 +188,8 @@ def test_chain_data_faces_are_the_set_bits_of_its_columns(library):
 def fresh_spaces(library):
     """Pairs of identical carriers with empty caches."""
     for name, K in sorted(library.complexes.items()):
-        yield (SimplicialComplex(K.vertex_count, list(K.all_simplices())),
-               SimplicialComplex(K.vertex_count, list(K.all_simplices())))
+        yield (SimplicialComplex.from_simplices(K.vertex_count, K.all_simplices()),
+               SimplicialComplex.from_simplices(K.vertex_count, K.all_simplices()))
     for D in chain_data(library):
         yield tuple(ChainComplexData(D.ranks, D.boundaries) for _ in range(2))
 
@@ -207,7 +207,7 @@ def test_degree_order_does_not_change_bases(library, compute):
 
 def test_lowest_degree_first_still_clears(library):
     K = library.complexes["torus7"]
-    K = SimplicialComplex(K.vertex_count, list(K.all_simplices()))
+    K = SimplicialComplex.from_simplices(K.vertex_count, K.all_simplices())
     homology(K, 0)
     cycles_1 = K._red_cache[False, 1][1]
     boundary_pivots = K._red_cache[False, 2][0]

@@ -95,8 +95,11 @@ def test_relative_homology_disk_boundary():
 
 def test_relative_homology_validates_subcomplex():
     K = torus7()
-    with pytest.raises(InputError):
-        homology(K, 1, rel=[(0, 1)])  # not closed under faces (missing vertices)
+    outside = SimplicialComplex.from_simplices(K.vertex_count + 1, [(0, K.vertex_count)])
+    # a list of simplices, even a closed one, is no subcomplex; nor is a complex K lacks
+    for rel in ([(0, 1)], [(0,), (1,), (0, 1)], outside):
+        with pytest.raises(InputError, match="rel must be a subcomplex"):
+            homology(K, 1, rel=rel)
 
 
 def test_induced_identity():

@@ -1,5 +1,7 @@
 import pytest
 
+from conjtop.chains import ChainComplexData
+from conjtop.cli import main
 from conjtop.complexes import fundamental_class
 from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import BilinearFormGF2, Gf2Matrix, characteristic_class, is_even
@@ -10,7 +12,9 @@ from conjtop.involutions import (
     involution_form,
     verify_fixed_class_is_characteristic,
 )
-from conjtop.models import factor_swap, product_complex, sphere_tetra
+from conjtop.modelfile import parse_model
+from conjtop.models import ModelFile, factor_swap, product_complex, sphere_tetra
+from conjtop.modelsections import format_model
 from conjtop.smith import (
     _smith_verdict,
     check_m_variety_even_form,
@@ -18,10 +22,12 @@ from conjtop.smith import (
     smith_kernel_bound,
 )
 from conftest import (
+    chain_export,
     cochain_pullback,
     cup_eval,
     identity_map,
     involution_model,
+    m_double,
     marked_basis,
     poincare_dual_cocycle,
 )
@@ -394,8 +400,6 @@ def test_involution_form_against_cup_pullback_route(library):
 def _forged_surface_data(fixed_betti, fixed_class, involution_swap=False):
     """Chain data shaped like a closed surface, with adjustable fixed-set
     numbers: the path for exercising the enforcement branches."""
-    from conjtop.chains import ChainComplexData
-
     ranks = (1, 2, 1)
     boundaries = [Gf2Matrix.zeros(1, 2), Gf2Matrix.zeros(2, 1)]
     swap = Gf2Matrix.from_rows([[0, 1], [1, 0]])
@@ -431,3 +435,62 @@ def test_m_variety_violation_nontrivial_action():
     data = _forged_surface_data(fixed_betti=4, fixed_class=0, involution_swap=True)
     with pytest.raises(ModelIntegrityError, match="nontrivially"):
         check_m_variety_even_form(data)
+
+
+# --- one verdict per geometry, whatever the carrier ------------------------------------
+
+
+def even_dimensional_geometries(library):
+    """The 7 library maps on even-dimensional complexes and one dividing M-double."""
+    maps = [(name, library.complexes[src], tau) for name, (src, _, tau)
+            in sorted(library.maps.items()) if library.complexes[src].dimension % 2 == 0]
+    assert len(maps) == 7
+    return maps + [("m_double_3", *m_double(3))]
+
+
+def verdicts(space, tau=None):
+    return (involution_form(space, tau), classify_type(space, tau), harnack_audit(space, tau),
+            verify_fixed_class_is_characteristic(space, tau),
+            check_m_variety_even_form(space, tau))
+
+
+def test_chain_export_gives_the_verdicts_of_the_complex(library):
+    """Section 1.2 is a chain-level statement: the form, type, Harnack audit,
+    characteristic class and M-object check read the same from chain data."""
+    seen = set()
+    for name, K, tau in even_dimensional_geometries(library):
+        on_complex = verdicts(K, tau)
+        assert verdicts(chain_export(K, tau)) == on_complex, name
+        seen.add((on_complex[1].kind, on_complex[2].is_m))
+    # both types, and M-objects, whose check also compares the action on every H_k
+    assert seen == {("I_abs", True), ("I_abs", False), ("II", False)}
+
+
+def test_exported_chain_data_survives_the_model_file(library, tmp_path, capsys):
+    """The export round-trips, and through ``--model`` the ``conj-form`` and
+    ``classify`` reports of a library map match its chain data's, line for
+    line after the command line."""
+    for name, K, tau in even_dimensional_geometries(library):
+        model = ModelFile()
+        model.chains[name] = chain_export(K, tau)
+        assert parse_model(format_model(model)) == model, name
+        if name not in library.maps:
+            continue
+        path = tmp_path / f"{name}.cjt"
+        path.write_text(format_model(model), encoding="utf-8")
+        for command in ("conj-form", "classify"):
+            reports = []
+            for extra in ([], ["--model", str(path)]):
+                code = main([command, name, "--machine", *extra])
+                lines = capsys.readouterr().out.splitlines()
+                reports.append((code, [line for line in lines if not line.startswith("command")]))
+            assert reports[0] == reports[1] and reports[0][0] == 0, (name, command)
+
+
+def test_odd_chain_data_is_refused_for_its_dimension_before_its_missing_pairing():
+    """The even-form check resolves the middle forms as involution_form does."""
+    data = ChainComplexData((1, 1), [Gf2Matrix.zeros(1, 1)],
+                            involution=[Gf2Matrix.identity(1)] * 2, fixed_betti_total=2)
+    for check in (involution_form, check_m_variety_even_form):
+        with pytest.raises(InputError, match="middle dimension undefined"):
+            check(data)

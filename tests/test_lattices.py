@@ -98,51 +98,58 @@ def test_transfer_audit_quadric(library):
 
 
 def test_transfer_audit_rejects_wrong_composition():
-    L = build_lattice(HYP, SWAP)
     bad = QuotientTransferData(1, IntMatrix([[1], [1]]), IntMatrix([[1, 2]]))
+    L = build_lattice(HYP, SWAP, transfer=bad)
     with pytest.raises(ModelIntegrityError, match="multiplication by 2"):
-        transfer_audit(L, bad)
+        transfer_audit(L)
 
 
 def test_orientation_class_check_requires_doubling():
     """The membership test relies on push after pull being doubling, so it
     checks that first: without it, (2, 2) = 2 pull(push(2, 2) // 4) here."""
-    L = build_lattice(HYP, SWAP)
     bad = QuotientTransferData(1, IntMatrix([[1], [1]]), IntMatrix([[1, 2]]))
+    L = build_lattice(HYP, SWAP, transfer=bad)
     with pytest.raises(ModelIntegrityError, match="multiplication by 2"):
-        orientation_class_check(L, bad, (2, 2))
+        orientation_class_check(L, (2, 2))
 
 
 def test_transfer_audit_rejects_non_injective_pull():
-    L = build_lattice(HYP, SWAP)
     bad = QuotientTransferData(1, IntMatrix([[0], [0]]), IntMatrix([[1, 1]]))
+    L = build_lattice(HYP, SWAP, transfer=bad)
     with pytest.raises(ModelIntegrityError):
-        transfer_audit(L, bad)
+        transfer_audit(L)
 
 
 def test_transfer_audit_rejects_non_invariant_image():
     gram = IntMatrix.identity(2)
     T = IntMatrix.diagonal([1, -1])
-    L = build_lattice(gram, T)
     bad = QuotientTransferData(1, IntMatrix([[0], [1]]), IntMatrix([[0, 2]]))
+    L = build_lattice(gram, T, transfer=bad)
     with pytest.raises(ModelIntegrityError, match="invariant"):
-        transfer_audit(L, bad)
+        transfer_audit(L)
+
+
+def test_transfer_audits_read_the_lattice_transfer_only():
+    L = build_lattice(HYP, SWAP)
+    for audit in (lambda: transfer_audit(L), lambda: orientation_class_check(L, (2, 2))):
+        with pytest.raises(InputError, match="carries no transfer data"):
+            audit()
 
 
 def test_orientation_class_check_quadric(library):
     L = library.lattices["quadric_lattice"]
-    assert orientation_class_check(L, None, (0, 0))
-    assert orientation_class_check(L, None, (2, 2))
-    assert orientation_class_check(L, None, (-2, -2))
-    assert not orientation_class_check(L, None, (1, 1))
-    assert not orientation_class_check(L, None, (2, 0))
+    assert orientation_class_check(L, (0, 0))
+    assert orientation_class_check(L, (2, 2))
+    assert orientation_class_check(L, (-2, -2))
+    assert not orientation_class_check(L, (1, 1))
+    assert not orientation_class_check(L, (2, 0))
 
 
 def test_orientation_class_symmetry(library):
     L = library.lattices["quadric_lattice"]
     for alpha in ((2, 2), (4, 4), (0, 0)):
-        a = orientation_class_check(L, None, alpha)
-        b = orientation_class_check(L, None, tuple(-x for x in alpha))
+        a = orientation_class_check(L, alpha)
+        b = orientation_class_check(L, tuple(-x for x in alpha))
         assert a == b
 
 
@@ -254,10 +261,10 @@ def test_lattice_audit_command_makes_three_smith_forms(snf_calls, library, capsy
     assert snf_calls == [L.isometry - I, L.isometry + I, L.isometry - I]
 
 
-def former_transfer_audit(L, Q=None):
+def former_transfer_audit(L):
     """The Smith-form route the transfer identity replaced: one audited
     Smith form of pull for the injectivity check and every solve."""
-    Q = Q or L.transfer
+    Q = L.transfer
     comp = Q.p_push * Q.p_pull
     if comp != IntMatrix.identity(Q.quotient_rank).scale(2):
         raise ModelIntegrityError("push after pull is not multiplication by 2",
@@ -284,8 +291,8 @@ def former_transfer_audit(L, Q=None):
     return report
 
 
-def former_orientation_class_check(L, Q, alpha):
-    Q = Q or L.transfer
+def former_orientation_class_check(L, alpha):
+    Q = L.transfer
     return all(a % 2 == 0 for a in alpha) and int_solve(Q.p_pull, [a // 2 for a in alpha]) \
         is not None
 
@@ -353,13 +360,13 @@ def test_transfer_identity_matches_the_smith_form_route(k, seed, part):
     if doubling:
         assert got == outcome(former_transfer_audit, L)
         for alpha in alphas:
-            assert orientation_class_check(L, None, alpha) \
-                == former_orientation_class_check(L, None, alpha)
+            assert orientation_class_check(L, alpha) \
+                == former_orientation_class_check(L, alpha)
     else:
         assert got[0] == "push after pull is not multiplication by 2"
         for alpha in alphas:
             with pytest.raises(ModelIntegrityError, match="not multiplication by 2"):
-                orientation_class_check(L, None, alpha)
+                orientation_class_check(L, alpha)
 
 
 def test_failing_audit_names_the_same_witness():

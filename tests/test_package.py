@@ -236,23 +236,23 @@ def test_unknown_object_message_unchanged(capsys):
 # cli.py counted once.  Each ceiling is the count it pins, so a line added to
 # a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2140,
-    "classify quadric --h (1,1)": 2153,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2140,
-    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1970,
-    "congruence --chi 8 --type I_abs --h1-trivial": 1069,
-    "conj-form quadric": 2320,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2126,
-    "cover sphere_octa_sub --cut arcs_both": 2126,
-    "divide torus_reflection": 2437,
-    "fixed-set quadric": 2153,
-    "homology klein6 --model .bench_work/cli_models.txt": 1887,
-    "homology klein_bottle": 1839,
-    "homology torus6 --model .bench_work/cli_models.txt": 1887,
-    "homology torus7": 1804,
-    "lattice-audit quadric_lattice": 1659,
-    "orient torus_reflection": 2437,
-    "orient-cover klein_bottle --curve w1dual": 2490,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2118,
+    "classify quadric --h (1,1)": 2131,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2118,
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1952,
+    "congruence --chi 8 --type I_abs --h1-trivial": 1068,
+    "conj-form quadric": 2298,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2106,
+    "cover sphere_octa_sub --cut arcs_both": 2106,
+    "divide torus_reflection": 2415,
+    "fixed-set quadric": 2131,
+    "homology klein6 --model .bench_work/cli_models.txt": 1867,
+    "homology klein_bottle": 1819,
+    "homology torus6 --model .bench_work/cli_models.txt": 1867,
+    "homology torus7": 1784,
+    "lattice-audit quadric_lattice": 1658,
+    "orient torus_reflection": 2415,
+    "orient-cover klein_bottle --curve w1dual": 2470,
     "qform rp2_loops": 1256,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",
@@ -332,6 +332,7 @@ def test_rp2_homology_loads_no_coverings(bench_root):
 # command -> (a module it loads, the modules split off what it loads that it never runs)
 SPLIT_LOADS = {
     "homology torus7": ("homology", ("chains", "duality")),
+    "homology t4_chain": ("chains", ("duality", "smith")),
     "fixed-set quadric": ("involutions", ("duality", "smith", "chains")),
     "classify quadric --h (1,1)": ("involutions", ("duality", "smith", "chains")),
     "conj-form quadric": ("duality", ("smith", "chains")),
