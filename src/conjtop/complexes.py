@@ -5,33 +5,32 @@ cup products and barycentric subdivision rely on.  Complexes and maps are
 immutable.  A complex has one checked way in, ``from_simplices``, which
 closes its generators; derived complexes and maps are trusted.  Checks,
 closure, face indices and map images run in passes over the vertex columns
-of each dimension, one face iterator per ``combinations`` position.
+of each dimension, one face iterator per ``combinations`` position; a map is
+checked through its image index, and connectivity ends in pointer jumping.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, repeat
-from operator import itemgetter, lt
+from itertools import chain, combinations, compress, count, repeat
+from operator import eq, itemgetter, lt, or_
 
 from .errors import InputError
 from .gf2 import Gf2Matrix
 
 
 def _roots(n, pairs):
-    """Union-find over 0..n-1 joined by the given pairs; a root per element."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Union-find over 0..n-1 joined by the given pairs; a root per element.  Unions
+    halve paths, and pointer jumping (a ``map`` pass per round) lifts all to their roots."""
+    parent, up = list(range(n)), None
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(x) for x in range(n)]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    while up != parent:
+        up, parent = parent, list(map(parent.__getitem__, parent))
+    return parent
 
 
 def _normalize_simplex(s):
@@ -235,8 +234,11 @@ class SimplicialComplex:
                 cols = tuple((1 << a) | (1 << b) for a, b in faces)
             elif k == 2:
                 cols = tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in faces)
-            else:
-                cols = tuple(sum(1 << i for i in f) for f in faces)
+            else:  # OR in the bits of one face position at a time
+                cols = [0] * len(faces)
+                for column in zip(*faces):
+                    cols = map(or_, cols, map((1).__lshift__, column))
+                cols = tuple(cols)
             self._columns_cache[k] = cols
         return self._columns_cache[k]
 
@@ -332,16 +334,14 @@ class SimplicialMap:
         for v in images:
             if not 0 <= v < target.vertex_count:
                 raise InputError(f"vertex image {v} outside target range")
-        # the target is closed, so the faces of a facet map into faces of
-        # its image; the full scan runs only to name the first offender
-        if not all(target.has_simplex(tuple(sorted(set(images[v] for v in s))))
-                   for s in source.facets()):
-            for s in source.all_simplices():
-                img = tuple(sorted(set(images[v] for v in s)))
-                if not target.has_simplex(img):
-                    raise InputError(f"image of simplex {s} spans no simplex: {img}")
         self.source, self.target, self.images = source, target, images
         self._fixed, self._index_cache = None, {}
+        # the image index finds every simplex that maps onto a simplex of its own
+        # dimension; only the rest (a repeated vertex, or no such simplex) are looked up again
+        for k in range(source.dimension + 1):
+            for s in compress(source.simplices(k), map(eq, self.index_images(k), repeat(-1))):
+                if not target.has_simplex(img := self.map_simplex(s)):
+                    raise InputError(f"image of simplex {s} spans no simplex: {img}")
 
     @classmethod
     def _trusted(cls, source, target, images) -> "SimplicialMap":
@@ -377,9 +377,8 @@ class SimplicialMap:
         )
 
     def is_involution(self) -> bool:
-        if self.source != self.target:
-            return False
-        return all(self.images[self.images[v]] == v for v in range(len(self.images)))
+        im = self.images
+        return self.source == self.target and tuple(map(im.__getitem__, im)) == tuple(range(len(im)))
 
     def __eq__(self, other):
         return (
@@ -508,11 +507,10 @@ def pseudomanifold_check(K: SimplicialComplex):
     if n < 0:
         raise InputError("empty complex is not a pseudomanifold")
     if n >= 1 and not K._closed:
-        for i, c in enumerate(K.cofaces(n - 1)):
-            if len(c) != 2:
-                raise InputError(
-                    f"face {K.simplices(n - 1)[i]} has {len(c)} top cofaces, expected 2"
-                )
+        counts = list(map(len, K.cofaces(n - 1)))
+        if counts.count(2) < len(counts):
+            i = next(compress(count(), map((2).__ne__, counts)))
+            raise InputError(f"face {K.simplices(n - 1)[i]} has {counts[i]} top cofaces, expected 2")
         bad = impure_simplex(K)
         if bad is not None:
             raise InputError(f"simplex {bad} is not a face of any top simplex")

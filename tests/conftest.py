@@ -4,12 +4,14 @@ from itertools import combinations
 from math import isqrt
 
 import pytest
+from hypothesis import strategies as st
 
 from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
     _levels,
     _normalize_simplex,
+    barycentric_subdivide,
     fundamental_class,
     impure_simplex,
 )
@@ -256,6 +258,96 @@ def per_simplex_index_images(f, k):
     return tuple(get(tuple(sorted(map(im.__getitem__, s))), -1) for s in f.source.simplices(k))
 
 
+# --- the per-simplex loops that column passes replaced: map check, connectivity ------
+
+
+def per_facet_map_check(source, target, images):
+    """The former ``SimplicialMap`` image check: each facet's image vertex set
+    looked up in the target, and on a failure a scan in ``all_simplices`` order
+    that names the first offender."""
+    if not all(target.has_simplex(tuple(sorted(set(images[v] for v in s))))
+               for s in source.facets()):
+        for s in source.all_simplices():
+            img = tuple(sorted(set(images[v] for v in s)))
+            if not target.has_simplex(img):
+                raise InputError(f"image of simplex {s} spans no simplex: {img}")
+
+
+def generic_orbit_boundaries(K, tau):
+    """The former orbit chain complex: orbit representatives by dict."""
+    reps, orbit_index = [], []
+    for k in range(K.dimension + 1):
+        lst, idx = [], {}
+        for s in K.simplices(k):
+            img = tau.map_simplex(s)
+            if min(s, img) == s:
+                idx[s] = idx[img] = len(lst)
+                lst.append(s)
+        reps.append(lst)
+        orbit_index.append(idx)
+    boundaries = []
+    for k in range(1, K.dimension + 1):
+        rows = [0] * len(reps[k - 1])
+        for j, s in enumerate(reps[k]):
+            for f in combinations(s, k):
+                rows[orbit_index[k - 1][f]] ^= 1 << j
+        boundaries.append(Gf2Matrix(len(reps[k - 1]), len(reps[k]), rows))
+    flags = [sum(1 << j for j, s in enumerate(lst) if all(tau(v) == v for v in s))
+             for lst in reps]
+    return boundaries, flags
+
+
+def per_pair_roots(n, pairs):
+    """The former ``complexes._roots``: path halving in a nested ``find``,
+    then one ``find`` per element."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(n)]
+
+
+def per_simplex_boundary_columns(K, k):
+    """The former generic branch of ``boundary_columns``: one sum per simplex."""
+    return tuple(sum(1 << i for i in f) for f in K.face_indices(k))
+
+
+def per_vertex_is_involution(f):
+    """The former ``SimplicialMap.is_involution``: one comparison per vertex."""
+    if f.source != f.target:
+        return False
+    return all(f.images[f.images[v]] == v for v in range(len(f.images)))
+
+
+def per_face_coface_check(K):
+    """The former coface count of ``pseudomanifold_check``: each codimension-1
+    face in order, raising on the first whose count is not two."""
+    n = K.dimension
+    for i, c in enumerate(K.cofaces(n - 1) if n >= 1 else ()):
+        if len(c) != 2:
+            raise InputError(f"face {K.simplices(n - 1)[i]} has {len(c)} top cofaces, expected 2")
+
+
+def relabelled(K, tau, rng):
+    """K and tau with their vertices renumbered by a seeded permutation."""
+    perm = list(range(K.vertex_count))
+    rng.shuffle(perm)
+    Kr = SimplicialComplex.from_simplices(
+        K.vertex_count, [sorted(perm[v] for v in s) for s in K.facets()])
+    images = [0] * K.vertex_count
+    for v in range(K.vertex_count):
+        images[perm[v]] = perm[tau(v)]
+    return Kr, SimplicialMap(Kr, Kr, images)
+
+
 def rref(rows, ncols):
     """Reduced row echelon form by dense pivoting on columns left to right,
     candidate rows top to bottom: (nonzero reduced rows, pivot per row).
@@ -390,6 +482,19 @@ def m_double(g, seed=1):
                 triangles += [(a, b, d), (a, d, e)]
     disk = SimplicialComplex.from_simplices((side + 1) ** 2, map(sorted, triangles))
     return double_along_boundary(disk, rim)
+
+
+@st.composite
+def m_double_draws(draw):
+    """(g, (K, tau), (K', tau')): ``m_double(g, seed)`` for g = 1..6 with a drawn
+    seed, and the same real curve renumbered by a drawn permutation, in about a
+    third of the draws after one barycentric subdivision as well."""
+    g = draw(st.integers(1, 6))
+    base = m_double(g, draw(st.integers(0, 2**16)))
+    moved = relabelled(*base, random.Random(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.integers(0, 2)) == 0:
+        moved = barycentric_subdivide(*moved)
+    return g, base, moved
 
 
 def poincare_dual_cocycle(K, k, hom_coords):

@@ -16,7 +16,6 @@ import pytest
 
 from conjtop.complexes import (
     SimplicialComplex,
-    SimplicialMap,
     _roots,
     barycentric_subdivide,
     dual_walk,
@@ -42,6 +41,7 @@ from conftest import (
     identity_map,
     incidence,
     involution_model,
+    relabelled,
     sheet_labels_from_projection,
     top_adjacency,
 )
@@ -121,18 +121,6 @@ def semiorientation_by_incidence(K, tau, halves):
         assert signs[a] * incidence(tops[a], e) != signs[b] * incidence(tops[b], e)
         out.append(signs[a] * incidence(tops[a], e))
     return SemiOrientation(F, out)
-
-
-def relabelled(K, tau, rng):
-    """K and tau with their vertices renumbered by a seeded permutation."""
-    perm = list(range(K.vertex_count))
-    rng.shuffle(perm)
-    Kr = SimplicialComplex.from_simplices(
-        K.vertex_count, [sorted(perm[v] for v in s) for s in K.facets()])
-    images = [0] * K.vertex_count
-    for v in range(K.vertex_count):
-        images[perm[v]] = perm[tau(v)]
-    return Kr, SimplicialMap(Kr, Kr, images)
 
 
 def surface_cases(library):

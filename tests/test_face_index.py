@@ -20,7 +20,9 @@ from conjtop.gf2 import Gf2Matrix
 from conjtop.homology import cohomology, homology
 from conjtop.smith import orbit_chain_boundaries, quotient_by_involution, regularize
 
-from conftest import chain_bits, per_simplex_face_indices, per_simplex_index_images
+from conftest import (
+    chain_bits, generic_orbit_boundaries, per_simplex_face_indices, per_simplex_index_images,
+)
 
 
 def generic_faces(K, k):
@@ -41,30 +43,6 @@ def generic_cofaces(K, k):
         for f in combinations(s, k + 1):
             out[K.index_of(f)].append(j)
     return tuple(tuple(c) for c in out)
-
-
-def generic_orbit_boundaries(K, tau):
-    """The former orbit chain complex: orbit representatives by dict."""
-    reps, orbit_index = [], []
-    for k in range(K.dimension + 1):
-        lst, idx = [], {}
-        for s in K.simplices(k):
-            img = tau.map_simplex(s)
-            if min(s, img) == s:
-                idx[s] = idx[img] = len(lst)
-                lst.append(s)
-        reps.append(lst)
-        orbit_index.append(idx)
-    boundaries = []
-    for k in range(1, K.dimension + 1):
-        rows = [0] * len(reps[k - 1])
-        for j, s in enumerate(reps[k]):
-            for f in combinations(s, k):
-                rows[orbit_index[k - 1][f]] ^= 1 << j
-        boundaries.append(Gf2Matrix(len(reps[k - 1]), len(reps[k]), rows))
-    flags = [sum(1 << j for j, s in enumerate(lst) if all(tau(v) == v for v in s))
-             for lst in reps]
-    return boundaries, flags
 
 
 def oracle_complexes(library):

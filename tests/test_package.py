@@ -236,23 +236,23 @@ def test_unknown_object_message_unchanged(capsys):
 # cli.py counted once.  Each ceiling is the count it pins, so a line added to
 # a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2118,
-    "classify quadric --h (1,1)": 2131,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2118,
-    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1952,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2116,
+    "classify quadric --h (1,1)": 2129,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2116,
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1950,
     "congruence --chi 8 --type I_abs --h1-trivial": 1068,
-    "conj-form quadric": 2298,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2106,
-    "cover sphere_octa_sub --cut arcs_both": 2106,
-    "divide torus_reflection": 2415,
-    "fixed-set quadric": 2131,
-    "homology klein6 --model .bench_work/cli_models.txt": 1867,
-    "homology klein_bottle": 1819,
-    "homology torus6 --model .bench_work/cli_models.txt": 1867,
-    "homology torus7": 1784,
+    "conj-form quadric": 2296,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2104,
+    "cover sphere_octa_sub --cut arcs_both": 2104,
+    "divide torus_reflection": 2413,
+    "fixed-set quadric": 2129,
+    "homology klein6 --model .bench_work/cli_models.txt": 1865,
+    "homology klein_bottle": 1817,
+    "homology torus6 --model .bench_work/cli_models.txt": 1865,
+    "homology torus7": 1782,
     "lattice-audit quadric_lattice": 1658,
-    "orient torus_reflection": 2415,
-    "orient-cover klein_bottle --curve w1dual": 2470,
+    "orient torus_reflection": 2413,
+    "orient-cover klein_bottle --curve w1dual": 2468,
     "qform rp2_loops": 1256,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",
