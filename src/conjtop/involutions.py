@@ -22,31 +22,22 @@ from .homology import ChainCarrier, homology, total_betti
 
 
 def regularity_offender(K: SimplicialComplex, tau: SimplicialMap):
-    """First simplex mapped onto itself without being fixed pointwise."""
-    im = tau.images
-    for k in range(K.dimension + 1):
-        group = K.simplices(k)
-        for i, j in enumerate(tau.index_images(k)):
-            if i == j and any(im[v] != v for v in group[i]):
-                return group[i]
-    return None
+    """Lowest edge (v, tau(v)) of K, or None.  For an involution it is the first simplex
+    that tau maps onto itself without fixing it pointwise: tau swaps two vertices of such
+    a simplex, and the edge joining them comes before it in ``all_simplices`` order."""
+    return next(((v, w) for v, w in enumerate(tau.images) if v < w and (v, w) in K._index), None)
 
 
 def is_regular(K: SimplicialComplex, tau: SimplicialMap) -> bool:
-    return regularity_offender(K, tau) is None
+    """Whether tau is an involution that fixes pointwise each simplex it maps onto itself."""
+    return tau.is_involution() and regularity_offender(K, tau) is None
 
 
 def check_regular_involution(K: SimplicialComplex, tau: SimplicialMap):
-    """Refuse a map that is not a regular involution of K.
-
-    The regularity scan runs once per map: a map that carries a cached
-    fixed set (see :func:`fixed_subcomplex`) has already passed it.
-    """
+    """Refuse a map that is not a regular involution of K; O(vertices)."""
     check_involution(K, tau)
-    if tau._fixed is None:
-        bad = regularity_offender(K, tau)
-        if bad is not None:
-            raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
+    if (bad := regularity_offender(K, tau)) is not None:
+        raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
 
 
 class FixedComponent(Record):

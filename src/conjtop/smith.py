@@ -10,9 +10,7 @@ which the benchmark reads two of the audits.
 """
 
 from .chains import ChainComplexData
-from .complexes import (
-    SimplicialComplex, SimplicialMap, _levels, barycentric_subdivide, check_involution,
-)
+from .complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, check_involution
 from .duality import induced_map
 from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import BilinearFormGF2, Gf2Matrix, is_even, reduce_columns
@@ -29,34 +27,30 @@ def quotient_by_involution(K: SimplicialComplex, tau: SimplicialMap):
     construction refuses when the involution is not regular, and also when
     two simplices that are not exchanged by the involution would collapse
     to the same orbit image (the classical failure that one or two
-    barycentric subdivisions repair; see :func:`regularize`).
+    barycentric subdivisions repair; see :func:`regularize`).  A regular
+    involution joins no vertex to its image, so orbit images keep their dimension.
     """
     check_regular_involution(K, tau)
 
-    reps = sorted({min(v, tau(v)) for v in range(K.vertex_count)})
-    rep_rank = {v: i for i, v in enumerate(reps)}
+    orbit, count = [0] * K.vertex_count, 0  # orbits numbered by their lower vertex
+    for v, w in enumerate(tau.images):
+        if v <= w:
+            orbit[v] = orbit[w] = count
+            count += 1
 
-    def orbit_vertex(v):
-        return rep_rank[min(v, tau(v))]
+    # per dimension, the first simplex index of each orbit image: closed under faces
+    levels = []
+    for k in range(K.dimension + 1):
+        group, images, first = K.simplices(k), tau.index_images(k), {}
+        for i, s in enumerate(group):
+            j = first.setdefault(tuple(sorted(map(orbit.__getitem__, s))), i)
+            if j != i and j != images[i]:
+                raise InputError(f"quotient collision: simplices {group[j]} and {s} "
+                                 "share an orbit image; subdivide first")
+        levels.append(first)
 
-    # the orbit image of a face is a face of the orbit image: closed
-    image_to_source = {}
-    for s in K.all_simplices():
-        img = tuple(sorted(orbit_vertex(v) for v in s))
-        if len(set(img)) < len(img):
-            raise InputError(f"simplex {s} contains a vertex orbit twice")
-        prev = image_to_source.get(img)
-        if prev is not None and prev != s and prev != tau.map_simplex(s):
-            raise InputError(
-                "quotient collision: simplices "
-                f"{prev} and {s} share an orbit image; subdivide first"
-            )
-        if prev is None or s < prev:
-            image_to_source[img] = s
-
-    Q = SimplicialComplex._trusted(len(reps), _levels(image_to_source))
-    proj = SimplicialMap._trusted(K, Q, (orbit_vertex(v) for v in range(K.vertex_count)))
-    return Q, proj
+    Q = SimplicialComplex._trusted(count, levels)
+    return Q, SimplicialMap._trusted(K, Q, orbit)
 
 
 def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):

@@ -12,6 +12,7 @@ from conjtop.complexes import (
     _levels,
     _normalize_simplex,
     barycentric_subdivide,
+    check_involution,
     fundamental_class,
     impure_simplex,
 )
@@ -334,6 +335,66 @@ def per_face_coface_check(K):
     for i, c in enumerate(K.cofaces(n - 1) if n >= 1 else ()):
         if len(c) != 2:
             raise InputError(f"face {K.simplices(n - 1)[i]} has {len(c)} top cofaces, expected 2")
+
+
+# --- regularity as a per-simplex property, and the quotient that relied on it -------
+
+
+def per_simplex_regularity_offender(K, tau):
+    """The former ``involutions.regularity_offender``: a scan of every simplex,
+    in ``all_simplices`` order, for one mapped onto itself but not pointwise."""
+    im = tau.images
+    for k in range(K.dimension + 1):
+        group = K.simplices(k)
+        for i, j in enumerate(tau.index_images(k)):
+            if i == j and any(im[v] != v for v in group[i]):
+                return group[i]
+    return None
+
+
+def former_quotient_by_involution(K, tau):
+    """The former ``smith.quotient_by_involution``: the per-simplex regularity
+    scan, orbit vertices through a rank dict, a refusal of simplices that hold
+    a vertex orbit twice, and collisions found through ``map_simplex``."""
+    check_involution(K, tau)
+    bad = per_simplex_regularity_offender(K, tau)
+    if bad is not None:
+        raise InputError(f"involution is not regular: simplex {bad} maps onto itself")
+    reps = sorted({min(v, tau(v)) for v in range(K.vertex_count)})
+    rep_rank = {v: i for i, v in enumerate(reps)}
+
+    def orbit_vertex(v):
+        return rep_rank[min(v, tau(v))]
+
+    image_to_source = {}
+    for s in K.all_simplices():
+        img = tuple(sorted(orbit_vertex(v) for v in s))
+        if len(set(img)) < len(img):
+            raise InputError(f"simplex {s} contains a vertex orbit twice")
+        prev = image_to_source.get(img)
+        if prev is not None and prev != s and prev != tau.map_simplex(s):
+            raise InputError(
+                "quotient collision: simplices "
+                f"{prev} and {s} share an orbit image; subdivide first"
+            )
+        if prev is None or s < prev:
+            image_to_source[img] = s
+
+    Q = SimplicialComplex._trusted(len(reps), _levels(image_to_source))
+    proj = SimplicialMap._trusted(K, Q, (orbit_vertex(v) for v in range(K.vertex_count)))
+    return Q, proj
+
+
+def skeleton_involution(m, d, swaps, seed):
+    """The d-skeleton of the simplex on m vertices (no simplex when d >= m) with a
+    seeded vertex involution of up to ``swaps`` transpositions; every vertex
+    involution of a skeleton is an automorphism."""
+    K = SimplicialComplex.from_simplices(m, combinations(range(m), d + 1))
+    order = random.Random(seed).sample(range(m), m)
+    images = list(range(m))
+    for a, b in zip(order[:2 * swaps:2], order[1:2 * swaps:2]):
+        images[a], images[b] = b, a
+    return K, SimplicialMap(K, K, images)
 
 
 def relabelled(K, tau, rng):

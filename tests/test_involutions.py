@@ -189,7 +189,6 @@ def test_fixed_set_is_computed_once_per_map(library, monkeypatch):
         raise AssertionError("fixed set recomputed")
 
     monkeypatch.setattr(involutions, "_fixed_set", recomputed)
-    monkeypatch.setattr(involutions, "regularity_offender", recomputed)
     assert dividing_test(K, tau).dividing
     assert harnack_audit(K, tau).is_m
     assert curve_complex_semiorientation(K, tau).carrier is data.subcomplex

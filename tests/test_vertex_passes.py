@@ -6,14 +6,13 @@ face position at a time, ``is_involution`` is one map comparison and
 ``pseudomanifold_check`` counts cofaces with one ``len`` pass.  Each is
 compared here with its former definition in ``conftest``: on library complexes
 and maps, and on Hypothesis draws that reach refusals, first offenders and
-degenerate maps.  The readers of the filled image cache (regularity, the fixed
-set and the orbit chains) are checked against pointwise definitions on
-regular and irregular involutions.
+degenerate maps.  The readers of the filled image cache (the fixed set and the
+orbit chains), and the regularity edge rule that guards them, are checked
+against pointwise definitions on regular and irregular involutions.
 """
 
 import functools
 import random
-from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +39,7 @@ from conftest import (
     per_simplex_index_images,
     per_vertex_is_involution,
     relabelled,
+    skeleton_involution,
 )
 
 
@@ -124,7 +124,7 @@ def test_map_check_edge_cases(library):
     assert seen >= {None, "image of simplex (0, 2) spans no simplex: (0, 2)"}
 
 
-# --- the readers of the image cache: regularity, the fixed set, the orbit chains -----
+# --- regularity and the readers of the image cache: the fixed set, the orbit chains --
 
 
 def check_involution_readers(K, tau):
@@ -173,12 +173,7 @@ def test_image_cache_readers_on_skeleta_of_a_simplex(m, d, swaps, seed, subdivid
     """Any vertex involution of the d-skeleton of a simplex is an automorphism.
     One that swaps an edge's ends maps that edge onto itself, so it is regular
     only after one subdivision, which reaches the fixed set and orbit chains."""
-    K = SimplicialComplex.from_simplices(m, combinations(range(m), d + 1))
-    order = random.Random(seed).sample(range(m), m)
-    images = list(range(m))
-    for a, b in zip(order[:2 * swaps:2], order[1:2 * swaps:2]):
-        images[a], images[b] = b, a
-    tau = SimplicialMap(K, K, images)
+    K, tau = skeleton_involution(m, d, swaps, seed)
     if subdivide:
         K, tau = barycentric_subdivide(K, tau)
     check_involution_readers(K, tau)
