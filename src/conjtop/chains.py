@@ -20,12 +20,12 @@ class ChainComplexData(ChainCarrier):
     dimension, the Gram matrix of the intersection pairing on the
     canonical middle homology basis, the middle-dimension class of the
     fixed point set in those coordinates, and the total mod-2 Betti number
-    of the fixed point set.
+    of the fixed point set.  Homology reads the cached columns of ``boundaries``.
     """
 
     _FIELDS = ("ranks", "boundaries", "int_boundaries", "involution", "pairing", "fixed_class",
                "fixed_betti_total")
-    __slots__ = _FIELDS + ("_cols_cache", "_faces_cache", "_red_cache", "_hom_cache", "_coh_cache")
+    __slots__ = _FIELDS + ("_cols_cache", "_red_cache", "_hom_cache", "_coh_cache")
 
     def __init__(self, ranks, boundaries, int_boundaries=None, involution=None, pairing=None,
                  fixed_class=None, fixed_betti_total=None):
@@ -92,7 +92,6 @@ class ChainComplexData(ChainCarrier):
         self.fixed_class = fixed_class
         self.fixed_betti_total = fixed_betti_total
         self._cols_cache = {}
-        self._faces_cache = {}
         self._red_cache = {}
         self._hom_cache = {}
         self._coh_cache = {}
@@ -111,23 +110,8 @@ class ChainComplexData(ChainCarrier):
     def boundary_columns(self, k):
         """Columns of the boundary out of dimension k, as bit vectors."""
         if k not in self._cols_cache:
-            self._cols_cache[k] = tuple(sum(1 << i for i in f) for f in self.face_indices(k))
+            self._cols_cache[k] = tuple(self.boundary_matrix(k).columns())
         return self._cols_cache[k]
-
-    def face_indices(self, k):
-        """Rows of the set bits of each boundary column out of dimension k,
-        ascending, scattered from the set bits of the rows in one pass; the
-        columns and the relative restrictions are read from them."""
-        if k not in self._faces_cache:
-            M = self.boundary_matrix(k)
-            faces = [[] for _ in range(M.ncols)]
-            for i, r in enumerate(M.rows):
-                while r:
-                    low = r & -r
-                    faces[low.bit_length() - 1].append(i)
-                    r ^= low
-            self._faces_cache[k] = tuple(map(tuple, faces))
-        return self._faces_cache[k]
 
     def n_simplices(self, k):
         return self.ranks[k] if 0 <= k <= self.dimension else 0

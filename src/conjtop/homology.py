@@ -7,9 +7,10 @@ the same code for absolute and relative homology and cohomology.  Induced
 maps, cup products and forms live in ``conjtop.duality``, apart, because a cold
 command compiles every module it loads; the benchmark reads ``duality_data`` here.
 
-Every path (absolute, relative, orbit, cohomology) feeds boundary columns
-to one lowest-bit column reduction, ``reduce_columns``; Betti numbers are
-its pivot counts.  The boundary into dimension k yields a pivot map of the
+Every path (absolute, relative, orbit, cohomology) feeds the carrier's
+cached boundary columns, relative ones with the subspace masked out, to one
+lowest-bit column reduction, ``reduce_columns``; Betti numbers are its pivot
+counts.  The boundary into dimension k yields a pivot map of the
 boundaries B whose pivots are those a row echelon form of B picks; each
 class of Z/B has one representative vanishing on them.  The boundary out
 of dimension k yields cycles with distinct lowest bits; those whose lowest
@@ -38,20 +39,18 @@ class ChainCarrier:
 class HomologyBasis:
     """Canonical basis of a homology group with coordinate services.
 
-    ``cycles`` are bit-packed chains over the complex's k-simplices (or
-    over the restricted simplices when ``chart`` is set by a relative
-    computation).  The boundaries are kept as a lowest-bit pivot map.
+    ``cycles`` are bit-packed chains over the complex's k-simplices.  The
+    boundaries are kept as a lowest-bit pivot map; in a relative basis it
+    also holds the subspace's k-cells as unit columns, which coordinates ignore.
     """
 
-    __slots__ = ("dimension", "n_chains", "betti", "cycles", "chart", "_b_pivots", "_b_mask",
-                 "_h_pivots")
+    __slots__ = ("dimension", "n_chains", "betti", "cycles", "_b_pivots", "_b_mask", "_h_pivots")
 
-    def __init__(self, dimension, n_chains, cycles, b_pivots, b_mask, h_pivots, chart=None):
+    def __init__(self, dimension, n_chains, cycles, b_pivots, b_mask, h_pivots):
         self.dimension = dimension
         self.n_chains = n_chains
         self.cycles = tuple(cycles)
         self.betti = len(self.cycles)
-        self.chart = chart
         self._b_pivots = b_pivots
         self._b_mask = b_mask
         self._h_pivots = tuple(h_pivots)
@@ -74,7 +73,7 @@ class HomologyBasis:
         return f"HomologyBasis(dim={self.dimension}, betti={self.betti})"
 
 
-def _quotient_basis(dimension, n_chains, boundaries, cycles, chart=None):
+def _quotient_basis(dimension, n_chains, boundaries, cycles):
     """Echelon-canonical basis of Z/B from two column reductions.
 
     ``boundaries`` reduces the boundary into dimension k (its pivot map
@@ -88,7 +87,7 @@ def _quotient_basis(dimension, n_chains, boundaries, cycles, chart=None):
     reps = [z for j, z in cycles[1].items() if j not in b_pivots]
     h_rows, h_pivots = echelon(reps)
     mask = sum(1 << p for p in b_pivots)
-    return HomologyBasis(dimension, n_chains, h_rows, b_pivots, mask, h_pivots, chart=chart)
+    return HomologyBasis(dimension, n_chains, h_rows, b_pivots, mask, h_pivots)
 
 
 def _reduction(space, k, co=False):
@@ -108,16 +107,6 @@ def _reduction(space, k, co=False):
         cols = space.boundary_matrix(k + 1).rows if co else space.boundary_columns(k)
         cache[co, k] = reduce_columns(cols, image)
     return cache[co, k]
-
-
-def _restrict_columns(space, k, keep_cols, keep_rows):
-    """The kept boundary columns out of dimension k, each restricted to the
-    kept rows renumbered in order, read from the face indices."""
-    pos = [0] * space.n_simplices(k - 1)
-    for r, i in enumerate(keep_rows):
-        pos[i] = 1 << r
-    faces = space.face_indices(k)
-    return [sum(map(pos.__getitem__, faces[j])) for j in keep_cols]
 
 
 def _cells_off(masks, k, n):
@@ -153,9 +142,9 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
     to relative homology of the pair: for a complex, a subcomplex; for chain
     data, one bit mask of cells per dimension 0..n, closed under the
     boundaries.  Anything else is an InputError.  Both become the same
-    masks, and the chain complex spanned by the cells outside them is
-    reduced.  Relative bases carry a ``chart`` listing which cells of the
-    ambient space index their coordinates.
+    masks, cleared from the ambient boundary columns (the subspace's own
+    columns vanish).  Its k-cells join the boundary pivots as unit columns,
+    so a relative basis is in ambient coordinates and ignores chains on them.
     """
     if not isinstance(space, (SimplicialComplex, ChainCarrier)):
         raise InputError(f"unsupported space type {type(space).__name__}")
@@ -168,12 +157,12 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
         return cache[k]
 
     masks = _rel_masks(space, rel)
-    keep_km1, keep_k, keep_kp1 = (
-        _cells_off(masks, kk, space.n_simplices(kk)) for kk in (k - 1, k, k + 1)
-    )
-    boundaries = reduce_columns(_restrict_columns(space, k + 1, keep_kp1, keep_k))
-    cycles = reduce_columns(_restrict_columns(space, k, keep_k, keep_km1), boundaries[0])
-    return _quotient_basis(k, len(keep_k), boundaries, cycles, chart=tuple(keep_k))
+    n_k = space.n_simplices(k)
+    off_k, off_km1 = (~masks[d] if 0 <= d < len(masks) else -1 for d in (k, k - 1))
+    pivots = reduce_columns(list(map(off_k.__and__, space.boundary_columns(k + 1))))[0]
+    pivots.update((j, 1 << j) for j in set(range(n_k)).difference(_cells_off(masks, k, n_k)))
+    cycles = reduce_columns(list(map(off_km1.__and__, space.boundary_columns(k))), pivots)
+    return _quotient_basis(k, n_k, (pivots,), cycles)
 
 
 def betti_numbers(space):

@@ -83,6 +83,14 @@ def involution_model(library, name):
     return library.complexes[src], tau, marked_basis(library, src)
 
 
+def boundary_data(K):
+    """ChainComplexData carrying the boundaries of K and nothing else."""
+    from conjtop.chains import ChainComplexData
+
+    return ChainComplexData([K.n_simplices(k) for k in range(K.dimension + 1)],
+                            [K.boundary_matrix(k) for k in range(1, K.dimension + 1)])
+
+
 def chain_export(K, tau):
     """(K, tau) as ChainComplexData, the carrier of spaces too large to
     triangulate: the boundaries of K, tau's chain map in each dimension read

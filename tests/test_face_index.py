@@ -21,7 +21,8 @@ from conjtop.homology import cohomology, homology
 from conjtop.smith import orbit_chain_boundaries, quotient_by_involution, regularize
 
 from conftest import (
-    chain_bits, generic_orbit_boundaries, per_simplex_face_indices, per_simplex_index_images,
+    boundary_data, chain_bits, generic_orbit_boundaries, per_simplex_face_indices,
+    per_simplex_index_images,
 )
 
 
@@ -141,23 +142,29 @@ def test_orbit_boundaries_match_generic_definition(library):
             assert orbit_chain_boundaries(K, t) == generic_orbit_boundaries(K, t), name
 
 
+EXPORTED = ("rp2_6vertex", "torus7", "quadric")
+
+
 def chain_data(library):
     """The library's chain data, and chain data carrying complexes' boundaries."""
-    out = list(library.chains.values())
-    for name in ("rp2_6vertex", "torus7", "quadric"):
+    return [*library.chains.values(), *(boundary_data(library.complexes[n]) for n in EXPORTED)]
+
+
+def test_chain_data_columns_are_complex_columns_and_transposed_rows(library):
+    """Homology reads both carriers' boundary columns: chain data exported from
+    a complex has the complex's columns, and the library's own chain data has
+    the rows of its transposed boundaries, entry by entry."""
+    for name in EXPORTED:
         K = library.complexes[name]
-        out.append(ChainComplexData([K.n_simplices(k) for k in range(K.dimension + 1)],
-                                    [K.boundary_matrix(k) for k in range(1, K.dimension + 1)]))
-    return out
-
-
-def test_chain_data_faces_are_the_set_bits_of_its_columns(library):
-    for D in chain_data(library):
+        D = boundary_data(K)
+        for k in range(K.dimension + 2):
+            assert D.boundary_columns(k) == K.boundary_columns(k), (name, k)
+    assert library.chains
+    for D in library.chains.values():
         for k in range(D.dimension + 2):
-            cols = D.boundary_columns(k)
-            assert D.face_indices(k) == tuple(
-                tuple(i for i in range(D.n_simplices(k - 1)) if (c >> i) & 1) for c in cols
-            )
+            M = D.boundary_matrix(k)
+            assert D.boundary_columns(k) == M.transpose().rows, k
+            assert D.boundary_columns(k) == tuple(map(M.column, range(M.ncols))), k
 
 
 # --- reduction order -----------------------------------------------------------------

@@ -236,23 +236,23 @@ def test_unknown_object_message_unchanged(capsys):
 # cli.py counted once.  Each ceiling is the count it pins, so a line added to
 # a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2107,
-    "classify quadric --h (1,1)": 2120,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2107,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2096,
+    "classify quadric --h (1,1)": 2109,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2096,
     "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1950,
     "congruence --chi 8 --type I_abs --h1-trivial": 1068,
-    "conj-form quadric": 2287,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2104,
-    "cover sphere_octa_sub --cut arcs_both": 2104,
-    "divide torus_reflection": 2404,
-    "fixed-set quadric": 2120,
-    "homology klein6 --model .bench_work/cli_models.txt": 1865,
-    "homology klein_bottle": 1817,
-    "homology torus6 --model .bench_work/cli_models.txt": 1865,
-    "homology torus7": 1782,
+    "conj-form quadric": 2276,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2093,
+    "cover sphere_octa_sub --cut arcs_both": 2093,
+    "divide torus_reflection": 2393,
+    "fixed-set quadric": 2109,
+    "homology klein6 --model .bench_work/cli_models.txt": 1854,
+    "homology klein_bottle": 1806,
+    "homology torus6 --model .bench_work/cli_models.txt": 1854,
+    "homology torus7": 1771,
     "lattice-audit quadric_lattice": 1658,
-    "orient torus_reflection": 2404,
-    "orient-cover klein_bottle --curve w1dual": 2468,
+    "orient torus_reflection": 2393,
+    "orient-cover klein_bottle --curve w1dual": 2457,
     "qform rp2_loops": 1256,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",

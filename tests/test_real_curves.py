@@ -13,11 +13,15 @@ from the computed genus and fixed set, not from the generator's g:
 - the pair (X, Fix) has relative b_1 = 2g - 1 + [dividing] when l >= 1;
 - a dividing curve has a coherent complex semi-orientation.
 
-Every verdict must be the same on the renumbered or subdivided draw.
+Every verdict must be the same on the renumbered or subdivided draw.  The
+draws all divide, so the library's curves add the other side of the verdict
+(``torus_diagonal``) and its free involutions, whose pairs (X, Fix) have the
+absolute homology of X.
 """
 
 from hypothesis import given, settings
 
+from conjtop.complexes import barycentric_subdivide
 from conjtop.gf2 import Gf2Matrix, gf2_rank
 from conjtop.homology import homology
 from conjtop.involutions import fixed_subcomplex
@@ -52,3 +56,30 @@ def test_generated_m_doubles_obey_the_real_curve_theorems(draw):
     assert rel_b1 == 2 * genus - 1 + dividing == 2 * genus
     assert coherent
     assert curve_facts(*moved) == facts
+
+
+def test_library_curves_obey_the_real_curve_theorems_on_both_sides_of_the_verdict(library):
+    """Relative b_1 is 2g - 1 + [dividing]: 2, 1 and 4 for these three curves,
+    of which only torus_diagonal does not divide."""
+    for name, rel_b1 in (("torus_reflection", 2), ("torus_diagonal", 1), ("genus2_dividing", 4)):
+        src, _, tau = library.maps[name]
+        K = library.complexes[src]
+        facts = curve_facts(K, tau)
+        genus, l, rank, dividing, is_m, got, coherent = facts
+        assert got == 2 * genus - 1 + dividing == rel_b1, name
+        assert dividing == (name != "torus_diagonal") == coherent, name
+        assert rank == l - dividing, name  # Section 1.3
+        assert l <= genus + 1 and is_m == (l == genus + 1), name  # Harnack
+        assert not dividing or l % 2 == (genus + 1) % 2, name  # Klein
+        assert curve_facts(*barycentric_subdivide(K, tau)) == facts, name
+
+
+def test_free_involutions_leave_relative_homology_absolute(library):
+    for name in ("torus_free", "klein_shift", "genus2_nondividing"):
+        src, _, tau = library.maps[name]
+        K = library.complexes[src]
+        F = fixed_subcomplex(K, tau).subcomplex
+        assert F.n_simplices(0) == 0, name
+        for k in range(K.dimension + 1):
+            relative, absolute = homology(K, k, rel=F), homology(K, k)
+            assert (relative.n_chains, relative.cycles) == (absolute.n_chains, absolute.cycles)

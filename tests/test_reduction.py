@@ -8,6 +8,7 @@ in its cycles and in the coordinates it assigns.
 
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from conjtop.homology import betti_numbers, cohomology, homology
 from conjtop.involutions import fixed_subcomplex, is_regular
 from conjtop.models import factor_swap, model_library, product_complex, sphere_octa, sphere_tetra
 from conjtop.smith import _relative_betti, orbit_chain_boundaries
-from conftest import rref
+from conftest import boundary_data, rref
 
 
 def reduce_against(v, basis_rows, pivots):
@@ -67,24 +68,32 @@ def restricted_matrix(M, keep_rows, keep_cols):
     )
 
 
-def assert_matches(sparse, dense, rng, probes=6):
-    assert sparse.cycles == tuple(dense.cycles)
+def assert_matches(sparse, dense, rng, probes=6, cells=None, rel_mask=0):
+    """The dense chains are over ``cells`` of the sparse basis's space,
+    renumbered in order (over all cells when None); the sparse basis must
+    ignore random bits on the cells of ``rel_mask``."""
+
+    def ambient(v):
+        return v if cells is None else sum(1 << c for i, c in enumerate(cells) if (v >> i) & 1)
+
+    assert sparse.cycles == tuple(map(ambient, dense.cycles))
     n = dense.n_chains
     for _ in range(probes):
         chain = 0
         for z in dense.cycles + dense.boundaries:
             if rng.random() < 0.5:
                 chain ^= z
-        assert sparse.coordinates_of(chain) == dense.coordinates_of(chain)
+        noise = rng.getrandbits(sparse.n_chains) & rel_mask if rel_mask else 0
+        assert sparse.coordinates_of(ambient(chain) ^ noise) == dense.coordinates_of(chain)
         if n:
             stray = chain ^ (1 << rng.randrange(n))
             try:
                 want = dense.coordinates_of(stray)
             except InputError:
                 with pytest.raises(InputError):
-                    sparse.coordinates_of(stray)
+                    sparse.coordinates_of(ambient(stray) ^ noise)
             else:
-                assert sparse.coordinates_of(stray) == want
+                assert sparse.coordinates_of(ambient(stray) ^ noise) == want
 
 
 def check_all_degrees(space, seed=0):
@@ -125,7 +134,8 @@ def test_bundled_chain_data_match_dense(library):
 
 def check_relative(space, rel, masks, rng):
     """homology(space, k, rel=rel) against dense elimination of the cells
-    outside ``masks``; returns the bases for comparison across carriers."""
+    outside ``masks``, embedded by cell index; returns the bases for
+    comparison across carriers."""
     bases = []
     for k in range(space.dimension + 1):
         km1, kk, kp1 = (
@@ -138,8 +148,8 @@ def check_relative(space, rel, masks, rng):
             restricted_matrix(space.boundary_matrix(k + 1), kk, kp1),
         )
         sparse = homology(space, k, rel=rel)
-        assert sparse.chart == tuple(kk)
-        assert_matches(sparse, dense, rng)
+        assert sparse.n_chains == space.n_simplices(k)
+        assert_matches(sparse, dense, rng, cells=kk, rel_mask=masks[k])
         bases.append(sparse)
     return bases
 
@@ -156,14 +166,8 @@ def test_relative_homology_of_fixed_sets_matches_dense(library):
         masks = [sum(1 << K.index_of(s) for s in F.simplices(k)) for k in range(n + 1)]
         on_complex = check_relative(K, F, masks, rng)
 
-        data = ChainComplexData(
-            [K.n_simplices(k) for k in range(n + 1)],
-            [K.boundary_matrix(k) for k in range(1, n + 1)],
-        )
-        on_data = check_relative(data, masks, masks, rng)
-        assert [(b.cycles, b.chart) for b in on_data] == [
-            (b.cycles, b.chart) for b in on_complex
-        ], name
+        on_data = check_relative(boundary_data(K), masks, masks, rng)
+        assert [b.cycles for b in on_data] == [b.cycles for b in on_complex], name
 
         boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
         orbits = ChainComplexData([boundaries[0].nrows] + [b.ncols for b in boundaries],
@@ -213,11 +217,38 @@ def test_relative_betti_matches_bases_on_orbit_complexes_and_fixed_sets(library)
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_relative_betti_matches_bases_on_random_subcomplexes(library, data):
-    """Relative to the closure of at most 12 random simplices of a library complex."""
-    K = library.complexes[data.draw(st.sampled_from(sorted(library.complexes)))]
+    """Relative to the closure of at most 12 random simplices of a library
+    complex; below dimension 4, the bases on the complex and on its chain
+    export also match the dense oracle."""
+    name = data.draw(st.sampled_from(sorted(library.complexes)))
+    K = library.complexes[name]
     simplices = list(K.all_simplices())
     picks = data.draw(st.lists(st.integers(0, len(simplices) - 1), max_size=12))
-    relative_bettis_agree(K, K.subcomplex(simplices[i] for i in picks))
+    L = K.subcomplex(simplices[i] for i in picks)
+    relative_bettis_agree(K, L)
+    if K.dimension < 4:
+        rng = random.Random(len(picks))
+        masks = [sum(1 << K.index_of(s) for s in L.simplices(k)) for k in range(K.dimension + 1)]
+        on_complex = check_relative(K, L, masks, rng)
+        on_data = check_relative(boundary_data(K), masks, masks, rng)
+        assert [b.cycles for b in on_data] == [b.cycles for b in on_complex], name
+
+
+def test_relative_to_nothing_is_absolute(library):
+    """Relative to an empty subspace, every library carrier's basis is the
+    absolute one: its cycles, its chain count and the coordinates it gives."""
+    rng = random.Random(3)
+    spaces = [(K, K.subcomplex(())) for K in library.complexes.values()]
+    spaces += [(D, [0] * (D.dimension + 1)) for D in library.chains.values()]
+    for X, empty in spaces:
+        for k in range(X.dimension + 1):
+            absolute = homology(X, k)
+            oracle = SimpleNamespace(cycles=list(absolute.cycles), n_chains=absolute.n_chains,
+                                     boundaries=list(X.boundary_columns(k + 1)),
+                                     coordinates_of=absolute.coordinates_of)
+            relative = homology(X, k, rel=empty)
+            assert relative.n_chains == absolute.n_chains
+            assert_matches(relative, oracle, rng)
 
 
 def test_betti_numbers_are_the_ranks_of_the_bases():
