@@ -2,11 +2,13 @@
 
 Simplices are strictly increasing tuples of vertex indices, whose order
 cup products and barycentric subdivision rely on.  Complexes and maps are
-immutable.  A complex has one checked way in, ``from_simplices``, which
-closes its generators; derived complexes and maps are trusted.  Checks,
-closure, face indices and map images run in passes over the vertex columns
-of each dimension, one face iterator per ``combinations`` position; a map is
-checked through its image index, and connectivity ends in pointer jumping.
+immutable, so each keeps what is derived from it in one ``_memo`` dict,
+computed once; a call that raises stores nothing.  A complex has one checked
+way in, ``from_simplices``, which closes its generators; derived complexes
+and maps are trusted.  Checks, closure, face indices and map images run in
+passes over the vertex columns of each dimension, one face iterator per
+``combinations`` position; a map is checked through its image index, and
+connectivity ends in pointer jumping.
 """
 
 from __future__ import annotations
@@ -111,11 +113,10 @@ class SimplicialComplex:
         "_boundary_cache",
         "_columns_cache",
         "_cofaces_cache",
-        "_dual_cache",
         "_red_cache",
         "_hom_cache",
         "_coh_cache",
-        "_closed",
+        "_memo",
     )
 
     @classmethod
@@ -132,11 +133,10 @@ class SimplicialComplex:
         K._boundary_cache = {}
         K._columns_cache = {}
         K._cofaces_cache = {}
-        K._dual_cache = None
         K._red_cache = {}
         K._hom_cache = {}
         K._coh_cache = {}
-        K._closed = False
+        K._memo = {}
         return K
 
     @classmethod
@@ -264,7 +264,7 @@ class SimplicialComplex:
         rel = (-1)^(ja+jb+1).  ``adjacency[t]`` lists ``(f, u, rel)`` for
         each top u glued to t across f.
         """
-        if self._dual_cache is None:
+        if "dual" not in self._memo:
             n = self.dimension
             faces = self.face_indices(n)
             pairs = []
@@ -279,8 +279,8 @@ class SimplicialComplex:
                 pairs.append((a, ja, b, jb, rel))
                 adjacency[a].append((f, b, rel))
                 adjacency[b].append((f, a, rel))
-            self._dual_cache = tuple(pairs), tuple(map(tuple, adjacency))
-        return self._dual_cache
+            self._memo["dual"] = tuple(pairs), tuple(map(tuple, adjacency))
+        return self._memo["dual"]
 
     def subcomplex(self, simplices) -> "SimplicialComplex":
         simplices = [tuple(s) for s in simplices]
@@ -323,7 +323,7 @@ class SimplicialComplex:
 class SimplicialMap:
     """Vertex map between complexes sending simplices to simplices."""
 
-    __slots__ = ("source", "target", "images", "_fixed", "_index_cache")
+    __slots__ = ("source", "target", "images", "_memo")
 
     def __init__(self, source: SimplicialComplex, target: SimplicialComplex, images):
         images = tuple(int(v) for v in images)
@@ -335,7 +335,7 @@ class SimplicialMap:
             if not 0 <= v < target.vertex_count:
                 raise InputError(f"vertex image {v} outside target range")
         self.source, self.target, self.images = source, target, images
-        self._fixed, self._index_cache = None, {}
+        self._memo = {}
         # the image index finds every simplex that maps onto a simplex of its own
         # dimension; only the rest (a repeated vertex, or no such simplex) are looked up again
         for k in range(source.dimension + 1):
@@ -349,7 +349,7 @@ class SimplicialMap:
         maps or complexes); the per-simplex image scan is skipped."""
         f = cls.__new__(cls)
         f.source, f.target, f.images = source, target, tuple(images)
-        f._fixed, f._index_cache = None, {}
+        f._memo = {}
         return f
 
     def __call__(self, v: int) -> int:
@@ -362,11 +362,11 @@ class SimplicialMap:
     def index_images(self, k: int):
         """Target index of the image of each k-simplex, cached per dimension;
         -1 where the image has a repeated vertex (a lower dimension)."""
-        if k not in self._index_cache:
+        if k not in self._memo:
             group, im, get = self.source.simplices(k), self.images.__getitem__, self.target._index.get
             images = map(sorted, zip(*(map(im, map(itemgetter(i), group)) for i in range(k + 1))))
-            self._index_cache[k] = tuple(map(get, map(tuple, images), repeat(-1)))
-        return self._index_cache[k]
+            self._memo[k] = tuple(map(get, map(tuple, images), repeat(-1)))
+        return self._memo[k]
 
     def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
         """self after inner."""
@@ -499,14 +499,12 @@ def pseudomanifold_check(K: SimplicialComplex):
     Requires: pure top dimension, every codimension-1 simplex has exactly
     two cofaces, and the top-dimensional part is strongly connected (the
     coface pairs join all tops into one class; no signs are computed, unlike
-    :func:`dual_walk`).  The scan runs once per complex:
-    complexes are immutable, so a pass is remembered, while a complex that
-    fails raises on every call.
+    :func:`dual_walk`).  A pass is remembered; a failure raises on every call.
     """
     n = K.dimension
     if n < 0:
         raise InputError("empty complex is not a pseudomanifold")
-    if n >= 1 and not K._closed:
+    if n >= 1 and "closed" not in K._memo:
         counts = list(map(len, K.cofaces(n - 1)))
         if counts.count(2) < len(counts):
             i = next(compress(count(), map((2).__ne__, counts)))
@@ -516,7 +514,7 @@ def pseudomanifold_check(K: SimplicialComplex):
             raise InputError(f"simplex {bad} is not a face of any top simplex")
         if len(set(_roots(K.n_simplices(n), K.cofaces(n - 1)))) > 1:
             raise InputError("top-dimensional part is not strongly connected")
-        K._closed = True
+        K._memo["closed"] = True
     return n
 
 

@@ -7,7 +7,7 @@ the ``conjtop`` commands only ``conj-form`` reads a form, so this layer
 lives apart from ``conjtop.homology``.
 """
 
-from .complexes import SimplicialComplex, SimplicialMap, fundamental_class
+from .complexes import SimplicialComplex, SimplicialMap, fundamental_class, pseudomanifold_check
 from .errors import InputError, Record
 from .gf2 import Gf2Matrix, dot, gf2_invert
 from .homology import ChainCarrier, cohomology, homology, is_cocycle
@@ -109,15 +109,17 @@ class DualityData(Record):
 
 
 def duality_data(K: SimplicialComplex, k: int) -> DualityData:
-    """Duality package in degree k of a closed pseudomanifold.
+    """Duality package in degree k of a closed pseudomanifold, remembered per
+    complex and degree; the pseudomanifold check runs on every call.
 
     The cup matrix C of the canonical H^k and H^(n-k) bases is one pass
-    over the tops (:func:`_cup_matrix`).  Raises when the cup pairing
-    between degrees k and n-k degenerates or the evaluation pairing is
-    singular; such inputs fail the duality audit and the middle-dimension
-    form is not defined for them.
+    over the tops (:func:`_cup_matrix`).  Raises, and stores nothing, when the
+    cup pairing between degrees k and n-k degenerates or the evaluation pairing
+    is singular; such inputs fail the duality audit and have no middle form.
     """
-    n = K.dimension
+    n = pseudomanifold_check(K)
+    if ("duality", k) in K._memo:
+        return K._memo["duality", k]
     fundamental_class(K)
     hom = homology(K, k)
     coh = cohomology(K, k)
@@ -146,7 +148,8 @@ def duality_data(K: SimplicialComplex, k: int) -> DualityData:
         gf2_invert(eval_matrix)
     except InputError:
         raise InputError("evaluation pairing between cohomology and homology is singular")
-    return DualityData(hom, coh, cup, cup_inv, eval_matrix)
+    K._memo["duality", k] = DualityData(hom, coh, cup, cup_inv, eval_matrix)
+    return K._memo["duality", k]
 
 
 def duality_audit(K: SimplicialComplex) -> bool:

@@ -90,15 +90,14 @@ def fixed_subcomplex(K: SimplicialComplex, tau: SimplicialMap,
     the reported class; components of other dimensions are listed but not
     summed.  Requires a regular involution.
 
-    The fixed set is computed once per map and shared by every later call
-    and every analysis that needs it, which is safe because complexes and
-    maps are immutable.  ``mid_class`` is not cached: it follows
-    ``basis_cycles`` on each call.
+    The fixed set is remembered per map and shared by every later call and
+    every analysis that needs it; regularity is checked on every call, and a
+    refusal stores nothing.  ``mid_class`` follows ``basis_cycles`` on each call.
     """
     check_regular_involution(K, tau)
-    if tau._fixed is None:
-        tau._fixed = _fixed_set(K, tau)
-    F, components, mid, mid_cycle = tau._fixed
+    if "fixed" not in tau._memo:
+        tau._memo["fixed"] = _fixed_set(K, tau)
+    F, components, mid, mid_cycle = tau._memo["fixed"]
     mid_class = None
     if mid is not None:
         mid_class = _Basis(homology(K, mid), basis_cycles).coords(mid_cycle)

@@ -132,38 +132,38 @@ class DividingVerdict(Record):
 def dividing_test(K: SimplicialComplex, tau: SimplicialMap) -> DividingVerdict:
     """Does the fixed curve separate the surface into two swapped halves?
 
-    Components of the complement are those of the dual walk cut along the
-    fixed edges.  Exactly two components swapped by the involution means
-    dividing; a single invariant component means non-dividing; anything
-    else cannot come from a real structure and is refused.  The surface
-    must be a closed pseudomanifold, which makes it connected.
+    The dual walk cut along the fixed edges gives the complement's components:
+    two, swapped by the involution, mean dividing, one means non-dividing, and
+    more are refused.  The surface must be a closed pseudomanifold, hence
+    connected.  The split is remembered per map; the checks run on every call.
     """
     return _split_along_fixed_curve(K, tau)[0]
 
 
 def _split_along_fixed_curve(K: SimplicialComplex, tau: SimplicialMap):
-    """(dividing verdict, fixed curve, signs of the walk cut along it)."""
-    from .involutions import fixed_subcomplex  # here: comparing curves never reads it
+    """(dividing verdict, fixed curve, signs of the walk cut along it); a refusal stores nothing."""
+    from .involutions import check_regular_involution, fixed_subcomplex  # compare needs neither
 
     if K.dimension != 2:
         raise InputError("dividing test runs on surface complexes")
     pseudomanifold_check(K)
+    check_regular_involution(K, tau)
+    if "split" in tau._memo:
+        return tau._memo["split"]
     data = fixed_subcomplex(K, tau)
     F = data.subcomplex
     if F.dimension >= 0 and any(c.dimension != 1 for c in data.components):
         raise InputError("fixed set must be a curve (all components one-dimensional)")
     comp, signs = dual_walk(K, set(map(K.index_of, F.simplices(1))))
     n_comp = max(comp) + 1
-    if n_comp == 1:
-        return DividingVerdict(False, None, 1), F, signs
-    if n_comp == 2:
-        # some fixed edge joins the halves; tau swaps its two tops (F is a curve), hence the halves
+    if n_comp > 2:
+        raise InputError(f"complement of the fixed curve has {n_comp} components: "
+                         "not a real-structure pattern")
+    halves = None
+    if n_comp == 2:  # tau swaps the tops of a fixed edge joining the halves, hence the halves
         halves = tuple(frozenset(t for t, c in enumerate(comp) if c == h) for h in (0, 1))
-        return DividingVerdict(True, halves, 2), F, signs
-    raise InputError(
-        f"complement of the fixed curve has {n_comp} components: "
-        "not a real-structure pattern"
-    )
+    tau._memo["split"] = DividingVerdict(n_comp == 2, halves, n_comp), F, signs
+    return tau._memo["split"]
 
 
 def curve_complex_semiorientation(K: SimplicialComplex, tau: SimplicialMap):

@@ -60,12 +60,20 @@ def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):
     singleton orbits).  This is the Delta-complex chain model of the
     quotient space; it stays valid when two non-exchanged simplices share
     an orbit image, the situation where the simplicial quotient refuses.
-    Returns (boundaries, fixed_flags): boundary matrices indexed by orbit
-    bases and, per dimension, a bit mask of the orbit classes lying in the
-    fixed subcomplex.
+    Returns (boundaries, fixed_flags), two tuples: boundary matrices indexed
+    by orbit bases and, per dimension, a bit mask of the orbit classes lying
+    in the fixed subcomplex.  They are remembered per map and shared with
+    :func:`smith_kernel_bound`; regularity is checked on every call, and a
+    refusal stores nothing.
     """
     check_regular_involution(K, tau)
+    if "orbit" not in tau._memo:
+        tau._memo["orbit"] = _orbit_chains(K, tau)
+    return tau._memo["orbit"]
 
+
+def _orbit_chains(K: SimplicialComplex, tau: SimplicialMap):
+    """Orbit boundaries and fixed flags of a regular involution, as tuples."""
     reps = []  # per dimension: the index in K of each orbit's first simplex
     orbit_of = []  # per dimension: the orbit number of each simplex of K
     fixed_flags = []
@@ -92,7 +100,7 @@ def orbit_chain_boundaries(K: SimplicialComplex, tau: SimplicialMap):
                 rows[of[f]] ^= bit
             bit <<= 1
         boundaries.append(Gf2Matrix._trusted(len(rows), len(reps[k]), tuple(rows)))
-    return boundaries, fixed_flags
+    return tuple(boundaries), tuple(fixed_flags)
 
 
 def regularize(K: SimplicialComplex, tau: SimplicialMap):

@@ -283,7 +283,8 @@ def per_facet_map_check(source, target, images):
 
 
 def generic_orbit_boundaries(K, tau):
-    """The former orbit chain complex: orbit representatives by dict."""
+    """The former orbit chain complex: orbit representatives by dict, returned
+    as tuples like the remembered one."""
     reps, orbit_index = [], []
     for k in range(K.dimension + 1):
         lst, idx = [], {}
@@ -303,7 +304,7 @@ def generic_orbit_boundaries(K, tau):
         boundaries.append(Gf2Matrix(len(reps[k - 1]), len(reps[k]), rows))
     flags = [sum(1 << j for j, s in enumerate(lst) if all(tau(v) == v for v in s))
              for lst in reps]
-    return boundaries, flags
+    return tuple(boundaries), tuple(flags)
 
 
 def per_pair_roots(n, pairs):

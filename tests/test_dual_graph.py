@@ -268,7 +268,7 @@ def test_flipped_sign_breaks_coherence_and_orientation_cover(library, monkeypatc
     fresh = SimplicialComplex.from_simplices(K.vertex_count, K.simplices(2))
     semi = SemiOrientation(fresh, dual_walk(fresh)[1])
     assert is_coherent(semi)
-    fresh._dual_cache = flipped_graph(fresh.dual_graph(), 17)
+    fresh._memo["dual"] = flipped_graph(fresh.dual_graph(), 17)
     assert not is_coherent(semi)
 
     klein = library.complexes["klein_bottle"]
@@ -301,12 +301,12 @@ def test_dropped_fixed_component_changes_dividing_verdict(library, name):
     src, _, tau = library.maps[name]
     K = library.complexes[src]
     verdict = dividing_test(K, tau)
-    F, components, mid, cycle = tau._fixed
+    F, components, mid, cycle = tau._memo["fixed"]
     dropped = F.components()[0]
     kept = [s for s in F.all_simplices() if s[0] not in dropped]
     fresh = type(tau)(K, K, tau.images)
-    fresh._fixed = (SimplicialComplex.from_simplices(K.vertex_count, kept),
-                    components[1:], mid, cycle ^ components[0].cycle)
+    fresh._memo["fixed"] = (SimplicialComplex.from_simplices(K.vertex_count, kept),
+                            components[1:], mid, cycle ^ components[0].cycle)
     try:
         mutated = dividing_test(K, fresh)
     except InputError:

@@ -100,7 +100,7 @@ def test_map_check_matches_the_per_facet_route(data):
         assert expected is None
     if expected is None:  # the check leaves the image cache full for every later reader
         f = SimplicialMap(source, target, images)
-        assert sorted(f._index_cache) == list(range(source.dimension + 1))
+        assert sorted(f._memo) == list(range(source.dimension + 1))
         for k in range(source.dimension + 1):
             assert f.index_images(k) == per_simplex_index_images(f, k)
 
