@@ -29,7 +29,7 @@ assert M.mul_vec(x) == b
 print()
 print("== Integers: Smith normal form with transforms ==")
 A = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-D, U, V = smith_normal_form(A)
+D, U, V = smith_normal_form(A, with_u=True)
 print(f"A = {A}")
 print(f"D = diag{D.diagonal_entries()}")
 print(f"U*A*V == D: {U * A * V == D}")

@@ -120,7 +120,6 @@ def duality_data(K: SimplicialComplex, k: int) -> DualityData:
     n = pseudomanifold_check(K)
     if ("duality", k) in K._memo:
         return K._memo["duality", k]
-    fundamental_class(K)
     hom = homology(K, k)
     coh = cohomology(K, k)
     coh_dual = cohomology(K, n - k)

@@ -12,9 +12,9 @@ one row pass and one column pass, both over supports read once: the pivot
 row's nonzero columns, the nonzero entries of its row of U, and the rows
 with a nonzero in the pivot column.  V is kept transposed, so its column
 operations are sparse row operations and a column swap exchanges two rows.
-Every call audits U and V exactly with ``det``.  ``invariant_factors``
-needs no U or V: it first eliminates unit pivots on sparse columns, as
-Dumas, Heckenbach, Saunders and Welker (2003) do for boundary matrices.
+U is built on request only, and ``det`` audits each transform a call builds.
+``invariant_factors`` needs neither: it first eliminates unit pivots on
+sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do.
 """
 
 from __future__ import annotations
@@ -202,20 +202,20 @@ def _row_min(row, lo):
     return min(map(abs, filter(None, row[lo:])), default=0)
 
 
-def smith_normal_form(M: IntMatrix):
+def smith_normal_form(M: IntMatrix, *, with_u=False):
     """Smith normal form with transforms: returns (D, U, V) with U*M*V = D.
 
     D is diagonal with nonnegative entries d_i satisfying d_i | d_{i+1};
-    U and V are unimodular.  Pivot choice is deterministic (smallest
-    absolute value, ties by row-major position) so outputs are stable.
-    Raises :class:`ModelIntegrityError` when ``det`` finds U or V not
-    unimodular.
+    U and V are unimodular, and U is None unless ``with_u``, which leaves D
+    and V as they are.  Pivots are deterministic (smallest |entry|, ties by
+    row-major position).  Raises :class:`ModelIntegrityError` when ``det``
+    finds V, or U when built, not unimodular.
     """
     m, n = M.nrows, M.ncols
     a = [list(r) for r in M.rows]
-    u, vt = [[0] * m for _ in range(m)], [[0] * n for _ in range(n)]  # vt is V transposed
-    for i, row in chain(enumerate(u), enumerate(vt)):  # zero rows, then the unit diagonal
-        row[i] = 1
+    # identity rows; without U they are empty, so every U update runs over no columns
+    u = [[0] * i + [1] + [0] * (m - 1 - i) if with_u else [] for i in range(m)]
+    vt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]  # V transposed
     # mins[i] is the smallest nonzero |entry| of a[i][t:] at step t: column
     # swaps keep it, and a finished step leaves column t zero below row t
     mins = [_row_min(row, 0) for row in a]
@@ -301,9 +301,9 @@ def smith_normal_form(M: IntMatrix):
             u[i] = [-x for x in u[i]]
 
     D = IntMatrix._trusted(m, n, tuple(map(tuple, a)))
-    U = IntMatrix._trusted(m, m, tuple(map(tuple, u)))
+    U = IntMatrix._trusted(m, m, tuple(map(tuple, u))) if with_u else None
     V = IntMatrix._trusted(n, n, tuple(zip(*vt)))
-    dets = {"det_U": det(U), "det_V": det(V)}
+    dets = {name: det(T) for name, T in (("det_U", U), ("det_V", V)) if T is not None}
     if not all(d in (1, -1) for d in dets.values()):
         raise ModelIntegrityError("transform matrices lost unimodularity", report=dets)
     return D, U, V
@@ -386,6 +386,6 @@ def invariant_factors(M: IntMatrix):
 
 
 def int_kernel_basis(M: IntMatrix):
-    """Basis of the integer kernel of M (columns of V over zero diagonals)."""
+    """Basis of the integer kernel of M: columns of V over zero diagonals (no U built)."""
     D, _, V = smith_normal_form(M)
     return [col for j, col in enumerate(V.transpose().rows) if j >= D.nrows or D[j, j] == 0]

@@ -487,12 +487,12 @@ def int_solve(M, b):
     """The former ``intmat.int_solve``: one integer solution of Mx = b, or
     None when unsolvable.  The oracle for the transfer identity of the
     lattice audits."""
-    return snf_solve(smith_normal_form(M), b)
+    return snf_solve(smith_normal_form(M, with_u=True), b)
 
 
 def snf_solve(snf, b):
     """The former ``intmat.snf_solve``: ``int_solve`` from M's Smith form
-    (D, U, V)."""
+    (D, U, V), built with U."""
     D, U, V = snf
     b = list(b)
     if len(b) != D.nrows:

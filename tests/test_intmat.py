@@ -200,7 +200,7 @@ def test_snf_already_diagonal():
 @settings(max_examples=150, deadline=None)
 def test_snf_transform_identities(rows):
     M = IntMatrix(rows)
-    D, U, V = smith_normal_form(M)
+    D, U, V = smith_normal_form(M, with_u=True)
     assert U * M * V == D
     assert det(U) in (1, -1)
     assert det(V) in (1, -1)
@@ -296,22 +296,25 @@ def test_det_against_leibniz(rows):
     assert det(IntMatrix(rows)) == leibniz_det(rows)
 
 
-def assert_same_snf(rows):
-    M = IntMatrix(rows)
-    D, U, V = smith_normal_form(M)
+def assert_same_snf(M):
+    """(D, U, V) built with U equal the reference's, bit for bit, and the
+    default call returns the same D and V with U None."""
+    D, U, V = smith_normal_form(M, with_u=True)
     ref = ReferenceSNF(M)
     assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
+    assert smith_normal_form(M) == (D, None, V)
+    return D, U, V
 
 
 @given(int_matrices(max_dim=8, entries=SPARSE_ENTRIES))
 @settings(max_examples=200, deadline=None)
 def test_snf_matches_reference(rows):
-    assert_same_snf(rows)
+    assert_same_snf(IntMatrix(rows))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_snf_matches_reference_sparse_40x30(seed):
-    assert_same_snf(seeded_sparse_rows(seed))
+    assert_same_snf(IntMatrix(seeded_sparse_rows(seed)))
 
 
 def rank_deficient_sparse_80x60():
@@ -329,11 +332,8 @@ def rank_deficient_sparse_80x60():
     (lambda: signed_boundary_2(models.coned_grid_klein(4)[0]), (2,)),
 ], ids=["sparse_80x60", "d2_coned_torus_4", "d2_coned_klein_4"])
 def test_snf_matches_reference_at_bench_scale(build, torsion):
-    rows = build()
-    M = IntMatrix(rows)
-    D, U, V = smith_normal_form(M)
-    ref = ReferenceSNF(M)
-    assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
+    M = IntMatrix(build())
+    D, U, V = assert_same_snf(M)
     assert U * M * V == D
     factors = invariant_factors(M)
     if torsion is None:
@@ -434,10 +434,23 @@ def udv_rows(m, n, seed, rank=None):
 
 def test_snf_matches_reference_on_udv_120x90():
     M = IntMatrix(udv_rows(120, 90, seed=14)[0])
-    D, U, V = smith_normal_form(M)
-    ref = ReferenceSNF(M)
-    assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
-    assert invariant_factors(M) == tuple(d for d in ref.D.diagonal_entries() if d)
+    D, _, _ = assert_same_snf(M)
+    assert invariant_factors(M) == tuple(d for d in D.diagonal_entries() if d)
+
+
+@pytest.mark.parametrize("m, n, seed", [(40, 30, 21), (80, 60, 22), (120, 90, 23), (160, 120, 24)])
+def test_snf_builds_u_only_on_request_at_bench_scale(m, n, seed):
+    assert_same_snf(IntMatrix(udv_rows(m, n, seed)[0]))
+
+
+@given(st.one_of(shaped_matrices(SPARSE_ENTRIES), shaped_matrices(NO_UNIT_ENTRIES)))
+@example(([], 0))  # 0 x 0
+@example(([], 3))  # 0 x 3
+@example(([[], [], []], 0))  # 3 x 0
+@settings(max_examples=100, deadline=None)
+def test_snf_builds_u_only_on_request(shaped):
+    rows, n = shaped
+    assert_same_snf(IntMatrix(rows, n))
 
 
 @pytest.mark.parametrize("n, rank, seed", [(40, 40, 1), (80, 80, 2), (120, 120, 3), (60, 57, 4)])
@@ -448,7 +461,7 @@ def test_det_of_udv_at_bench_scale(n, rank, seed):
 
 
 def test_det_of_snf_transforms_on_udv_160x120():
-    _, U, V = smith_normal_form(IntMatrix(udv_rows(160, 120, seed=16)[0]))
+    _, U, V = smith_normal_form(IntMatrix(udv_rows(160, 120, seed=16)[0]), with_u=True)
     for T in (U, V):
         assert det(T) == det(T.transpose()) in (1, -1)
 
@@ -461,12 +474,19 @@ def test_unimodularity_audit_runs_on_every_call(monkeypatch):
         return det(M)
 
     monkeypatch.setattr(conjtop.intmat, "det", counting_det)
-    smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
+    M = IntMatrix([[2, 4, 4], [-6, 6, 12]])
+    smith_normal_form(M)
+    assert seen == [(3, 3)]  # no U is built, so V alone is audited
+    seen.clear()
+    smith_normal_form(M, with_u=True)
     assert seen == [(2, 2), (3, 3)]
     monkeypatch.setattr(conjtop.intmat, "det", lambda M: 2)
     with pytest.raises(ModelIntegrityError, match="unimodularity") as err:
-        invariant_factors(IntMatrix([[1]]))  # the empty remainder is audited too
+        smith_normal_form(M, with_u=True)
     assert err.value.report == {"det_U": 2, "det_V": 2}
+    with pytest.raises(ModelIntegrityError, match="unimodularity") as err:
+        invariant_factors(IntMatrix([[1]]))  # the empty remainder is audited too
+    assert err.value.report == {"det_V": 2}
 
 
 def test_det_examples():
@@ -487,7 +507,7 @@ def test_empty_matrices_keep_their_width():
     assert IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 2) == IntMatrix.zeros(0, 2)
     with pytest.raises(InputError, match="ragged"):
         IntMatrix([[1, 2]], 3)
-    D, U, V = smith_normal_form(three_by_zero)
+    D, U, V = smith_normal_form(three_by_zero, with_u=True)
     assert (D, U, V) == (three_by_zero, IntMatrix.identity(3), IntMatrix.identity(0))
 
 

@@ -270,7 +270,7 @@ def former_transfer_audit(L):
         raise ModelIntegrityError("push after pull is not multiplication by 2",
                                   report={"composition": comp})
     report = {"composition_is_doubling": True}
-    pull_snf = smith_normal_form(Q.p_pull)
+    pull_snf = smith_normal_form(Q.p_pull, with_u=True)
     factors = tuple(d for d in pull_snf[0].diagonal_entries() if d != 0)
     if len(factors) != Q.quotient_rank:
         raise ModelIntegrityError("pull map is not injective", report={"factors": factors})

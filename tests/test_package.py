@@ -236,23 +236,23 @@ def test_unknown_object_message_unchanged(capsys):
 # cli.py counted once.  Each ceiling is the count it pins, so a line added to
 # a module a command loads shows here; lower a ceiling when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2093,
-    "classify quadric --h (1,1)": 2106,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2093,
-    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1948,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2090,
+    "classify quadric --h (1,1)": 2103,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2090,
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1945,
     "congruence --chi 8 --type I_abs --h1-trivial": 1068,
-    "conj-form quadric": 2276,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2091,
-    "cover sphere_octa_sub --cut arcs_both": 2091,
-    "divide torus_reflection": 2390,
-    "fixed-set quadric": 2106,
-    "homology klein6 --model .bench_work/cli_models.txt": 1852,
-    "homology klein_bottle": 1804,
-    "homology torus6 --model .bench_work/cli_models.txt": 1852,
-    "homology torus7": 1769,
+    "conj-form quadric": 2272,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2088,
+    "cover sphere_octa_sub --cut arcs_both": 2088,
+    "divide torus_reflection": 2387,
+    "fixed-set quadric": 2103,
+    "homology klein6 --model .bench_work/cli_models.txt": 1849,
+    "homology klein_bottle": 1801,
+    "homology torus6 --model .bench_work/cli_models.txt": 1849,
+    "homology torus7": 1766,
     "lattice-audit quadric_lattice": 1658,
-    "orient torus_reflection": 2390,
-    "orient-cover klein_bottle --curve w1dual": 2455,
+    "orient torus_reflection": 2387,
+    "orient-cover klein_bottle --curve w1dual": 2452,
     "qform rp2_loops": 1256,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",
