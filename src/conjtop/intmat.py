@@ -4,17 +4,17 @@ Everything runs on Python integers, so entry blow-up during elimination
 is harmless.  No floating point enters at any stage.
 
 Smith normal form pivots on the smallest nonzero |entry| of the remaining
-block, ties by row-major position, so (D, U, V) are deterministic.  Each
-row's minimum |entry| is cached: it is computed once per row, swapped with
-the row, and refreshed only for the rows a pivot pass touched, so the
-search reads one list instead of rescanning the block.  Each pivot makes
-one row pass and one column pass, both over supports read once: the pivot
-row's nonzero columns, the nonzero entries of its row of U, and the rows
-with a nonzero in the pivot column.  V is kept transposed, so its column
-operations are sparse row operations and a column swap exchanges two rows.
-U is built on request only, and ``det`` audits each transform a call builds.
-``invariant_factors`` needs neither: it first eliminates unit pivots on
-sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do.
+block, ties by row-major position, so (D, U, V) are deterministic.  The
+search computes a row's minimum |entry| when it reaches the row, keeps it
+through swaps, forgets it when a pivot pass touches the row, and stops at
+the first row whose minimum is 1.  Each pivot makes one row pass and one
+column pass over supports read once: the pivot row's nonzero columns, its
+nonzero entries in U and in V, and the rows with a nonzero in the pivot
+column.  V is kept transposed, so a column operation on it is a sparse row
+operation.  A diagonal that already divides in order skips the pair pass.
+U and V are built on request only, and ``det`` audits each transform a
+call builds.  ``invariant_factors`` needs neither: it first eliminates unit
+pivots on sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do.
 """
 
 from __future__ import annotations
@@ -197,28 +197,23 @@ def _support(row, lo=0):
     return list(compress(range(lo, len(row)), row[lo:]))
 
 
-def _row_min(row, lo):
-    """Smallest nonzero |entry| of ``row[lo:]``, 0 when there is none."""
-    return min(map(abs, filter(None, row[lo:])), default=0)
+def smith_normal_form(M: IntMatrix, *, with_u=False, with_v=False):
+    """Smith normal form: returns (D, U, V) with U*M*V = D.
 
-
-def smith_normal_form(M: IntMatrix, *, with_u=False):
-    """Smith normal form with transforms: returns (D, U, V) with U*M*V = D.
-
-    D is diagonal with nonnegative entries d_i satisfying d_i | d_{i+1};
-    U and V are unimodular, and U is None unless ``with_u``, which leaves D
-    and V as they are.  Pivots are deterministic (smallest |entry|, ties by
-    row-major position).  Raises :class:`ModelIntegrityError` when ``det``
-    finds V, or U when built, not unimodular.
+    D is diagonal with nonnegative entries d_i satisfying d_i | d_{i+1}.
+    U and V are unimodular, each None unless asked for (``with_u``,
+    ``with_v``), and asking changes neither D nor the other.  Pivots are
+    deterministic (smallest |entry|, ties by row-major position).  Raises
+    :class:`ModelIntegrityError` when ``det`` finds a transform it built not unimodular.
     """
     m, n = M.nrows, M.ncols
     a = [list(r) for r in M.rows]
-    # identity rows; without U they are empty, so every U update runs over no columns
+    # identity rows; empty for a transform not asked for, so its updates touch no column
     u = [[0] * i + [1] + [0] * (m - 1 - i) if with_u else [] for i in range(m)]
-    vt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]  # V transposed
-    # mins[i] is the smallest nonzero |entry| of a[i][t:] at step t: column
-    # swaps keep it, and a finished step leaves column t zero below row t
-    mins = [_row_min(row, 0) for row in a]
+    vt = [[0] * i + [1] + [0] * (n - 1 - i) if with_v else [] for i in range(n)]  # V transposed
+    # mins[i] is None until a search computes the smallest nonzero |entry| of
+    # a[i][t:] at step t; column swaps keep it, and a finished step leaves column t zero below row t
+    mins = [None] * m
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -249,13 +244,17 @@ def smith_normal_form(M: IntMatrix, *, with_u=False):
             vd[j] += c * vsrc[j]
 
     def find_pivot(t):
-        # the smallest cached minimum, its first row, that row's first column
-        best = min(filter(None, mins[t:]), default=0)
-        if not best:
-            return None
-        pi = mins.index(best, t)
-        row = a[pi]
-        return pi, next(j for j in range(t, n) if abs(row[j]) == best)
+        # the first row of smallest minimum, each minimum computed when the
+        # search reaches its row, a 1 ending the search; that row's first column
+        best = pi = 0
+        for i in range(t, m):
+            if (b := mins[i]) is None:
+                b = mins[i] = min(map(abs, filter(None, a[i][t:])), default=0)
+            if b and not 0 < best <= b:
+                best, pi = b, i
+                if b == 1:
+                    break
+        return (pi, next(j for j in range(t, n) if abs(a[pi][j]) == best)) if best else None
 
     r = min(m, n)
     for t in range(r):
@@ -271,11 +270,11 @@ def smith_normal_form(M: IntMatrix, *, with_u=False):
             for j in cols[1:]:
                 add_col(t, j, -(at[j] // p), rows, vcols)
             for i in (t, *below):  # the rows add_row and add_col touched
-                mins[i] = _row_min(a[i], t)
+                mins[i] = None
             if len(rows) == 1 and not any(at[j] for j in cols[1:]):
                 break
-            # residues smaller than |p| remain, in rows whose minimum was just
-            # recomputed: the next pivot is strictly smaller, so the search ends
+            # residues smaller than |p| remain, in rows whose minimum the next
+            # search recomputes: the next pivot is strictly smaller, so the search ends
 
     def fix_pair(t, s):
         # replace diag entries (a_t, a_s) by (gcd, +-lcm); only rows/cols
@@ -287,13 +286,14 @@ def smith_normal_form(M: IntMatrix, *, with_u=False):
         if a[t][s] != 0:
             add_col(t, s, -(a[t][s] // a[t][t]), [t], _support(vt[t]))
 
-    # zero diagonal entries trail (the block is zero once no pivot is
-    # found, and fix_pair keeps both entries nonzero), so dt == 0 means ds == 0
-    for t in range(r):
-        for s in range(t + 1, r):
-            dt, ds = a[t][t], a[s][s]
-            if dt != 0 and ds % dt != 0:
-                fix_pair(t, s)
+    # zero diagonal entries trail (the block is zero once no pivot is found, and fix_pair keeps
+    # both nonzero), so dt == 0 means ds == 0; a diagonal dividing in order has no pair to fix
+    if any(a[t][t] and a[t + 1][t + 1] % a[t][t] for t in range(r - 1)):
+        for t in range(r):
+            for s in range(t + 1, r):
+                dt, ds = a[t][t], a[s][s]
+                if dt != 0 and ds % dt != 0:
+                    fix_pair(t, s)
 
     for i in range(r):
         if a[i][i] < 0:
@@ -302,7 +302,7 @@ def smith_normal_form(M: IntMatrix, *, with_u=False):
 
     D = IntMatrix._trusted(m, n, tuple(map(tuple, a)))
     U = IntMatrix._trusted(m, m, tuple(map(tuple, u))) if with_u else None
-    V = IntMatrix._trusted(n, n, tuple(zip(*vt)))
+    V = IntMatrix._trusted(n, n, tuple(zip(*vt))) if with_v else None
     dets = {name: det(T) for name, T in (("det_U", U), ("det_V", V)) if T is not None}
     if not all(d in (1, -1) for d in dets.values()):
         raise ModelIntegrityError("transform matrices lost unimodularity", report=dets)
@@ -317,8 +317,8 @@ def invariant_factors(M: IntMatrix):
     pivot.  A unit pivot splits off a factor 1: the Schur update subtracts
     its column, scaled by the pivot row's entries, from the other columns
     of that row, and the pivot's row and column are dropped.  The remainder,
-    its zero rows and columns left out, goes to the audited
-    :func:`smith_normal_form` even when it is empty.  The number of odd
+    its zero rows and columns left out, goes to :func:`smith_normal_form`,
+    which builds no transform for it.  On every call the number of odd
     factors must equal the rank of M over GF(2), or
     :class:`ModelIntegrityError` is raised.
     """
@@ -386,6 +386,6 @@ def invariant_factors(M: IntMatrix):
 
 
 def int_kernel_basis(M: IntMatrix):
-    """Basis of the integer kernel of M: columns of V over zero diagonals (no U built)."""
-    D, _, V = smith_normal_form(M)
+    """Basis of the integer kernel of M: columns of V (asked for; U is not) over zero diagonals."""
+    D, _, V = smith_normal_form(M, with_v=True)
     return [col for j, col in enumerate(V.transpose().rows) if j >= D.nrows or D[j, j] == 0]

@@ -200,7 +200,7 @@ def test_snf_already_diagonal():
 @settings(max_examples=150, deadline=None)
 def test_snf_transform_identities(rows):
     M = IntMatrix(rows)
-    D, U, V = smith_normal_form(M, with_u=True)
+    D, U, V = smith_normal_form(M, with_u=True, with_v=True)
     assert U * M * V == D
     assert det(U) in (1, -1)
     assert det(V) in (1, -1)
@@ -297,12 +297,15 @@ def test_det_against_leibniz(rows):
 
 
 def assert_same_snf(M):
-    """(D, U, V) built with U equal the reference's, bit for bit, and the
-    default call returns the same D and V with U None."""
-    D, U, V = smith_normal_form(M, with_u=True)
+    """(D, U, V) built with both transforms equal the reference's, bit for
+    bit, and each other call returns the same D and the transforms it asks
+    for, the others None."""
+    D, U, V = smith_normal_form(M, with_u=True, with_v=True)
     ref = ReferenceSNF(M)
     assert (D.rows, U.rows, V.rows) == (ref.D.rows, ref.U.rows, ref.V.rows)
-    assert smith_normal_form(M) == (D, None, V)
+    assert smith_normal_form(M) == (D, None, None)
+    assert smith_normal_form(M, with_v=True) == (D, None, V)
+    assert smith_normal_form(M, with_u=True) == (D, U, None)
     return D, U, V
 
 
@@ -443,12 +446,31 @@ def test_snf_builds_u_only_on_request_at_bench_scale(m, n, seed):
     assert_same_snf(IntMatrix(udv_rows(m, n, seed)[0]))
 
 
-@given(st.one_of(shaped_matrices(SPARSE_ENTRIES), shaped_matrices(NO_UNIT_ENTRIES)))
+@pytest.mark.parametrize("m, n, seed", [(40, 30, 25), (160, 120, 26)])
+def test_snf_matches_reference_on_even_udv(m, n, seed):
+    # no entry is ever 1, so every pivot search reads every row of its block
+    rows = [[2 * x for x in row] for row in udv_rows(m, n, seed)[0]]
+    D, _, _ = assert_same_snf(IntMatrix(rows))
+    assert all(d % 2 == 0 for d in D.diagonal_entries())
+
+
+def doubled(shaped):
+    rows, n = shaped
+    return [[2 * x for x in row] for row in rows], n
+
+
+@given(st.one_of(shaped_matrices(SPARSE_ENTRIES), shaped_matrices(NO_UNIT_ENTRIES),
+                 shaped_matrices(NO_UNIT_ENTRIES).map(doubled)))
 @example(([], 0))  # 0 x 0
 @example(([], 3))  # 0 x 3
 @example(([[], [], []], 0))  # 3 x 0
-@settings(max_examples=100, deadline=None)
+@example(([[2, 0], [0, 3]], 2))  # a diagonal out of order: the pair pass fixes it
+@example(([[4, 0, 0], [0, 6, 0], [0, 0, 12]], 3))  # 4 does not divide 6, though it divides 12
+@example(([[2, 0, 0], [0, 6, 0], [0, 0, 0]], 3))  # divides in order: no pair pass
+@settings(max_examples=150, deadline=None)
 def test_snf_builds_u_only_on_request(shaped):
+    """Each of the four calls against the reference, on every shape from 0 x 0,
+    with and without units, and with no entry ever 1."""
     rows, n = shaped
     assert_same_snf(IntMatrix(rows, n))
 
@@ -461,12 +483,14 @@ def test_det_of_udv_at_bench_scale(n, rank, seed):
 
 
 def test_det_of_snf_transforms_on_udv_160x120():
-    _, U, V = smith_normal_form(IntMatrix(udv_rows(160, 120, seed=16)[0]), with_u=True)
+    _, U, V = smith_normal_form(IntMatrix(udv_rows(160, 120, seed=16)[0]),
+                                with_u=True, with_v=True)
     for T in (U, V):
         assert det(T) == det(T.transpose()) in (1, -1)
 
 
 def test_unimodularity_audit_runs_on_every_call(monkeypatch):
+    """``det`` audits every transform a call builds, and only those."""
     seen = []
 
     def counting_det(M):
@@ -476,17 +500,16 @@ def test_unimodularity_audit_runs_on_every_call(monkeypatch):
     monkeypatch.setattr(conjtop.intmat, "det", counting_det)
     M = IntMatrix([[2, 4, 4], [-6, 6, 12]])
     smith_normal_form(M)
-    assert seen == [(3, 3)]  # no U is built, so V alone is audited
+    assert seen == []  # no transform is built, so none is audited
+    smith_normal_form(M, with_v=True)
+    assert seen == [(3, 3)]
     seen.clear()
-    smith_normal_form(M, with_u=True)
+    smith_normal_form(M, with_u=True, with_v=True)
     assert seen == [(2, 2), (3, 3)]
     monkeypatch.setattr(conjtop.intmat, "det", lambda M: 2)
     with pytest.raises(ModelIntegrityError, match="unimodularity") as err:
-        smith_normal_form(M, with_u=True)
+        smith_normal_form(M, with_u=True, with_v=True)
     assert err.value.report == {"det_U": 2, "det_V": 2}
-    with pytest.raises(ModelIntegrityError, match="unimodularity") as err:
-        invariant_factors(IntMatrix([[1]]))  # the empty remainder is audited too
-    assert err.value.report == {"det_V": 2}
 
 
 def test_det_examples():
@@ -507,7 +530,7 @@ def test_empty_matrices_keep_their_width():
     assert IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 2) == IntMatrix.zeros(0, 2)
     with pytest.raises(InputError, match="ragged"):
         IntMatrix([[1, 2]], 3)
-    D, U, V = smith_normal_form(three_by_zero, with_u=True)
+    D, U, V = smith_normal_form(three_by_zero, with_u=True, with_v=True)
     assert (D, U, V) == (three_by_zero, IntMatrix.identity(3), IntMatrix.identity(0))
 
 

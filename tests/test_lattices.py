@@ -226,9 +226,9 @@ def snf_calls(monkeypatch):
     """The matrices of every audited Smith form made while the fixture is live."""
     seen = []
 
-    def counting_snf(M):
+    def counting_snf(M, **transforms):
         seen.append(M)
-        return smith_normal_form(M)
+        return smith_normal_form(M, **transforms)
 
     monkeypatch.setattr(conjtop.intmat, "smith_normal_form", counting_snf)
     return seen
@@ -270,7 +270,7 @@ def former_transfer_audit(L):
         raise ModelIntegrityError("push after pull is not multiplication by 2",
                                   report={"composition": comp})
     report = {"composition_is_doubling": True}
-    pull_snf = smith_normal_form(Q.p_pull, with_u=True)
+    pull_snf = smith_normal_form(Q.p_pull, with_u=True, with_v=True)
     factors = tuple(d for d in pull_snf[0].diagonal_entries() if d != 0)
     if len(factors) != Q.quotient_rank:
         raise ModelIntegrityError("pull map is not injective", report={"factors": factors})
