@@ -8,20 +8,20 @@ block, ties by row-major position, so (D, U, V) are deterministic.  The
 search computes a row's minimum |entry| when it reaches the row, keeps it
 through swaps, forgets it when a pivot pass touches the row, and stops at
 the first row whose minimum is 1.  Each pivot makes one row pass and one
-column pass over supports read once: the pivot row's nonzero columns, its
-nonzero entries in U and in V, and the rows with a nonzero in the pivot
-column.  V is kept transposed, so a column operation on it is a sparse row
-operation.  A diagonal that already divides in order skips the pair pass.
-U and V are built on request only, and ``det`` audits each transform a
-call builds.  ``invariant_factors`` needs neither: it first eliminates unit
-pivots on sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do.
+column pass over supports read once: the pivot row's nonzero columns, the
+rows with a nonzero in the pivot column, and the pivot row's nonzero
+entries in each transform built (V is kept transposed).  A transform not
+asked for has no rows, supports or swaps, and ``det`` audits each one a
+call builds.  A diagonal that already divides in order skips the pair pass.
+``invariant_factors`` builds neither: it first eliminates unit pivots on
+sparse columns, as Dumas, Heckenbach, Saunders and Welker (2003) do.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
-from operator import index
+from itertools import chain, compress, repeat
+from operator import add, index, mul, sub
 
 from .errors import InputError, ModelIntegrityError
 from .gf2 import Gf2Matrix, reduce_columns
@@ -83,32 +83,29 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.rows))!r})"
 
     def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.ncols != other.nrows:
-                raise InputError("dimension mismatch in matrix product")
-            cols = other.transpose().rows
-            return IntMatrix._trusted(self.nrows, other.ncols, tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows
-            ))
-        raise TypeError("expected IntMatrix")
+        if not isinstance(other, IntMatrix):
+            raise TypeError("expected IntMatrix")
+        if self.ncols != other.nrows:
+            raise InputError("dimension mismatch in matrix product")
+        cols = other.transpose().rows
+        return IntMatrix._trusted(self.nrows, other.ncols, tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows))
 
     def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InputError("dimension mismatch in matrix sum")
-        return IntMatrix._trusted(self.nrows, self.ncols, tuple(
-            tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)
-        ))
+        return self._entrywise(add, other, "sum")
 
     def __sub__(self, other):
+        return self._entrywise(sub, other, "difference")
+
+    def _entrywise(self, op, other, name):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InputError("dimension mismatch in matrix difference")
+            raise InputError(f"dimension mismatch in matrix {name}")
         return IntMatrix._trusted(self.nrows, self.ncols, tuple(
-            tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)
-        ))
+            tuple(map(op, r, s)) for r, s in zip(self.rows, other.rows)))
 
     def scale(self, c):
         return IntMatrix._trusted(self.nrows, self.ncols,
-                                  tuple(tuple(c * e for e in r) for r in self.rows))
+                                  tuple(tuple(map(mul, repeat(c), r)) for r in self.rows))
 
     def transpose(self):
         rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
@@ -118,7 +115,7 @@ class IntMatrix:
         v = list(v)
         if len(v) != self.ncols:
             raise InputError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple(sum(map(mul, row, v)) for row in self.rows)
 
     def is_symmetric(self):
         return self.nrows == self.ncols and self == self.transpose()
@@ -208,40 +205,37 @@ def smith_normal_form(M: IntMatrix, *, with_u=False, with_v=False):
     """
     m, n = M.nrows, M.ncols
     a = [list(r) for r in M.rows]
-    # identity rows; empty for a transform not asked for, so its updates touch no column
-    u = [[0] * i + [1] + [0] * (m - 1 - i) if with_u else [] for i in range(m)]
-    vt = [[0] * i + [1] + [0] * (n - 1 - i) if with_v else [] for i in range(n)]  # V transposed
+    # identity rows, or None for a transform not asked for, which gets no swap, support or update
+    u = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)] if with_u else None
+    vt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)] if with_v else None  # V transposed
     # mins[i] is None until a search computes the smallest nonzero |entry| of
     # a[i][t:] at step t; column swaps keep it, and a finished step leaves column t zero below row t
     mins = [None] * m
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
         mins[i], mins[j] = mins[j], mins[i]
-
-    def swap_cols(t, j):
-        if j == t:
-            return
-        for row in a[t:]:  # rows above t are zero from column t on
-            row[t], row[j] = row[j], row[t]
-        vt[t], vt[j] = vt[j], vt[t]
+        if u:
+            u[i], u[j] = u[j], u[i]
 
     def add_row(src, dst, c, cols, ucols):
         # row dst += c * row src, over the supports of row src in a and u
-        ad, asrc, ud, usrc = a[dst], a[src], u[dst], u[src]
+        ad, asrc = a[dst], a[src]
         for j in cols:
             ad[j] += c * asrc[j]
-        for j in ucols:
-            ud[j] += c * usrc[j]
+        if ucols:
+            ud, usrc = u[dst], u[src]
+            for j in ucols:
+                ud[j] += c * usrc[j]
 
     def add_col(src, dst, c, rows, vcols):
         # column dst += c * column src, over its nonzero rows in a and in V
         for i in rows:
             a[i][dst] += c * a[i][src]
-        vd, vsrc = vt[dst], vt[src]
-        for j in vcols:
-            vd[j] += c * vsrc[j]
+        if vcols:
+            vd, vsrc = vt[dst], vt[src]
+            for j in vcols:
+                vd[j] += c * vsrc[j]
 
     def find_pivot(t):
         # the first row of smallest minimum, each minimum computed when the
@@ -260,9 +254,14 @@ def smith_normal_form(M: IntMatrix, *, with_u=False, with_v=False):
     for t in range(r):
         while (pos := find_pivot(t)) is not None:
             swap_rows(t, pos[0])
-            swap_cols(t, pos[1])
+            if (j := pos[1]) != t:  # swap columns t and j; rows above t are zero from t on
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                if vt:
+                    vt[t], vt[j] = vt[j], vt[t]
             at, p = a[t], a[t][t]
-            cols, ucols, vcols = _support(at, t), _support(u[t]), _support(vt[t])
+            cols = _support(at, t)
+            ucols, vcols = _support(u[t]) if u else (), _support(vt[t]) if vt else ()
             below = [i for i in range(t + 1, m) if a[i][t]]
             for i in below:
                 add_row(t, i, -(a[i][t] // p), cols, ucols)
@@ -279,12 +278,12 @@ def smith_normal_form(M: IntMatrix, *, with_u=False, with_v=False):
     def fix_pair(t, s):
         # replace diag entries (a_t, a_s) by (gcd, +-lcm); only rows/cols
         # t and s are touched and they carry no other nonzero entries
-        add_col(s, t, 1, [s], _support(vt[s]))
+        add_col(s, t, 1, [s], _support(vt[s]) if vt else ())
         while a[s][t] != 0:
-            add_row(s, t, -(a[t][t] // a[s][t]), _support(a[s], t), _support(u[s]))
+            add_row(s, t, -(a[t][t] // a[s][t]), _support(a[s], t), _support(u[s]) if u else ())
             swap_rows(t, s)
         if a[t][s] != 0:
-            add_col(t, s, -(a[t][s] // a[t][t]), [t], _support(vt[t]))
+            add_col(t, s, -(a[t][s] // a[t][t]), [t], _support(vt[t]) if vt else ())
 
     # zero diagonal entries trail (the block is zero once no pivot is found, and fix_pair keeps
     # both nonzero), so dt == 0 means ds == 0; a diagonal dividing in order has no pair to fix
@@ -296,9 +295,8 @@ def smith_normal_form(M: IntMatrix, *, with_u=False, with_v=False):
                     fix_pair(t, s)
 
     for i in range(r):
-        if a[i][i] < 0:
-            a[i][i] = -a[i][i]
-            u[i] = [-x for x in u[i]]
+        if a[i][i] < 0:  # row i += -2 * row i flips its sign
+            add_row(i, i, -2, [i], _support(u[i]) if u else ())
 
     D = IntMatrix._trusted(m, n, tuple(map(tuple, a)))
     U = IntMatrix._trusted(m, m, tuple(map(tuple, u))) if with_u else None

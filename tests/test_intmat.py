@@ -14,6 +14,7 @@ from conjtop.errors import InputError, ModelIntegrityError
 from conjtop.gf2 import gf2_rank
 from conjtop.intmat import (
     IntMatrix,
+    _support,
     det,
     int_kernel_basis,
     invariant_factors,
@@ -489,6 +490,26 @@ def test_det_of_snf_transforms_on_udv_160x120():
         assert det(T) == det(T.transpose()) in (1, -1)
 
 
+def test_d_only_snf_reads_no_transform_row(monkeypatch):
+    """A call that asks for no transform takes supports of rows of M only,
+    each from its pivot column on; asking for both reads rows of U (160
+    long) and of V transposed (120 long, taken from column 0)."""
+    seen = []
+
+    def spy(row, lo=None):
+        seen.append((len(row), lo))
+        return _support(row, lo or 0)
+
+    M = IntMatrix(udv_rows(160, 120, seed=27)[0])
+    monkeypatch.setattr(conjtop.intmat, "_support", spy)
+    D, U, V = smith_normal_form(M)
+    assert (U, V) == (None, None) and seen
+    assert all(length == 120 and lo is not None for length, lo in seen)
+    seen.clear()
+    assert smith_normal_form(M, with_u=True, with_v=True)[0] == D
+    assert {(160, None), (120, None)} <= set(seen)
+
+
 def test_unimodularity_audit_runs_on_every_call(monkeypatch):
     """``det`` audits every transform a call builds, and only those."""
     seen = []
@@ -553,3 +574,52 @@ def test_bool_entries_read_as_zero_and_one():
     assert M.rows == ((1, 0), (2, 1)) and M == IntMatrix([[1, 0], [2, 1]])
     assert all(type(e) is int for row in M.rows for e in row)
     assert IntMatrix(iter([iter([3, -4])])).rows == ((3, -4),)
+
+
+# small, beyond 2**64 either way, and bools, which read as 0 and 1
+ARITH_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70), st.booleans())
+
+
+def grids(m, n):
+    return st.lists(st.lists(ARITH_ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+def ints(rows):
+    return [[int(x) for x in row] for row in rows]
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda d: st.tuples(st.just(d), grids(d[0], d[1]), grids(d[0], d[1]), grids(d[1], d[2]),
+                        st.lists(ARITH_ENTRIES, min_size=d[1], max_size=d[1]), ARITH_ENTRIES)))
+@example(((0, 0, 0), [], [], [], [], 2))  # 0 x 0
+@example(((0, 3, 2), [], [], [[1, 2], [3, 4], [5, 6]], [1, 1, 1], -1))  # 0 x 3 times 3 x 2
+@example(((2, 0, 3), [[], []], [[], []], [], [], 7))  # 2 x 0 times 0 x 3: all zeros
+@example(((1, 2, 1), [[2**64, -2**65]], [[True, False]], [[-2**66], [3]], [True, 2**64], False))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_nested_lists(drawn):
+    """``*``, ``+``, ``-``, ``scale``, ``mul_vec`` and ``transpose`` against
+    plain nested-list sums on every shape from 0 x 0, widths declared, and
+    each of the four shape mismatches is an InputError."""
+    (m, n, p), a, b, c, v, k = drawn
+    A, B, C = IntMatrix(a, n), IntMatrix(b, n), IntMatrix(c, p)
+    a, b, c, iv, ik = ints(a), ints(b), ints(c), [int(x) for x in v], int(k)
+
+    def same(M, rows, ncols):
+        assert (M.nrows, M.ncols, M.rows) == (len(rows), ncols, tuple(map(tuple, rows)))
+        assert all(type(x) is int for row in M.rows for x in row)
+
+    same(A * C, [[sum(a[i][t] * c[t][j] for t in range(n)) for j in range(p)]
+                 for i in range(m)], p)
+    same(A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], n)
+    same(A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], n)
+    same(A.scale(k), [[ik * x for x in r] for r in a], n)
+    same(A.transpose(), [[a[i][j] for i in range(m)] for j in range(n)], m)
+    product = A.mul_vec(v)
+    assert product == tuple(sum(x * y for x, y in zip(r, iv)) for r in a)
+    assert all(type(x) is int for x in product)
+    for mismatch, text in ((lambda: A * IntMatrix.zeros(n + 1, p), "product"),
+                           (lambda: A + IntMatrix.zeros(m, n + 1), "sum"),
+                           (lambda: A - IntMatrix.zeros(m + 1, n), "difference"),
+                           (lambda: A.mul_vec(v + [1]), "vector length")):
+        with pytest.raises(InputError, match=text):
+            mismatch()

@@ -250,7 +250,7 @@ COLD_CEILINGS = {
     "homology klein_bottle": 1801,
     "homology torus6 --model .bench_work/cli_models.txt": 1849,
     "homology torus7": 1766,
-    "lattice-audit quadric_lattice": 1658,
+    "lattice-audit quadric_lattice": 1656,
     "orient torus_reflection": 2387,
     "orient-cover klein_bottle --curve w1dual": 2452,
     "qform rp2_loops": 1256,
