@@ -1,7 +1,7 @@
-"""Exact integer matrices and Smith normal form.
+"""Exact integer matrices, determinants and Smith normal form.
 
-Everything runs on Python integers, so entry blow-up during elimination
-is harmless.  No floating point enters at any stage.
+Everything runs on Python integers, so entry blow-up is harmless and no
+floating point enters.  ``det`` is one integer row reduction.
 
 Smith normal form pivots on the smallest nonzero |entry| of the remaining
 block, ties by row-major position, so (D, U, V) are deterministic.  The
@@ -36,10 +36,7 @@ class IntMatrix:
         """``ncols`` declares the width, which a matrix without rows needs."""
         rows = tuple(map(tuple, rows))
         if not set(map(type, chain.from_iterable(rows))) <= {int}:  # no 2.5 or "3"; True is 1
-            try:
-                rows = tuple(tuple(map(index, r)) for r in rows)
-            except TypeError as e:
-                raise InputError(f"integer matrix entry: {e}") from None
+            rows = tuple(map(integer_vector, rows))
         widths = {len(r) for r in rows} | ({ncols} if ncols is not None else set())
         if len(widths) > 1:
             raise InputError("ragged rows in integer matrix")
@@ -70,6 +67,8 @@ class IntMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise InputError(f"index {ij} out of range")
         return self.rows[i][j]
 
     def __eq__(self, other):
@@ -127,67 +126,44 @@ class IntMatrix:
         return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
 
 
-def det(M: IntMatrix) -> int:
-    """Exact determinant: unit pivots first, then lazy fraction-free Bareiss.
+def integer_vector(entries, what="integer matrix"):
+    """``entries`` as a tuple of ints by ``operator.index``: True is 1; 2.5 and "3" are refused."""
+    try:
+        return tuple(map(index, entries))
+    except TypeError as e:
+        raise InputError(f"{what} entry: {e}") from None
 
-    A +-1 at or below the diagonal pivots without division, over its row's
-    support; the first column without one hands the trailing block to
-    Bareiss.  There a row with a zero in the pivot column is left alone, and
-    ``lag[i]`` keeps the pivot current at its last update: its true Bareiss
-    row is ``a[i] * prev // lag[i]``, so its next update divides by
-    ``lag[i]``, exactly, because the true entries are integer minors."""
+
+def det(M: IntMatrix) -> int:
+    """Exact determinant by integer row reduction, one column at a time.
+
+    Column k's pivot is its first row, at or below the diagonal, of smallest nonzero
+    |entry|.  The other rows nonzero there take the multiple of it, over its support,
+    that leaves a smaller residue, until one row is left; it is swapped up."""
     if M.nrows != M.ncols:
         raise InputError("determinant of a non-square matrix")
     n = M.nrows
     a = [list(r) for r in M.rows]
-    sign = 1  # the product of the unit pivots and the swap signs so far
+    d = 1  # the swap signs times the finished diagonal entries
     for k in range(n):
-        piv = k if a[k][k] in (1, -1) else next(
-            (i for i in range(k + 1, n) if a[i][k] in (1, -1)), None)
-        if piv is None:
-            break
-        if piv != k:
+        live = [i for i in range(k, n) if a[i][k]]  # the rows nonzero in column k, ascending
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(a[i][k]))  # the first of the smallest
+            ap, p = a[piv], a[piv][k]
+            cols = _support(ap, k)
+            for i in live:
+                if i != piv:
+                    ai, f = a[i], a[i][k] // p
+                    for j in cols:
+                        ai[j] -= f * ap[j]
+            live = [i for i in live if a[i][k]]  # the pivot and smaller residues, none for +-1
+        if not live:
+            return 0
+        if (piv := live[0]) != k:
             a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        ak = a[k]
-        p = ak[k]
-        sign *= p
-        below = [i for i in range(k + 1, n) if a[i][k]]
-        if below:
-            cols = _support(ak, k + 1)
-            for i in below:
-                ai = a[i]
-                f = ai[k] * p  # the multiplier ai[k] / p, since p * p == 1
-                for j in cols:
-                    ai[j] -= f * ak[j]
-    else:
-        return sign
-    a = [row[k:] for row in a[k:]]
-    n = len(a)
-    lag, prev = [1] * n, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    lag[k], lag[i] = lag[i], lag[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        if lag[k] != prev:
-            a[k][k:] = [x * prev // lag[k] for x in a[k][k:]]
-        p = a[k][k]
-        rest = a[k][k + 1:]
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k]
-            if f:
-                d = lag[i]
-                ai[k + 1:] = [(x * p - f * y) // d for x, y in zip(ai[k + 1:], rest)]
-                lag[i] = p
-        prev = p
-    return sign * a[n - 1][n - 1] * prev // lag[n - 1]
+            d = -d
+        d *= a[k][k]
+    return d
 
 
 def _support(row, lo=0):

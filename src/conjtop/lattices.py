@@ -38,8 +38,7 @@ class IntegerLattice(Record):
                          chi_real, transfer)
 
     def pairing(self, x, y) -> int:
-        gx = self.gram.mul_vec(list(y))
-        return sum(a * b for a, b in zip(x, gx))
+        return sum(a * b for a, b in zip(x, self.gram.mul_vec(y)))
 
 
 def build_lattice(
@@ -51,7 +50,7 @@ def build_lattice(
     transfer: QuotientTransferData | None = None,
 ) -> IntegerLattice:
     """Validate and assemble lattice data; every failed identity is named."""
-    from .intmat import IntMatrix
+    from .intmat import IntMatrix, integer_vector
 
     n = gram.nrows
     if gram.ncols != n:
@@ -66,7 +65,7 @@ def build_lattice(
         raise InputError("supplied map is not an isometry of the Gram matrix")
     marks = dict(marks or {})
     for name, vec in marks.items():
-        vec = tuple(int(x) for x in vec)
+        vec = integer_vector(vec, f"marked class {name!r}")
         if len(vec) != n:
             raise InputError(f"marked class {name!r} has length {len(vec)}, rank is {n}")
         marks[name] = vec
@@ -89,8 +88,7 @@ def invariant_sublattices(L: IntegerLattice):
 
 def conj_form_mod2(L: IntegerLattice) -> BilinearFormGF2:
     """Reduction mod 2 of the twisted pairing (x, y) -> x . T(y)."""
-    twisted = L.gram * L.isometry
-    return BilinearFormGF2(twisted.mod2())
+    return BilinearFormGF2((L.gram * L.isometry).mod2())
 
 
 def _doubling_transfer(L: IntegerLattice) -> QuotientTransferData:
@@ -141,12 +139,14 @@ def orientation_class_check(L: IntegerLattice, alpha) -> bool:
     2 pull(push(alpha) // 4) = alpha.  False is a legitimate verdict, not
     an error.
     """
+    from .intmat import integer_vector
+
     Q = _doubling_transfer(L)
-    alpha = [int(a) for a in alpha]
+    alpha = integer_vector(alpha, "class vector")
     if len(alpha) != L.rank:
         raise InputError("class vector has the wrong length")
     delta = [p // 4 for p in Q.p_push.mul_vec(alpha)]
-    return [2 * b for b in Q.p_pull.mul_vec(delta)] == alpha
+    return tuple(2 * b for b in Q.p_pull.mul_vec(delta)) == alpha
 
 
 def order_obstruction(L: IntegerLattice, d: int, beta) -> "ObstructionVerdict":
@@ -155,12 +155,13 @@ def order_obstruction(L: IntegerLattice, d: int, beta) -> "ObstructionVerdict":
     ``beta`` must be invariant under the isometry with self-pairing d; then
     beta . tau(beta) = d, so for odd d the form ``conj_form_mod2(L)`` is odd.
     """
+    from .intmat import integer_vector
     from .smith import ObstructionVerdict
 
-    beta = [int(b) for b in beta]
+    beta = integer_vector(beta, "witness vector")
     if len(beta) != L.rank:
         raise InputError("witness vector has the wrong length")
-    if L.isometry.mul_vec(beta) != tuple(beta):
+    if L.isometry.mul_vec(beta) != beta:
         raise InputError("witness is not invariant under the isometry")
     self_pairing = L.pairing(beta, beta)
     if self_pairing != d:
@@ -168,8 +169,7 @@ def order_obstruction(L: IntegerLattice, d: int, beta) -> "ObstructionVerdict":
             f"witness validation failed: self-pairing {self_pairing}, expected {d}"
         )
     if d % 2 == 1:
-        return ObstructionVerdict(True, "odd order cannot bound in complexification",
-                                  tuple(beta))
+        return ObstructionVerdict(True, "odd order cannot bound in complexification", beta)
     return ObstructionVerdict(False, "no obstruction from parity", None)
 
 

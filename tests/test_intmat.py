@@ -169,6 +169,9 @@ def square_matrices(max_dim, entries):
 
 # zeros are drawn often so zero pivots, skipped rows and sign flips all occur
 SPARSE_ENTRIES = st.one_of(st.just(0), st.integers(-4, 4))
+# no +-1 anywhere: the unit-pivot front end of ``invariant_factors`` eliminates
+# nothing, and a column of ``det`` may need several passes
+NO_UNIT_ENTRIES = st.sampled_from((0, 0, 2, -2, 3, -3, 4, 6, -9))
 
 
 def seeded_sparse_rows(seed, m=40, n=30, density=0.12):
@@ -263,34 +266,36 @@ def test_int_kernel(rows):
         assert M.mul_vec(k) == (0,) * M.nrows
 
 
-@given(square_matrices(5, SPARSE_ENTRIES))
-# Each lag example runs as given, where unit pivots now take all or part of
-# it, and doubled: with no +-1 entry, Bareiss runs on the same zero pattern.
-@example([[-1, 0], [0, 1]])  # units only
-@example([[-2, 0], [0, 2]])  # a negative first pivot: the zero row must be rescaled
-@example([[0, 2, 0], [1, 0, 0], [0, 0, 3]])  # a unit swapped up flips the sign
-@example([[0, 4, 0], [2, 0, 0], [0, 0, 6]])  # zero pivot: swap
-@example([[2, 0, 1], [0, -1, 0], [1, 0, 1]])  # units only, after a swap
-@example([[4, 0, 2], [0, -2, 0], [2, 0, 2]])  # a negative second pivot
-# the last row lags through two pivots and is updated at the third (as given,
-# one unit step leaves a 3 x 3 block whose last row lags once)
+@given(st.one_of(square_matrices(5, SPARSE_ENTRIES), square_matrices(5, NO_UNIT_ENTRIES)))
+# Each example runs as given and doubled.  Doubling takes every unit away but
+# keeps each pass, since (2 * x) // (2 * p) == x // p.
+@example([[-1, 0], [0, 1]])  # units only, with no row to reduce
+@example([[-2, 0], [0, 2]])  # a negative first pivot, with no row to reduce
+@example([[0, 2, 0], [1, 0, 0], [0, 0, 3]])  # a lone nonzero is swapped up: the sign flips
+@example([[0, 4, 0], [2, 0, 0], [0, 0, 6]])
+@example([[2, 0, 1], [0, -1, 0], [1, 0, 1]])  # row 2 clears row 0, then is swapped up
+@example([[4, 0, 2], [0, -2, 0], [2, 0, 2]])  # the same, then a negative second pivot
+# columns 1 and 2 take two passes: the first pivot (-2, then 2) leaves a
+# residue (-1, then 1) in the row it reduced, which then clears the pivot's row
 @example([[2, 1, 1, 0], [1, 2, 0, 1], [1, 0, 3, 1], [0, 0, 2, 3]])
 @example([[4, 2, 2, 0], [2, 4, 0, 2], [2, 0, 6, 2], [0, 0, 4, 6]])
-# a row lags behind a negative pivot (as given, units leave a 1 x 1 block)
+# row 0, reduced and swapped down to row 2 in column 0, pivots in column 1 and
+# is swapped up again
 @example([[-3, 1, 0], [0, 2, 1], [1, 0, -2]])
 @example([[-6, 2, 0], [0, 4, 2], [2, 0, -4]])
-# row 2 lags behind the pivot 3 and is swapped into the zero pivot position
-# (no unit in column 0, so both reach Bareiss whole)
+# column 0 has no unit: the 2 of row 3 leaves residues 1 in rows 0 and 1, and
+# row 0 clears the column in a second pass with no swap; columns 1 and 2 end
+# on pivots two rows and one row below the diagonal
 @example([[3, 0, -2, -2], [3, 0, 0, 3], [0, -2, 0, 0], [2, 1, 0, 0]])
 @example([[6, 0, -4, -4], [6, 0, 0, 6], [0, -4, 0, 0], [4, 2, 0, 0]])
-# the last row lags to the end (as given, behind the pivot -3 of a 2 x 2 block)
+# one pass clears a 2 x 2 block, whose second pivot is -3
 @example([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
 @example([[4, 2, 0], [2, 4, 0], [0, 0, 6]])
-# two lagging rows (as given, both lag behind -5 in a 3 x 3 block)
+# one pass and a swap for each of two 2 x 2 blocks
 @example([[3, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]])
 @example([[6, 2, 0, 0], [2, 4, 0, 0], [0, 0, 4, 2], [0, 0, 2, 4]])
-# one unit step updates row 3, then column 1 has no unit: in the block
-# [[2, 2, 0], [0, 3, 2], [2, 0, 3]] the middle row lags behind the pivot 2
+# column 2 takes two passes and ends on the diagonal: the -2 of row 3 leaves
+# a residue -1 in row 2
 @example([[1, 1, 0, 0], [0, 2, 2, 0], [0, 0, 3, 2], [1, 3, 0, 3]])
 @settings(max_examples=300, deadline=None)
 def test_det_against_leibniz(rows):
@@ -345,10 +350,6 @@ def test_snf_matches_reference_at_bench_scale(build, torsion):
     else:
         # H_2 is Z for the torus and 0 for the Klein bottle, whose H_1 has one Z/2
         assert factors == (1,) * (M.ncols - 1) + torsion
-
-
-# no +-1 anywhere: the unit-pivot front end eliminates nothing
-NO_UNIT_ENTRIES = st.sampled_from((0, 0, 2, -2, 3, -3, 4, 6, -9))
 
 
 def shaped_matrices(entries, max_dim=7):
@@ -534,7 +535,9 @@ def test_unimodularity_audit_runs_on_every_call(monkeypatch):
 
 
 def test_det_examples():
+    assert det(IntMatrix([])) == 1  # 0 x 0
     assert det(IntMatrix([[2, 0], [0, 3]])) == 6
+    assert det(IntMatrix([[2, 3], [3, 5]])) == 1  # no unit: column 0 takes two passes
     assert det(IntMatrix([[0, 1], [1, 0]])) == -1
     assert det(IntMatrix.identity(4)) == 1
     with pytest.raises(InputError):
@@ -567,6 +570,17 @@ def test_entries_that_are_not_integers_are_refused(entry):
     with pytest.raises(InputError, match="integer matrix entry") as err:
         IntMatrix([[1, 2], [entry, 4]])
     assert "\n" not in str(err.value)
+
+
+def test_index_out_of_range_is_refused():
+    """An index is read as given, never wrapped from the end."""
+    M = IntMatrix([[1, 2], [3, 4]])
+    assert (M[0, 1], M[1, 0]) == (2, 3)
+    for ij in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(InputError, match=r"index \(.*\) out of range"):
+            M[ij]
+    with pytest.raises(InputError, match="out of range"):
+        IntMatrix.zeros(0, 3)[0, 0]
 
 
 def test_bool_entries_read_as_zero_and_one():

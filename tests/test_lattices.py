@@ -172,6 +172,24 @@ def test_order_obstruction_validation():
         order_obstruction(L2, 1, (0, 1))
 
 
+@pytest.mark.parametrize("entry", [0.9, 1.7, 2.5, 2.0, "2"])
+def test_lattice_vectors_that_are_not_integral_are_refused(library, entry):
+    """A class vector, a witness or a mark is never truncated: a float or a
+    string, even one with an integer value, is a one-line InputError."""
+    L = library.lattices["quadric_lattice"]
+    checks = [(lambda: orientation_class_check(L, [entry, entry]), "class vector entry"),
+              (lambda: order_obstruction(L, 2, [entry, entry]), "witness vector entry"),
+              (lambda: build_lattice(HYP, SWAP, {"alpha": (entry, entry)}),
+               "marked class 'alpha' entry")]
+    for call, text in checks:
+        with pytest.raises(InputError, match=text) as err:
+            call()
+        assert "\n" not in str(err.value)
+    assert not orientation_class_check(L, [True, True])  # a bool reads as 1
+    assert order_obstruction(L, 2, (True, 1)).obstructed is False
+    assert build_lattice(HYP, SWAP, {"alpha": [2, 2]}).marks == {"alpha": (2, 2)}
+
+
 def test_torsion_audit_free_lattice(library):
     L = library.lattices["quadric_lattice"]
     rep = torsion_audit(L)
