@@ -3,9 +3,11 @@ to write down: homology reads it through the same code as a complex.
 
 Only a ``[chain]`` model section, the ``t4_chain`` model and the orbit
 complex of the Smith kernel bound build one, so it lives apart from
-``conjtop.homology``, which tells it from a complex by its base class.
+``conjtop.homology``, which tells it from a complex by its base class; what
+homology derives from it is kept in its ``_memo`` dict, under a complex's keys.
 """
 
+from .complexes import _integers
 from .errors import InputError
 from .gf2 import Gf2Matrix
 from .homology import ChainCarrier, homology
@@ -20,16 +22,16 @@ class ChainComplexData(ChainCarrier):
     dimension, the Gram matrix of the intersection pairing on the
     canonical middle homology basis, the middle-dimension class of the
     fixed point set in those coordinates, and the total mod-2 Betti number
-    of the fixed point set.  Homology reads the cached columns of ``boundaries``.
+    of the fixed point set.  Homology keeps its columns, reductions and bases in ``_memo``.
     """
 
     _FIELDS = ("ranks", "boundaries", "int_boundaries", "involution", "pairing", "fixed_class",
                "fixed_betti_total")
-    __slots__ = _FIELDS + ("_cols_cache", "_red_cache", "_hom_cache", "_coh_cache")
+    __slots__ = _FIELDS + ("_memo",)
 
     def __init__(self, ranks, boundaries, int_boundaries=None, involution=None, pairing=None,
                  fixed_class=None, fixed_betti_total=None):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = _integers(ranks, "chain ranks must be integers")
         n = len(ranks) - 1
         boundaries = tuple(boundaries)
         if len(boundaries) != n:
@@ -91,10 +93,7 @@ class ChainComplexData(ChainCarrier):
         self.pairing = pairing
         self.fixed_class = fixed_class
         self.fixed_betti_total = fixed_betti_total
-        self._cols_cache = {}
-        self._red_cache = {}
-        self._hom_cache = {}
-        self._coh_cache = {}
+        self._memo = {}
 
     @property
     def dimension(self):
@@ -109,9 +108,9 @@ class ChainComplexData(ChainCarrier):
 
     def boundary_columns(self, k):
         """Columns of the boundary out of dimension k, as bit vectors."""
-        if k not in self._cols_cache:
-            self._cols_cache[k] = tuple(self.boundary_matrix(k).columns())
-        return self._cols_cache[k]
+        if ("columns", k) not in self._memo:
+            self._memo["columns", k] = tuple(self.boundary_matrix(k).columns())
+        return self._memo["columns", k]
 
     def n_simplices(self, k):
         return self.ranks[k] if 0 <= k <= self.dimension else 0

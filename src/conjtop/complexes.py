@@ -2,19 +2,21 @@
 
 Simplices are strictly increasing tuples of vertex indices, whose order
 cup products and barycentric subdivision rely on.  Complexes and maps are
-immutable, so each keeps what is derived from it in one ``_memo`` dict,
-computed once; a call that raises stores nothing.  A complex has one checked
-way in, ``from_simplices``, which closes its generators; derived complexes
-and maps are trusted.  Checks, closure, face indices and map images run in
-passes over the vertex columns of each dimension, one face iterator per
-``combinations`` position; a map is checked through its image index, and
-connectivity ends in pointer jumping.
+immutable, so each keeps all that is derived from it in one ``_memo`` dict,
+computed once: a complex's face indices, boundaries and cofaces under keys
+such as ``("faces", k)``, homology's reductions and bases, and the analyses'
+facts.  A refusal stores no fact.  A complex has one checked way in,
+``from_simplices``, which closes its generators; derived complexes and maps
+are trusted, and checked entries are read by ``operator.index``.  Checks,
+closure, face indices and map images run in passes over the vertex columns
+of each dimension, one face iterator per ``combinations`` position; a map
+is checked through its image index, and connectivity ends in pointer jumping.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, compress, count, repeat
-from operator import eq, itemgetter, lt, or_
+from operator import eq, index, itemgetter, lt, or_
 
 from .errors import InputError
 from .gf2 import Gf2Matrix
@@ -35,8 +37,16 @@ def _roots(n, pairs):
     return parent
 
 
+def _integers(entries, refusal):
+    """``entries`` as ints by ``operator.index`` (True is 1; 2.5 and "3" are refused)."""
+    try:
+        return tuple(map(index, entries))
+    except TypeError:
+        raise InputError(refusal) from None
+
+
 def _normalize_simplex(s):
-    t = tuple(map(int, s))
+    t = _integers(s, f"simplex {s!r} has a vertex that is not an integer")
     if not all(map(int.__lt__, t, t[1:])):
         raise InputError(f"simplex {t} is not strictly increasing")
     return t
@@ -57,7 +67,7 @@ def _column_levels(simplices, vertex_count):
     levels = [set() for _ in range(max(lengths, default=0))]
     for n in set(lengths) - {0}:
         group = list(compress(simplices, map(n.__eq__, lengths)))
-        cols = [list(map(int, map(itemgetter(i), group))) for i in range(n)]
+        cols = [list(map(index, map(itemgetter(i), group))) for i in range(n)]
         if min(cols[0]) < 0 or max(cols[-1]) >= vertex_count \
                 or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
             raise ValueError("a generator is not increasing or out of range")
@@ -105,19 +115,7 @@ class SimplicialComplex:
     :meth:`_trusted` builds them unchecked.
     """
 
-    __slots__ = (
-        "vertex_count",
-        "_by_dim",
-        "_index",
-        "_faces_cache",
-        "_boundary_cache",
-        "_columns_cache",
-        "_cofaces_cache",
-        "_red_cache",
-        "_hom_cache",
-        "_coh_cache",
-        "_memo",
-    )
+    __slots__ = ("vertex_count", "_by_dim", "_index", "_memo")
 
     @classmethod
     def _trusted(cls, vertex_count: int, levels) -> "SimplicialComplex":
@@ -129,13 +127,6 @@ class SimplicialComplex:
         K._index = index = {}
         for group in K._by_dim:
             index.update(zip(group, range(len(group))))
-        K._faces_cache = {}
-        K._boundary_cache = {}
-        K._columns_cache = {}
-        K._cofaces_cache = {}
-        K._red_cache = {}
-        K._hom_cache = {}
-        K._coh_cache = {}
         K._memo = {}
         return K
 
@@ -203,11 +194,11 @@ class SimplicialComplex:
         One column pass for every k, which the boundary columns, the
         boundary rows and the cofaces one dimension down all read.
         """
-        faces = self._faces_cache.get(k)
+        faces = self._memo.get(("faces", k))
         if faces is None:
             g, get = self.simplices(k), self._index.__getitem__
             faces = tuple(zip(*(map(get, f) for f in _faces(g, k + 1)))) if k else ((),) * len(g)
-            self._faces_cache[k] = faces
+            self._memo["faces", k] = faces
         return faces
 
     def boundary_matrix(self, k: int) -> Gf2Matrix:
@@ -216,19 +207,19 @@ class SimplicialComplex:
         Row i collects the k-simplices that have face i, scattered from the
         face indices in one pass.
         """
-        if k not in self._boundary_cache:
+        if ("boundary", k) not in self._memo:
             rows = [0] * self.n_simplices(k - 1)
             bit = 1
             for faces in self.face_indices(k):
                 for i in faces:
                     rows[i] |= bit
                 bit <<= 1
-            self._boundary_cache[k] = Gf2Matrix._trusted(len(rows), self.n_simplices(k), tuple(rows))
-        return self._boundary_cache[k]
+            self._memo["boundary", k] = Gf2Matrix._trusted(len(rows), self.n_simplices(k), tuple(rows))
+        return self._memo["boundary", k]
 
     def boundary_columns(self, k: int):
         """Boundary of each k-simplex as a bit vector over the (k-1)-simplices."""
-        if k not in self._columns_cache:
+        if ("columns", k) not in self._memo:
             faces = self.face_indices(k)
             if k == 1:
                 cols = tuple((1 << a) | (1 << b) for a, b in faces)
@@ -239,18 +230,18 @@ class SimplicialComplex:
                 for column in zip(*faces):
                     cols = map(or_, cols, map((1).__lshift__, column))
                 cols = tuple(cols)
-            self._columns_cache[k] = cols
-        return self._columns_cache[k]
+            self._memo["columns", k] = cols
+        return self._memo["columns", k]
 
     def cofaces(self, k: int):
         """Map from each k-simplex index to indices of its (k+1)-cofaces."""
-        if k not in self._cofaces_cache:
+        if ("cofaces", k) not in self._memo:
             out = [[] for _ in range(self.n_simplices(k))]
             for j, faces in enumerate(self.face_indices(k + 1)):
                 for i in faces:
                     out[i].append(j)
-            self._cofaces_cache[k] = tuple(map(tuple, out))
-        return self._cofaces_cache[k]
+            self._memo["cofaces", k] = tuple(map(tuple, out))
+        return self._memo["cofaces", k]
 
     def dual_graph(self):
         """Signed dual graph of the top simplices, built once per complex.
@@ -326,7 +317,7 @@ class SimplicialMap:
     __slots__ = ("source", "target", "images", "_memo")
 
     def __init__(self, source: SimplicialComplex, target: SimplicialComplex, images):
-        images = tuple(int(v) for v in images)
+        images = _integers(images, "vertex images must be integers")
         if len(images) != source.vertex_count:
             raise InputError(
                 f"vertex image list has length {len(images)}, expected {source.vertex_count}"

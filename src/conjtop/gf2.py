@@ -303,9 +303,6 @@ class BilinearFormGF2(Record):
     def dimension(self) -> int:
         return self.gram.nrows
 
-    def value(self, x: int, y: int) -> int:
-        return dot(self.gram.mul_vec(y), x)
-
     def __repr__(self):
         return f"BilinearFormGF2({self.gram!r})"
 

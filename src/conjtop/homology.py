@@ -3,12 +3,14 @@
 Works over two kinds of carrier: a :class:`SimplicialComplex`, or abstract
 chain data (``conjtop.chains``) for spaces whose triangulations are too
 large to write down, such as the orbit complex of an involution.  Both run
-the same code for absolute and relative homology and cohomology.  Induced
+the same code for absolute and relative homology and cohomology, and each
+keeps its columns, reductions and absolute bases in its one ``_memo`` dict,
+under keys such as ``("reduction", co, k)`` and ``("homology", k)``.  Induced
 maps, cup products and forms live in ``conjtop.duality``, apart, because a cold
 command compiles every module it loads; the benchmark reads ``duality_data`` here.
 
 Every path (absolute, relative, orbit, cohomology) feeds the carrier's
-cached boundary columns, relative ones with the subspace masked out, to one
+boundary columns, relative ones with the subspace masked out, to one
 lowest-bit column reduction, ``reduce_columns``; Betti numbers are its pivot
 counts.  The boundary into dimension k yields a pivot map of the
 boundaries B whose pivots are those a row echelon form of B picks; each
@@ -91,7 +93,7 @@ def _quotient_basis(dimension, n_chains, boundaries, cycles):
 
 
 def _reduction(space, k, co=False):
-    """Cached reduction of the boundary columns out of dimension k, or with
+    """Remembered reduction of the boundary columns out of dimension k, or with
     ``co`` of the coboundary out of degree k (the rows of the boundary into
     k + 1).
 
@@ -99,14 +101,14 @@ def _reduction(space, k, co=False):
     into degree k) is reduced first whenever it is nonzero, so its pivots
     are always there to clear, whatever order the degrees are asked in.
     """
-    cache = space._red_cache
-    if (co, k) not in cache:
+    memo = space._memo
+    if ("reduction", co, k) not in memo:
         # the map into k: the boundary out of k + 1, or the coboundary out of k - 1
         d, up = (k, k - 1) if co else (k + 1, k + 1)
         image = _reduction(space, up, co)[0] if 1 <= d <= space.dimension else ()
         cols = space.boundary_matrix(k + 1).rows if co else space.boundary_columns(k)
-        cache[co, k] = reduce_columns(cols, image)
-    return cache[co, k]
+        memo["reduction", co, k] = reduce_columns(cols, image)
+    return memo["reduction", co, k]
 
 
 def _cells_off(masks, k, n):
@@ -149,12 +151,10 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
     if not isinstance(space, (SimplicialComplex, ChainCarrier)):
         raise InputError(f"unsupported space type {type(space).__name__}")
     if rel is None:
-        cache = space._hom_cache
-        if k not in cache:
-            cache[k] = _quotient_basis(
-                k, space.n_simplices(k), _reduction(space, k + 1), _reduction(space, k)
-            )
-        return cache[k]
+        if ("homology", k) not in space._memo:
+            space._memo["homology", k] = _quotient_basis(
+                k, space.n_simplices(k), _reduction(space, k + 1), _reduction(space, k))
+        return space._memo["homology", k]
 
     masks = _rel_masks(space, rel)
     n_k = space.n_simplices(k)
@@ -177,13 +177,11 @@ def total_betti(space) -> int:
 
 def cohomology(space, k: int) -> HomologyBasis:
     """Canonical mod-2 cohomology basis in dimension k."""
-    cache = space._coh_cache
-    if k not in cache:
-        cache[k] = _quotient_basis(
+    if ("cohomology", k) not in space._memo:
+        space._memo["cohomology", k] = _quotient_basis(
             k, space.n_simplices(k),
-            _reduction(space, k - 1, co=True), _reduction(space, k, co=True),
-        )
-    return cache[k]
+            _reduction(space, k - 1, co=True), _reduction(space, k, co=True))
+    return space._memo["cohomology", k]
 
 
 def is_cocycle(space, k: int, cochain: int) -> bool:

@@ -18,7 +18,7 @@ The cut-and-glue covers live in ``conjtop.coverings``.
 """
 
 from .complexes import (
-    SimplicialComplex, SimplicialMap, _boundary_support, dual_walk, impure_simplex,
+    SimplicialComplex, SimplicialMap, _boundary_support, _integers, dual_walk, impure_simplex,
     pseudomanifold_check,
 )
 from .errors import InputError, ModelIntegrityError, Record
@@ -48,10 +48,7 @@ class SemiOrientation(Record):
     __slots__ = ("carrier", "signs")
 
     def __init__(self, carrier: SimplicialComplex, signs):
-        try:
-            signs = tuple(int(s) for s in signs)
-        except (TypeError, ValueError):
-            raise InputError("signs must be +1 or -1") from None
+        signs = _integers(signs, "signs must be +1 or -1")
         n = carrier.dimension
         if len(signs) != carrier.n_simplices(n):
             raise InputError("need one sign per top simplex")

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from conjtop import complexes
+from conjtop.chains import ChainComplexData
 from conjtop.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -12,6 +13,7 @@ from conjtop.complexes import (
     pseudomanifold_check,
 )
 from conjtop.errors import InputError
+from conjtop.gf2 import Gf2Matrix
 from conjtop.homology import betti_numbers
 from conjtop.models import (
     coned_grid_klein,
@@ -24,6 +26,7 @@ from conjtop.models import (
     square_circle,
     torus7,
 )
+from conjtop.orientations import SemiOrientation
 from conjtop.smith import orbit_chain_boundaries, quotient_by_involution, regularize
 from conftest import identity_map
 
@@ -38,6 +41,30 @@ def test_from_simplices_is_the_one_way_in():
 def test_validation_rejects_bad_vertex():
     with pytest.raises(InputError):
         SimplicialComplex.from_simplices(2, [(0, 5)])
+
+
+TRIANGLE = SimplicialComplex.from_simplices(3, [(0, 1, 2)])
+# constructor -> (what it builds with one entry x, what it built from x = 1 before)
+ENTRY_BUILDS = {
+    "simplex": (lambda x: SimplicialComplex.from_simplices(3, [(0, x, 2)]).all_simplices(),
+                ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))),
+    "vertex image": (lambda x: SimplicialMap(TRIANGLE, TRIANGLE, [0, x, 2]).images, (0, 1, 2)),
+    "chain rank": (lambda x: ChainComplexData([1, x], [Gf2Matrix.zeros(1, 1)]).ranks, (1, 1)),
+    "sign": (lambda x: SemiOrientation(sphere_tetra(), [x, -1, 1, -1]).signs, (1, -1, 1, -1)),
+}
+
+
+@pytest.mark.parametrize("constructor", sorted(ENTRY_BUILDS))
+def test_checked_constructors_read_entries_by_operator_index(constructor):
+    """A float or a string is refused, even with an integer value, and a bool
+    reads as the int it is (the repr tells True from 1): 1.5 used to be
+    truncated to 1, and "1" to be parsed."""
+    build, built = ENTRY_BUILDS[constructor]
+    for entry in (1.5, "1"):
+        with pytest.raises(InputError):
+            build(entry)
+    for entry in (True, 1):
+        assert repr(tuple(build(entry))) == repr(built)
 
 
 def test_euler_characteristics():

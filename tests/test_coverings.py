@@ -285,11 +285,11 @@ def test_boundary_support_counts_the_chain_alone():
         assert _boundary_support(chains["closed"], 1) == []
         assert len(_boundary_support(chains["open"], 1)) == 2
         assert len(_boundary_support(chains["triangles"], 2)) > 0
-        assert not K._faces_cache and not K._boundary_cache
+        assert not {key[0] for key in K._memo} & {"faces", "boundary"}
         assert _as_curve_subcomplex(K, chains["closed"]).n_simplices(1) == len(chains["closed"])
         with pytest.raises(InputError, match="cutting curve is not closed"):
             _as_curve_subcomplex(K, chains["open"])
-        assert not K._faces_cache and not K._boundary_cache
+        assert not {key[0] for key in K._memo} & {"faces", "boundary"}
 
 
 def test_branch_preimage_audit_refuses_corrupted_covers(library):

@@ -6,17 +6,20 @@ the split along the fixed curve, per complex the duality package of each
 degree.  Each fact is built once however many analyses read it, a refusal
 is never remembered, and a fact read through the memo equals the one a
 freshly rebuilt complex and map compute, on every library map and on one
-barycentric subdivision of it (the subdivided quadric forgets its memo
-instead of being rebuilt).
+barycentric subdivision of it (the subdivided quadric forgets the analyses'
+facts instead of being rebuilt).  The memo also holds a complex's face
+indices, boundaries, cofaces, reductions and homology bases, and clearing it
+returns a complex or chain data to the state of a freshly built one.
 """
 
 import pytest
 
 from conjtop import duality, orientations, smith
+from conjtop.chains import ChainComplexData
 from conjtop.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide
 from conjtop.duality import duality_data
 from conjtop.errors import InputError
-from conjtop.homology import betti_numbers
+from conjtop.homology import betti_numbers, cohomology, homology
 from conjtop.involutions import (
     classify_type,
     fixed_subcomplex,
@@ -112,7 +115,8 @@ def test_refusals_are_asked_again_on_every_call(library):
     H = torus_with_hole()[0]
     texts = {refusal(lambda: duality_data(H, 1)) for _ in range(2)}
     assert texts == {"face (0, 1) has 1 top cofaces, expected 2"}
-    assert not H._memo
+    # the face indices and cofaces the check read stay; no verdict was stored
+    assert "closed" not in H._memo and ("duality", 1) not in H._memo
 
 
 # --- the memo against freshly rebuilt objects ----------------------------------------
@@ -158,8 +162,17 @@ def kept(verdicts):
 
 
 # complexes up to this size are rebuilt from scratch; the subdivided quadric (73 012
-# simplices) only forgets its memo, which keeps this test within its time budget
+# simplices) only forgets the analyses' facts, which keeps this test within its time budget
 REBUILT_UP_TO = 10_000
+# what a complex's memo holds for homology: face indices, boundaries, cofaces, reductions, bases
+HOMOLOGY_ENTRIES = {"faces", "boundary", "columns", "cofaces", "reduction", "homology",
+                    "cohomology"}
+
+
+def facts(K):
+    """The keys of K's memo that the analyses stored: the dual graph, the
+    pseudomanifold pass and the duality packages."""
+    return [key for key in K._memo if not (isinstance(key, tuple) and key[0] in HOMOLOGY_ENTRIES)]
 
 
 def test_remembered_facts_equal_those_of_fresh_objects(library):
@@ -178,13 +191,61 @@ def test_remembered_facts_equal_those_of_fresh_objects(library):
             assert memo.get("split") is first.get("split"), name
             if sum(map(K.n_simplices, range(K.dimension + 1))) <= REBUILT_UP_TO:
                 fresh, fresh_tau = rebuilt(K, tau)
-            else:  # forgets what it remembered, and keeps its homology caches
-                K._memo.clear()
+                assert not fresh._memo
+            else:  # forgets what the analyses remembered, and keeps its homology entries
+                for key in facts(K):
+                    del K._memo[key]
                 fresh, fresh_tau = K, SimplicialMap(K, K, tau.images)
-            assert fresh == K and not fresh._memo  # the map's check leaves its image index only
+            assert fresh == K and not facts(fresh)  # the map's check leaves its image index only
             assert sorted(fresh_tau._memo) == list(range(K.dimension + 1))
             assert remembered(fresh, fresh_tau) == memo, name
             assert analyses(fresh, fresh_tau) == verdicts[-1], name
         assert kept(verdicts[0]) == kept(verdicts[1]), name
         if name == "quadric":
             assert verdicts[0]["betti"] == (1, 0, 2, 0, 1) and verdicts[0]["smith"][0].asserted
+
+
+# --- clearing the memo ----------------------------------------------------------------
+
+
+def state(obj):
+    """Every slot of a carrier but its memo, by name, or every slot of a homology basis."""
+    names = (name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ()))
+    return {name: getattr(obj, name) for name in names if name != "_memo"}
+
+
+def rebuilt_chains(C):
+    return ChainComplexData(*(getattr(C, field) for field in C._FIELDS))
+
+
+def test_clearing_the_memo_returns_a_carrier_to_its_fresh_state(library):
+    """A complex and chain data keep all they derive in ``_memo``: after every
+    kind of lookup their other slots equal those of a freshly built equal
+    object, and once the memo is cleared the same bases are computed again."""
+    K = library.complexes["torus7"]
+    K = SimplicialComplex.from_simplices(K.vertex_count, K.all_simplices())
+    n = K.dimension
+
+    def derived():
+        hom = [state(homology(K, k)) for k in range(n + 1)]
+        coh = [state(cohomology(K, k)) for k in range(n + 1)]
+        packages = [duality_data(K, k) for k in range(n + 1)]
+        return (betti_numbers(K), hom, coh,
+                [(state(p.hom), state(p.coh), p.cup, p.cup_inv, p.eval_matrix) for p in packages],
+                K.dual_graph(), [K.cofaces(k) for k in range(n)],
+                [K.boundary_matrix(k) for k in range(n + 1)])
+
+    before = derived()
+    assert state(K) == state(SimplicialComplex.from_simplices(K.vertex_count, K.all_simplices()))
+    K._memo.clear()
+    assert derived() == before
+
+    C = rebuilt_chains(library.chains["t4_chain"])
+
+    def bases():
+        return [(state(homology(C, k)), state(cohomology(C, k))) for k in range(C.dimension + 1)]
+
+    before = bases()
+    assert state(C) == state(rebuilt_chains(C))
+    C._memo.clear()
+    assert bases() == before

@@ -23,7 +23,7 @@ import pytest
 from conftest import FORMER_RECORDS, FORMER_VALUES, identity_map
 from conjtop.complexes import SimplicialComplex
 from conjtop.errors import InputError, Record
-from conjtop.gf2 import BilinearFormGF2, Gf2Matrix
+from conjtop.gf2 import Gf2Matrix, dot
 from conjtop.intmat import IntMatrix
 
 K = SimplicialComplex.from_simplices(4, [(0, 1, 2), (1, 2, 3)])
@@ -192,7 +192,7 @@ WIDE = Gf2Matrix.zeros(2, 3)
 # name -> (module, fields, valid argument tuples, refused argument tuples)
 VALUE_CASES = {
     "SemiOrientation": ("orientations", ("carrier", "signs"), [
-        (K, (1, -1)), (K, (-1, 1)), (K, [1, 1]), (K, ("-1", "-1")), (K2, (1, -1)),
+        (K, (1, -1)), (K, (-1, 1)), (K, [1, 1]), (K, (-1, -1)), (K, (True, -1)), (K2, (1, -1)),
     ], [
         (K, (1,)), (K, (1, 2)), (K, ("x", 1)), (K, None), (K, (1, 0)),
         (IMPURE, (1,)),
@@ -232,11 +232,11 @@ def test_value_record_matches_its_former_class(name):
             assert repr(new) == repr(old)
         if name != "SemiOrientation":
             assert new.dimension == old.dimension == new.gram.nrows
-            # the forms read their pairing from the one GF(2) form on their Gram
-            value = new.value if name == "BilinearFormGF2" else BilinearFormGF2(new.gram).value
+            # the pairing the Gram gives is the former value, or the former forms' pairing
             old_value = old.value if name == "BilinearFormGF2" else old.pairing
             vectors = range(1 << new.dimension)
-            assert all(value(x, y) == old_value(x, y) for x in vectors for y in vectors)
+            assert all(dot(x, new.gram.mul_vec(y)) == old_value(x, y)
+                       for x in vectors for y in vectors)
     # equality and hash as the former class defined them, per pair of values
     for (a, a_old), (b, b_old) in ((p, q) for p in pairs for q in pairs):
         if name in ("SemiOrientation", "BilinearFormGF2"):
