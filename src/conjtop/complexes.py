@@ -132,11 +132,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_simplices(cls, vertex_count: int, generators) -> "SimplicialComplex":
-        """Build the closure of the given generating simplices.
-
-        Generators are checked in vertex columns and closed by dimension; a
-        failed check reruns the per-generator route to name the offender.
-        """
+        """Closure of the generating simplices on ``vertex_count`` vertices, an int by
+        ``operator.index``.  Generators are checked in vertex columns and closed by
+        dimension; a failed check reruns the per-generator route to name the offender."""
+        vertex_count = _integers([vertex_count], "vertex count must be an integer")[0]
         generators = list(generators)
         try:
             levels = _column_levels(generators, vertex_count)

@@ -4,15 +4,16 @@ Works over two kinds of carrier: a :class:`SimplicialComplex`, or abstract
 chain data (``conjtop.chains``) for spaces whose triangulations are too
 large to write down, such as the orbit complex of an involution.  Both run
 the same code for absolute and relative homology and cohomology, and each
-keeps its columns, reductions and absolute bases in its one ``_memo`` dict,
-under keys such as ``("reduction", co, k)`` and ``("homology", k)``.  Induced
-maps, cup products and forms live in ``conjtop.duality``, apart, because a cold
-command compiles every module it loads; the benchmark reads ``duality_data`` here.
+keeps its columns, reductions and bases in its one ``_memo`` dict, under
+keys such as ``("reduction", co, k, masks)`` and ``("homology", k, masks)``,
+``masks`` being ``()`` when absolute.  Induced maps, cup products and forms
+live in ``conjtop.duality``, apart, because a cold command compiles every
+module it loads; the benchmark reads ``duality_data`` here.
 
-Every path (absolute, relative, orbit, cohomology) feeds the carrier's
-boundary columns, relative ones with the subspace masked out, to one
-lowest-bit column reduction, ``reduce_columns``; Betti numbers are its pivot
-counts.  The boundary into dimension k yields a pivot map of the
+Every path (absolute, relative, orbit, cohomology, the Smith table) feeds
+the carrier's boundary columns or rows, the subspace's cells cleared, to one
+remembered lowest-bit column reduction, ``_reduction``; Betti numbers are
+its kernel sizes.  The boundary into dimension k yields a pivot map of the
 boundaries B whose pivots are those a row echelon form of B picks; each
 class of Z/B has one representative vanishing on them.  The boundary out
 of dimension k yields cycles with distinct lowest bits; those whose lowest
@@ -24,7 +25,7 @@ runs.  A chain finds its representative by the pivot map, lowest pivot first.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 
 from .complexes import SimplicialComplex
 from .errors import InputError
@@ -92,49 +93,57 @@ def _quotient_basis(dimension, n_chains, boundaries, cycles):
     return HomologyBasis(dimension, n_chains, h_rows, b_pivots, mask, h_pivots)
 
 
-def _reduction(space, k, co=False):
+def _reduction(space, k, co=False, masks=()):
     """Remembered reduction of the boundary columns out of dimension k, or with
     ``co`` of the coboundary out of degree k (the rows of the boundary into
-    k + 1).
+    k + 1); ``masks``, one cell mask per dimension, makes it relative.
 
     The map one step toward the top (the boundary into k, or the coboundary
     into degree k) is reduced first whenever it is nonzero, so its pivots
     are always there to clear, whatever order the degrees are asked in.
+    Relative, the rel k-cells are cleared too, and boundary columns lose
+    their rel (k-1)-bits, those cells joining the pivot map as unit columns:
+    the next degree clears them, and a relative basis ignores chains on rel.
+    Either way the kernel keeps one vector per class, so its size is b_k.
     """
-    memo = space._memo
-    if ("reduction", co, k) not in memo:
+    memo, key = space._memo, ("reduction", co, k, masks)
+    if key not in memo:
         # the map into k: the boundary out of k + 1, or the coboundary out of k - 1
         d, up = (k, k - 1) if co else (k + 1, k + 1)
-        image = _reduction(space, up, co)[0] if 1 <= d <= space.dimension else ()
+        clear = _reduction(space, up, co, masks)[0] if 1 <= d <= space.dimension else ()
         cols = space.boundary_matrix(k + 1).rows if co else space.boundary_columns(k)
-        memo["reduction", co, k] = reduce_columns(cols, image)
-    return memo["reduction", co, k]
+        if masks:
+            rel, below = (masks[j] if 0 <= j < len(masks) else 0 for j in (k, k - 1))
+            clear = set(_cells(rel)).union(clear)
+            cols = cols if co else [c & ~below if c & below else c for c in cols]
+        memo[key] = reduce_columns(cols, clear)
+        if masks and not co:
+            memo[key][0].update((j, 1 << j) for j in _cells(below))
+    return memo[key]
 
 
-def _cells_off(masks, k, n):
-    """Cells 0..n-1 outside ``masks[k]`` (all if k is out of range), in one pass over it."""
-    mask = masks[k] if 0 <= k < len(masks) else 0
-    return list(compress(range(n), map("0".__eq__, format(mask | 1 << n, "b")[:0:-1])))
+def _cells(mask):
+    """The cells of a mask: the indices of its set bits, ascending."""
+    return compress(count(), map("1".__eq__, reversed(format(mask, "b"))))
 
 
 def _rel_masks(space, rel):
     """The cells of ``rel`` as one bit mask per dimension 0..n, checked to be closed."""
     n = space.dimension
     if isinstance(space, ChainCarrier):
-        masks = list(rel) if isinstance(rel, (list, tuple)) else []
+        masks = tuple(rel) if isinstance(rel, (list, tuple)) else ()
         if len(masks) != n + 1 or any(
             not isinstance(m, int) or m < 0 or m >> r for m, r in zip(masks, space.ranks)
         ):
             raise InputError(f"rel must be {n + 1} cell masks within the chain ranks")
         for k in range(1, n + 1):
-            rows = space.boundaries[k - 1].rows
-            outside = map(rows.__getitem__, _cells_off(masks, k - 1, len(rows)))
-            if any(map(masks[k].__and__, outside)):
+            cols, off = space.boundary_columns(k), ~masks[k - 1]
+            if any(off & cols[j] for j in _cells(masks[k])):
                 raise InputError(f"rel cells are not closed under the boundary {k}")
         return masks
     if not isinstance(rel, SimplicialComplex) or not space.contains_subcomplex(rel):
         raise InputError("rel must be a subcomplex of the ambient complex")
-    return [sum(1 << space.index_of(s) for s in rel.simplices(k)) for k in range(n + 1)]
+    return tuple(sum(1 << space.index_of(s) for s in rel.simplices(k)) for k in range(n + 1))
 
 
 def homology(space, k: int, rel=None) -> HomologyBasis:
@@ -143,32 +152,23 @@ def homology(space, k: int, rel=None) -> HomologyBasis:
     ``space`` is a SimplicialComplex or ChainComplexData.  ``rel`` switches
     to relative homology of the pair: for a complex, a subcomplex; for chain
     data, one bit mask of cells per dimension 0..n, closed under the
-    boundaries.  Anything else is an InputError.  Both become the same
-    masks, cleared from the ambient boundary columns (the subspace's own
-    columns vanish).  Its k-cells join the boundary pivots as unit columns,
-    so a relative basis is in ambient coordinates and ignores chains on them.
+    boundaries.  Anything else is an InputError, checked on every call.  Both
+    become the same masks, which the remembered reductions clear; the basis is
+    in ambient coordinates and remembered per (k, masks).
     """
     if not isinstance(space, (SimplicialComplex, ChainCarrier)):
         raise InputError(f"unsupported space type {type(space).__name__}")
-    if rel is None:
-        if ("homology", k) not in space._memo:
-            space._memo["homology", k] = _quotient_basis(
-                k, space.n_simplices(k), _reduction(space, k + 1), _reduction(space, k))
-        return space._memo["homology", k]
-
-    masks = _rel_masks(space, rel)
-    n_k = space.n_simplices(k)
-    off_k, off_km1 = (~masks[d] if 0 <= d < len(masks) else -1 for d in (k, k - 1))
-    pivots = reduce_columns(list(map(off_k.__and__, space.boundary_columns(k + 1))))[0]
-    pivots.update((j, 1 << j) for j in set(range(n_k)).difference(_cells_off(masks, k, n_k)))
-    cycles = reduce_columns(list(map(off_km1.__and__, space.boundary_columns(k))), pivots)
-    return _quotient_basis(k, n_k, (pivots,), cycles)
+    masks = () if rel is None else _rel_masks(space, rel)
+    key = "homology", k, masks
+    if key not in space._memo:
+        pair = _reduction(space, k + 1, False, masks), _reduction(space, k, False, masks)
+        space._memo[key] = _quotient_basis(k, space.n_simplices(k), *pair)
+    return space._memo[key]
 
 
 def betti_numbers(space):
-    """Betti numbers 0..n: n_k less the pivot counts of the cached reductions into and out of k."""
-    rank = [len(_reduction(space, k)[0]) for k in range(space.dimension + 2)]
-    return tuple(space.n_simplices(k) - rank[k] - rank[k + 1] for k in range(len(rank) - 1))
+    """Betti numbers 0..n: kernel sizes of the reductions out of k, n_k - rank in - rank out."""
+    return tuple(len(_reduction(space, k)[1]) for k in range(space.dimension + 1))
 
 
 def total_betti(space) -> int:

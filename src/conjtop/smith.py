@@ -14,7 +14,7 @@ from .complexes import SimplicialComplex, SimplicialMap, barycentric_subdivide, 
 from .duality import induced_map
 from .errors import InputError, ModelIntegrityError, Record
 from .gf2 import BilinearFormGF2, Gf2Matrix, is_even, reduce_columns
-from .homology import _cells_off, _rel_masks, homology, total_betti
+from .homology import _reduction, homology, total_betti
 from .involutions import (
     _Basis, _fixed_facts, _middle_forms, check_regular_involution, fixed_subcomplex,
 )
@@ -138,25 +138,6 @@ def harnack_audit(space, tau=None) -> HarnackReport:
     return HarnackReport(fix_total, space_total, fix_total == space_total)
 
 
-def _relative_betti(space, rel):
-    """Mod-2 Betti numbers of the pair (space, rel) in dimensions 0..n, from ranks only.
-
-    The rows of the boundary into k, those of rel cells skipped like cleared ones, are
-    the relative coboundary out of degree k - 1 (the others miss the closed rel's columns).
-    Degrees reduce lowest first, each clearing with the pivots of the one below.
-    """
-    masks = _rel_masks(space, rel)
-    rank, pivots = [0], {}
-    for k in range(1, space.dimension + 1):
-        rows = space.boundary_matrix(k).rows
-        rel_rows = set(range(len(rows))).difference(_cells_off(masks, k - 1, len(rows)))
-        pivots = reduce_columns(rows, rel_rows.union(pivots))[0]
-        rank.append(len(pivots))
-    rank.append(0)
-    return tuple(space.n_simplices(k) - m.bit_count() - rank[k] - rank[k + 1]
-                 for k, m in enumerate(masks))
-
-
 class SmithReport(Record):
     __slots__ = ("kernel_dimension", "h1_trivial", "asserted", "quotient_table")
 
@@ -186,8 +167,9 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
     When H_1(K) vanishes the kernel dimension is asserted to be at most 1;
     otherwise the number is only reported.  The report carries the ranks
     of the relative homology of (K/tau, Fix) in dimensions 4, 3, 2, the
-    groups appearing in the Smith sequence argument, counted by
-    :func:`_relative_betti` on the orbit chains without building a basis.
+    groups appearing in the Smith sequence argument: the kernel sizes of the
+    relative coboundary reductions of the orbit chains, stored as rows, with
+    the fixed flags as masks (closed by construction), building no basis.
     """
     if isinstance(K, ChainComplexData):
         raise InputError("the Smith kernel bound needs a geometric complex")
@@ -208,8 +190,7 @@ def smith_kernel_bound(K: SimplicialComplex, tau: SimplicialMap) -> SmithReport:
     boundaries, fixed_flags = orbit_chain_boundaries(K, tau)
     orbits = ChainComplexData._trusted([boundaries[0].nrows] + [b.ncols for b in boundaries],
                                        boundaries)
-    betti = _relative_betti(orbits, fixed_flags)
-    table = {k: betti[k] for k in (4, 3, 2)}
+    table = {k: len(_reduction(orbits, k, True, fixed_flags)[1]) for k in (4, 3, 2)}
     asserted = _smith_verdict(kernel_dim, h1_trivial, table)
     return SmithReport(kernel_dim, h1_trivial, asserted, table)
 

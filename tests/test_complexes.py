@@ -50,6 +50,7 @@ ENTRY_BUILDS = {
                 ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))),
     "vertex image": (lambda x: SimplicialMap(TRIANGLE, TRIANGLE, [0, x, 2]).images, (0, 1, 2)),
     "chain rank": (lambda x: ChainComplexData([1, x], [Gf2Matrix.zeros(1, 1)]).ranks, (1, 1)),
+    "vertex count": (lambda x: (SimplicialComplex.from_simplices(x, [(0,)]).vertex_count,), (1,)),
     "sign": (lambda x: SemiOrientation(sphere_tetra(), [x, -1, 1, -1]).signs, (1, -1, 1, -1)),
 }
 

@@ -194,12 +194,13 @@ def test_lowest_degree_first_still_clears(library):
     K = library.complexes["torus7"]
     K = SimplicialComplex.from_simplices(K.vertex_count, K.all_simplices())
     homology(K, 0)
-    cycles_1 = K._memo["reduction", False, 1][1]
-    boundary_pivots = K._memo["reduction", False, 2][0]
+    cycles_1 = K._memo["reduction", False, 1, ()][1]
+    boundary_pivots = K._memo["reduction", False, 2, ()][0]
     # every pivot of the boundary into dimension 1 was skipped, not reduced
     assert boundary_pivots and not set(boundary_pivots) & set(cycles_1)
     cohomology(K, 2)
-    assert not set(K._memo["reduction", True, 0][0]) & set(K._memo["reduction", True, 1][1])
+    co_0, co_1 = (K._memo["reduction", True, k, ()] for k in (0, 1))
+    assert not set(co_0[0]) & set(co_1[1])
 
 
 # --- trusted matrices ----------------------------------------------------------------

@@ -237,23 +237,23 @@ def test_unknown_object_message_unchanged(capsys):
 # added to or cut from a module a command loads shows here; lower a ceiling
 # when its count drops.
 COLD_CEILINGS = {
-    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2076,
-    "classify quadric --h (1,1)": 2089,
-    "classify tetra2 --model .bench_work/cli_models.txt": 2076,
-    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1930,
+    "classify mdouble_g2 --model .bench_work/cli_models.txt": 2075,
+    "classify quadric --h (1,1)": 2088,
+    "classify tetra2 --model .bench_work/cli_models.txt": 2075,
+    "compare torus_grid --y1 col0,col2 --y2 col1,col3": 1929,
     "congruence --chi 8 --type I_abs --h1-trivial": 1065,
-    "conj-form quadric": 2258,
-    "cover rp2_6vertex --cocycle w1_cocycle": 2074,
-    "cover sphere_octa_sub --cut arcs_both": 2074,
-    "divide torus_reflection": 2370,
-    "fixed-set quadric": 2089,
-    "homology klein6 --model .bench_work/cli_models.txt": 1835,
-    "homology klein_bottle": 1787,
-    "homology torus6 --model .bench_work/cli_models.txt": 1835,
-    "homology torus7": 1752,
+    "conj-form quadric": 2257,
+    "cover rp2_6vertex --cocycle w1_cocycle": 2073,
+    "cover sphere_octa_sub --cut arcs_both": 2073,
+    "divide torus_reflection": 2369,
+    "fixed-set quadric": 2088,
+    "homology klein6 --model .bench_work/cli_models.txt": 1834,
+    "homology klein_bottle": 1786,
+    "homology torus6 --model .bench_work/cli_models.txt": 1834,
+    "homology torus7": 1751,
     "lattice-audit quadric_lattice": 1629,
-    "orient torus_reflection": 2370,
-    "orient-cover klein_bottle --curve w1dual": 2435,
+    "orient torus_reflection": 2369,
+    "orient-cover klein_bottle --curve w1dual": 2434,
     "qform rp2_loops": 1253,
 }
 ARITHMETIC_COMMANDS = ["congruence --chi 8 --type I_abs --h1-trivial", "qform rp2_loops",

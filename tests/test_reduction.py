@@ -6,6 +6,7 @@ echelonize the residues.  Every sparse basis must match it bit for bit,
 in its cycles and in the coordinates it assigns.
 """
 
+import importlib
 import random
 from itertools import combinations
 from types import SimpleNamespace
@@ -18,10 +19,10 @@ from conjtop.chains import ChainComplexData
 from conjtop.complexes import SimplicialComplex, barycentric_subdivide
 from conjtop.errors import InputError
 from conjtop.gf2 import Gf2Matrix, gf2_kernel_basis, reduce_columns
-from conjtop.homology import betti_numbers, cohomology, homology
+from conjtop.homology import _rel_masks, _reduction, betti_numbers, cohomology, homology
 from conjtop.involutions import fixed_subcomplex, is_regular
 from conjtop.models import factor_swap, model_library, product_complex, sphere_octa, sphere_tetra
-from conjtop.smith import _relative_betti, orbit_chain_boundaries
+from conjtop.smith import orbit_chain_boundaries
 from conftest import boundary_data, rref
 
 
@@ -185,10 +186,48 @@ def test_relative_masks_are_validated():
             homology(data, 1, rel=bad)
 
 
+def test_relative_homology_remembers_each_reduction(library, monkeypatch):
+    """Every degree of the quadric and of torus_diagonal relative to the fixed
+    set, on a fresh complex: at most n + 2 column reductions (each degree
+    used to reduce both of its masked boundaries, 2(n + 1) in all), none on a
+    second pass, and the bases of a fresh complex asked top degree first."""
+    calls, module = [], importlib.import_module("conjtop.homology")
+    counted = module.reduce_columns
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return counted(*args)
+
+    for name in ("quadric", "torus_diagonal"):
+        src, _, tau = library.maps[name]
+        K = library.complexes[src]
+        F = fixed_subcomplex(K, tau).subcomplex
+        fresh, again = (SimplicialComplex.from_simplices(K.vertex_count, K.all_simplices())
+                        for _ in range(2))
+        n = K.dimension
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "reduce_columns", counting)
+            bases = [homology(fresh, k, rel=F) for k in range(n + 1)]
+            assert 0 < len(calls) <= n + 2, name
+            calls.clear()
+            assert all(homology(fresh, k, rel=F) is b for k, b in enumerate(bases))
+            assert not calls, name
+        keys, v = set(fresh._memo), K.vertex_count
+        with pytest.raises(InputError):  # a refusal stores nothing
+            homology(fresh, 1, rel=SimplicialComplex.from_simplices(v + 1, [(v,)]))
+        assert set(fresh._memo) == keys
+        want = [homology(again, k, rel=F) for k in range(n, -1, -1)][::-1]
+        assert [(b.cycles, b._h_pivots, b._b_pivots) for b in bases] \
+            == [(b.cycles, b._h_pivots, b._b_pivots) for b in want], name
+
+
 def relative_bettis_agree(space, rel):
-    """The rank-only relative Betti numbers against the ranks of the bases."""
-    want = tuple(homology(space, k, rel=rel).betti for k in range(space.dimension + 1))
-    assert _relative_betti(space, rel) == want
+    """The kernel counts of the relative coboundary reductions, which the Smith
+    table reads, against the ranks of the bases."""
+    degrees = range(space.dimension + 1)
+    want = tuple(homology(space, k, rel=rel).betti for k in degrees)
+    masks = _rel_masks(space, rel)
+    assert tuple(len(_reduction(space, k, True, masks)[1]) for k in degrees) == want
     return want
 
 
